@@ -223,17 +223,6 @@ class DetectorContext:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ScoreFunction:
-    """A named per-inference-step score, ready for the cumulative-sum engine."""
-
-    name: str
-    step_fn: Callable[[RolloutLog, int], float]
-
-    def score(self, log: RolloutLog, j: int) -> float:
-        return self.step_fn(log, j)
-
-
 def _embedding_at(log: RolloutLog, j: int) -> np.ndarray:
     embedding = log.records[j].embedding
     if embedding is None:
@@ -246,12 +235,12 @@ def _step_seed(base: int, j: int):
 
 
 def make_score_function(name: str, header: RolloutHeader,
-                        ctx: Optional[DetectorContext] = None) -> ScoreFunction:
-    """Resolve a registry name to its per-step score closure."""
+                        ctx: Optional[DetectorContext] = None) -> Callable[[RolloutLog, int], float]:
+    """Resolve a registry name to its per-step score closure `(log, j) -> float`."""
     ctx = ctx or DetectorContext()
     if name in _STAC_DISTANCE_BY_NAME:
         config = StacConfig(distance=_STAC_DISTANCE_BY_NAME[name], bandwidths=ctx.bandwidths)
-        return ScoreFunction(name=name, step_fn=stac_step_fn(config, header))
+        return stac_step_fn(config, header)
 
     if name == "mahalanobis":
         def step(log, j):
@@ -285,10 +274,9 @@ def make_score_function(name: str, header: RolloutHeader,
             return output_variance_score(log.records[j], log.header.action_mask)
     else:
         raise ValueError(f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
-    return ScoreFunction(name=name, step_fn=step)
+    return step
 
 
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
     """Score one rollout with a registry detector through the shared engine."""
-    fn = make_score_function(name, log.header, ctx)
-    return accumulate_scores(log, fn.step_fn)
+    return accumulate_scores(log, make_score_function(name, log.header, ctx))

@@ -13,7 +13,6 @@ import argparse
 import glob as globlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -117,16 +116,14 @@ def cmd_synth(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot create {out_dir}: {exc}", kind="io") from exc
 
-    def _one(i: int):
+    rows = []
+    for i in range(args.n):
         seed = args.seed * 1_000_000 + i
         policy = scenario.build_policy(behavior, seed)
         log = generate_rollout(policy, scenario, label_rule=default_goal_label, seed=seed)
         name = f"{args.scenario}_{i:04d}{LOG_SUFFIX}"
         write_log(log, out_dir / name)
-        return name, seed, log.label.outcome
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(_one, range(args.n)))
+        rows.append((name, seed, log.label.outcome))
     outcomes = [outcome for _, _, outcome in rows]
     manifest = {
         "scenario": args.scenario,
@@ -270,7 +267,7 @@ def cmd_eval(args) -> int:
         config = BenchmarkConfig.from_json_obj(obj)
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid benchmark config: {exc}", kind="config") from exc
-    report = run_benchmark(config, out_dir=args.out, jobs=args.jobs)
+    report = run_benchmark(config, out_dir=args.out)
     table = _metrics_table(report["metrics"])
     _emit(report, args.pretty, pretty_text=table)
     return 0
@@ -373,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--config", default=None, help="scenario config JSON overlay")
-    p_synth.add_argument("--jobs", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_cal = sub.add_parser("calibrate", help="fit a conformal threshold on nominal logs", parents=[common])
@@ -398,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True,
                         help="benchmark config path or bundled name (erratic, stall, drift)")
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--jobs", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_vlm = sub.add_parser("vlm", help="query the task-progression monitor on a log", parents=[common])

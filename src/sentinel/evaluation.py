@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -313,18 +311,16 @@ def _embedding_matrix(log: RolloutLog) -> np.ndarray:
     return np.stack(rows)
 
 
-def run_benchmark(config: BenchmarkConfig, out_dir=None, jobs: Optional[int] = None) -> dict:
+def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     """Calibrate every detector on nominal rollouts, score a mixed test set,
     union the designated detector with the scripted monitor, and write
     deterministic report artifacts. Returns the report dict."""
-    jobs = jobs or os.cpu_count() or 1
     scenario = config.scenario
     oracle = scenario.build_policy("consistent", seed=0)
 
     cal_seeds = [_trajectory_seed(config.master_seed, i, test=False)
                  for i in range(config.n_calibration)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        cal_logs = list(pool.map(lambda s: _generate(config, "consistent", s), cal_seeds))
+    cal_logs = [_generate(config, "consistent", seed) for seed in cal_seeds]
     kept = [(seed, log) for seed, log in zip(cal_seeds, cal_logs)
             if log.label is not None and not log.label.is_failure]
     if len(kept) < 2:
@@ -339,8 +335,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None, jobs: Optional[int] = N
         for _ in range(count):
             test_plan.append((behavior, _trajectory_seed(config.master_seed, index, test=True)))
             index += 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        test_logs = list(pool.map(lambda bs: _generate(config, bs[0], bs[1]), test_plan))
+    test_logs = [_generate(config, behavior, seed) for behavior, seed in test_plan]
 
     needs_embedding_stats = "mahalanobis" in config.detectors
     lto_stats = pooled = None
@@ -355,18 +350,12 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None, jobs: Optional[int] = N
                                embedding_stats=stats if name == "mahalanobis" else None,
                                seed=seed)
 
-    def _score_one(args):
-        name, log, seed, stats = args
-        return score_log(name, log, _context(name, seed, stats)).terminal
-
     calibrations: dict = {}
     for name in config.detectors:
-        tasks = []
+        terminals = []
         for i, (seed, log) in enumerate(zip(cal_seeds, cal_logs)):
             stats = lto_stats[i] if name == "mahalanobis" else None
-            tasks.append((name, log, seed, stats))
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            terminals = list(pool.map(_score_one, tasks))
+            terminals.append(score_log(name, log, _context(name, seed, stats)).terminal)
         calibrations[name] = conformal_threshold(terminals, config.delta)
 
     series_by_detector: dict = {}
@@ -375,15 +364,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None, jobs: Optional[int] = N
     for name in config.detectors:
         gamma = calibrations[name].gamma
         source = detector_source(name)
-
-        def _score_series(args):
-            log, seed = args
-            ctx = _context(name, seed, pooled)
-            return score_log(name, log, ctx)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            series = list(pool.map(_score_series,
-                                   [(log, seed) for (behavior, seed), log in zip(test_plan, test_logs)]))
+        series = [score_log(name, log, _context(name, seed, pooled))
+                  for (_, seed), log in zip(test_plan, test_logs)]
         series_by_detector[name] = series
         verdicts_by_detector[name] = [
             verdict_from_series(s, gamma, source, step_duration) for s in series]

@@ -163,7 +163,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         self.schedule = schedule or NoiseSchedule.default_linear()
         self.base_weights = np.array([m.weight for m in self.modes])
         self.preferred_mode = 0
-        self.last_mode_assignments: Optional[np.ndarray] = None
         self.reset(np.random.default_rng(seed))
 
     def reset(self, rng: np.random.Generator) -> None:
@@ -194,7 +193,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         means = [mode.chunk_mean(state, h) for mode in self.modes]
         for b, m in enumerate(assignments):
             chunks[b] = means[m] + noise[b] * self.modes[m].stddev
-        self.last_mode_assignments = assignments
         return chunks, assignments
 
     def sample(self, state, batch_size: int) -> np.ndarray:
@@ -206,11 +204,6 @@ class SyntheticGmmPolicy(PolicyOracle):
 
     def encode(self, observation) -> np.ndarray:
         return np.asarray(observation, dtype=np.float64).ravel().copy()
-
-
-def gmm_sample(policy: SyntheticGmmPolicy, state, batch_size: int) -> np.ndarray:
-    """Draw a batch of chunks from the policy under its current behavior."""
-    return policy.sample(state, batch_size)
 
 
 def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np.ndarray:

@@ -39,7 +39,6 @@ class OverlapPair:
 
     prev: SampleSet
     curr: SampleSet
-    at_timestep: int
 
     def __post_init__(self):
         if self.prev.dim != self.curr.dim:
@@ -121,7 +120,6 @@ def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
     return OverlapPair(
         prev=SampleSet(_flatten_overlap(prev_masked[:, k:h, :])),
         curr=SampleSet(_flatten_overlap(curr_masked[:, 0:h - k, :])),
-        at_timestep=curr.timestep,
     )
 
 

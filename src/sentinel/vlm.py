@@ -27,24 +27,6 @@ TEMPLATE_IDS = ("video_qa", "image_qa", "video_qa_success_video", "video_qa_goal
 # media and therefore need auxiliary frames attached.
 _VARIANT_TEMPLATES = ("video_qa_success_video", "video_qa_goal_images")
 
-TASK_DESCRIPTIONS = {
-    "cover": (
-        "hide the white box by covering it with the black blanket. The white box is "
-        "located somewhere in front of the two robot arms and does not move. The black "
-        "blanket starts directly in between the two robot arms"),
-    "close": (
-        "close the white box by folding in the two smaller white side lids and the "
-        "bigger white back lid. The white box is located in between the two robot arms "
-        "and does not move. The robots should concurrently approach the side lids and "
-        "push both side lids up, followed by approaching the back lid and folding up "
-        "the back lid with both arms, without grasping the lids with the grippers"),
-    "push_chair": (
-        "push the black chair into the circular table. The black chair starts directly "
-        "in front of the robot. The robot should push black chair in a relatively "
-        "straight line, without the chair rotating to the left or to the right, so that "
-        "the seat of the chair is properly tucked under the circular table"),
-}
-
 MAX_FRAMES_PER_REQUEST = 30
 DEFAULT_CHECKPOINT_FRACTIONS = (0.5, 1.0)
 

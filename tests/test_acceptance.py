@@ -226,7 +226,7 @@ def test_c07_erratic_battery():
 def test_c08_stall_battery_complementarity():
     config_path = Path(sentinel.__file__).parent / "configs" / "stall.json"
     config = BenchmarkConfig.from_json_obj(json.loads(config_path.read_text()))
-    report = run_benchmark(config, jobs=1)
+    report = run_benchmark(config)
     stac = report["metrics"]["stac-mmd"]
     vlm = report["metrics"]["vlm"]
     sent = report["metrics"]["sentinel"]

@@ -231,14 +231,14 @@ class TestScoreFunctionRegistry:
         ctx = self._ctx(header)
         for name in ("ddpm-temporal", "recon-temporal"):
             fn = make_score_function(name, header, ctx)
-            assert fn.score(log, 0) == 0.0
+            assert fn(log, 0) == 0.0
 
     def test_mahalanobis_needs_stats(self, rng):
         header = make_header()
         log = make_log(header=header, rng=rng)
         fn = make_score_function("mahalanobis", header, DetectorContext())
         with pytest.raises(ValueError):
-            fn.score(log, 0)
+            fn(log, 0)
 
     def test_oracle_detectors_need_oracle(self, rng):
         header = make_header()
@@ -246,14 +246,14 @@ class TestScoreFunctionRegistry:
         for name in ("ddpm", "ddpm-temporal", "recon", "recon-temporal"):
             fn = make_score_function(name, header, DetectorContext())
             with pytest.raises(ValueError):
-                fn.score(log, 1)
+                fn(log, 1)
 
     def test_score_log_matches_accumulate(self, rng):
         header = make_header()
         log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
         ctx = self._ctx(header)
         fn = make_score_function("outvar", header, ctx)
-        direct = accumulate_scores(log, fn.step_fn)
+        direct = accumulate_scores(log, fn)
         via_registry = score_log("outvar", log, ctx)
         assert direct.step_scores == via_registry.step_scores
 
@@ -264,6 +264,6 @@ class TestScoreFunctionRegistry:
         log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
         ctx = self._ctx(header)
         fn = make_score_function("ddpm", header, ctx)
-        first = fn.score(log, 1)
-        again = fn.score(log, 1)
+        first = fn(log, 1)
+        again = fn(log, 1)
         assert first == again

@@ -66,10 +66,9 @@ class TestSynth:
 
     def test_same_seed_same_bytes(self, capsys, tmp_path, fast_config):
         a, b = tmp_path / "a", tmp_path / "b"
-        for out, jobs in ((a, "1"), (b, "4")):
+        for out in (a, b):
             code = run_cli(["synth", "--scenario", "erratic", "--n", "3",
-                            "--seed", "7", "--out", out, "--config", fast_config,
-                            "--jobs", jobs])
+                            "--seed", "7", "--out", out, "--config", fast_config])
             assert code == 0
         capsys.readouterr()
         for name in sorted(p.name for p in a.iterdir()):
@@ -256,7 +255,7 @@ class TestEval:
     def test_runs_battery_and_writes_artifacts(self, capsys, tmp_path):
         config = self._benchmark_config(tmp_path)
         out = tmp_path / "results"
-        code = run_cli(["eval", "--config", config, "--out", out, "--jobs", "2"])
+        code = run_cli(["eval", "--config", config, "--out", out])
         captured = capsys.readouterr()
         assert code == 0
         report = json.loads(captured.out)
@@ -267,8 +266,7 @@ class TestEval:
 
     def test_pretty_prints_table(self, capsys, tmp_path):
         config = self._benchmark_config(tmp_path)
-        code = run_cli(["eval", "--config", config, "--out", tmp_path / "r",
-                        "--jobs", "2", "--pretty"])
+        code = run_cli(["eval", "--config", config, "--out", tmp_path / "r", "--pretty"])
         captured = capsys.readouterr()
         assert code == 0
         assert "detector" in captured.out
@@ -358,6 +356,20 @@ class TestErrorContract:
         assert code == 2
         error = json.loads(captured.err)
         assert error["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", "stall"],
+        ["synth", "--scenario", "nominal", "--n", "1"],
+    ])
+    def test_jobs_flag_refused(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--out", out, "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert "--jobs" in error["message"]
+        assert not out.exists()
 
     def test_unknown_command(self, capsys):
         code = run_cli(["transmogrify"])

@@ -257,7 +257,7 @@ class TestBenchmarkConfig:
 def result(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     config = _small_benchmark_config()
-    report = run_benchmark(config, out_dir=out, jobs=2)
+    report = run_benchmark(config, out_dir=out)
     return config, report, out
 
 
@@ -298,14 +298,14 @@ class TestRunBenchmark:
 
     def test_rerun_is_byte_identical(self, result, tmp_path):
         config, _, out = result
-        run_benchmark(_small_benchmark_config(), out_dir=tmp_path, jobs=3)
+        run_benchmark(_small_benchmark_config(), out_dir=tmp_path)
         for name in ("report.json", "verdicts.csv", "scores.svg"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_monitorless_config_omits_vlm_metrics(self):
         config = _small_benchmark_config(monitor=None, n_calibration=4,
                                          test_counts={"consistent": 2})
-        report = run_benchmark(config, jobs=2)
+        report = run_benchmark(config)
         assert "vlm" not in report["metrics"]
         assert "sentinel" in report["metrics"]
 
