@@ -6,13 +6,13 @@ Calibrates a detection threshold on success-only rollouts, then runs the
 detector online on fresh episodes and reports when (and whether) it fires.
 """
 
+from sentinel.baselines import score_log
 from sentinel.calibration import conformal_threshold
 from sentinel.evaluation import verdict_from_series
 from sentinel.policy import ScenarioConfig, generate_rollout
-from sentinel.stac import StacConfig, detect_online, score_rollout
+from sentinel.stac import detect_online
 
 scenario = ScenarioConfig()
-config = StacConfig(distance="mmd")
 
 
 def rollout(behavior, seed):
@@ -24,7 +24,7 @@ def rollout(behavior, seed):
 # distribution on a good day.
 calibration = [rollout("consistent", 100 + i) for i in range(25)]
 calibration = [log for log in calibration if not log.label.is_failure]
-terminals = [score_rollout(log, config).terminal for log in calibration]
+terminals = [score_log("stac-mmd", log).terminal for log in calibration]
 
 # Step 2: pick the threshold. With M scores and miss budget delta the
 # threshold is the ceil((M+1)(1-delta))-th smallest terminal score, which
@@ -41,7 +41,7 @@ print("behavior        outcome   terminal   detection")
 for behavior, seed in [("consistent", 900), ("consistent", 901),
                        ("mode_resample", 902), ("mode_resample", 903)]:
     log = rollout(behavior, seed)
-    series = score_rollout(log, config)
+    series = score_log("stac-mmd", log)
     fired_at = detect_online(series, result.gamma)
     verdict = verdict_from_series(series, result.gamma, "stac",
                                   log.header.step_duration)

@@ -8,10 +8,10 @@ nothing wrong. The progress monitor catches it from the frames instead.
 This demo uses a scripted transport in place of a live VLM endpoint.
 """
 
+from sentinel.baselines import score_log
 from sentinel.calibration import conformal_threshold
 from sentinel.evaluation import combine, failure_verdict, ok_verdict, verdict_from_series
 from sentinel.policy import ScenarioConfig, generate_rollout
-from sentinel.stac import StacConfig, score_rollout
 from sentinel.vlm import (MockTransport, checkpoint_record_indices, ensemble_vote,
                           prompt_from_log, query_monitor)
 
@@ -40,13 +40,12 @@ print(f"episode outcome: {stalled.label.outcome}")
 
 # The statistical detector, calibrated exactly as in the other demos,
 # stays quiet: a stall is temporally consistent.
-config = StacConfig(distance="mmd")
 cal = [generate_rollout(scenario.build_policy("consistent", 500 + i), scenario,
                         seed=500 + i) for i in range(25)]
 gamma = conformal_threshold(
-    [score_rollout(log, config).terminal for log in cal
+    [score_log("stac-mmd", log).terminal for log in cal
      if not log.label.is_failure], delta=0.05).gamma
-series = score_rollout(stalled, config)
+series = score_log("stac-mmd", stalled)
 stac_verdict = verdict_from_series(series, gamma, "stac", scenario.step_duration)
 print(f"statistical detector: terminal {series.terminal:.3f} vs "
       f"gamma {gamma:.3f}, verdict {stac_verdict.decision}")

@@ -9,8 +9,8 @@ prints the per-step score series side by side.
 
 import numpy as np
 
+from sentinel.baselines import score_log
 from sentinel.policy import ScenarioConfig, generate_rollout
-from sentinel.stac import StacConfig, score_rollout
 
 # The default scenario: a 2-D integrator pushed toward one of two goal
 # attractors, replanning every 4 steps with 32 sampled chunks per step.
@@ -26,12 +26,11 @@ erratic = generate_rollout(scenario.build_policy("mode_resample", seed=7),
 print(f"nominal outcome: {nominal.label.outcome}")
 print(f"erratic outcome: {erratic.label.outcome}")
 
-# Score both with the same config. Each step compares the action
+# Score both with the same detector. Each step compares the action
 # distribution predicted now against the one predicted one replan ago,
 # over the timesteps the two prediction windows share.
-config = StacConfig(distance="mmd")
-series_a = score_rollout(nominal, config)
-series_b = score_rollout(erratic, config)
+series_a = score_log("stac-mmd", nominal)
+series_b = score_log("stac-mmd", erratic)
 
 print()
 print("timestep   nominal step  nominal cum   erratic step  erratic cum")

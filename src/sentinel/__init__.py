@@ -13,8 +13,8 @@ from .distances import (BandwidthConfig, SampleSet, kde_log_density, kl_forward,
                         min_l2, mmd_rbf)
 from .rollout import (InferenceRecord, InvalidLogError, LogParseError, RolloutHeader,
                       RolloutLabel, RolloutLog, apply_mask, read_log, write_log)
-from .stac import (OverlapPair, ScoreSeries, StacConfig, accumulate_scores,
-                   detect_online, extract_overlap, score_rollout)
+from .stac import (OverlapPair, ScoreSeries, accumulate_scores, detect_online,
+                   extract_overlap)
 from .policy import (BEHAVIORS, NoiseSchedule, PolicyOracle, ScenarioConfig,
                      SyntheticGmmPolicy, default_goal_label, generate_rollout,
                      gmm_exact_eps)
@@ -38,7 +38,7 @@ __all__ = [
     "MetricsReport", "MockTransport", "MonitorPrompt", "MonitorResponse",
     "MonitorUnavailableError", "NoiseSchedule", "OverlapPair", "PolicyOracle",
     "ResponseParseError", "RolloutHeader", "RolloutLabel", "RolloutLog",
-    "SampleSet", "ScenarioConfig", "ScoreSeries", "ScriptedMonitor", "StacConfig",
+    "SampleSet", "ScenarioConfig", "ScoreSeries", "ScriptedMonitor",
     "SyntheticGmmPolicy", "Verdict", "accumulate_scores", "apply_mask",
     "build_prompt", "combine", "compute_metrics", "conformal_threshold",
     "ddpm_loss_score", "default_goal_label", "detect_online", "empirical_fpr",
@@ -47,7 +47,7 @@ __all__ = [
     "leave_trajectory_out_stats", "mahalanobis_score", "make_score_function",
     "median_heuristic", "min_l2", "mmd_rbf", "output_variance_score",
     "parse_response", "pooled_stats", "query_monitor", "read_log",
-    "reconstruction_score", "run_benchmark", "score_log", "score_rollout",
+    "reconstruction_score", "run_benchmark", "score_log",
     "subsample_frames", "temporal_ddpm_loss_score",
     "temporal_reconstruction_score", "write_log",
 ]

@@ -17,20 +17,13 @@ import numpy as np
 
 from .distances import BandwidthConfig
 from .policy import PolicyOracle
-from .rollout import InferenceRecord, RolloutHeader, RolloutLog, apply_mask
-from .stac import ScoreSeries, StacConfig, accumulate_scores, stac_step_fn
+from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask
+from .stac import STAC_DETECTORS, ScoreSeries, accumulate_scores, stac_step_fn
 
-DETECTOR_NAMES = (
-    "stac-mmd", "stac-klf", "stac-klr", "min-l2",
-    "mahalanobis", "ddpm", "ddpm-temporal", "recon", "recon-temporal", "outvar",
-)
+# Detectors that query a reference policy for its denoising noise prediction.
+ORACLE_DETECTORS = ("ddpm", "ddpm-temporal", "recon", "recon-temporal")
 
-_STAC_DISTANCE_BY_NAME = {
-    "stac-mmd": "mmd",
-    "stac-klf": "kl_forward",
-    "stac-klr": "kl_reverse",
-    "min-l2": "min_l2",
-}
+DETECTOR_NAMES = STAC_DETECTORS + ("mahalanobis",) + ORACLE_DETECTORS + ("outvar",)
 
 DEFAULT_DEPTHS = (5, 10, 25, 50)
 DEFAULT_NOISE_DRAWS = 10
@@ -230,6 +223,11 @@ def _embedding_at(log: RolloutLog, j: int) -> np.ndarray:
     return embedding
 
 
+def embedding_matrix(log: RolloutLog) -> np.ndarray:
+    """Per-record embeddings stacked into a (records, dim) matrix."""
+    return np.stack([_embedding_at(log, j) for j in range(log.n_records)])
+
+
 def _step_seed(base: int, j: int):
     return np.random.SeedSequence((int(base), int(j)))
 
@@ -238,9 +236,8 @@ def make_score_function(name: str, header: RolloutHeader,
                         ctx: Optional[DetectorContext] = None) -> Callable[[RolloutLog, int], float]:
     """Resolve a registry name to its per-step score closure `(log, j) -> float`."""
     ctx = ctx or DetectorContext()
-    if name in _STAC_DISTANCE_BY_NAME:
-        config = StacConfig(distance=_STAC_DISTANCE_BY_NAME[name], bandwidths=ctx.bandwidths)
-        return stac_step_fn(config, header)
+    if name in STAC_DETECTORS:
+        return stac_step_fn(name, header, ctx.bandwidths)
 
     if name == "mahalanobis":
         def step(log, j):
@@ -278,5 +275,12 @@ def make_score_function(name: str, header: RolloutHeader,
 
 
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
-    """Score one rollout with a registry detector through the shared engine."""
-    return accumulate_scores(log, make_score_function(name, log.header, ctx))
+    """Score one rollout with a registry detector: the one way to score a log.
+
+    A STAC-family detector compares the marginals sampled at inference steps
+    j-1 and j, so it refuses a log with fewer than two records.
+    """
+    step_fn = make_score_function(name, log.header, ctx)
+    if name in STAC_DETECTORS and log.n_records < 2:
+        raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
+    return accumulate_scores(log, step_fn)

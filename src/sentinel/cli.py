@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import DETECTOR_NAMES, DetectorContext, EmbeddingStats, score_log
+from .baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, DetectorContext, EmbeddingStats,
+                        embedding_matrix, score_log)
 from .calibration import (DEFAULT_DELTA, CalibrationResult, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
@@ -37,8 +38,6 @@ SCENARIO_BEHAVIORS = {
     "stall": "constant_stall",
     "drift": "drift",
 }
-
-_ORACLE_DETECTORS = ("ddpm", "ddpm-temporal", "recon", "recon-temporal")
 
 ENSEMBLE_TEMPLATES = ("video_qa", "video_qa_success_video", "video_qa_goal_images")
 
@@ -100,7 +99,7 @@ def _read_log_or_fail(path):
 def _detector_context(name: str, scenario: ScenarioConfig, seed: int,
                       embedding_stats=None) -> DetectorContext:
     oracle = None
-    if name in _ORACLE_DETECTORS:
+    if name in ORACLE_DETECTORS:
         oracle = scenario.build_policy("consistent", seed=0)
     return DetectorContext(oracle=oracle, embedding_stats=embedding_stats, seed=seed)
 
@@ -147,6 +146,13 @@ def _collect_logs(pattern: str):
     return [(path, _read_log_or_fail(path)) for path in paths]
 
 
+def _terminal_score(name: str, path, log, ctx: DetectorContext) -> float:
+    try:
+        return score_log(name, log, ctx).terminal
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", kind="score") from exc
+
+
 def cmd_calibrate(args) -> int:
     logs = _collect_logs(args.logs)
     for path, log in logs:
@@ -160,21 +166,21 @@ def cmd_calibrate(args) -> int:
     if args.detector == "mahalanobis":
         embeddings = []
         for path, log in logs:
-            rows = [r.embedding for r in log.records]
-            if any(r is None for r in rows):
-                raise CliError(f"{path}: mahalanobis needs embeddings in every record",
-                               kind="log")
-            embeddings.append(np.stack(rows))
+            try:
+                embeddings.append(embedding_matrix(log))
+            except ValueError as exc:
+                raise CliError(f"{path}: mahalanobis needs embeddings in every record: {exc}",
+                               kind="log") from exc
         per_log_stats = [EmbeddingStats.from_mean_cov(mu, cov)
                          for mu, cov in leave_trajectory_out_stats(embeddings)]
         mu, cov = pooled_stats(embeddings)
         stats_json = {"mean": mu.tolist(), "covariance": cov.tolist()}
-        terminals = [score_log(args.detector, log,
-                               DetectorContext(embedding_stats=stats, seed=args.seed)).terminal
+        terminals = [_terminal_score(args.detector, path, log,
+                                     DetectorContext(embedding_stats=stats, seed=args.seed))
                      for (path, log), stats in zip(logs, per_log_stats)]
     else:
         ctx = _detector_context(args.detector, scenario, args.seed)
-        terminals = [score_log(args.detector, log, ctx).terminal for _, log in logs]
+        terminals = [_terminal_score(args.detector, path, log, ctx) for path, log in logs]
 
     result = conformal_threshold(terminals, args.delta)
     envelope = {"detector": args.detector, "result": result.to_json_obj()}
@@ -201,16 +207,22 @@ def _load_calibration(path, detector: str):
     if not path.is_file():
         raise CliError(f"no such calibration file: {path}", kind="io")
     envelope = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(envelope, dict):
+        raise CliError(f"{path}: calibration file must hold a JSON object", kind="config")
     if envelope.get("detector") != detector:
         raise CliError(
             f"calibration file is for {envelope.get('detector')!r}, not {detector!r}",
             kind="config")
-    result = CalibrationResult.from_json_obj(envelope["result"])
-    stats = None
-    if "embedding_stats" in envelope:
-        stats = EmbeddingStats.from_mean_cov(
-            np.asarray(envelope["embedding_stats"]["mean"], dtype=np.float64),
-            np.asarray(envelope["embedding_stats"]["covariance"], dtype=np.float64))
+    try:
+        result = CalibrationResult.from_json_obj(envelope["result"])
+        stats = None
+        if "embedding_stats" in envelope:
+            stats = EmbeddingStats.from_mean_cov(
+                np.asarray(envelope["embedding_stats"]["mean"], dtype=np.float64),
+                np.asarray(envelope["embedding_stats"]["covariance"], dtype=np.float64))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: malformed calibration file: {type(exc).__name__}: {exc}",
+                       kind="config") from exc
     return result, stats
 
 

@@ -18,20 +18,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import DETECTOR_NAMES, DetectorContext, EmbeddingStats, score_log
+from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embedding_matrix,
+                        score_log)
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .distances import BandwidthConfig
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import RolloutLog
-from .stac import ScoreSeries, detect_online
-
-_STAC_FAMILY = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
+from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 
 
 def detector_source(name: str) -> str:
     """Verdict source tag: the consistency family reports as 'stac'."""
-    return "stac" if name in _STAC_FAMILY else f"baseline:{name}"
+    return "stac" if name in STAC_DETECTORS else f"baseline:{name}"
 
 
 @dataclass(frozen=True)
@@ -304,13 +303,6 @@ def _generate(config: BenchmarkConfig, behavior: str, seed: int) -> RolloutLog:
     return generate_rollout(policy, config.scenario, label_rule=default_goal_label, seed=seed)
 
 
-def _embedding_matrix(log: RolloutLog) -> np.ndarray:
-    rows = [record.embedding for record in log.records]
-    if any(row is None for row in rows):
-        raise ValueError("benchmark detectors need embeddings in every record")
-    return np.stack(rows)
-
-
 def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     """Calibrate every detector on nominal rollouts, score a mixed test set,
     union the designated detector with the scripted monitor, and write
@@ -340,7 +332,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     needs_embedding_stats = "mahalanobis" in config.detectors
     lto_stats = pooled = None
     if needs_embedding_stats:
-        embeddings = [_embedding_matrix(log) for log in cal_logs]
+        embeddings = [embedding_matrix(log) for log in cal_logs]
         lto_stats = [EmbeddingStats.from_mean_cov(mu, cov)
                      for mu, cov in leave_trajectory_out_stats(embeddings)]
         pooled = EmbeddingStats.from_mean_cov(*pooled_stats(embeddings))

@@ -223,8 +223,7 @@ class RolloutLabel:
 class RolloutLog:
     """A validated episode log: header, ordered inference records, optional label.
 
-    Logs are immutable by convention after construction; share them freely
-    across parallel scorers.
+    Logs are immutable by convention after construction.
     """
 
     header: RolloutHeader

@@ -10,8 +10,8 @@ makes a single calibrated threshold sufficient for online detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .distances import (
 )
 from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask
 
-STAC_DISTANCES = ("mmd", "kl_forward", "kl_reverse", "min_l2")
+# The temporal-consistency family of the detector registry, by registry name.
+STAC_DETECTORS = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
 
 
 @dataclass(frozen=True)
@@ -76,58 +77,30 @@ class ScoreSeries:
         return list(zip(self.timesteps, self.step_scores, self.cumulative))
 
 
-@dataclass(frozen=True)
-class StacConfig:
-    """Which overlap distance to accumulate and how to pick bandwidths."""
-
-    distance: str = "mmd"
-    bandwidths: BandwidthConfig = field(default_factory=BandwidthConfig)
-    mask: Optional[tuple[bool, ...]] = None  # None = use the header's mask
-
-    def __post_init__(self):
-        if self.distance not in STAC_DISTANCES:
-            raise ValueError(f"distance must be one of {STAC_DISTANCES}")
-        if self.mask is not None:
-            object.__setattr__(self, "mask", tuple(bool(b) for b in self.mask))
-            if not any(self.mask):
-                raise ValueError("mask selects no dimensions")
-
-    def resolved_mask(self, header: RolloutHeader) -> tuple[bool, ...]:
-        if self.mask is None:
-            return header.action_mask
-        if len(self.mask) != header.action_dim:
-            raise InvalidLogError(
-                f"config mask length {len(self.mask)} != action_dim {header.action_dim}")
-        return self.mask
-
-
 def _flatten_overlap(chunks: np.ndarray) -> np.ndarray:
     # (B, steps, d) -> (B, steps*d), time-major within each row
     return chunks.reshape(chunks.shape[0], -1)
 
 
 def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
-                    header: RolloutHeader, mask: Optional[Sequence[bool]] = None) -> OverlapPair:
+                    header: RolloutHeader) -> OverlapPair:
     """Slice two adjacent records down to their shared h-k overlap steps."""
     k = header.execution_horizon
     if curr.timestep != prev.timestep + k:
         raise InvalidLogError(
             f"records not adjacent: {prev.timestep} -> {curr.timestep} (k={k})")
-    mask = header.action_mask if mask is None else mask
     h = header.prediction_horizon
-    prev_masked = apply_mask(prev, mask)
-    curr_masked = apply_mask(curr, mask)
+    prev_masked = apply_mask(prev, header.action_mask)
+    curr_masked = apply_mask(curr, header.action_mask)
     return OverlapPair(
         prev=SampleSet(_flatten_overlap(prev_masked[:, k:h, :])),
         curr=SampleSet(_flatten_overlap(curr_masked[:, 0:h - k, :])),
     )
 
 
-def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader,
-                           mask: Optional[Sequence[bool]] = None) -> np.ndarray:
+def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader) -> np.ndarray:
     """Flattened overlap slice of the chunk that was actually executed at t."""
-    mask = header.action_mask if mask is None else mask
-    masked = apply_mask(prev, mask)
+    masked = apply_mask(prev, header.action_mask)
     k, h = header.execution_horizon, header.prediction_horizon
     return masked[prev.executed_index, k:h, :].ravel()
 
@@ -152,43 +125,31 @@ def accumulate_scores(log: RolloutLog,
     return ScoreSeries(timesteps=timesteps, step_scores=steps, cumulative=cumulative)
 
 
-def stac_step_fn(config: StacConfig, header: RolloutHeader) -> Callable[[RolloutLog, int], float]:
-    """Build the per-step overlap-distance function for one config."""
-    mask = config.resolved_mask(header)
-    masked_dim = sum(mask)
-    distance = config.distance
-    bandwidths = config.bandwidths
+def stac_step_fn(name: str, header: RolloutHeader,
+                 bandwidths: BandwidthConfig) -> Callable[[RolloutLog, int], float]:
+    """Build the per-step overlap-distance function of one STAC-family detector."""
+    if name not in STAC_DETECTORS:
+        raise ValueError(f"unknown STAC detector {name!r}; known: {', '.join(STAC_DETECTORS)}")
+    masked_dim = header.masked_dim
 
     def step(log: RolloutLog, j: int) -> float:
         if j == 0:
             return 0.0  # nothing overlaps the first inference step
         prev, curr = log.records[j - 1], log.records[j]
-        pair = extract_overlap(prev, curr, header, mask)
-        if distance == "mmd":
+        pair = extract_overlap(prev, curr, header)
+        if name == "stac-mmd":
             bw = bandwidths.resolve_mmd(pair.prev, pair.curr, masked_dim)
             return mmd_rbf(pair.prev, pair.curr, bw)
-        if distance == "kl_forward":
+        if name == "stac-klf":
             bw = bandwidths.resolve_kde(pair.prev, pair.curr)
             return kl_forward(pair.prev, pair.curr, bw)
-        if distance == "kl_reverse":
+        if name == "stac-klr":
             bw = bandwidths.resolve_kde(pair.prev, pair.curr)
             return kl_reverse(pair.prev, pair.curr, bw)
-        executed = executed_overlap_slice(prev, header, mask)
+        executed = executed_overlap_slice(prev, header)
         return min_l2(executed, pair.curr)
 
     return step
-
-
-def score_rollout(log: RolloutLog, config: StacConfig) -> ScoreSeries:
-    """Score a full rollout with one of the overlap-distance variants.
-
-    Entry j of the result is the distance between the marginals sampled at
-    inference steps j-1 and j (zero at j=0), plus the running cumulative
-    score; bandwidth heuristics are resolved per overlap pair.
-    """
-    if log.n_records < 2:
-        raise InvalidLogError("scoring needs at least 2 inference records")
-    return accumulate_scores(log, stac_step_fn(config, log.header))
 
 
 def detect_online(series: ScoreSeries, gamma: float) -> Optional[int]:

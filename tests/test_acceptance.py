@@ -26,7 +26,7 @@ from sentinel.evaluation import (BenchmarkConfig, compute_metrics,
                                  failure_verdict, ok_verdict, run_benchmark)
 from sentinel.policy import (GmmMode, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
-from sentinel.stac import StacConfig, detect_online, score_rollout
+from sentinel.stac import detect_online
 from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, MonitorResponse,
                           ResponseParseError, build_prompt, ensemble_vote,
                           parse_response)
@@ -130,9 +130,8 @@ def test_c03_closed_form_kl():
 def test_c04_conformal_false_alarm_rate():
     start = time.monotonic()
     scenario = ScenarioConfig()
-    config = StacConfig(distance="mmd")
     pool = np.array([
-        score_rollout(_nominal_log(scenario, "consistent", 7_000_000 + i), config).terminal
+        score_log("stac-mmd", _nominal_log(scenario, "consistent", 7_000_000 + i)).terminal
         for i in range(300)])
     rng = np.random.default_rng(20260822)
     rates = []
@@ -195,7 +194,6 @@ def test_c06_monotone_scores_and_online_detection():
 def test_c07_erratic_battery():
     start = time.monotonic()
     scenario = ScenarioConfig()
-    config = StacConfig(distance="mmd")
     cal = [_nominal_log(scenario, "consistent", 1_000_000 + i) for i in range(50)]
     cal = [log for log in cal if log.label is not None and not log.label.is_failure]
     test_logs = [_nominal_log(scenario, "consistent", 1_500_000 + j) for j in range(50)]
@@ -203,8 +201,8 @@ def test_c07_erratic_battery():
                   for j in range(50, 100)]
 
     gamma = conformal_threshold(
-        [score_rollout(log, config).terminal for log in cal], delta=0.05).gamma
-    terminal = np.array([score_rollout(log, config).terminal for log in test_logs])
+        [score_log("stac-mmd", log).terminal for log in cal], delta=0.05).gamma
+    terminal = np.array([score_log("stac-mmd", log).terminal for log in test_logs])
     failed = np.array([log.label.is_failure for log in test_logs])
     flagged = terminal > gamma
 

@@ -213,8 +213,10 @@ class TestScoreFunctionRegistry:
 
     def test_unknown_name_lists_registry(self):
         header = make_header()
-        with pytest.raises(ValueError, match="stac-mmd"):
-            make_score_function("entropy", header, DetectorContext())
+        # "mmd" names a distance, not a detector: the registry is the one vocabulary.
+        for name in ("entropy", "wasserstein", "mmd"):
+            with pytest.raises(ValueError, match="stac-mmd"):
+                make_score_function(name, header, DetectorContext())
 
     def test_every_detector_scores_every_log(self, rng):
         header = make_header()

@@ -8,8 +8,10 @@ import pytest
 from sentinel.baselines import DetectorContext, score_log
 from sentinel.cli import _bundled_config, main
 from sentinel.evaluation import detector_source, verdict_from_series
-from sentinel.calibration import CalibrationResult
-from sentinel.rollout import read_log
+from sentinel.calibration import CalibrationResult, conformal_threshold
+from sentinel.rollout import read_log, write_log
+
+from conftest import make_log
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,6 +149,19 @@ class TestCalibrate:
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "io"
 
+    def test_one_record_log_is_a_located_score_error(self, capsys, tmp_path):
+        log_path = tmp_path / "logs" / "one.sentinel.jsonl"
+        log_path.parent.mkdir()
+        write_log(make_log(n_records=1, label="success"), log_path)
+        code = run_cli(["calibrate", "--detector", "stac-mmd",
+                        "--logs", f"{log_path.parent}/*.jsonl", "--out", tmp_path / "cal.json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "score"
+        assert str(log_path) in error["message"]
+        assert not (tmp_path / "cal.json").exists()
+
     def test_mahalanobis_persists_embedding_stats(self, capsys, tmp_path, synth_nominal):
         logs_dir, config = synth_nominal
         out = tmp_path / "cal.json"
@@ -234,6 +249,22 @@ class TestDetect:
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "io"
+
+    def test_one_record_log_is_a_score_error(self, capsys, tmp_path):
+        # Nothing overlaps a single inference step, so there is no verdict to give.
+        cal = tmp_path / "cal.json"
+        result = conformal_threshold([0.1, 0.2, 0.3], delta=0.4)
+        cal.write_text(json.dumps({"detector": "stac-mmd", "result": result.to_json_obj()}))
+        log_path = tmp_path / "one.sentinel.jsonl"
+        write_log(make_log(n_records=1), log_path)
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", log_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "score"
+        assert "at least 2 inference records" in error["message"]
 
 
 class TestEval:
@@ -370,6 +401,24 @@ class TestErrorContract:
         assert error["type"] == "usage"
         assert "--jobs" in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("envelope", [
+        [{"detector": "stac-mmd"}],
+        {"detector": "stac-mmd"},
+        {"detector": "stac-mmd", "result": {"gamma": 1.0, "delta": 0.05, "m": 20}},
+    ], ids=["not-an-object", "no-result", "result-missing-keys"])
+    def test_malformed_calibration_file(self, capsys, tmp_path, synth_nominal, envelope):
+        logs_dir, config = synth_nominal
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(envelope))
+        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", log_path, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert str(cal) in error["message"]
 
     def test_unknown_command(self, capsys):
         code = run_cli(["transmogrify"])

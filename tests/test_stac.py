@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from sentinel.distances import BandwidthConfig, mmd_rbf, median_heuristic
-from sentinel.stac import (STAC_DISTANCES, OverlapPair, ScoreSeries, StacConfig,
-                           accumulate_scores, detect_online, extract_overlap,
-                           executed_overlap_slice, score_rollout, stac_step_fn)
+from sentinel.baselines import DetectorContext, score_log
+from sentinel.distances import BandwidthConfig, kl_forward, mmd_rbf, median_heuristic
+from sentinel.rollout import InvalidLogError
+from sentinel.stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, accumulate_scores,
+                           detect_online, extract_overlap, executed_overlap_slice,
+                           stac_step_fn)
 
 from conftest import make_header, make_log, make_record
 
@@ -60,7 +62,7 @@ def test_executed_overlap_slice():
     header = make_header()
     chunks = np.arange(16.0).reshape(2, 4, 2)
     record = make_record(0, chunks, executed_index=1)
-    out = executed_overlap_slice(record, header, header.action_mask)
+    out = executed_overlap_slice(record, header)
     np.testing.assert_array_equal(out, chunks[1, 2:4, :].ravel())
 
 
@@ -80,28 +82,29 @@ class TestScoreSeries:
 
 def test_first_step_scores_zero(rng):
     log = make_log(rng=rng)
-    series = score_rollout(log, StacConfig())
+    series = score_log("stac-mmd", log)
     assert series.step_scores[0] == 0.0
     assert series.timesteps[0] == 0
 
 
 def test_cumulative_is_running_sum(rng):
     log = make_log(n_records=5, rng=rng)
-    series = score_rollout(log, StacConfig())
+    series = score_log("stac-mmd", log)
     np.testing.assert_allclose(np.cumsum(series.step_scores), series.cumulative,
                                rtol=1e-12)
 
 
-def test_score_rollout_needs_two_records(rng):
+@pytest.mark.parametrize("name", STAC_DETECTORS)
+def test_stac_scoring_needs_two_records(name, rng):
     log = make_log(n_records=1, rng=rng)
-    with pytest.raises(ValueError):
-        score_rollout(log, StacConfig())
+    with pytest.raises(InvalidLogError, match="at least 2 inference records"):
+        score_log(name, log)
 
 
-@pytest.mark.parametrize("distance", STAC_DISTANCES)
-def test_all_distances_give_nonnegative_series(distance, rng):
+@pytest.mark.parametrize("name", STAC_DETECTORS)
+def test_all_distances_give_nonnegative_series(name, rng):
     log = make_log(n_records=4, batch_size=5, rng=rng)
-    series = score_rollout(log, StacConfig(distance=distance))
+    series = score_log(name, log)
     assert all(s >= 0.0 for s in series.step_scores)
     assert all(b >= a for a, b in zip(series.cumulative, series.cumulative[1:]))
 
@@ -110,7 +113,7 @@ def test_mmd_step_matches_manual_computation(rng):
     """One step through the pipeline equals calling the estimator by hand."""
     header = make_header()
     log = make_log(header=header, n_records=2, batch_size=4, rng=rng)
-    series = score_rollout(log, StacConfig(distance="mmd"))
+    series = score_log("stac-mmd", log)
     pair = extract_overlap(log.records[0], log.records[1], header)
     bandwidth = median_heuristic(pair.prev, pair.curr)
     assert series.step_scores[1] == pytest.approx(
@@ -128,7 +131,7 @@ def test_identical_consecutive_chunks_score_zero():
     log_records = [make_record(0, chunks0), make_record(2, chunks1)]
     from sentinel.rollout import RolloutLog
     log = RolloutLog(header=header, records=log_records, label=None)
-    series = score_rollout(log, StacConfig(distance="mmd"))
+    series = score_log("stac-mmd", log)
     assert series.step_scores[1] < 1e-9
 
 
@@ -143,7 +146,7 @@ def test_min_l2_uses_executed_chunk(rng):
                      records=[make_record(0, chunks0, executed_index=1),
                               make_record(2, chunks1)],
                      label=None)
-    series = score_rollout(log, StacConfig(distance="min_l2"))
+    series = score_log("min-l2", log)
     assert series.step_scores[1] == 0.0
 
 
@@ -182,28 +185,31 @@ class TestDetectOnline:
     def test_fires_iff_terminal_exceeds(self, rng):
         for _ in range(50):
             log = make_log(n_records=4, rng=rng)
-            series = score_rollout(log, StacConfig())
+            series = score_log("stac-mmd", log)
             gamma = rng.uniform(0, series.terminal * 1.5 + 0.1)
             fired = detect_online(series, gamma) is not None
             assert fired == (series.terminal > gamma)
 
 
-def test_stac_config_resolved_mask():
-    header = make_header(action_mask=(True, False))
-    assert StacConfig().resolved_mask(header) == (True, False)
-    config = StacConfig(mask=(False, True))
-    assert config.resolved_mask(header) == (False, True)
-
-
-def test_unknown_distance_rejected():
+def test_unknown_distance_rejected(rng):
     with pytest.raises(ValueError):
-        StacConfig(distance="wasserstein")
+        stac_step_fn("wasserstein", make_header(), BandwidthConfig())
+    with pytest.raises(ValueError):
+        score_log("wasserstein", make_log(rng=rng))
 
 
-def test_step_fn_matches_score_rollout(rng):
+def test_step_fn_rejects_non_stac_name():
+    with pytest.raises(ValueError, match="stac-mmd"):
+        stac_step_fn("mahalanobis", make_header(), BandwidthConfig())
+
+
+def test_fixed_kde_bandwidth_reaches_every_step(rng):
+    """A fixed bandwidth in the context is the one each KL step is scored with."""
     log = make_log(n_records=4, rng=rng)
-    config = StacConfig(distance="kl_forward",
-                        bandwidths=BandwidthConfig(kde_bandwidth=0.8))
-    series_a = score_rollout(log, config)
-    series_b = accumulate_scores(log, stac_step_fn(config, log.header))
-    assert series_a.step_scores == series_b.step_scores
+    ctx = DetectorContext(bandwidths=BandwidthConfig(kde_bandwidth=0.8))
+    series = score_log("stac-klf", log, ctx)
+    expected = [0.0]
+    for prev, curr in zip(log.records, log.records[1:]):
+        pair = extract_overlap(prev, curr, log.header)
+        expected.append(kl_forward(pair.prev, pair.curr, 0.8))
+    assert series.step_scores == expected
