@@ -147,14 +147,29 @@ def reverse_reconstruct(oracle: PolicyOracle, noised, state, depth: int) -> np.n
     (alpha_bar of the step before index 0 is defined as 1) maps exactly to
     the clean-chunk estimate.
     """
+    return _reverse_stacked(oracle, np.asarray(noised, dtype=np.float64)[None], state,
+                            (depth,))[0]
+
+
+def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
+                     depths: Sequence[int]) -> np.ndarray:
+    """Reverse-diffuse each noised[r] from schedule step depths[r] in one pass.
+
+    The updates are deterministic and act on every chunk independently, so
+    the stack runs the steps from max(depths) down to 0 once, and step j
+    queries the oracle for the rows whose depth is at least j.
+    """
     alpha_bar = oracle.schedule.alpha_bar
-    x = np.asarray(noised, dtype=np.float64)
-    for j in range(depth, -1, -1):
+    depths = np.asarray(depths)
+    x = noised.copy()
+    for j in range(int(depths.max()), -1, -1):
         ab_j = alpha_bar[j]
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
-        pred = oracle.eps(x, state, j)
-        x = (x - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
+        live = depths >= j
+        x_live = x[live]
+        pred = oracle.eps(x_live, state, j)
+        x[live] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
     return x
 
 
@@ -168,12 +183,13 @@ def reconstruction_score(record: InferenceRecord, state, oracle: PolicyOracle,
 def _reconstruction(chunks, state, oracle, depths, rng_seed) -> float:
     depths = _validate_depths(depths, oracle.schedule.n_steps)
     rng = np.random.default_rng(rng_seed)
-    total = 0.0
+    noised = []
     for depth in depths:
         abar = oracle.schedule.alpha_bar[depth]
         eps = rng.standard_normal(chunks.shape)
-        noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
-        recon = reverse_reconstruct(oracle, noised, state, depth)
+        noised.append(math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps)
+    total = 0.0
+    for recon in _reverse_stacked(oracle, np.stack(noised), state, depths):
         total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
     return total / len(depths)
 

@@ -70,13 +70,24 @@ def _emit(obj, pretty: bool, pretty_text=None):
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """Parse a file that must hold one JSON object; refuse it as a `config` error."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"{path}: {what} is not valid JSON: {exc}", kind="config") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: {what} must hold a JSON object", kind="config")
+    return obj
+
+
 def _load_scenario(config_path) -> ScenarioConfig:
     if config_path is None:
         return ScenarioConfig()
     path = Path(config_path)
     if not path.is_file():
         raise CliError(f"no such config file: {path}", kind="config")
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = _read_json_object(path, "scenario config")
     # Accept either a bare scenario object or a benchmark config wrapping one.
     if "scenario" in obj and isinstance(obj["scenario"], dict):
         obj = obj["scenario"]
@@ -206,9 +217,7 @@ def _load_calibration(path, detector: str):
     path = Path(path)
     if not path.is_file():
         raise CliError(f"no such calibration file: {path}", kind="io")
-    envelope = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(envelope, dict):
-        raise CliError(f"{path}: calibration file must hold a JSON object", kind="config")
+    envelope = _read_json_object(path, "calibration file")
     if envelope.get("detector") != detector:
         raise CliError(
             f"calibration file is for {envelope.get('detector')!r}, not {detector!r}",
@@ -269,7 +278,7 @@ def _bundled_config(name: str):
 def cmd_eval(args) -> int:
     path = Path(args.config)
     if path.is_file():
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = _read_json_object(path, "benchmark config")
     else:
         obj = _bundled_config(args.config)
         if obj is None:

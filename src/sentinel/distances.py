@@ -14,7 +14,6 @@ from typing import Union
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
-from scipy.special import logsumexp
 
 BANDWIDTH_FALLBACK = 1e-8
 
@@ -104,6 +103,26 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     return max(float(kxx + kyy - 2.0 * kxy), 0.0)
 
 
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of a 2-D float64 array, as an (n, 1) column.
+
+    Repeats the arithmetic of `scipy.special.logsumexp(a, axis=1,
+    keepdims=True)` operation for operation, so results are bit-identical:
+    the row maxima are taken out of the sum and counted, and the rest is
+    shifted by the maximum before exponentiating. scipy's array-API dispatch
+    costs several times this arithmetic on the small arrays scored here.
+    """
+    top = a.max(axis=1, keepdims=True)
+    is_top = a == top
+    count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of -inf or nan, as in scipy
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top
+    # A row of -inf sums to exp(-inf) = 0, whose log scipy returns as -inf.
+    return np.where(top == -np.inf, top, out)
+
+
 def kde_log_density(fit, queries, bandwidth: float) -> np.ndarray:
     """Log density of an equal-weight Gaussian KDE at each query point.
 
@@ -119,7 +138,7 @@ def kde_log_density(fit, queries, bandwidth: float) -> np.ndarray:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     sq = cdist(queries.points, fit.points, "sqeuclidean")
     log_norm = math.log(fit.n) + 0.5 * fit.dim * math.log(2.0 * math.pi * bandwidth ** 2)
-    return logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
+    return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
 
 
 def kl_forward(prev, curr, bandwidth: float) -> float:

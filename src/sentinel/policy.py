@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .distances import logsumexp_rows
 from .rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog
 
 BEHAVIORS = ("consistent", "mode_resample", "constant_stall", "drift")
@@ -65,7 +65,13 @@ class PolicyOracle(abc.ABC):
 
     @abc.abstractmethod
     def eps(self, noised_chunk: np.ndarray, state: np.ndarray, i: int) -> np.ndarray:
-        """Predict the noise inside a chunk re-noised to schedule step i."""
+        """Predict the noise inside chunks re-noised to schedule step i.
+
+        `noised_chunk` has shape (..., h, action_dim) with any leading batch
+        dims, e.g. (D, B, h, action_dim) from the stacked reconstruction
+        pass; each chunk's prediction must not depend on the other rows.
+        Returns an array of the same shape.
+        """
 
     @abc.abstractmethod
     def encode(self, observation: np.ndarray) -> np.ndarray:
@@ -238,7 +244,7 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np
     log_resp = (np.log(policy.base_weights)[None, :]
                 - 0.5 * sq / s2[None, :]
                 - 0.5 * v * np.log(2.0 * math.pi * s2)[None, :])
-    log_resp -= logsumexp(log_resp, axis=1, keepdims=True)
+    log_resp -= logsumexp_rows(log_resp)
     resp = np.exp(log_resp)  # (n, M)
 
     shrink = (sqrt_abar * sig2 / s2)[None, :, None]  # per-mode linear coefficient

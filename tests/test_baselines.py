@@ -9,7 +9,8 @@ from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats,
                                 reconstruction_score, reverse_reconstruct,
                                 score_log, temporal_ddpm_loss_score,
                                 temporal_reconstruction_score, _stitched_chunks)
-from sentinel.policy import GmmMode, NoiseSchedule, SyntheticGmmPolicy
+from sentinel.policy import (GmmMode, NoiseSchedule, ScenarioConfig, SyntheticGmmPolicy,
+                             generate_rollout)
 from sentinel.stac import accumulate_scores
 
 from conftest import make_header, make_log, make_record
@@ -164,6 +165,96 @@ class TestReverseReconstruction:
         score = temporal_reconstruction_score(prev, curr, np.zeros(2), policy,
                                               depths=(3,))
         assert score >= 0.0
+
+
+class _CountingOracle:
+    """A policy oracle that counts its eps calls."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.schedule = policy.schedule
+        self.calls = 0
+
+    def eps(self, noised_chunk, state, i):
+        self.calls += 1
+        return self.policy.eps(noised_chunk, state, i)
+
+
+def _reference_reverse(oracle, noised, state, depth):
+    """The reverse pass step by step, one (B, h, d) batch per oracle call."""
+    alpha_bar = oracle.schedule.alpha_bar
+    x = np.asarray(noised, dtype=np.float64)
+    for j in range(depth, -1, -1):
+        ab_j = alpha_bar[j]
+        ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
+        alpha_j = ab_j / ab_prev
+        pred = oracle.eps(x, state, j)
+        x = (x - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
+    return x
+
+
+def _reference_reconstruction(chunks, state, oracle, depths, rng_seed):
+    """One reverse pass per depth, in depth order, with the same noise draws."""
+    rng = np.random.default_rng(rng_seed)
+    total = 0.0
+    for depth in depths:
+        abar = oracle.schedule.alpha_bar[depth]
+        eps = rng.standard_normal(chunks.shape)
+        noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
+        recon = reverse_reconstruct(oracle, noised, state, depth)
+        total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
+    return total / len(depths)
+
+
+class TestStackedReconstruction:
+    """The one reverse pass over all depths against a pass per depth."""
+
+    DEPTHS = [(50, 5, 5, 25), (5, 10, 25, 50), (3,), (7, 1, 7)]
+
+    @staticmethod
+    def _scenario_log(behavior):
+        config = ScenarioConfig(episode_limit=12)
+        policy = config.build_policy(behavior, seed=2)
+        return policy, generate_rollout(policy, config, seed=4)
+
+    def test_reverse_reconstruct_matches_step_loop(self):
+        policy, log = self._scenario_log("mode_resample")
+        chunks = log.records[1].chunk_samples
+        state = log.records[1].embedding
+        noised = chunks + 0.3 * np.random.default_rng(1).standard_normal(chunks.shape)
+        for depth in (0, 1, 17, 60):
+            assert np.array_equal(reverse_reconstruct(policy, noised, state, depth),
+                                  _reference_reverse(policy, noised, state, depth))
+
+    @pytest.mark.parametrize("depths", DEPTHS)
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_scores_equal_per_depth_reference(self, behavior, depths):
+        policy, log = self._scenario_log(behavior)
+        for j, record in enumerate(log.records):
+            want = _reference_reconstruction(record.chunk_samples, record.embedding,
+                                             policy, depths, rng_seed=j)
+            assert reconstruction_score(record, record.embedding, policy, depths,
+                                        rng_seed=j) == want
+            if j == 0:
+                continue
+            prev = log.records[j - 1]
+            want = _reference_reconstruction(_stitched_chunks(prev, record), prev.embedding,
+                                             policy, depths, rng_seed=j)
+            assert temporal_reconstruction_score(prev, record, prev.embedding, policy,
+                                                 depths, rng_seed=j) == want
+
+    @pytest.mark.parametrize("depths", DEPTHS)
+    def test_one_oracle_call_per_step(self, depths):
+        """max(depths) + 1 eps calls per record, where a pass per depth makes
+        sum(depth + 1)."""
+        policy, log = self._scenario_log("consistent")
+        oracle = _CountingOracle(policy)
+        ctx = DetectorContext(oracle=oracle, depths=depths)
+        score_log("recon", log, ctx)
+        assert oracle.calls == log.n_records * (max(depths) + 1)
+        oracle.calls = 0
+        score_log("recon-temporal", log, ctx)
+        assert oracle.calls == (log.n_records - 1) * (max(depths) + 1)
 
 
 class TestOutputVariance:

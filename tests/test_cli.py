@@ -420,6 +420,35 @@ class TestErrorContract:
         assert error["type"] == "config"
         assert str(cal) in error["message"]
 
+    @pytest.mark.parametrize("command, text", [
+        ("eval", "{bad"),
+        ("synth", "{bad"),
+        ("detect", "{bad"),
+        ("eval", "[1, 2]"),
+        ("synth", "5"),
+    ], ids=["eval-not-json", "synth-not-json", "calibration-not-json", "eval-list",
+            "synth-scalar"])
+    def test_json_file_that_is_not_an_object(self, capsys, tmp_path, synth_nominal,
+                                             command, text):
+        logs_dir, config = synth_nominal
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--config", bad, "--out", out],
+            "synth": ["synth", "--scenario", "nominal", "--n", "1", "--out", out,
+                      "--config", bad],
+            "detect": ["detect", "--detector", "stac-mmd", "--calibration", bad,
+                       "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config],
+        }[command]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert str(bad) in error["message"]
+        assert not out.exists()
+
     def test_unknown_command(self, capsys):
         code = run_cli(["transmogrify"])
         captured = capsys.readouterr()

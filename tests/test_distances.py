@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from sentinel.distances import (BANDWIDTH_FALLBACK, BandwidthConfig, SampleSet,
                                 kde_bandwidth_max_eig, kde_log_density, kl_forward,
-                                kl_reverse, median_heuristic, min_l2, mmd_rbf)
+                                kl_reverse, logsumexp_rows, median_heuristic, min_l2,
+                                mmd_rbf)
 
 
 def _sets(rng, n_max=50, d_max=4):
@@ -128,6 +131,48 @@ def test_kde_log_density_matches_brute_force():
         got = kde_log_density(y, x.points, bandwidth)
         want = brute_kde_log_density(x.points, y, bandwidth)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
+
+
+def test_kde_log_density_is_the_scipy_logsumexp_form_exactly():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        x, y = _sets(rng, n_max=40)
+        bandwidth = 10.0 ** rng.uniform(-1, 1)
+        sq = cdist(y.points, x.points, "sqeuclidean")
+        log_norm = math.log(x.n) + 0.5 * x.dim * math.log(2.0 * math.pi * bandwidth ** 2)
+        want = logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
+        assert np.array_equal(kde_log_density(x, y.points, bandwidth), want)
+
+
+@st.composite
+def _lse_rows(draw):
+    """Finite float64 rows of 1-8 columns, some with exact ties at the row max."""
+    n_cols = draw(st.integers(1, 8))
+    element = st.one_of(st.floats(-50, 50),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(element, min_size=n_cols, max_size=n_cols))
+        for col in draw(st.lists(st.integers(0, n_cols - 1), max_size=n_cols)):
+            row[col] = max(row)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lse_rows())
+def test_logsumexp_rows_is_scipy_logsumexp_exactly(a):
+    with np.errstate(over="ignore"):  # a - max overflows to -inf on wide rows, in both
+        assert np.array_equal(logsumexp_rows(a), logsumexp(a, axis=1, keepdims=True))
+
+
+def test_logsumexp_rows_non_finite_rows_match_scipy():
+    inf, nan = np.inf, np.nan
+    a = np.array([[-inf, -inf], [1.0, -inf], [inf, 1.0], [inf, inf], [nan, 1.0],
+                  [2.0, 2.0]])
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=1, keepdims=True)
+    assert np.array_equal(logsumexp_rows(a), want, equal_nan=True)
 
 
 def test_kl_identical_sets_zero():
