@@ -1,29 +1,34 @@
 """Per-timestep baseline score functions and the shared detector registry.
 
 Every detector, temporal-consistency variants included, reduces to a
-nonnegative per-inference-step score accumulated by the same cumulative-sum
-engine and thresholded by the same conformal machinery. This module holds
-the non-consistency scores (embedding distance, diffusion-style losses,
-output variance) and the name registry the CLI and harness select from.
+nonnegative per-inference-step score, summed into a cumulative series by
+`score_log` and thresholded by the same conformal machinery. This module
+holds the non-consistency scores (embedding distance, diffusion-style
+losses, output variance), the name registry the CLI and harness select
+from, and `score_log`, the one loop that scores a log.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import BandwidthConfig
+from .distances import BandwidthConfig, kl_forward, kl_reverse, min_l2, mmd_rbf
 from .policy import PolicyOracle
 from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask
-from .stac import STAC_DETECTORS, ScoreSeries, accumulate_scores, stac_step_fn
+from .stac import STAC_DETECTORS, ScoreSeries, executed_overlap_slice, extract_overlap
 
 # Detectors that query a reference policy for its denoising noise prediction.
 ORACLE_DETECTORS = ("ddpm", "ddpm-temporal", "recon", "recon-temporal")
 
 DETECTOR_NAMES = STAC_DETECTORS + ("mahalanobis",) + ORACLE_DETECTORS + ("outvar",)
+
+# Detectors that score inference step j by comparing records j-1 and j: each
+# scores 0 at the first record and needs at least two records.
+PAIRWISE_DETECTORS = STAC_DETECTORS + ("ddpm-temporal", "recon-temporal")
 
 DEFAULT_DEPTHS = (5, 10, 25, 50)
 DEFAULT_NOISE_DRAWS = 10
@@ -232,71 +237,82 @@ class DetectorContext:
     seed: int = 0
 
 
-def _embedding_at(log: RolloutLog, j: int) -> np.ndarray:
-    embedding = log.records[j].embedding
-    if embedding is None:
-        raise ValueError(f"record at t={log.records[j].timestep} has no embedding")
-    return embedding
+def _embedding(record: InferenceRecord) -> np.ndarray:
+    if record.embedding is None:
+        raise ValueError(f"record at t={record.timestep} has no embedding")
+    return record.embedding
 
 
 def embedding_matrix(log: RolloutLog) -> np.ndarray:
     """Per-record embeddings stacked into a (records, dim) matrix."""
-    return np.stack([_embedding_at(log, j) for j in range(log.n_records)])
+    return np.stack([_embedding(record) for record in log.records])
 
 
 def _step_seed(base: int, j: int):
     return np.random.SeedSequence((int(base), int(j)))
 
 
-def make_score_function(name: str, header: RolloutHeader,
-                        ctx: Optional[DetectorContext] = None) -> Callable[[RolloutLog, int], float]:
-    """Resolve a registry name to its per-step score closure `(log, j) -> float`."""
-    ctx = ctx or DetectorContext()
-    if name in STAC_DETECTORS:
-        return stac_step_fn(name, header, ctx.bandwidths)
+def _step_score(name: str, header: RolloutHeader, ctx: DetectorContext,
+                prev: Optional[InferenceRecord], curr: InferenceRecord, j: int) -> float:
+    """Score inference step j from its record and the one before it (None at j=0).
 
+    It never sees the log, so the score at step j uses only records j-1 and j.
+    """
+    if name in PAIRWISE_DETECTORS and prev is None:
+        return 0.0  # nothing precedes the first inference step
+    if name in STAC_DETECTORS:
+        pair = extract_overlap(prev, curr, header)
+        if name == "stac-mmd":
+            bw = ctx.bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim)
+            return mmd_rbf(pair.prev, pair.curr, bw)
+        if name == "stac-klf":
+            bw = ctx.bandwidths.resolve_kde(pair.prev, pair.curr)
+            return kl_forward(pair.prev, pair.curr, bw)
+        if name == "stac-klr":
+            bw = ctx.bandwidths.resolve_kde(pair.prev, pair.curr)
+            return kl_reverse(pair.prev, pair.curr, bw)
+        executed = executed_overlap_slice(prev, header)
+        return min_l2(executed, pair.curr)
     if name == "mahalanobis":
-        def step(log, j):
-            if ctx.embedding_stats is None:
-                raise ValueError("mahalanobis needs calibrated embedding stats")
-            return mahalanobis_score(_embedding_at(log, j), ctx.embedding_stats)
-    elif name == "ddpm":
-        def step(log, j):
-            return ddpm_loss_score(log.records[j], _embedding_at(log, j), ctx.oracle,
-                                   ctx.n_noise_draws, _step_seed(ctx.seed, j))
-    elif name == "ddpm-temporal":
-        def step(log, j):
-            if j == 0:
-                return 0.0
-            return temporal_ddpm_loss_score(log.records[j - 1], log.records[j],
-                                            _embedding_at(log, j - 1), ctx.oracle,
-                                            ctx.n_noise_draws, _step_seed(ctx.seed, j))
-    elif name == "recon":
-        def step(log, j):
-            return reconstruction_score(log.records[j], _embedding_at(log, j), ctx.oracle,
-                                        ctx.depths, _step_seed(ctx.seed, j))
-    elif name == "recon-temporal":
-        def step(log, j):
-            if j == 0:
-                return 0.0
-            return temporal_reconstruction_score(log.records[j - 1], log.records[j],
-                                                 _embedding_at(log, j - 1), ctx.oracle,
-                                                 ctx.depths, _step_seed(ctx.seed, j))
-    elif name == "outvar":
-        def step(log, j):
-            return output_variance_score(log.records[j], log.header.action_mask)
-    else:
-        raise ValueError(f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
-    return step
+        if ctx.embedding_stats is None:
+            raise ValueError("mahalanobis needs calibrated embedding stats")
+        return mahalanobis_score(_embedding(curr), ctx.embedding_stats)
+    if name == "ddpm":
+        return ddpm_loss_score(curr, _embedding(curr), ctx.oracle, ctx.n_noise_draws,
+                               _step_seed(ctx.seed, j))
+    if name == "ddpm-temporal":
+        return temporal_ddpm_loss_score(prev, curr, _embedding(prev), ctx.oracle,
+                                        ctx.n_noise_draws, _step_seed(ctx.seed, j))
+    if name == "recon":
+        return reconstruction_score(curr, _embedding(curr), ctx.oracle, ctx.depths,
+                                    _step_seed(ctx.seed, j))
+    if name == "recon-temporal":
+        return temporal_reconstruction_score(prev, curr, _embedding(prev), ctx.oracle,
+                                             ctx.depths, _step_seed(ctx.seed, j))
+    return output_variance_score(curr, header.action_mask)
 
 
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
     """Score one rollout with a registry detector: the one way to score a log.
 
-    A STAC-family detector compares the marginals sampled at inference steps
-    j-1 and j, so it refuses a log with fewer than two records.
+    One pass over the records, keeping only the previous one: the score that
+    becomes known at inference step j depends on records j-1 and j alone. A
+    pairwise detector compares those two records, so it refuses a log with
+    fewer than two.
     """
-    step_fn = make_score_function(name, log.header, ctx)
-    if name in STAC_DETECTORS and log.n_records < 2:
+    if name not in DETECTOR_NAMES:
+        raise ValueError(f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
+    if name in PAIRWISE_DETECTORS and log.n_records < 2:
         raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
-    return accumulate_scores(log, step_fn)
+    ctx = ctx or DetectorContext()
+    timesteps, steps, cumulative = [], [], []
+    running = 0.0
+    prev = None
+    for j, record in enumerate(log.records):
+        value = float(_step_score(name, log.header, ctx, prev, record, j))
+        running += value
+        timesteps.append(record.timestep)
+        steps.append(value)
+        cumulative.append(running)
+        prev = record
+    return ScoreSeries(timesteps=timesteps, step_scores=steps, cumulative=cumulative)

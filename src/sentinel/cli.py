@@ -2,9 +2,10 @@
 
 Results go to stdout as JSON (indented, or rendered as tables, with --pretty);
 failures go to stderr as one machine-parseable JSON object with a nonzero
-exit code. Detector names come from the single registry shared with the
-score-function library, and `detect` is exactly the library composition of
-scoring plus online thresholding.
+exit code. Wall-clock timings go to stderr too, so stdout is byte-stable.
+Detector names come from the single registry shared with the score-function
+library, and `detect` is exactly the library composition of scoring plus
+online thresholding.
 """
 
 from __future__ import annotations
@@ -368,12 +369,14 @@ def cmd_vlm(args) -> int:
     if final_timestep is not None:
         obj["detection_timestep"] = final_timestep
         obj["detection_seconds"] = final_timestep * log.header.step_duration
-    if transport.mean_latency_seconds is not None:
-        obj["mean_latency_seconds"] = transport.mean_latency_seconds
     lines = [f"t={r['timestep']} ({r['elapsed_seconds']:.0f}s): {r['decision']}"
              f" votes={','.join(r['votes'])}" for r in results]
     lines.append(f"final: {final}")
     _emit(obj, args.pretty, pretty_text="\n".join(lines))
+    if transport.mean_latency_seconds is not None:
+        # Wall-clock timing goes to stderr, so the result on stdout is byte-stable.
+        timing = {"mean_latency_seconds": transport.mean_latency_seconds}
+        print(json.dumps({"timing": timing}), file=sys.stderr)
     return 0
 
 

@@ -26,6 +26,7 @@ from .distances import BandwidthConfig
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import RolloutLog
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
+from .vlm import checkpoint_record_indices
 
 
 def detector_source(name: str) -> str:
@@ -197,13 +198,8 @@ class ScriptedMonitor:
             raise ValueError("checkpoint_fraction must be in (0, 1]")
 
     def checkpoint_timestep(self, log: RolloutLog) -> int:
-        header = log.header
-        budget = self.checkpoint_fraction * header.task_time_limit
-        best = log.records[0].timestep
-        for record in log.records:
-            if record.timestep * header.step_duration <= budget:
-                best = record.timestep
-        return best
+        (index,) = checkpoint_record_indices(log, (self.checkpoint_fraction,))
+        return log.records[index].timestep
 
     def verdict(self, log: RolloutLog, rng: np.random.Generator) -> Verdict:
         if log.label is None:

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats,
-                                ddpm_loss_score, mahalanobis_score,
-                                make_score_function, output_variance_score,
-                                reconstruction_score, reverse_reconstruct,
-                                score_log, temporal_ddpm_loss_score,
+from sentinel import baselines
+from sentinel.baselines import (DETECTOR_NAMES, PAIRWISE_DETECTORS, DetectorContext,
+                                EmbeddingStats, ddpm_loss_score, mahalanobis_score,
+                                output_variance_score, reconstruction_score,
+                                reverse_reconstruct, score_log, temporal_ddpm_loss_score,
                                 temporal_reconstruction_score, _stitched_chunks)
 from sentinel.policy import (GmmMode, NoiseSchedule, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
-from sentinel.stac import accumulate_scores
+from sentinel.rollout import RolloutLog
 
 from conftest import make_header, make_log, make_record
 
@@ -307,7 +307,7 @@ class TestScoreFunctionRegistry:
         # "mmd" names a distance, not a detector: the registry is the one vocabulary.
         for name in ("entropy", "wasserstein", "mmd"):
             with pytest.raises(ValueError, match="stac-mmd"):
-                make_score_function(name, header, DetectorContext())
+                score_log(name, make_log(header=header), DetectorContext())
 
     def test_every_detector_scores_every_log(self, rng):
         header = make_header()
@@ -323,32 +323,20 @@ class TestScoreFunctionRegistry:
         log = make_log(header=header, n_records=2, batch_size=3, rng=rng)
         ctx = self._ctx(header)
         for name in ("ddpm-temporal", "recon-temporal"):
-            fn = make_score_function(name, header, ctx)
-            assert fn(log, 0) == 0.0
+            assert score_log(name, log, ctx).step_scores[0] == 0.0
 
     def test_mahalanobis_needs_stats(self, rng):
         header = make_header()
         log = make_log(header=header, rng=rng)
-        fn = make_score_function("mahalanobis", header, DetectorContext())
-        with pytest.raises(ValueError):
-            fn(log, 0)
+        with pytest.raises(ValueError, match="embedding stats"):
+            score_log("mahalanobis", log, DetectorContext())
 
     def test_oracle_detectors_need_oracle(self, rng):
         header = make_header()
         log = make_log(header=header, rng=rng)
         for name in ("ddpm", "ddpm-temporal", "recon", "recon-temporal"):
-            fn = make_score_function(name, header, DetectorContext())
-            with pytest.raises(ValueError):
-                fn(log, 1)
-
-    def test_score_log_matches_accumulate(self, rng):
-        header = make_header()
-        log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
-        ctx = self._ctx(header)
-        fn = make_score_function("outvar", header, ctx)
-        direct = accumulate_scores(log, fn)
-        via_registry = score_log("outvar", log, ctx)
-        assert direct.step_scores == via_registry.step_scores
+            with pytest.raises(ValueError, match="policy oracle"):
+                score_log(name, log, DetectorContext())
 
     def test_step_seed_isolation(self, rng):
         """Stochastic scores at different steps use different noise, but the
@@ -356,7 +344,33 @@ class TestScoreFunctionRegistry:
         header = make_header()
         log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
         ctx = self._ctx(header)
-        fn = make_score_function("ddpm", header, ctx)
-        first = fn(log, 1)
-        again = fn(log, 1)
+        first = score_log("ddpm", log, ctx).step_scores[1]
+        again = score_log("ddpm", log, ctx).step_scores[1]
         assert first == again
+        # Record 2 repeats record 1's chunks and embedding: only the noise differs.
+        twin = make_record(4, log.records[1].chunk_samples,
+                           embedding=log.records[1].embedding)
+        twins = RolloutLog(header=header, records=log.records[:2] + [twin], label=None)
+        steps = score_log("ddpm", twins, ctx).step_scores
+        assert steps[1] == first
+        assert steps[2] != steps[1]
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_prefix_scores_are_online(self, name, rng):
+        """Step j's score depends on records up to j only: every prefix of a
+        log scores exactly as the same steps of the whole log."""
+        header = make_header()
+        log = make_log(header=header, n_records=5, batch_size=4, rng=rng)
+        ctx = self._ctx(header)
+        full = score_log(name, log, ctx)
+        shortest = 2 if name in PAIRWISE_DETECTORS else 1
+        for n in range(shortest, log.n_records + 1):
+            prefix = RolloutLog(header=header, records=log.records[:n], label=None)
+            series = score_log(name, prefix, ctx)
+            assert series.step_scores == full.step_scores[:n]
+            assert series.cumulative == full.cumulative[:n]
+
+    def test_nonfinite_step_score_is_refused(self, rng, monkeypatch):
+        monkeypatch.setattr(baselines, "mmd_rbf", lambda x, y, bw: float("nan"))
+        with pytest.raises(ValueError, match="index 1 must be finite"):
+            score_log("stac-mmd", make_log(rng=rng))

@@ -250,14 +250,15 @@ class TestDetect:
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "io"
 
-    def test_one_record_log_is_a_score_error(self, capsys, tmp_path):
-        # Nothing overlaps a single inference step, so there is no verdict to give.
+    @pytest.mark.parametrize("detector", ["stac-mmd", "recon-temporal"])
+    def test_one_record_log_is_a_score_error(self, capsys, tmp_path, detector):
+        # Nothing precedes a single inference step, so there is no verdict to give.
         cal = tmp_path / "cal.json"
         result = conformal_threshold([0.1, 0.2, 0.3], delta=0.4)
-        cal.write_text(json.dumps({"detector": "stac-mmd", "result": result.to_json_obj()}))
+        cal.write_text(json.dumps({"detector": detector, "result": result.to_json_obj()}))
         log_path = tmp_path / "one.sentinel.jsonl"
         write_log(make_log(n_records=1), log_path)
-        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+        code = run_cli(["detect", "--detector", detector, "--calibration", cal,
                         "--log", log_path])
         captured = capsys.readouterr()
         assert code == 1
@@ -328,7 +329,14 @@ class TestVlm:
         assert verdict["decision"] == "failure"
         assert "detection_timestep" in verdict
         assert len(verdict["checkpoints"]) >= 1
-        assert verdict["mean_latency_seconds"] >= 0.0
+        # Timing goes to stderr; the result on stdout is byte-stable.
+        assert "mean_latency_seconds" not in verdict
+        timing = json.loads(captured.err)["timing"]
+        assert timing["mean_latency_seconds"] >= 0.0
+        again = run_cli(["vlm", "--log", log_path, "--transport", "mock",
+                         "--fixtures", FIXTURES / "mock_vlm_failure"])
+        assert again == 0
+        assert capsys.readouterr().out == captured.out
 
     def test_mock_ok_fixture_passes(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal

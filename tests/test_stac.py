@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from sentinel.baselines import DetectorContext, score_log
+from sentinel.baselines import PAIRWISE_DETECTORS, DetectorContext, score_log
 from sentinel.distances import BandwidthConfig, kl_forward, mmd_rbf, median_heuristic
 from sentinel.rollout import InvalidLogError
-from sentinel.stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, accumulate_scores,
-                           detect_online, extract_overlap, executed_overlap_slice,
-                           stac_step_fn)
+from sentinel.stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, detect_online,
+                           extract_overlap, executed_overlap_slice)
 
 from conftest import make_header, make_log, make_record
 
@@ -74,6 +73,13 @@ class TestScoreSeries:
         with pytest.raises(ValueError):
             ScoreSeries(timesteps=(0, 2), step_scores=(0.0, -1.0), cumulative=(0.0, -1.0))
 
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
+    def test_rejects_step_that_is_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="index 1 must be finite and >= 0"):
+            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, bad), cumulative=(0.0, bad))
+        with pytest.raises(ValueError, match="index 0 must be finite and >= 0"):
+            ScoreSeries(timesteps=(0, 4), step_scores=(bad, 1.0), cumulative=(bad, bad))
+
     def test_terminal(self):
         s = ScoreSeries(timesteps=(0, 2, 4), step_scores=(0.0, 1.0, 0.5),
                         cumulative=(0.0, 1.0, 1.5))
@@ -94,7 +100,7 @@ def test_cumulative_is_running_sum(rng):
                                rtol=1e-12)
 
 
-@pytest.mark.parametrize("name", STAC_DETECTORS)
+@pytest.mark.parametrize("name", PAIRWISE_DETECTORS)
 def test_stac_scoring_needs_two_records(name, rng):
     log = make_log(n_records=1, rng=rng)
     with pytest.raises(InvalidLogError, match="at least 2 inference records"):
@@ -150,18 +156,6 @@ def test_min_l2_uses_executed_chunk(rng):
     assert series.step_scores[1] == 0.0
 
 
-def test_accumulate_rejects_negative_step(rng):
-    log = make_log(rng=rng)
-    with pytest.raises(ValueError):
-        accumulate_scores(log, lambda lg, j: -0.5)
-
-
-def test_accumulate_rejects_nonfinite_step(rng):
-    log = make_log(rng=rng)
-    with pytest.raises(ValueError):
-        accumulate_scores(log, lambda lg, j: float("nan"))
-
-
 class TestDetectOnline:
     def _series(self, cumulative):
         steps = [cumulative[0]] + [b - a for a, b in zip(cumulative, cumulative[1:])]
@@ -192,15 +186,15 @@ class TestDetectOnline:
 
 
 def test_unknown_distance_rejected(rng):
-    with pytest.raises(ValueError):
-        stac_step_fn("wasserstein", make_header(), BandwidthConfig())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stac-mmd"):
         score_log("wasserstein", make_log(rng=rng))
 
 
-def test_step_fn_rejects_non_stac_name():
-    with pytest.raises(ValueError, match="stac-mmd"):
-        stac_step_fn("mahalanobis", make_header(), BandwidthConfig())
+def test_non_stac_name_is_not_scored_as_stac(rng):
+    """A registry name outside the STAC family never reaches the overlap
+    scoring: mahalanobis without stats fails on its own terms."""
+    with pytest.raises(ValueError, match="embedding stats"):
+        score_log("mahalanobis", make_log(rng=rng))
 
 
 def test_fixed_kde_bandwidth_reaches_every_step(rng):
