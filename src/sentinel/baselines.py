@@ -2,10 +2,12 @@
 
 Every detector, temporal-consistency variants included, reduces to a
 nonnegative per-inference-step score, summed into a cumulative series by
-`score_log` and thresholded by the same conformal machinery. This module
+`OnlineScorer` and thresholded by the same conformal machinery. This module
 holds the non-consistency scores (embedding distance, diffusion-style
 losses, output variance), the name registry the CLI and harness select
-from, and `score_log`, the one loop that scores a log.
+from, `OnlineScorer`, which scores every requested detector one inference
+record at a time, and `score_detectors` / `score_log`, the one loop that
+walks a log through it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from .distances import BandwidthConfig, kl_forward, kl_reverse, min_l2, mmd_rbf
 from .policy import PolicyOracle
 from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask
-from .stac import STAC_DETECTORS, ScoreSeries, executed_overlap_slice, extract_overlap
+from .stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, executed_overlap_slice,
+                   extract_overlap)
 
 # Detectors that query a reference policy for its denoising noise prediction.
 ORACLE_DETECTORS = ("ddpm", "ddpm-temporal", "recon", "recon-temporal")
@@ -152,17 +155,19 @@ def reverse_reconstruct(oracle: PolicyOracle, noised, state, depth: int) -> np.n
     (alpha_bar of the step before index 0 is defined as 1) maps exactly to
     the clean-chunk estimate.
     """
-    return _reverse_stacked(oracle, np.asarray(noised, dtype=np.float64)[None], state,
-                            (depth,))[0]
+    return _reverse_stacked(oracle, np.asarray(noised, dtype=np.float64)[None, None], state,
+                            (depth,))[0, 0]
 
 
 def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
                      depths: Sequence[int]) -> np.ndarray:
-    """Reverse-diffuse each noised[r] from schedule step depths[r] in one pass.
+    """Reverse-diffuse each noised[g, r] from schedule step depths[r] in one pass.
 
-    The updates are deterministic and act on every chunk independently, so
-    the stack runs the steps from max(depths) down to 0 once, and step j
-    queries the oracle for the rows whose depth is at least j.
+    `noised` is (G, D, B, h, d), and `state` is one state for every group or
+    a (G, sd) stack of one per group. The updates are deterministic and act
+    on every chunk independently, so the stack runs the steps from
+    max(depths) down to 0 once, and step j queries the oracle for the rows
+    whose depth is at least j.
     """
     alpha_bar = oracle.schedule.alpha_bar
     depths = np.asarray(depths)
@@ -172,9 +177,9 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
         live = depths >= j
-        x_live = x[live]
+        x_live = x[:, live]
         pred = oracle.eps(x_live, state, j)
-        x[live] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
+        x[:, live] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
     return x
 
 
@@ -182,21 +187,31 @@ def reconstruction_score(record: InferenceRecord, state, oracle: PolicyOracle,
                          depths: Sequence[int] = DEFAULT_DEPTHS, rng_seed=0) -> float:
     """Squared error between sampled chunks and their re-noised reconstructions."""
     oracle = _require_oracle(oracle)
-    return _reconstruction(record.chunk_samples, state, oracle, depths, rng_seed)
+    return _reconstruction([record.chunk_samples], state, oracle, depths, rng_seed)[0]
 
 
-def _reconstruction(chunks, state, oracle, depths, rng_seed) -> float:
+def _reconstruction(chunk_sets, state, oracle, depths, rng_seed) -> list[float]:
+    """Reconstruction error of each (B, h, d) chunk set, all in one reverse pass.
+
+    Every set draws its noise from a generator of its own seeded with
+    `rng_seed`, so a set scores the same alone or beside others; `state` is
+    one state for every set or a (G, sd) stack of one per set.
+    """
     depths = _validate_depths(depths, oracle.schedule.n_steps)
-    rng = np.random.default_rng(rng_seed)
-    noised = []
-    for depth in depths:
-        abar = oracle.schedule.alpha_bar[depth]
-        eps = rng.standard_normal(chunks.shape)
-        noised.append(math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps)
-    total = 0.0
-    for recon in _reverse_stacked(oracle, np.stack(noised), state, depths):
-        total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
-    return total / len(depths)
+    noised = np.empty((len(chunk_sets), len(depths)) + chunk_sets[0].shape)
+    for g, chunks in enumerate(chunk_sets):
+        rng = np.random.default_rng(rng_seed)
+        for r, depth in enumerate(depths):
+            abar = oracle.schedule.alpha_bar[depth]
+            eps = rng.standard_normal(chunks.shape)
+            noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
+    scores = []
+    for chunks, recons in zip(chunk_sets, _reverse_stacked(oracle, noised, state, depths)):
+        total = 0.0
+        for recon in recons:
+            total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
+        scores.append(total / len(depths))
+    return scores
 
 
 def temporal_reconstruction_score(prev_record: InferenceRecord, curr_record: InferenceRecord,
@@ -204,8 +219,8 @@ def temporal_reconstruction_score(prev_record: InferenceRecord, curr_record: Inf
                                   depths: Sequence[int] = DEFAULT_DEPTHS, rng_seed=0) -> float:
     """Reconstruction error of committed-prefix chunks under the prior state."""
     oracle = _require_oracle(oracle)
-    return _reconstruction(_stitched_chunks(prev_record, curr_record), prev_state,
-                           oracle, depths, rng_seed)
+    return _reconstruction([_stitched_chunks(prev_record, curr_record)], prev_state,
+                           oracle, depths, rng_seed)[0]
 
 
 def output_variance_score(record: InferenceRecord,
@@ -252,27 +267,21 @@ def _step_seed(base: int, j: int):
     return np.random.SeedSequence((int(base), int(j)))
 
 
-def _step_score(name: str, header: RolloutHeader, ctx: DetectorContext,
-                prev: Optional[InferenceRecord], curr: InferenceRecord, j: int) -> float:
-    """Score inference step j from its record and the one before it (None at j=0).
+def _stac_score(name: str, pair: OverlapPair, prev: InferenceRecord, header: RolloutHeader,
+                bandwidths: BandwidthConfig) -> float:
+    if name == "stac-mmd":
+        bw = bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim)
+        return mmd_rbf(pair.prev, pair.curr, bw)
+    if name == "stac-klf":
+        return kl_forward(pair.prev, pair.curr, bandwidths.resolve_kde(pair.prev, pair.curr))
+    if name == "stac-klr":
+        return kl_reverse(pair.prev, pair.curr, bandwidths.resolve_kde(pair.prev, pair.curr))
+    return min_l2(executed_overlap_slice(prev, header), pair.curr)
 
-    It never sees the log, so the score at step j uses only records j-1 and j.
-    """
-    if name in PAIRWISE_DETECTORS and prev is None:
-        return 0.0  # nothing precedes the first inference step
-    if name in STAC_DETECTORS:
-        pair = extract_overlap(prev, curr, header)
-        if name == "stac-mmd":
-            bw = ctx.bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim)
-            return mmd_rbf(pair.prev, pair.curr, bw)
-        if name == "stac-klf":
-            bw = ctx.bandwidths.resolve_kde(pair.prev, pair.curr)
-            return kl_forward(pair.prev, pair.curr, bw)
-        if name == "stac-klr":
-            bw = ctx.bandwidths.resolve_kde(pair.prev, pair.curr)
-            return kl_reverse(pair.prev, pair.curr, bw)
-        executed = executed_overlap_slice(prev, header)
-        return min_l2(executed, pair.curr)
+
+def _single_score(name: str, header: RolloutHeader, ctx: DetectorContext,
+                  prev: Optional[InferenceRecord], curr: InferenceRecord, j: int) -> float:
+    """Step j of one non-STAC detector; `prev` is None only for non-pairwise ones."""
     if name == "mahalanobis":
         if ctx.embedding_stats is None:
             raise ValueError("mahalanobis needs calibrated embedding stats")
@@ -292,27 +301,94 @@ def _step_score(name: str, header: RolloutHeader, ctx: DetectorContext,
     return output_variance_score(curr, header.action_mask)
 
 
-def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
-    """Score one rollout with a registry detector: the one way to score a log.
+class OnlineScorer:
+    """Scores one rollout as it runs, for several registry detectors at once.
 
-    One pass over the records, keeping only the previous one: the score that
-    becomes known at inference step j depends on records j-1 and j alone. A
-    pairwise detector compares those two records, so it refuses a log with
-    fewer than two.
+    Each `push(record)` takes the next inference record and returns, per
+    detector, the step score and the cumulative score so far. The scorer
+    keeps only the previous record, so the scores known at inference step j
+    depend on records j-1 and j alone. Within a step the STAC detectors share
+    one overlap extraction, and `recon` with `recon-temporal` share one
+    stacked reverse pass; each detector's scores are the ones it gets alone.
     """
-    if name not in DETECTOR_NAMES:
-        raise ValueError(f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
-    if name in PAIRWISE_DETECTORS and log.n_records < 2:
-        raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
-    ctx = ctx or DetectorContext()
-    timesteps, steps, cumulative = [], [], []
-    running = 0.0
-    prev = None
-    for j, record in enumerate(log.records):
-        value = float(_step_score(name, log.header, ctx, prev, record, j))
-        running += value
-        timesteps.append(record.timestep)
-        steps.append(value)
-        cumulative.append(running)
-        prev = record
-    return ScoreSeries(timesteps=timesteps, step_scores=steps, cumulative=cumulative)
+
+    def __init__(self, names: Sequence[str], header: RolloutHeader,
+                 ctx: Optional[DetectorContext] = None):
+        self.names = tuple(dict.fromkeys(names))
+        for name in self.names:
+            if name not in DETECTOR_NAMES:
+                raise ValueError(
+                    f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
+        self.header = header
+        self.ctx = ctx or DetectorContext()
+        self._stac = [name for name in self.names if name in STAC_DETECTORS]
+        self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
+        self._paired_recon = "recon" in self.names and "recon-temporal" in self.names
+        # Detectors scored one by one: at the first record the non-pairwise
+        # ones, later everything outside the shared overlap and reverse pass.
+        shared = self._stac + (["recon", "recon-temporal"] if self._paired_recon else [])
+        self._first_singles = [name for name in self.names if name not in PAIRWISE_DETECTORS]
+        self._later_singles = [name for name in self.names if name not in shared]
+        self._cumulative = dict.fromkeys(self.names, 0.0)
+        self._prev: Optional[InferenceRecord] = None
+        self._j = 0
+
+    def push(self, record: InferenceRecord) -> dict[str, tuple[float, float]]:
+        """Score the next inference record: {name: (step score, cumulative)}."""
+        header, ctx, prev, j = self.header, self.ctx, self._prev, self._j
+        if prev is None:
+            steps = dict.fromkeys(self._pairwise, 0.0)  # nothing precedes the first step
+            singles = self._first_singles
+        else:
+            steps = {}
+            if self._stac:
+                pair = extract_overlap(prev, record, header)
+                for name in self._stac:
+                    steps[name] = _stac_score(name, pair, prev, header, ctx.bandwidths)
+            if self._paired_recon:
+                # One (2, D, B, h, d) reverse pass, each group under its own state.
+                steps["recon"], steps["recon-temporal"] = _reconstruction(
+                    [record.chunk_samples, _stitched_chunks(prev, record)],
+                    np.stack([_embedding(record), _embedding(prev)]),
+                    _require_oracle(ctx.oracle), ctx.depths, _step_seed(ctx.seed, j))
+            singles = self._later_singles
+        for name in singles:
+            steps[name] = _single_score(name, header, ctx, prev, record, j)
+        out = {}
+        cumulative = self._cumulative
+        for name in self.names:
+            value = float(steps[name])
+            running = cumulative[name] = cumulative[name] + value
+            out[name] = (value, running)
+        self._prev = record
+        self._j = j + 1
+        return out
+
+
+def score_detectors(names: Sequence[str], log: RolloutLog,
+                    ctx: Optional[DetectorContext] = None) -> dict[str, ScoreSeries]:
+    """Score one rollout with several registry detectors in one walk over it.
+
+    The one loop that scores a log: it pushes each record through an
+    `OnlineScorer`. A pairwise detector compares records j-1 and j, so it
+    refuses a log with fewer than two.
+    """
+    scorer = OnlineScorer(names, log.header, ctx)
+    for name in scorer.names:
+        if name in PAIRWISE_DETECTORS and log.n_records < 2:
+            raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
+    steps = {name: [] for name in scorer.names}
+    cumulative = {name: [] for name in scorer.names}
+    for record in log.records:
+        for name, (value, running) in scorer.push(record).items():
+            steps[name].append(value)
+            cumulative[name].append(running)
+    timesteps = [record.timestep for record in log.records]
+    return {name: ScoreSeries(timesteps=list(timesteps), step_scores=steps[name],
+                              cumulative=cumulative[name])
+            for name in scorer.names}
+
+
+def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
+    """Score one rollout with one registry detector: `score_detectors` for one name."""
+    return score_detectors((name,), log, ctx)[name]

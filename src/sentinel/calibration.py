@@ -9,7 +9,6 @@ detector never fires; callers should surface that as a warning.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,9 +40,6 @@ class CalibrationResult:
             "quantile_index": self.quantile_index,
             "terminal_scores": list(self.terminal_scores),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_obj(), **kwargs)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationResult":

@@ -176,6 +176,9 @@ def cmd_calibrate(args) -> int:
     scenario = _load_scenario(args.config)
     stats_json = None
     if args.detector == "mahalanobis":
+        if len(logs) < 2:
+            raise CliError(f"mahalanobis calibration needs at least 2 logs, and --logs "
+                           f"{args.logs!r} matched {len(logs)}", kind="io")
         embeddings = []
         for path, log in logs:
             try:

@@ -9,7 +9,7 @@ deviation b2 per dimension; the two conventions differ on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -209,19 +209,3 @@ class BandwidthConfig:
         if self.kde_bandwidth == MAX_EIG_COV:
             return kde_bandwidth_max_eig(x, y)
         return float(self.kde_bandwidth)
-
-    def to_json_obj(self) -> dict:
-        return {"mmd_bandwidth": self.mmd_bandwidth, "kde_bandwidth": self.kde_bandwidth}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BandwidthConfig":
-        if not isinstance(obj, dict):
-            raise ValueError("bandwidth config must be a JSON object")
-        unknown = set(obj) - {"mmd_bandwidth", "kde_bandwidth"}
-        if unknown:
-            raise ValueError(f"unknown bandwidth fields {sorted(unknown)}")
-        kwargs = {}
-        for key in ("mmd_bandwidth", "kde_bandwidth"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        return cls(**kwargs)

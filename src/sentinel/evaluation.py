@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embedding_matrix,
-                        score_log)
+                        score_detectors)
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .distances import BandwidthConfig
@@ -325,35 +325,35 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
             index += 1
     test_logs = [_generate(config, behavior, seed) for behavior, seed in test_plan]
 
-    needs_embedding_stats = "mahalanobis" in config.detectors
-    lto_stats = pooled = None
-    if needs_embedding_stats:
+    # Mahalanobis stats: leave-one-out per calibration log, pooled for tests.
+    # Every other detector ignores them.
+    lto_stats = [None] * len(cal_logs)
+    pooled = None
+    if "mahalanobis" in config.detectors:
         embeddings = [embedding_matrix(log) for log in cal_logs]
         lto_stats = [EmbeddingStats.from_mean_cov(mu, cov)
                      for mu, cov in leave_trajectory_out_stats(embeddings)]
         pooled = EmbeddingStats.from_mean_cov(*pooled_stats(embeddings))
 
-    def _context(name: str, seed: int, stats) -> DetectorContext:
-        return DetectorContext(bandwidths=BandwidthConfig(), oracle=oracle,
-                               embedding_stats=stats if name == "mahalanobis" else None,
-                               seed=seed)
+    def _score(log: RolloutLog, seed: int, stats) -> dict:
+        ctx = DetectorContext(bandwidths=BandwidthConfig(), oracle=oracle,
+                              embedding_stats=stats, seed=seed)
+        return score_detectors(config.detectors, log, ctx)
 
-    calibrations: dict = {}
-    for name in config.detectors:
-        terminals = []
-        for i, (seed, log) in enumerate(zip(cal_seeds, cal_logs)):
-            stats = lto_stats[i] if name == "mahalanobis" else None
-            terminals.append(score_log(name, log, _context(name, seed, stats)).terminal)
-        calibrations[name] = conformal_threshold(terminals, config.delta)
+    cal_series = [_score(log, seed, stats)
+                  for seed, log, stats in zip(cal_seeds, cal_logs, lto_stats)]
+    calibrations = {name: conformal_threshold([s[name].terminal for s in cal_series],
+                                              config.delta)
+                    for name in config.detectors}
 
+    test_series = [_score(log, seed, pooled) for (_, seed), log in zip(test_plan, test_logs)]
     series_by_detector: dict = {}
     verdicts_by_detector: dict = {}
     step_duration = scenario.step_duration
     for name in config.detectors:
         gamma = calibrations[name].gamma
         source = detector_source(name)
-        series = [score_log(name, log, _context(name, seed, pooled))
-                  for (_, seed), log in zip(test_plan, test_logs)]
+        series = [s[name] for s in test_series]
         series_by_detector[name] = series
         verdicts_by_detector[name] = [
             verdict_from_series(s, gamma, source, step_duration) for s in series]

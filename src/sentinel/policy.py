@@ -68,9 +68,14 @@ class PolicyOracle(abc.ABC):
         """Predict the noise inside chunks re-noised to schedule step i.
 
         `noised_chunk` has shape (..., h, action_dim) with any leading batch
-        dims, e.g. (D, B, h, action_dim) from the stacked reconstruction
+        dims, e.g. (G, D, B, h, action_dim) from the stacked reconstruction
         pass; each chunk's prediction must not depend on the other rows.
-        Returns an array of the same shape.
+        `state` is one state of shape (sd,) for every chunk, or a (G, sd)
+        stack of G states, one per leading group: chunk noised_chunk[g, ...]
+        is conditioned on state[g]. Returns an array of the same shape.
+        A policy's modes and schedule are fixed once it is built, so an
+        implementation may compute what depends only on them, or on the
+        step and the state, once and reuse it.
         """
 
     @abc.abstractmethod
@@ -138,6 +143,10 @@ class SyntheticGmmPolicy(PolicyOracle):
     `constant_stall` emits near-zero chunks, and `drift` emits a constant
     offset chunk. The noise-prediction oracle ignores the behavior and
     answers for the nominal mixture.
+
+    The modes and the schedule are fixed once the policy is built: the
+    oracle's per-step constants are computed here, and the mode means of the
+    last state it was asked about are kept for the next call.
     """
 
     def __init__(self, modes: Sequence[GmmMode], horizon: int, action_dim: int,
@@ -168,6 +177,8 @@ class SyntheticGmmPolicy(PolicyOracle):
             raise ValueError("drift_step dimension != action_dim")
         self.schedule = schedule or NoiseSchedule.default_linear()
         self.base_weights = np.array([m.weight for m in self.modes])
+        self._oracle_constants = _gmm_step_constants(self)
+        self._means_memo = (None, None)  # (state shape and bytes, (G, M, V) mode means)
         self.preferred_mode = 0
         self.reset(np.random.default_rng(seed))
 
@@ -212,6 +223,36 @@ class SyntheticGmmPolicy(PolicyOracle):
         return np.asarray(observation, dtype=np.float64).ravel().copy()
 
 
+def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
+    """What `gmm_exact_eps` needs at each schedule step and no state changes:
+    the log mode weights (M,), and indexed by step, sqrt(abar) and
+    sqrt(1 - abar) as floats, the per-mode marginal variance s2, the Gaussian
+    normalizer and the posterior shrink factor as (N, M) arrays."""
+    alpha_bar = policy.schedule.alpha_bar
+    abar = np.array(alpha_bar)[:, None]  # (N, 1)
+    sig2 = np.array([m.stddev ** 2 for m in policy.modes])  # (M,)
+    v = policy.horizon * policy.action_dim
+    sqrt_abar = [math.sqrt(a) for a in alpha_bar]
+    s2 = abar * sig2 + (1.0 - abar)  # marginal variance per dim, per mode
+    log_norm = 0.5 * v * np.log(2.0 * math.pi * s2)
+    shrink = np.array(sqrt_abar)[:, None] * sig2 / s2
+    sqrt_one_minus_abar = [math.sqrt(1.0 - a) for a in alpha_bar]
+    return np.log(policy.base_weights), sqrt_abar, s2, log_norm, shrink, sqrt_one_minus_abar
+
+
+def _gmm_mode_means(policy: SyntheticGmmPolicy, states: np.ndarray) -> np.ndarray:
+    """(G, M, V) flattened mode means of each of the G states, memoized for
+    the last `states` asked about (every step of a reverse pass asks again)."""
+    key = (states.shape, states.tobytes())
+    memo_key, means = policy._means_memo
+    if memo_key != key:
+        h = policy.horizon
+        means = np.stack([np.stack([m.chunk_mean(state, h).ravel() for m in policy.modes])
+                          for state in states])
+        policy._means_memo = (key, means)
+    return means
+
+
 def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np.ndarray:
     """Bayes-optimal noise prediction for the nominal mixture.
 
@@ -220,38 +261,43 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np
     so the posterior mean over the clean chunk is a responsibility-weighted
     blend of per-mode linear estimates, and the predicted noise follows as
     eps_hat = (x - sqrt(abar) * E[a0 | x]) / sqrt(1 - abar).
+
+    `state` is one state (sd,) or a (G, sd) stack of states, one per leading
+    group of `noised_chunk`.
     """
     schedule = policy.schedule
     if not 0 <= i < schedule.n_steps:
         raise ValueError(f"denoise step {i} outside [0, {schedule.n_steps})")
-    abar = schedule.alpha_bar[i]
-    sqrt_abar = math.sqrt(abar)
+    log_weights, sqrt_abars, s2s, log_norms, shrinks, sqrt_one_minus_abars = \
+        policy._oracle_constants
+    sqrt_abar, s2, log_norm, shrink = sqrt_abars[i], s2s[i], log_norms[i], shrinks[i]
     h, d = policy.horizon, policy.action_dim
     x = np.asarray(noised_chunk, dtype=np.float64)
     if x.shape[-2:] != (h, d):
         raise ValueError(f"noised chunk must end in shape ({h}, {d}), got {x.shape}")
+    state = np.asarray(state, dtype=np.float64)
+    if state.ndim == 2:
+        if x.ndim < 3 or x.shape[0] != state.shape[0]:
+            raise ValueError(f"{state.shape[0]} states need noised chunks of shape "
+                             f"({state.shape[0]}, ..., {h}, {d}), got {x.shape}")
+    else:
+        state = state.ravel()[None]
     lead = x.shape[:-2]
-    flat = x.reshape(-1, h * d)  # (n, V)
+    groups = x.reshape(state.shape[0], -1, h * d)  # (G, n/G, V)
 
-    state = np.asarray(state, dtype=np.float64).ravel()
-    mu = np.stack([m.chunk_mean(state, h).ravel() for m in policy.modes])  # (M, V)
-    sig2 = np.array([m.stddev ** 2 for m in policy.modes])  # (M,)
-    s2 = abar * sig2 + (1.0 - abar)  # marginal variance per dim, per mode
-    v = flat.shape[1]
-
-    diff = flat[:, None, :] - sqrt_abar * mu[None, :, :]  # (n, M, V)
+    mu = _gmm_mode_means(policy, state)  # (G, M, V)
+    n_modes, v = mu.shape[1:]
+    diff = groups[:, :, None, :] - sqrt_abar * mu[:, None, :, :]  # (G, n/G, M, V)
+    post_mean_per_mode = (mu[:, None, :, :] + shrink[:, None] * diff).reshape(-1, n_modes, v)
+    diff = diff.reshape(-1, n_modes, v)  # (n, M, V)
     sq = np.einsum("nmv,nmv->nm", diff, diff)
-    log_resp = (np.log(policy.base_weights)[None, :]
-                - 0.5 * sq / s2[None, :]
-                - 0.5 * v * np.log(2.0 * math.pi * s2)[None, :])
+    log_resp = log_weights[None, :] - 0.5 * sq / s2[None, :] - log_norm[None, :]
     log_resp -= logsumexp_rows(log_resp)
     resp = np.exp(log_resp)  # (n, M)
-
-    shrink = (sqrt_abar * sig2 / s2)[None, :, None]  # per-mode linear coefficient
-    post_mean_per_mode = mu[None, :, :] + shrink * diff  # (n, M, V)
     post_mean = np.einsum("nm,nmv->nv", resp, post_mean_per_mode)
 
-    eps_hat = (flat - sqrt_abar * post_mean) / math.sqrt(1.0 - abar)
+    flat = groups.reshape(-1, v)
+    eps_hat = (flat - sqrt_abar * post_mean) / sqrt_one_minus_abars[i]
     return eps_hat.reshape(*lead, h, d)
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from sentinel import baselines
 from sentinel.baselines import (DETECTOR_NAMES, PAIRWISE_DETECTORS, DetectorContext,
-                                EmbeddingStats, ddpm_loss_score, mahalanobis_score,
-                                output_variance_score, reconstruction_score,
-                                reverse_reconstruct, score_log, temporal_ddpm_loss_score,
-                                temporal_reconstruction_score, _stitched_chunks)
+                                EmbeddingStats, OnlineScorer, ddpm_loss_score,
+                                mahalanobis_score, output_variance_score,
+                                reconstruction_score, reverse_reconstruct, score_detectors,
+                                score_log, temporal_ddpm_loss_score,
+                                temporal_reconstruction_score, _step_seed, _stitched_chunks)
 from sentinel.policy import (GmmMode, NoiseSchedule, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
-from sentinel.rollout import RolloutLog
+from sentinel.rollout import InvalidLogError, RolloutLog
 
 from conftest import make_header, make_log, make_record
 
@@ -255,6 +256,69 @@ class TestStackedReconstruction:
         oracle.calls = 0
         score_log("recon-temporal", log, ctx)
         assert oracle.calls == (log.n_records - 1) * (max(depths) + 1)
+
+
+class TestOnlineScorer:
+    """Every detector pushed through one scorer against each detector alone."""
+
+    @staticmethod
+    def _ctx(policy, **overrides):
+        stats = EmbeddingStats.from_mean_cov(np.zeros(2), np.eye(2))
+        fields = dict(oracle=policy, embedding_stats=stats, seed=3)
+        fields.update(overrides)
+        return DetectorContext(**fields)
+
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_every_detector_equals_its_own_walk(self, behavior):
+        policy, log = TestStackedReconstruction._scenario_log(behavior)
+        ctx = self._ctx(policy)
+        scorer = OnlineScorer(DETECTOR_NAMES, log.header, ctx)
+        pushed = [scorer.push(record) for record in log.records]
+        together = score_detectors(DETECTOR_NAMES, log, ctx)
+        assert list(together) == list(DETECTOR_NAMES)
+        for name in DETECTOR_NAMES:
+            alone = score_log(name, log, ctx)
+            assert [step[name][0] for step in pushed] == alone.step_scores, name
+            assert [step[name][1] for step in pushed] == alone.cumulative, name
+            assert together[name] == alone, name
+
+    @pytest.mark.parametrize("depths", TestStackedReconstruction.DEPTHS)
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_paired_reconstruction_equals_separate_scores(self, behavior, depths):
+        """recon and recon-temporal from one (2, D, B, h, d) reverse pass per
+        step, against the two score functions called on their own."""
+        policy, log = TestStackedReconstruction._scenario_log(behavior)
+        oracle = _CountingOracle(policy)
+        scorer = OnlineScorer(("recon-temporal", "recon"), log.header,
+                              self._ctx(oracle, depths=depths))
+        for j, record in enumerate(log.records):
+            oracle.calls = 0
+            step = scorer.push(record)
+            assert oracle.calls == max(depths) + 1
+            seed = _step_seed(3, j)
+            assert step["recon"][0] == reconstruction_score(record, record.embedding, policy,
+                                                            depths, rng_seed=seed)
+            if j == 0:
+                assert step["recon-temporal"][0] == 0.0
+                continue
+            prev = log.records[j - 1]
+            assert step["recon-temporal"][0] == temporal_reconstruction_score(
+                prev, record, prev.embedding, policy, depths, rng_seed=seed)
+
+    def test_scorer_keeps_order_and_drops_repeats(self, rng):
+        header = make_header()
+        scorer = OnlineScorer(("outvar", "stac-mmd", "outvar"), header)
+        assert scorer.names == ("outvar", "stac-mmd")
+        log = make_log(header=header, n_records=2, rng=rng)
+        assert list(scorer.push(log.records[0])) == ["outvar", "stac-mmd"]
+
+    def test_refusals_match_score_log(self, rng):
+        header = make_header()
+        with pytest.raises(ValueError, match="unknown detector 'mmd'"):
+            OnlineScorer(("outvar", "mmd"), header)
+        one = make_log(header=header, n_records=1, rng=rng)
+        with pytest.raises(InvalidLogError, match="min-l2 scoring needs at least 2"):
+            score_detectors(("outvar", "min-l2", "stac-mmd"), one)
 
 
 class TestOutputVariance:

@@ -93,7 +93,7 @@ class TestEmpiricalFpr:
 class TestCalibrationResultJson:
     def test_round_trip_finite(self):
         result = conformal_threshold([5.0, 1.0, 3.0], delta=0.3)
-        clone = CalibrationResult.from_json_obj(json.loads(result.to_json()))
+        clone = CalibrationResult.from_json_obj(json.loads(json.dumps(result.to_json_obj())))
         assert clone == result
 
     def test_round_trip_infinite(self):
@@ -107,7 +107,7 @@ class TestCalibrationResultJson:
 
     def test_json_is_plain_types(self):
         result = conformal_threshold([1.5, 2.5, 3.5], delta=0.3)
-        text = result.to_json()
+        text = json.dumps(result.to_json_obj())
         obj = json.loads(text)
         assert isinstance(obj["terminal_scores"], list)
         assert isinstance(obj["m"], int)

@@ -149,6 +149,21 @@ class TestCalibrate:
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "io"
 
+    def test_mahalanobis_on_one_log_names_the_pattern(self, capsys, tmp_path):
+        log_path = tmp_path / "logs" / "only.sentinel.jsonl"
+        log_path.parent.mkdir()
+        write_log(make_log(label="success"), log_path)
+        pattern = f"{log_path.parent}/*.jsonl"
+        code = run_cli(["calibrate", "--detector", "mahalanobis",
+                        "--logs", pattern, "--out", tmp_path / "cal.json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "io"
+        assert pattern in error["message"]
+        assert "matched 1" in error["message"]
+        assert not (tmp_path / "cal.json").exists()
+
     def test_one_record_log_is_a_located_score_error(self, capsys, tmp_path):
         log_path = tmp_path / "logs" / "one.sentinel.jsonl"
         log_path.parent.mkdir()

@@ -281,9 +281,3 @@ class TestBandwidthConfig:
         assert config.resolve_mmd(x, y, masked_dim=2) == median_heuristic(x, y)
         assert config.resolve_kde(x, y) == kde_bandwidth_max_eig(x, y)
 
-    def test_json_round_trip(self):
-        config = BandwidthConfig(mmd_bandwidth=1.5, kde_bandwidth="max_eig_cov")
-        obj = config.to_json_obj()
-        assert BandwidthConfig.from_json_obj(obj) == config
-        with pytest.raises(ValueError):
-            BandwidthConfig.from_json_obj({"mmd_bandwidth": 1.0, "oops": 2})

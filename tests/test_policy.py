@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentinel.distances import logsumexp_rows
 from sentinel.policy import (BEHAVIORS, GmmMode, NoiseSchedule, ScenarioConfig,
                              SyntheticGmmPolicy, default_goal_label,
                              generate_rollout, gmm_exact_eps)
@@ -212,6 +213,101 @@ class TestExactNoiseOracle:
             gmm_exact_eps(policy, x, np.zeros(2), -1)
         with pytest.raises(ValueError):
             gmm_exact_eps(policy, x, np.zeros(2), policy.schedule.n_steps)
+
+
+def _reference_gmm_eps(policy, noised_chunk, state, i):
+    """The oracle with nothing kept between calls: one state, and the mode
+    means, variances and normalizers rebuilt from the policy on every call."""
+    abar = policy.schedule.alpha_bar[i]
+    sqrt_abar = math.sqrt(abar)
+    h, d = policy.horizon, policy.action_dim
+    x = np.asarray(noised_chunk, dtype=np.float64)
+    lead = x.shape[:-2]
+    flat = x.reshape(-1, h * d)
+    state = np.asarray(state, dtype=np.float64).ravel()
+    mu = np.stack([m.chunk_mean(state, h).ravel() for m in policy.modes])
+    sig2 = np.array([m.stddev ** 2 for m in policy.modes])
+    s2 = abar * sig2 + (1.0 - abar)
+    v = flat.shape[1]
+    diff = flat[:, None, :] - sqrt_abar * mu[None, :, :]
+    sq = np.einsum("nmv,nmv->nm", diff, diff)
+    log_resp = (np.log(policy.base_weights)[None, :]
+                - 0.5 * sq / s2[None, :]
+                - 0.5 * v * np.log(2.0 * math.pi * s2)[None, :])
+    log_resp -= logsumexp_rows(log_resp)
+    resp = np.exp(log_resp)
+    shrink = (sqrt_abar * sig2 / s2)[None, :, None]
+    post_mean = np.einsum("nm,nmv->nv", resp, mu[None, :, :] + shrink * diff)
+    eps_hat = (flat - sqrt_abar * post_mean) / math.sqrt(1.0 - abar)
+    return eps_hat.reshape(*lead, h, d)
+
+
+def _mean_fn_policy():
+    """Three modes, two of them with mean_fn overrides that read the state."""
+    modes = [GmmMode(weight=0.2, stddev=0.4, attractor=np.array([1.0, 0.5])),
+             GmmMode(weight=0.5, stddev=0.1, attractor=np.zeros(2),
+                     mean_fn=lambda s, h: np.outer(np.linspace(0.0, 1.0, h), s[::-1])),
+             GmmMode(weight=0.3, stddev=0.7, attractor=np.zeros(2),
+                     mean_fn=lambda s, h: np.full((h, 2), s.sum()))]
+    return SyntheticGmmPolicy(modes, horizon=4, action_dim=2)
+
+
+class TestOracleAgainstReference:
+    """gmm_exact_eps with its constants built once and its mode means kept per
+    state, against the same arithmetic rebuilt on every call."""
+
+    POLICIES = {"attractor": lambda: _two_mode_policy(horizon=4), "mean_fn": _mean_fn_policy}
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_one_state(self, kind):
+        policy = self.POLICIES[kind]()
+        rng = np.random.default_rng(11)
+        for lead in [(), (1,), (7,), (3, 5), (2, 4, 3)]:
+            x = rng.standard_normal(lead + (4, 2)) * 2.0
+            state = rng.standard_normal(2)
+            for i in (0, 1, 37, policy.schedule.n_steps - 1):
+                assert np.array_equal(gmm_exact_eps(policy, x, state, i),
+                                      _reference_gmm_eps(policy, x, state, i))
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_one_state_per_group(self, kind):
+        policy = self.POLICIES[kind]()
+        rng = np.random.default_rng(12)
+        for lead in [(2,), (2, 6), (3, 4, 5)]:
+            x = rng.standard_normal(lead + (4, 2))
+            states = rng.standard_normal((lead[0], 2))
+            for i in (0, 50, 99):
+                got = gmm_exact_eps(policy, x, states, i)
+                assert got.shape == x.shape
+                for g in range(lead[0]):
+                    assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], states[g], i))
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_alternating_states_never_reuse_stale_means(self, kind):
+        policy = self.POLICIES[kind]()
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((6, 4, 2))
+        a, b = rng.standard_normal(2), rng.standard_normal(2)
+        stack = np.stack([a, b])
+        for state in (a, b, a, stack, a, stack[::-1], b, b):
+            assert np.array_equal(gmm_exact_eps(policy, x[:2], state, 20),
+                                  np.stack([_reference_gmm_eps(policy, x[g], s, 20)
+                                            for g, s in enumerate(np.broadcast_to(
+                                                state, (2, 2)))]))
+        # The same array object, changed in place, is a new state.
+        state = a.copy()
+        before = gmm_exact_eps(policy, x, state, 5)
+        state += 1.0
+        assert np.array_equal(gmm_exact_eps(policy, x, state, 5),
+                              _reference_gmm_eps(policy, x, state, 5))
+        assert not np.array_equal(before, gmm_exact_eps(policy, x, state, 5))
+
+    def test_group_count_must_match_states(self):
+        policy = _two_mode_policy(horizon=4)
+        with pytest.raises(ValueError, match="2 states"):
+            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((2, 2)), 3)
+        with pytest.raises(ValueError, match="2 states"):
+            gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros((2, 2)), 3)
 
 
 class TestScenario:
