@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import BandwidthConfig, kl_forward, kl_reverse, min_l2, mmd_rbf
+from .distances import MEDIAN_HEURISTIC, BandwidthConfig, _PooledDistances, min_l2
 from .policy import PolicyOracle
-from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask
+from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
+                      mask_array)
 from .stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, executed_overlap_slice,
                    extract_overlap)
 
@@ -267,19 +268,34 @@ def _step_seed(base: int, j: int):
     return np.random.SeedSequence((int(base), int(j)))
 
 
-def _stac_score(name: str, pair: OverlapPair, prev: InferenceRecord, header: RolloutHeader,
-                bandwidths: BandwidthConfig) -> float:
-    if name == "stac-mmd":
-        bw = bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim)
-        return mmd_rbf(pair.prev, pair.curr, bw)
-    if name == "stac-klf":
-        return kl_forward(pair.prev, pair.curr, bandwidths.resolve_kde(pair.prev, pair.curr))
-    if name == "stac-klr":
-        return kl_reverse(pair.prev, pair.curr, bandwidths.resolve_kde(pair.prev, pair.curr))
-    return min_l2(executed_overlap_slice(prev, header), pair.curr)
+def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
+                 header: RolloutHeader, mask: np.ndarray,
+                 bandwidths: BandwidthConfig) -> dict[str, float]:
+    """Step scores of the STAC detectors in `names`, from one overlap pair.
+
+    The MMD and KDE-KL detectors read one pooled distance matrix, and the
+    two KL directions one KDE bandwidth.
+    """
+    steps = {}
+    if "min-l2" in names:
+        steps["min-l2"] = min_l2(executed_overlap_slice(prev, header, mask), pair.curr)
+    if len(steps) == len(names):
+        return steps
+    dists = _PooledDistances(pair.prev, pair.curr)
+    if "stac-mmd" in names:
+        bw = (dists.median_heuristic() if bandwidths.mmd_bandwidth == MEDIAN_HEURISTIC
+              else bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim))
+        steps["stac-mmd"] = dists.mmd_rbf(bw)
+    if "stac-klf" in names or "stac-klr" in names:
+        bw = bandwidths.resolve_kde(pair.prev, pair.curr)
+        if "stac-klf" in names:
+            steps["stac-klf"] = dists.kl_forward(bw)
+        if "stac-klr" in names:
+            steps["stac-klr"] = dists.kl_reverse(bw)
+    return steps
 
 
-def _single_score(name: str, header: RolloutHeader, ctx: DetectorContext,
+def _single_score(name: str, header: RolloutHeader, mask: np.ndarray, ctx: DetectorContext,
                   prev: Optional[InferenceRecord], curr: InferenceRecord, j: int) -> float:
     """Step j of one non-STAC detector; `prev` is None only for non-pairwise ones."""
     if name == "mahalanobis":
@@ -298,7 +314,7 @@ def _single_score(name: str, header: RolloutHeader, ctx: DetectorContext,
     if name == "recon-temporal":
         return temporal_reconstruction_score(prev, curr, _embedding(prev), ctx.oracle,
                                              ctx.depths, _step_seed(ctx.seed, j))
-    return output_variance_score(curr, header.action_mask)
+    return output_variance_score(curr, mask)
 
 
 class OnlineScorer:
@@ -308,8 +324,9 @@ class OnlineScorer:
     detector, the step score and the cumulative score so far. The scorer
     keeps only the previous record, so the scores known at inference step j
     depend on records j-1 and j alone. Within a step the STAC detectors share
-    one overlap extraction, and `recon` with `recon-temporal` share one
-    stacked reverse pass; each detector's scores are the ones it gets alone.
+    one overlap extraction and one pooled distance matrix, and `recon` with
+    `recon-temporal` share one stacked reverse pass; each detector's scores
+    are the ones it gets alone.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -320,6 +337,7 @@ class OnlineScorer:
                 raise ValueError(
                     f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
         self.header = header
+        self._mask = mask_array(header.action_mask)
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
@@ -342,9 +360,9 @@ class OnlineScorer:
         else:
             steps = {}
             if self._stac:
-                pair = extract_overlap(prev, record, header)
-                for name in self._stac:
-                    steps[name] = _stac_score(name, pair, prev, header, ctx.bandwidths)
+                pair = extract_overlap(prev, record, header, self._mask)
+                steps.update(_stac_scores(self._stac, pair, prev, header, self._mask,
+                                          ctx.bandwidths))
             if self._paired_recon:
                 # One (2, D, B, h, d) reverse pass, each group under its own state.
                 steps["recon"], steps["recon-temporal"] = _reconstruction(
@@ -353,7 +371,7 @@ class OnlineScorer:
                     _require_oracle(ctx.oracle), ctx.depths, _step_seed(ctx.seed, j))
             singles = self._later_singles
         for name in singles:
-            steps[name] = _single_score(name, header, ctx, prev, record, j)
+            steps[name] = _single_score(name, header, self._mask, ctx, prev, record, j)
         out = {}
         cumulative = self._cumulative
         for name in self.names:
@@ -371,7 +389,8 @@ def score_detectors(names: Sequence[str], log: RolloutLog,
 
     The one loop that scores a log: it pushes each record through an
     `OnlineScorer`. A pairwise detector compares records j-1 and j, so it
-    refuses a log with fewer than two.
+    refuses a log with fewer than two. A series it refuses, for a step
+    score that is not finite and nonnegative, is named in the error.
     """
     scorer = OnlineScorer(names, log.header, ctx)
     for name in scorer.names:
@@ -384,9 +403,14 @@ def score_detectors(names: Sequence[str], log: RolloutLog,
             steps[name].append(value)
             cumulative[name].append(running)
     timesteps = [record.timestep for record in log.records]
-    return {name: ScoreSeries(timesteps=list(timesteps), step_scores=steps[name],
-                              cumulative=cumulative[name])
-            for name in scorer.names}
+    out = {}
+    for name in scorer.names:
+        try:
+            out[name] = ScoreSeries(timesteps=list(timesteps), step_scores=steps[name],
+                                    cumulative=cumulative[name])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    return out
 
 
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:

@@ -4,16 +4,22 @@ All estimators operate on n x d arrays of flattened overlap slices. The RBF
 kernel used by the MMD estimator is exp(-||a-b||^2 / b1) (no factor 2 in the
 denominator), while the KDE kernel is a normalized Gaussian with standard
 deviation b2 per dimension; the two conventions differ on purpose.
+
+The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
+pooled squared-distance matrix: a single `cdist` of [x; y] with itself. Its
+blocks are the x-x, y-y and x-y distances, and the median heuristic is the
+median of its strict upper triangle, which holds `pdist`'s values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 BANDWIDTH_FALLBACK = 1e-8
 
@@ -60,18 +66,93 @@ def _pooled(x, y) -> np.ndarray:
     return np.vstack([x.points, y.points])
 
 
+def _check_bandwidth(bandwidth: float) -> None:
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict upper triangle of an n x n matrix.
+
+    Selecting with it yields row-major order, which is `pdist`'s order.
+    """
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+class _PooledDistances:
+    """Squared Euclidean distances over the pooled set [x; y], from one `cdist`.
+
+    `cdist` gives a pair of points the same float wherever the pair sits, so
+    the x-by-y block is `cdist(x, y)`, the y-by-x block `cdist(y, x)` and the
+    strict upper triangle `pdist` of the pooled set, bit for bit. Blocks are
+    copied to contiguous arrays before they are reduced, so every sum runs
+    in the order it runs on a `cdist` of its own.
+    """
+
+    def __init__(self, x, y):
+        x, y = as_sample_set(x), as_sample_set(y)
+        pooled = _pooled(x, y)
+        self.sq = cdist(pooled, pooled, "sqeuclidean")
+        self.n = {"x": x.n, "y": y.n}
+        self.dim = x.dim
+        self._half = {"x": slice(None, x.n), "y": slice(x.n, None)}
+
+    def _block(self, rows: str, cols: str) -> np.ndarray:
+        """Contiguous copy of the `rows` by `cols` block, each "x" or "y"."""
+        return np.ascontiguousarray(self.sq[self._half[rows], self._half[cols]])
+
+    def median_heuristic(self) -> float:
+        """`np.median` of the strict upper triangle, from `np.partition`."""
+        n = self.sq.shape[0]
+        if n < 2:
+            raise ValueError("median heuristic needs at least 2 pooled points")
+        upper = self.sq[_strict_upper(n)]
+        mid = upper.size // 2
+        if upper.size % 2:
+            med = float(np.partition(upper, mid)[mid])
+        else:
+            part = np.partition(upper, (mid - 1, mid))
+            med = float((part[mid - 1] + part[mid]) / 2.0)
+        return med if med > 0.0 else BANDWIDTH_FALLBACK
+
+    def mmd_rbf(self, bandwidth: float) -> float:
+        _check_bandwidth(bandwidth)
+        kxx = np.exp(-self._block("x", "x") / bandwidth).mean()
+        kyy = np.exp(-self._block("y", "y") / bandwidth).mean()
+        kxy = np.exp(-self._block("x", "y") / bandwidth).mean()
+        return max(float(kxx + kyy - 2.0 * kxy), 0.0)
+
+    def kde_log_density(self, fit: str, queries: str, bandwidth: float) -> np.ndarray:
+        """Log density of the KDE on the `fit` set at the `queries` set ("x" or "y")."""
+        _check_bandwidth(bandwidth)
+        sq = self._block(queries, fit)
+        log_norm = math.log(self.n[fit]) + 0.5 * self.dim * math.log(2.0 * math.pi * bandwidth ** 2)
+        return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
+
+    def kl_forward(self, bandwidth: float) -> float:
+        """KL(y || x) averaged over y's points, clamped at 0."""
+        log_p = self.kde_log_density("y", "y", bandwidth)
+        log_q = self.kde_log_density("x", "y", bandwidth)
+        return max(float(np.mean(log_p - log_q)), 0.0)
+
+    def kl_reverse(self, bandwidth: float) -> float:
+        """KL(x || y) averaged over x's points, clamped at 0."""
+        log_p = self.kde_log_density("x", "x", bandwidth)
+        log_q = self.kde_log_density("y", "x", bandwidth)
+        return max(float(np.mean(log_p - log_q)), 0.0)
+
+
 def median_heuristic(x, y) -> float:
     """Median of pairwise squared distances over the pooled set.
 
-    All unordered pairs i != j contribute. Falls back to 1e-8 when the
-    median is zero (e.g. a constant-output policy), so downstream kernels
-    stay finite.
+    All unordered pairs i != j contribute: the strict upper triangle of the
+    pooled squared-distance matrix. Falls back to 1e-8 when the median is
+    zero (e.g. a constant-output policy), so downstream kernels stay finite.
     """
-    pooled = _pooled(x, y)
-    if pooled.shape[0] < 2:
-        raise ValueError("median heuristic needs at least 2 pooled points")
-    med = float(np.median(pdist(pooled, metric="sqeuclidean")))
-    return med if med > 0.0 else BANDWIDTH_FALLBACK
+    return _PooledDistances(x, y).median_heuristic()
 
 
 def kde_bandwidth_max_eig(x, y) -> float:
@@ -92,15 +173,7 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     (diagonal terms included), which keeps the estimate nonnegative; the
     result is additionally clamped at 0 against floating-point dust.
     """
-    x, y = as_sample_set(x), as_sample_set(y)
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    kxx = np.exp(-cdist(x.points, x.points, "sqeuclidean") / bandwidth).mean()
-    kyy = np.exp(-cdist(y.points, y.points, "sqeuclidean") / bandwidth).mean()
-    kxy = np.exp(-cdist(x.points, y.points, "sqeuclidean") / bandwidth).mean()
-    return max(float(kxx + kyy - 2.0 * kxy), 0.0)
+    return _PooledDistances(x, y).mmd_rbf(bandwidth)
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -131,14 +204,7 @@ def kde_log_density(fit, queries, bandwidth: float) -> np.ndarray:
     log-sum-exp, so extremely distant queries underflow gracefully to very
     negative (still finite) values.
     """
-    fit, queries = as_sample_set(fit), as_sample_set(queries)
-    if fit.dim != queries.dim:
-        raise ValueError(f"dimension mismatch: {fit.dim} vs {queries.dim}")
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    sq = cdist(queries.points, fit.points, "sqeuclidean")
-    log_norm = math.log(fit.n) + 0.5 * fit.dim * math.log(2.0 * math.pi * bandwidth ** 2)
-    return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
+    return _PooledDistances(fit, queries).kde_log_density("x", "y", bandwidth)
 
 
 def kl_forward(prev, curr, bandwidth: float) -> float:
@@ -147,10 +213,7 @@ def kl_forward(prev, curr, bandwidth: float) -> float:
     Self terms are included on both sides; the raw estimate can dip below
     zero, so it is clamped at 0 to keep cumulative scores monotone.
     """
-    prev, curr = as_sample_set(prev), as_sample_set(curr)
-    log_p = kde_log_density(curr, curr, bandwidth)
-    log_q = kde_log_density(prev, curr, bandwidth)
-    return max(float(np.mean(log_p - log_q)), 0.0)
+    return _PooledDistances(prev, curr).kl_forward(bandwidth)
 
 
 def kl_reverse(prev, curr, bandwidth: float) -> float:

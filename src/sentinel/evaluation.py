@@ -338,7 +338,10 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     def _score(log: RolloutLog, seed: int, stats) -> dict:
         ctx = DetectorContext(bandwidths=BandwidthConfig(), oracle=oracle,
                               embedding_stats=stats, seed=seed)
-        return score_detectors(config.detectors, log, ctx)
+        try:
+            return score_detectors(config.detectors, log, ctx)
+        except ValueError as exc:
+            raise type(exc)(f"trajectory seed {seed}: {exc}") from exc
 
     cal_series = [_score(log, seed, stats)
                   for seed, log, stats in zip(cal_seeds, cal_logs, lto_stats)]

@@ -264,13 +264,20 @@ class RolloutLog:
         return [r.timestep for r in self.records]
 
 
+def mask_array(mask: Sequence[bool]) -> np.ndarray:
+    """An action mask as a boolean array, built once and passed to `apply_mask`."""
+    return np.asarray([bool(b) for b in mask], dtype=bool)
+
+
 def apply_mask(record: InferenceRecord, mask: Sequence[bool]) -> np.ndarray:
     """Restrict a record's chunk batch to the masked action dimensions.
 
+    `mask` is a sequence of bools or a boolean array from `mask_array`.
     Returns a (B, h, d') array where d' counts the true mask entries; the
     retained dimensions keep their original order.
     """
-    mask = np.asarray([bool(b) for b in mask], dtype=bool)
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        mask = mask_array(mask)
     if mask.shape[0] != record.chunk_samples.shape[2]:
         raise InvalidLogError(
             f"mask length {mask.shape[0]} != action_dim {record.chunk_samples.shape[2]}")

@@ -77,25 +77,31 @@ def _flatten_overlap(chunks: np.ndarray) -> np.ndarray:
     return chunks.reshape(chunks.shape[0], -1)
 
 
-def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
-                    header: RolloutHeader) -> OverlapPair:
-    """Slice two adjacent records down to their shared h-k overlap steps."""
+def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: RolloutHeader,
+                    mask: Optional[np.ndarray] = None) -> OverlapPair:
+    """Slice two adjacent records down to their shared h-k overlap steps.
+
+    `mask` is the header's action mask as a `mask_array`, when the caller
+    has built it already.
+    """
     k = header.execution_horizon
     if curr.timestep != prev.timestep + k:
         raise InvalidLogError(
             f"records not adjacent: {prev.timestep} -> {curr.timestep} (k={k})")
     h = header.prediction_horizon
-    prev_masked = apply_mask(prev, header.action_mask)
-    curr_masked = apply_mask(curr, header.action_mask)
+    mask = header.action_mask if mask is None else mask
+    prev_masked = apply_mask(prev, mask)
+    curr_masked = apply_mask(curr, mask)
     return OverlapPair(
         prev=SampleSet(_flatten_overlap(prev_masked[:, k:h, :])),
         curr=SampleSet(_flatten_overlap(curr_masked[:, 0:h - k, :])),
     )
 
 
-def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader) -> np.ndarray:
+def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader,
+                           mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Flattened overlap slice of the chunk that was actually executed at t."""
-    masked = apply_mask(prev, header.action_mask)
+    masked = apply_mask(prev, header.action_mask if mask is None else mask)
     k, h = header.execution_horizon, header.prediction_horizon
     return masked[prev.executed_index, k:h, :].ravel()
 

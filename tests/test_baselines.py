@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sentinel import baselines
+from sentinel import baselines, distances, rollout
 from sentinel.baselines import (DETECTOR_NAMES, PAIRWISE_DETECTORS, DetectorContext,
                                 EmbeddingStats, OnlineScorer, ddpm_loss_score,
                                 mahalanobis_score, output_variance_score,
@@ -13,6 +13,7 @@ from sentinel.baselines import (DETECTOR_NAMES, PAIRWISE_DETECTORS, DetectorCont
 from sentinel.policy import (GmmMode, NoiseSchedule, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
 from sentinel.rollout import InvalidLogError, RolloutLog
+from sentinel.stac import STAC_DETECTORS
 
 from conftest import make_header, make_log, make_record
 
@@ -305,6 +306,32 @@ class TestOnlineScorer:
             assert step["recon-temporal"][0] == temporal_reconstruction_score(
                 prev, record, prev.embedding, policy, depths, rng_seed=seed)
 
+    def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
+        """One cdist and one KDE bandwidth per step for the whole STAC roster,
+        and one action-mask array per scorer."""
+        _, log = TestStackedReconstruction._scenario_log("mode_resample")
+        calls = {"cdist": 0, "kde_bandwidth_max_eig": 0, "mask_array": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("cdist", "kde_bandwidth_max_eig"):
+            monkeypatch.setattr(distances, name, counting(name, getattr(distances, name)))
+        wrapped_mask_array = counting("mask_array", rollout.mask_array)
+        for module in (rollout, baselines):
+            monkeypatch.setattr(module, "mask_array", wrapped_mask_array)
+        scorer = OnlineScorer(STAC_DETECTORS + ("outvar",), log.header)
+        assert calls["mask_array"] == 1
+        scorer.push(log.records[0])
+        for record in log.records[1:]:
+            calls["cdist"] = calls["kde_bandwidth_max_eig"] = 0
+            scorer.push(record)
+            assert calls["cdist"] == calls["kde_bandwidth_max_eig"] == 1
+        assert calls["mask_array"] == 1
+
     def test_scorer_keeps_order_and_drops_repeats(self, rng):
         header = make_header()
         scorer = OnlineScorer(("outvar", "stac-mmd", "outvar"), header)
@@ -435,6 +462,6 @@ class TestScoreFunctionRegistry:
             assert series.cumulative == full.cumulative[:n]
 
     def test_nonfinite_step_score_is_refused(self, rng, monkeypatch):
-        monkeypatch.setattr(baselines, "mmd_rbf", lambda x, y, bw: float("nan"))
+        monkeypatch.setattr(distances._PooledDistances, "mmd_rbf", lambda self, bw: float("nan"))
         with pytest.raises(ValueError, match="index 1 must be finite"):
             score_log("stac-mmd", make_log(rng=rng))

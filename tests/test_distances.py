@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from sentinel.distances import (BANDWIDTH_FALLBACK, BandwidthConfig, SampleSet,
-                                kde_bandwidth_max_eig, kde_log_density, kl_forward,
-                                kl_reverse, logsumexp_rows, median_heuristic, min_l2,
-                                mmd_rbf)
+                                _PooledDistances, kde_bandwidth_max_eig, kde_log_density,
+                                kl_forward, kl_reverse, logsumexp_rows, median_heuristic,
+                                min_l2, mmd_rbf)
 
 
 def _sets(rng, n_max=50, d_max=4):
@@ -142,6 +142,96 @@ def test_kde_log_density_is_the_scipy_logsumexp_form_exactly():
         log_norm = math.log(x.n) + 0.5 * x.dim * math.log(2.0 * math.pi * bandwidth ** 2)
         want = logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
         assert np.array_equal(kde_log_density(x, y.points, bandwidth), want)
+
+
+def _parent_median_heuristic(x, y):
+    """The median heuristic before the pooled matrix: pdist + np.median."""
+    med = float(np.median(pdist(np.vstack([x, y]), metric="sqeuclidean")))
+    return med if med > 0.0 else BANDWIDTH_FALLBACK
+
+
+def _parent_mmd_rbf(x, y, bandwidth):
+    """The MMD before the pooled matrix: one cdist per block."""
+    kxx = np.exp(-cdist(x, x, "sqeuclidean") / bandwidth).mean()
+    kyy = np.exp(-cdist(y, y, "sqeuclidean") / bandwidth).mean()
+    kxy = np.exp(-cdist(x, y, "sqeuclidean") / bandwidth).mean()
+    return max(float(kxx + kyy - 2.0 * kxy), 0.0)
+
+
+def _parent_kde_log_density(fit, queries, bandwidth):
+    """The KDE log density before the pooled matrix: cdist(queries, fit)."""
+    sq = cdist(queries, fit, "sqeuclidean")
+    log_norm = (math.log(fit.shape[0])
+                + 0.5 * fit.shape[1] * math.log(2.0 * math.pi * bandwidth ** 2))
+    return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
+
+
+def _parent_kl_forward(prev, curr, bandwidth):
+    log_p = _parent_kde_log_density(curr, curr, bandwidth)
+    log_q = _parent_kde_log_density(prev, curr, bandwidth)
+    return max(float(np.mean(log_p - log_q)), 0.0)
+
+
+def _assert_matches_parent(x, y, kde_bandwidth):
+    """Every pooled-matrix estimator == its per-block form, bit for bit."""
+    px, py = SampleSet(x).points, SampleSet(y).points
+    median = median_heuristic(x, y)
+    assert median == _parent_median_heuristic(px, py)
+    for bandwidth in (median, kde_bandwidth):
+        assert mmd_rbf(x, y, bandwidth) == _parent_mmd_rbf(px, py, bandwidth)
+    assert np.array_equal(kde_log_density(x, y, kde_bandwidth),
+                          _parent_kde_log_density(px, py, kde_bandwidth))
+    assert np.array_equal(kde_log_density(y, x, kde_bandwidth),
+                          _parent_kde_log_density(py, px, kde_bandwidth))
+    assert kl_forward(x, y, kde_bandwidth) == _parent_kl_forward(px, py, kde_bandwidth)
+    # The scorer's reverse direction reads the pooled matrix of (x, y) as it is.
+    reverse = _parent_kl_forward(py, px, kde_bandwidth)
+    assert kl_reverse(x, y, kde_bandwidth) == reverse
+    assert _PooledDistances(x, y).kl_reverse(kde_bandwidth) == reverse
+
+
+@st.composite
+def _set_pairs(draw):
+    """Two sets of 1-40 points in 1-10 dims: gaussian, rows drawn from a pool
+    of 1-3 points (duplicates), or all zeros (the fallback bandwidth); 1-D
+    arrays in some 1-dim draws. One-point sets are drawn often, so pools of
+    exactly 2 points come up."""
+    sizes = st.one_of(st.just(1), st.integers(1, 40))
+    n_x, n_y, d = draw(sizes), draw(sizes), draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("gaussian", "duplicates", "zeros")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zeros":
+        x, y = np.zeros((n_x, d)), np.zeros((n_y, d))
+    else:
+        scale = 10.0 ** draw(st.floats(-3, 3))
+        x = rng.standard_normal((n_x, d)) * scale
+        y = rng.standard_normal((n_y, d)) * scale + draw(st.floats(-1, 1))
+        if kind == "duplicates":
+            pool = np.vstack([x, y])[:draw(st.integers(1, 3))]
+            x = pool[rng.integers(0, len(pool), n_x)]
+            y = pool[rng.integers(0, len(pool), n_y)]
+    if d == 1 and draw(st.booleans()):
+        x, y = x[:, 0], y[:, 0]
+    return x, y, 10.0 ** draw(st.floats(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_set_pairs())
+def test_pooled_matrix_is_the_per_block_arithmetic_exactly(pair):
+    _assert_matches_parent(*pair)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([[0.0, 1.0]], [[2.0, -1.0]]),  # pool of 2 points: 1 pair
+    ([[0.0], [3.0]], [[1.0]]),  # 3 pairs (odd)
+    ([[0.0], [3.0]], [[1.0], [7.0]]),  # 6 pairs (even)
+    ([[1.0, 2.0]] * 3, [[1.0, 2.0], [0.0, 0.0]]),  # duplicate rows, n_x != n_y
+    (np.zeros((4, 3)), np.zeros((2, 3))),  # all zeros: fallback bandwidth
+    ([0.5, -1.0, 2.0], [1.5, 0.0]),  # 1-D input
+])
+def test_pooled_matrix_edge_cases_match_per_block_arithmetic(x, y):
+    _assert_matches_parent(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+                           0.7)
 
 
 @st.composite

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sentinel import distances
 from sentinel.evaluation import (BenchmarkConfig, MetricsReport,
                                  ScriptedMonitor, Verdict, combine,
                                  compute_metrics, detector_source,
@@ -301,6 +302,16 @@ class TestRunBenchmark:
         run_benchmark(_small_benchmark_config(), out_dir=tmp_path)
         for name in ("report.json", "verdicts.csv", "scores.svg"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_nonfinite_step_names_detector_and_seed(self, result, monkeypatch):
+        _, report, _ = result
+        first_seed = report["seeds"]["calibration"][0]
+        monkeypatch.setattr(distances._PooledDistances, "kl_forward",
+                            lambda self, bandwidth: float("nan"))
+        config = _small_benchmark_config(detectors=("stac-mmd", "stac-klf", "min-l2"))
+        with pytest.raises(ValueError, match=rf"^trajectory seed {first_seed}: stac-klf: "
+                                             r"step score at index 1 must be finite"):
+            run_benchmark(config)
 
     def test_monitorless_config_omits_vlm_metrics(self):
         config = _small_benchmark_config(monitor=None, n_calibration=4,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sentinel.rollout import (InferenceRecord, InvalidLogError, LogParseError,
                               RolloutHeader, RolloutLabel, RolloutLog, apply_mask,
-                              read_log, write_log)
+                              mask_array, read_log, write_log)
 
 from conftest import failure_label, make_header, make_log, make_record, success_label
 
@@ -170,6 +170,17 @@ def test_apply_mask_identity_and_selection():
         apply_mask(record, (False, False))
     with pytest.raises(ValueError):
         apply_mask(record, (True,))
+
+
+def test_apply_mask_takes_a_prebuilt_array_with_the_same_refusals():
+    record = make_record(0, np.arange(8.0).reshape(1, 4, 2))
+    for mask in ((True, True), (True, False), (False, True)):
+        np.testing.assert_array_equal(apply_mask(record, mask_array(mask)),
+                                      apply_mask(record, mask))
+    with pytest.raises(InvalidLogError, match="^mask selects no dimensions$"):
+        apply_mask(record, mask_array((False, False)))
+    with pytest.raises(InvalidLogError, match="^mask length 1 != action_dim 2$"):
+        apply_mask(record, mask_array((True,)))
 
 
 def test_apply_mask_many_dims():
