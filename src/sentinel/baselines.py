@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import MEDIAN_HEURISTIC, BandwidthConfig, _PooledDistances, min_l2
+from .distances import (MAX_EIG_COV, MEDIAN_HEURISTIC, BandwidthConfig, _PooledDistances,
+                        min_l2)
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
                       mask_array)
@@ -79,14 +80,6 @@ def _require_oracle(oracle) -> PolicyOracle:
     return oracle
 
 
-def _noise_pairs(oracle, shape, n_noise_draws, rng_seed):
-    if n_noise_draws < 1:
-        raise ValueError("n_noise_draws must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    steps = rng.integers(0, oracle.schedule.n_steps, size=n_noise_draws)
-    return [(int(i), rng.standard_normal(shape)) for i in steps]
-
-
 def ddpm_loss_score(record: InferenceRecord, state, oracle: PolicyOracle,
                     n_noise_draws: int = DEFAULT_NOISE_DRAWS, rng_seed=0) -> float:
     """Empirical denoising loss of the sampled chunks under the policy.
@@ -96,17 +89,43 @@ def ddpm_loss_score(record: InferenceRecord, state, oracle: PolicyOracle,
     of the predicted noise, averaged over chunks and draws.
     """
     oracle = _require_oracle(oracle)
-    return _ddpm_loss(record.chunk_samples, state, oracle, n_noise_draws, rng_seed)
+    return _ddpm_loss([record.chunk_samples], state, oracle, n_noise_draws, rng_seed)[0]
 
 
-def _ddpm_loss(chunks, state, oracle, n_noise_draws, rng_seed) -> float:
-    total = 0.0
-    for i, eps in _noise_pairs(oracle, chunks.shape, n_noise_draws, rng_seed):
-        abar = oracle.schedule.alpha_bar[i]
-        noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
-        pred = oracle.eps(noised, state, i)
-        total += float(np.mean(np.sum((eps - pred) ** 2, axis=(1, 2))))
-    return total / n_noise_draws
+def _ddpm_loss(chunk_sets, state, oracle, n_noise_draws, rng_seed) -> list[float]:
+    """Denoising loss of each (B, h, d) chunk set, all from one oracle call.
+
+    Every set draws its (i, eps) pairs from a generator of its own seeded
+    with `rng_seed`, so a set scores the same alone or beside others. The
+    S * n_noise_draws re-noised batches are the leading groups of one call,
+    each under its own step; `state` is one state for every set or an
+    (S, sd) stack of one per set.
+    """
+    if n_noise_draws < 1:
+        raise ValueError("n_noise_draws must be >= 1")
+    alpha_bar = oracle.schedule.alpha_bar
+    shape = chunk_sets[0].shape
+    steps = np.empty((len(chunk_sets), n_noise_draws), dtype=np.int64)
+    eps = np.empty(steps.shape + shape)
+    noised = np.empty_like(eps)
+    for g, chunks in enumerate(chunk_sets):
+        rng = np.random.default_rng(rng_seed)
+        steps[g] = rng.integers(0, oracle.schedule.n_steps, size=n_noise_draws)
+        for r, i in enumerate(steps[g]):
+            abar = alpha_bar[i]
+            eps[g, r] = rng.standard_normal(shape)
+            noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps[g, r]
+    state = np.asarray(state, dtype=np.float64)
+    if state.ndim == 2:
+        state = np.repeat(state, n_noise_draws, axis=0)
+    pred = oracle.eps(noised.reshape((-1,) + shape), state, steps.ravel()).reshape(eps.shape)
+    scores = []
+    for set_losses in np.mean(np.sum((eps - pred) ** 2, axis=(3, 4)), axis=2):
+        total = 0.0
+        for loss in set_losses:
+            total += float(loss)
+        scores.append(total / n_noise_draws)
+    return scores
 
 
 def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord) -> np.ndarray:
@@ -135,8 +154,8 @@ def temporal_ddpm_loss_score(prev_record: InferenceRecord, curr_record: Inferenc
     fine on its own.
     """
     oracle = _require_oracle(oracle)
-    return _ddpm_loss(_stitched_chunks(prev_record, curr_record), prev_state,
-                      oracle, n_noise_draws, rng_seed)
+    return _ddpm_loss([_stitched_chunks(prev_record, curr_record)], prev_state,
+                      oracle, n_noise_draws, rng_seed)[0]
 
 
 def _validate_depths(depths, n_steps) -> tuple[int, ...]:
@@ -168,20 +187,24 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
     a (G, sd) stack of one per group. The updates are deterministic and act
     on every chunk independently, so the stack runs the steps from
     max(depths) down to 0 once, and step j queries the oracle for the rows
-    whose depth is at least j.
+    whose depth is at least j. The rows are held deepest first, so those are
+    a leading slice; they come back in the order of `depths`.
     """
     alpha_bar = oracle.schedule.alpha_bar
-    depths = np.asarray(depths)
-    x = noised.copy()
-    for j in range(int(depths.max()), -1, -1):
+    order = sorted(range(len(depths)), key=lambda r: -depths[r])
+    deepest_first = [int(depths[r]) for r in order]
+    x = noised[:, order]
+    n_live = 0
+    for j in range(deepest_first[0], -1, -1):
+        while n_live < len(order) and deepest_first[n_live] >= j:
+            n_live += 1
         ab_j = alpha_bar[j]
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
-        live = depths >= j
-        x_live = x[:, live]
+        x_live = x[:, :n_live]
         pred = oracle.eps(x_live, state, j)
-        x[:, live] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
-    return x
+        x_live[...] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
+    return x[:, np.argsort(order)]
 
 
 def reconstruction_score(record: InferenceRecord, state, oracle: PolicyOracle,
@@ -274,7 +297,7 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
     """Step scores of the STAC detectors in `names`, from one overlap pair.
 
     The MMD and KDE-KL detectors read one pooled distance matrix, and the
-    two KL directions one KDE bandwidth.
+    two KL directions one KDE bandwidth, taken from the same pooled set.
     """
     steps = {}
     if "min-l2" in names:
@@ -287,7 +310,8 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
               else bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim))
         steps["stac-mmd"] = dists.mmd_rbf(bw)
     if "stac-klf" in names or "stac-klr" in names:
-        bw = bandwidths.resolve_kde(pair.prev, pair.curr)
+        bw = (dists.kde_bandwidth_max_eig() if bandwidths.kde_bandwidth == MAX_EIG_COV
+              else bandwidths.resolve_kde(pair.prev, pair.curr))
         if "stac-klf" in names:
             steps["stac-klf"] = dists.kl_forward(bw)
         if "stac-klr" in names:
@@ -324,8 +348,9 @@ class OnlineScorer:
     detector, the step score and the cumulative score so far. The scorer
     keeps only the previous record, so the scores known at inference step j
     depend on records j-1 and j alone. Within a step the STAC detectors share
-    one overlap extraction and one pooled distance matrix, and `recon` with
-    `recon-temporal` share one stacked reverse pass; each detector's scores
+    one overlap extraction and one pooled distance matrix, `ddpm` with
+    `ddpm-temporal` one oracle call for all their noise draws, and `recon`
+    with `recon-temporal` one stacked reverse pass; each detector's scores
     are the ones it gets alone.
     """
 
@@ -341,10 +366,13 @@ class OnlineScorer:
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
-        self._paired_recon = "recon" in self.names and "recon-temporal" in self.names
+        # "ddpm" and "recon" when scored beside their temporal variant.
+        self._oracle_pairs = [name for name in ("ddpm", "recon")
+                              if name in self.names and f"{name}-temporal" in self.names]
         # Detectors scored one by one: at the first record the non-pairwise
-        # ones, later everything outside the shared overlap and reverse pass.
-        shared = self._stac + (["recon", "recon-temporal"] if self._paired_recon else [])
+        # ones, later everything outside the shared overlap and oracle stacks.
+        shared = self._stac + [name + suffix for name in self._oracle_pairs
+                               for suffix in ("", "-temporal")]
         self._first_singles = [name for name in self.names if name not in PAIRWISE_DETECTORS]
         self._later_singles = [name for name in self.names if name not in shared]
         self._cumulative = dict.fromkeys(self.names, 0.0)
@@ -363,12 +391,18 @@ class OnlineScorer:
                 pair = extract_overlap(prev, record, header, self._mask)
                 steps.update(_stac_scores(self._stac, pair, prev, header, self._mask,
                                           ctx.bandwidths))
-            if self._paired_recon:
-                # One (2, D, B, h, d) reverse pass, each group under its own state.
-                steps["recon"], steps["recon-temporal"] = _reconstruction(
-                    [record.chunk_samples, _stitched_chunks(prev, record)],
-                    np.stack([_embedding(record), _embedding(prev)]),
-                    _require_oracle(ctx.oracle), ctx.depths, _step_seed(ctx.seed, j))
+            if self._oracle_pairs:
+                # One oracle stack per pair: the current chunks under the
+                # current state, the stitched ones under the previous state.
+                sets = [record.chunk_samples, _stitched_chunks(prev, record)]
+                states = np.stack([_embedding(record), _embedding(prev)])
+                oracle, seed = _require_oracle(ctx.oracle), _step_seed(ctx.seed, j)
+                if "ddpm" in self._oracle_pairs:
+                    steps["ddpm"], steps["ddpm-temporal"] = _ddpm_loss(
+                        sets, states, oracle, ctx.n_noise_draws, seed)
+                if "recon" in self._oracle_pairs:
+                    steps["recon"], steps["recon-temporal"] = _reconstruction(
+                        sets, states, oracle, ctx.depths, seed)
             singles = self._later_singles
         for name in singles:
             steps[name] = _single_score(name, header, self._mask, ctx, prev, record, j)

@@ -8,7 +8,8 @@ deviation b2 per dimension; the two conventions differ on purpose.
 The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
 pooled squared-distance matrix: a single `cdist` of [x; y] with itself. Its
 blocks are the x-x, y-y and x-y distances, and the median heuristic is the
-median of its strict upper triangle, which holds `pdist`'s values.
+median of its strict upper triangle, which holds `pdist`'s values. The
+max-eigenvalue KDE bandwidth reads the same stacked [x; y].
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class _PooledDistances:
 
     def __init__(self, x, y):
         x, y = as_sample_set(x), as_sample_set(y)
-        pooled = _pooled(x, y)
-        self.sq = cdist(pooled, pooled, "sqeuclidean")
+        self.pooled = _pooled(x, y)
+        self.sq = cdist(self.pooled, self.pooled, "sqeuclidean")
         self.n = {"x": x.n, "y": y.n}
         self.dim = x.dim
         self._half = {"x": slice(None, x.n), "y": slice(x.n, None)}
@@ -117,6 +118,10 @@ class _PooledDistances:
             part = np.partition(upper, (mid - 1, mid))
             med = float((part[mid - 1] + part[mid]) / 2.0)
         return med if med > 0.0 else BANDWIDTH_FALLBACK
+
+    def kde_bandwidth_max_eig(self) -> float:
+        """`kde_bandwidth_max_eig` of x and y, from the pooled set built here."""
+        return _max_eig_bandwidth(self.pooled)
 
     def mmd_rbf(self, bandwidth: float) -> float:
         _check_bandwidth(bandwidth)
@@ -157,7 +162,10 @@ def median_heuristic(x, y) -> float:
 
 def kde_bandwidth_max_eig(x, y) -> float:
     """Square root of the largest eigenvalue of the pooled sample covariance."""
-    pooled = _pooled(x, y)
+    return _max_eig_bandwidth(_pooled(x, y))
+
+
+def _max_eig_bandwidth(pooled: np.ndarray) -> float:
     if pooled.shape[0] < 2:
         raise ValueError("covariance bandwidth needs at least 2 pooled points")
     cov = np.atleast_2d(np.cov(pooled, rowvar=False, ddof=1))
@@ -176,21 +184,23 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     return _PooledDistances(x, y).mmd_rbf(bandwidth)
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of a 2-D float64 array, as an (n, 1) column.
+def logsumexp_rows(a: np.ndarray, axis: int = 1) -> np.ndarray:
+    """log(sum(exp(a))) of a 2-D float64 array along `axis`, kept as a length-1 axis.
 
-    Repeats the arithmetic of `scipy.special.logsumexp(a, axis=1,
-    keepdims=True)` operation for operation, so results are bit-identical:
-    the row maxima are taken out of the sum and counted, and the rest is
-    shifted by the maximum before exponentiating. scipy's array-API dispatch
-    costs several times this arithmetic on the small arrays scored here.
+    The default reduces each row to an (n, 1) column; `axis=0` reduces each
+    column to a (1, n) row, which is the cheap reduction when the columns
+    are few and long. Repeats the arithmetic of `scipy.special.logsumexp(a,
+    axis=axis, keepdims=True)`, so results are bit-identical: the maxima are
+    taken out of the sum and counted, and the rest is shifted by the maximum
+    before exponentiating. scipy's array-API dispatch costs several times
+    this arithmetic on the small arrays scored here.
     """
-    top = a.max(axis=1, keepdims=True)
+    top = a.max(axis=axis, keepdims=True)
     is_top = a == top
-    count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    count = is_top.sum(axis=axis, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows of -inf or nan, as in scipy
-        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / count)
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+        rest /= count  # count is 0 only where the maximum is nan, and so is rest
         out = np.log1p(rest) + np.log(count) + top
     # A row of -inf sums to exp(-inf) = 0, whose log scipy returns as -inf.
     return np.where(top == -np.inf, top, out)

@@ -64,7 +64,7 @@ class PolicyOracle(abc.ABC):
         """Draw batch_size action chunks of shape (B, h, action_dim)."""
 
     @abc.abstractmethod
-    def eps(self, noised_chunk: np.ndarray, state: np.ndarray, i: int) -> np.ndarray:
+    def eps(self, noised_chunk: np.ndarray, state: np.ndarray, i) -> np.ndarray:
         """Predict the noise inside chunks re-noised to schedule step i.
 
         `noised_chunk` has shape (..., h, action_dim) with any leading batch
@@ -72,10 +72,12 @@ class PolicyOracle(abc.ABC):
         pass; each chunk's prediction must not depend on the other rows.
         `state` is one state of shape (sd,) for every chunk, or a (G, sd)
         stack of G states, one per leading group: chunk noised_chunk[g, ...]
-        is conditioned on state[g]. Returns an array of the same shape.
-        A policy's modes and schedule are fixed once it is built, so an
-        implementation may compute what depends only on them, or on the
-        step and the state, once and reuse it.
+        is conditioned on state[g]. Likewise `i` is one integer step for
+        every chunk, or a (G,) integer array of one step per leading group,
+        as when the noise draws of the ddpm detectors are stacked. Returns an
+        array of the same shape. A policy's modes and schedule are fixed once
+        it is built, so an implementation may compute what depends only on
+        them, or on the step and the state, once and reuse it.
         """
 
     @abc.abstractmethod
@@ -146,7 +148,7 @@ class SyntheticGmmPolicy(PolicyOracle):
 
     The modes and the schedule are fixed once the policy is built: the
     oracle's per-step constants are computed here, and the mode means of the
-    last state it was asked about are kept for the next call.
+    states it was last asked about are kept for the next call.
     """
 
     def __init__(self, modes: Sequence[GmmMode], horizon: int, action_dim: int,
@@ -177,8 +179,10 @@ class SyntheticGmmPolicy(PolicyOracle):
             raise ValueError("drift_step dimension != action_dim")
         self.schedule = schedule or NoiseSchedule.default_linear()
         self.base_weights = np.array([m.weight for m in self.modes])
+        self._stddevs = np.array([m.stddev for m in self.modes])
         self._oracle_constants = _gmm_step_constants(self)
-        self._means_memo = (None, None)  # (state shape and bytes, (G, M, V) mode means)
+        # (stack shape and bytes, its (M, G, V) mode means, {state bytes: (M, V) means})
+        self._means_memo = (None, None, {})
         self.preferred_mode = 0
         self.reset(np.random.default_rng(seed))
 
@@ -206,17 +210,15 @@ class SyntheticGmmPolicy(PolicyOracle):
             return mean[None] + noise * self.stall_noise, np.full(batch_size, -1)
         weights = self._current_weights()
         assignments = self._rng.choice(len(self.modes), p=weights, size=batch_size)
-        chunks = np.empty((batch_size, h, d))
-        means = [mode.chunk_mean(state, h) for mode in self.modes]
-        for b, m in enumerate(assignments):
-            chunks[b] = means[m] + noise[b] * self.modes[m].stddev
+        means = np.stack([mode.chunk_mean(state, h) for mode in self.modes])
+        chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]
         return chunks, assignments
 
     def sample(self, state, batch_size: int) -> np.ndarray:
         chunks, _ = self.sample_with_modes(state, batch_size)
         return chunks
 
-    def eps(self, noised_chunk, state, i: int) -> np.ndarray:
+    def eps(self, noised_chunk, state, i) -> np.ndarray:
         return gmm_exact_eps(self, noised_chunk, state, i)
 
     def encode(self, observation) -> np.ndarray:
@@ -225,35 +227,62 @@ class SyntheticGmmPolicy(PolicyOracle):
 
 def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
     """What `gmm_exact_eps` needs at each schedule step and no state changes:
-    the log mode weights (M,), and indexed by step, sqrt(abar) and
-    sqrt(1 - abar) as floats, the per-mode marginal variance s2, the Gaussian
-    normalizer and the posterior shrink factor as (N, M) arrays."""
+    the log mode weights (M,); sqrt(abar) and sqrt(1 - abar) stacked as a
+    (2, N, 1, 1) array; and the per-mode marginal variance s2, the Gaussian
+    normalizer and the posterior shrink factor stacked mode-major as a
+    (3, M, N, 1) array. One `take` per stack gathers a call's steps."""
     alpha_bar = policy.schedule.alpha_bar
     abar = np.array(alpha_bar)[:, None]  # (N, 1)
     sig2 = np.array([m.stddev ** 2 for m in policy.modes])  # (M,)
     v = policy.horizon * policy.action_dim
-    sqrt_abar = [math.sqrt(a) for a in alpha_bar]
+    sqrt_abar = np.array([math.sqrt(a) for a in alpha_bar])
     s2 = abar * sig2 + (1.0 - abar)  # marginal variance per dim, per mode
     log_norm = 0.5 * v * np.log(2.0 * math.pi * s2)
-    shrink = np.array(sqrt_abar)[:, None] * sig2 / s2
-    sqrt_one_minus_abar = [math.sqrt(1.0 - a) for a in alpha_bar]
-    return np.log(policy.base_weights), sqrt_abar, s2, log_norm, shrink, sqrt_one_minus_abar
+    shrink = sqrt_abar[:, None] * sig2 / s2
+    sqrt_one_minus_abar = np.array([math.sqrt(1.0 - a) for a in alpha_bar])
+    return (np.log(policy.base_weights),
+            np.stack([sqrt_abar, sqrt_one_minus_abar])[:, :, None, None],
+            np.stack([s2.T, log_norm.T, shrink.T])[..., None])
 
 
 def _gmm_mode_means(policy: SyntheticGmmPolicy, states: np.ndarray) -> np.ndarray:
-    """(G, M, V) flattened mode means of each of the G states, memoized for
-    the last `states` asked about (every step of a reverse pass asks again)."""
+    """(M, G, V) flattened mode means of each of the G states, mode-major.
+
+    The means of the last call's states are kept: every step of a reverse
+    pass asks for the same stack again, and the oracle calls of one inference
+    step ask for the same states in other stacks. A state that a stack
+    repeats, as the stacked ddpm draws do, is computed once.
+    """
     key = (states.shape, states.tobytes())
-    memo_key, means = policy._means_memo
-    if memo_key != key:
+    last_key, means, by_state = policy._means_memo
+    if key != last_key:
         h = policy.horizon
-        means = np.stack([np.stack([m.chunk_mean(state, h).ravel() for m in policy.modes])
-                          for state in states])
-        policy._means_memo = (key, means)
+        rows = [state.tobytes() for state in states]
+        kept = {}
+        for row, state in zip(rows, states):
+            if row not in kept:
+                kept[row] = by_state[row] if row in by_state else np.stack(
+                    [m.chunk_mean(state, h).ravel() for m in policy.modes])
+        means = np.stack([kept[row] for row in rows], axis=1)
+        policy._means_memo = (key, means, kept)
     return means
 
 
-def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np.ndarray:
+def _denoise_steps(i, n_steps: int) -> tuple[np.ndarray, bool]:
+    """Schedule step `i` as a (1,) array, or a 1-D step array as itself, and
+    whether `i` was an array of one step per group."""
+    steps = np.asarray(i)
+    if steps.dtype.kind not in "iu" or steps.ndim > 1 or steps.size == 0:
+        raise ValueError(f"denoise step {i!r} is not an integer or a 1-D integer array")
+    per_group = steps.ndim == 1
+    steps = steps.reshape(-1)
+    lo, hi = (steps.min(), steps.max()) if per_group else (steps[0], steps[0])
+    if lo < 0 or hi >= n_steps:
+        raise ValueError(f"denoise step {lo if lo < 0 else hi} outside [0, {n_steps})")
+    return steps, per_group
+
+
+def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndarray:
     """Bayes-optimal noise prediction for the nominal mixture.
 
     Re-noising a GMM draw to schedule step i yields another GMM (means
@@ -262,42 +291,46 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i: int) -> np
     blend of per-mode linear estimates, and the predicted noise follows as
     eps_hat = (x - sqrt(abar) * E[a0 | x]) / sqrt(1 - abar).
 
-    `state` is one state (sd,) or a (G, sd) stack of states, one per leading
-    group of `noised_chunk`.
+    `state` is one state (sd,) or a (G, sd) stack of states, and `i` one
+    step or a (G,) array of steps, one per leading group of `noised_chunk`.
+    Each group gathers its step's constants and runs the scalar arithmetic
+    of a call of its own. The squared distances and responsibilities are
+    laid out mode-major, (M, n), and reduced over the leading mode axis.
+    Below 8 modes numpy sums that axis in the order it sums a row of the
+    (n, M) layout, so both give the same bits; from 8 modes on it sums a
+    row pairwise, and the two differ in the last bits.
     """
-    schedule = policy.schedule
-    if not 0 <= i < schedule.n_steps:
-        raise ValueError(f"denoise step {i} outside [0, {schedule.n_steps})")
-    log_weights, sqrt_abars, s2s, log_norms, shrinks, sqrt_one_minus_abars = \
-        policy._oracle_constants
-    sqrt_abar, s2, log_norm, shrink = sqrt_abars[i], s2s[i], log_norms[i], shrinks[i]
+    steps, per_group_step = _denoise_steps(i, policy.schedule.n_steps)
+    log_weights, step_scalars, step_modes = policy._oracle_constants
     h, d = policy.horizon, policy.action_dim
     x = np.asarray(noised_chunk, dtype=np.float64)
     if x.shape[-2:] != (h, d):
         raise ValueError(f"noised chunk must end in shape ({h}, {d}), got {x.shape}")
     state = np.asarray(state, dtype=np.float64)
-    if state.ndim == 2:
-        if x.ndim < 3 or x.shape[0] != state.shape[0]:
-            raise ValueError(f"{state.shape[0]} states need noised chunks of shape "
-                             f"({state.shape[0]}, ..., {h}, {d}), got {x.shape}")
-    else:
-        state = state.ravel()[None]
+    states = state if state.ndim == 2 else state.ravel()[None]
+    n_groups = states.shape[0] if state.ndim == 2 else steps.size
+    if per_group_step and steps.size != n_groups:
+        raise ValueError(f"{steps.size} steps for {n_groups} states")
+    if (state.ndim == 2 or per_group_step) and (x.ndim < 3 or x.shape[0] != n_groups):
+        what = "states" if state.ndim == 2 else "steps"
+        raise ValueError(f"{n_groups} {what} need noised chunks of shape "
+                         f"({n_groups}, ..., {h}, {d}), got {x.shape}")
     lead = x.shape[:-2]
-    groups = x.reshape(state.shape[0], -1, h * d)  # (G, n/G, V)
+    groups = x.reshape(n_groups, -1, h * d)  # (G, n/G, V)
 
-    mu = _gmm_mode_means(policy, state)  # (G, M, V)
-    n_modes, v = mu.shape[1:]
-    diff = groups[:, :, None, :] - sqrt_abar * mu[:, None, :, :]  # (G, n/G, M, V)
-    post_mean_per_mode = (mu[:, None, :, :] + shrink[:, None] * diff).reshape(-1, n_modes, v)
-    diff = diff.reshape(-1, n_modes, v)  # (n, M, V)
-    sq = np.einsum("nmv,nmv->nm", diff, diff)
-    log_resp = log_weights[None, :] - 0.5 * sq / s2[None, :] - log_norm[None, :]
-    log_resp -= logsumexp_rows(log_resp)
-    resp = np.exp(log_resp)  # (n, M)
-    post_mean = np.einsum("nm,nmv->nv", resp, post_mean_per_mode)
+    mu = _gmm_mode_means(policy, states)[:, :, None, :]  # (M, G, 1, V)
+    n_modes, v = mu.shape[0], mu.shape[-1]
+    sqrt_abar, sqrt_one_minus_abar = step_scalars.take(steps, axis=1)  # (G, 1, 1)
+    s2, log_norm, shrink = step_modes.take(steps, axis=2)  # (M, G, 1)
+    diff = groups - sqrt_abar * mu  # (M, G, n/G, V)
+    post_mean_per_mode = (mu + shrink[..., None] * diff).reshape(n_modes, -1, v)
+    sq = np.einsum("mgrv,mgrv->mgr", diff, diff)
+    log_resp = (log_weights[:, None, None] - 0.5 * sq / s2 - log_norm).reshape(n_modes, -1)
+    log_resp -= logsumexp_rows(log_resp, axis=0)
+    resp = np.exp(log_resp)  # (M, n)
+    post_mean = np.einsum("mn,mnv->nv", resp, post_mean_per_mode).reshape(groups.shape)
 
-    flat = groups.reshape(-1, v)
-    eps_hat = (flat - sqrt_abar * post_mean) / sqrt_one_minus_abars[i]
+    eps_hat = (groups - sqrt_abar * post_mean) / sqrt_one_minus_abar
     return eps_hat.reshape(*lead, h, d)
 
 

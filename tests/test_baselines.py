@@ -170,15 +170,17 @@ class TestReverseReconstruction:
 
 
 class _CountingOracle:
-    """A policy oracle that counts its eps calls."""
+    """A policy oracle that counts its eps calls and the chunks they predict."""
 
     def __init__(self, policy):
         self.policy = policy
         self.schedule = policy.schedule
         self.calls = 0
+        self.rows = 0
 
     def eps(self, noised_chunk, state, i):
         self.calls += 1
+        self.rows += math.prod(noised_chunk.shape[:-2])
         return self.policy.eps(noised_chunk, state, i)
 
 
@@ -248,15 +250,53 @@ class TestStackedReconstruction:
     @pytest.mark.parametrize("depths", DEPTHS)
     def test_one_oracle_call_per_step(self, depths):
         """max(depths) + 1 eps calls per record, where a pass per depth makes
-        sum(depth + 1)."""
+        sum(depth + 1); each call predicts only the rows still live."""
         policy, log = self._scenario_log("consistent")
         oracle = _CountingOracle(policy)
         ctx = DetectorContext(oracle=oracle, depths=depths)
         score_log("recon", log, ctx)
         assert oracle.calls == log.n_records * (max(depths) + 1)
+        batch = log.records[0].batch_size
+        assert oracle.rows == log.n_records * batch * sum(depth + 1 for depth in depths)
         oracle.calls = 0
         score_log("recon-temporal", log, ctx)
         assert oracle.calls == (log.n_records - 1) * (max(depths) + 1)
+
+
+def _reference_ddpm_loss(chunks, state, oracle, n_noise_draws, rng_seed):
+    """One oracle call per (i, eps) draw, in draw order."""
+    rng = np.random.default_rng(rng_seed)
+    steps = rng.integers(0, oracle.schedule.n_steps, size=n_noise_draws)
+    total = 0.0
+    for i in steps:
+        eps = rng.standard_normal(chunks.shape)
+        abar = oracle.schedule.alpha_bar[i]
+        noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
+        pred = oracle.eps(noised, state, int(i))
+        total += float(np.mean(np.sum((eps - pred) ** 2, axis=(1, 2))))
+    return total / n_noise_draws
+
+
+class TestStackedDdpm:
+    """All noise draws of a step in one oracle call against a call per draw."""
+
+    @pytest.mark.parametrize("n_noise_draws", [1, 3, 10])
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_scores_equal_per_draw_reference(self, behavior, n_noise_draws):
+        policy, log = TestStackedReconstruction._scenario_log(behavior)
+        for j, record in enumerate(log.records):
+            seed = _step_seed(5, j)
+            want = _reference_ddpm_loss(record.chunk_samples, record.embedding, policy,
+                                        n_noise_draws, seed)
+            assert ddpm_loss_score(record, record.embedding, policy, n_noise_draws,
+                                   seed) == want
+            if j == 0:
+                continue
+            prev = log.records[j - 1]
+            want = _reference_ddpm_loss(_stitched_chunks(prev, record), prev.embedding, policy,
+                                        n_noise_draws, seed)
+            assert temporal_ddpm_loss_score(prev, record, prev.embedding, policy,
+                                            n_noise_draws, seed) == want
 
 
 class TestOnlineScorer:
@@ -306,11 +346,42 @@ class TestOnlineScorer:
             assert step["recon-temporal"][0] == temporal_reconstruction_score(
                 prev, record, prev.embedding, policy, depths, rng_seed=seed)
 
+    @pytest.mark.parametrize("n_noise_draws", [1, 10])
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_paired_ddpm_equals_separate_scores(self, behavior, n_noise_draws):
+        """ddpm and ddpm-temporal from one eps call per step, each scorer
+        alone from one too, against the two score functions on their own."""
+        policy, log = TestStackedReconstruction._scenario_log(behavior)
+        oracle = _CountingOracle(policy)
+        ctx = self._ctx(oracle, n_noise_draws=n_noise_draws)
+        paired = OnlineScorer(("ddpm-temporal", "ddpm"), log.header, ctx)
+        alone = {name: OnlineScorer((name,), log.header, ctx)
+                 for name in ("ddpm", "ddpm-temporal")}
+        for j, record in enumerate(log.records):
+            oracle.calls = 0
+            step = paired.push(record)
+            assert oracle.calls == 1
+            for name, scorer in alone.items():
+                oracle.calls = 0
+                assert scorer.push(record)[name] == step[name]
+                assert oracle.calls == (0 if j == 0 and name == "ddpm-temporal" else 1)
+            seed = _step_seed(3, j)
+            assert step["ddpm"][0] == ddpm_loss_score(record, record.embedding, policy,
+                                                      n_noise_draws, rng_seed=seed)
+            if j == 0:
+                assert step["ddpm-temporal"][0] == 0.0
+                continue
+            prev = log.records[j - 1]
+            assert step["ddpm-temporal"][0] == temporal_ddpm_loss_score(
+                prev, record, prev.embedding, policy, n_noise_draws, rng_seed=seed)
+
     def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
         """One cdist and one KDE bandwidth per step for the whole STAC roster,
-        and one action-mask array per scorer."""
+        and one action-mask array per scorer. The bandwidth reads the pooled
+        set the distance matrix was built from, and a step without a KDE-KL
+        detector computes none."""
         _, log = TestStackedReconstruction._scenario_log("mode_resample")
-        calls = {"cdist": 0, "kde_bandwidth_max_eig": 0, "mask_array": 0}
+        calls = {"cdist": 0, "_max_eig_bandwidth": 0, "_pooled": 0, "mask_array": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -318,19 +389,24 @@ class TestOnlineScorer:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("cdist", "kde_bandwidth_max_eig"):
+        for name in ("cdist", "_max_eig_bandwidth", "_pooled"):
             monkeypatch.setattr(distances, name, counting(name, getattr(distances, name)))
         wrapped_mask_array = counting("mask_array", rollout.mask_array)
         for module in (rollout, baselines):
             monkeypatch.setattr(module, "mask_array", wrapped_mask_array)
         scorer = OnlineScorer(STAC_DETECTORS + ("outvar",), log.header)
-        assert calls["mask_array"] == 1
+        mmd_only = OnlineScorer(("stac-mmd",), log.header)
+        assert calls["mask_array"] == 2
         scorer.push(log.records[0])
+        mmd_only.push(log.records[0])
         for record in log.records[1:]:
-            calls["cdist"] = calls["kde_bandwidth_max_eig"] = 0
+            calls.update(cdist=0, _max_eig_bandwidth=0, _pooled=0)
             scorer.push(record)
-            assert calls["cdist"] == calls["kde_bandwidth_max_eig"] == 1
-        assert calls["mask_array"] == 1
+            assert calls["cdist"] == calls["_max_eig_bandwidth"] == calls["_pooled"] == 1
+            calls.update(cdist=0, _max_eig_bandwidth=0, _pooled=0)
+            mmd_only.push(record)
+            assert (calls["cdist"], calls["_max_eig_bandwidth"], calls["_pooled"]) == (1, 0, 1)
+        assert calls["mask_array"] == 2
 
     def test_scorer_keeps_order_and_drops_repeats(self, rng):
         header = make_header()

@@ -172,9 +172,19 @@ def _parent_kl_forward(prev, curr, bandwidth):
     return max(float(np.mean(log_p - log_q)), 0.0)
 
 
+def _parent_kde_bandwidth_max_eig(x, y):
+    """The max-eigenvalue bandwidth from a stack of its own."""
+    cov = np.atleast_2d(np.cov(np.vstack([x, y]), rowvar=False, ddof=1))
+    bw = math.sqrt(max(float(np.linalg.eigvalsh(cov)[-1]), 0.0))
+    return bw if bw > 0.0 else BANDWIDTH_FALLBACK
+
+
 def _assert_matches_parent(x, y, kde_bandwidth):
     """Every pooled-matrix estimator == its per-block form, bit for bit."""
     px, py = SampleSet(x).points, SampleSet(y).points
+    bandwidth = _parent_kde_bandwidth_max_eig(px, py)
+    assert kde_bandwidth_max_eig(x, y) == bandwidth
+    assert _PooledDistances(x, y).kde_bandwidth_max_eig() == bandwidth
     median = median_heuristic(x, y)
     assert median == _parent_median_heuristic(px, py)
     for bandwidth in (median, kde_bandwidth):
@@ -235,11 +245,14 @@ def test_pooled_matrix_edge_cases_match_per_block_arithmetic(x, y):
 
 
 @st.composite
-def _lse_rows(draw):
-    """Finite float64 rows of 1-8 columns, some with exact ties at the row max."""
+def _lse_rows(draw, non_finite=False):
+    """Float64 rows of 1-8 columns, some with exact ties at the row max: finite,
+    or with `non_finite` also holding inf, -inf and nan."""
     n_cols = draw(st.integers(1, 8))
     element = st.one_of(st.floats(-50, 50),
                         st.floats(allow_nan=False, allow_infinity=False))
+    if non_finite:
+        element = st.one_of(element, st.sampled_from([np.inf, -np.inf, np.nan]))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         row = draw(st.lists(element, min_size=n_cols, max_size=n_cols))
@@ -254,6 +267,18 @@ def _lse_rows(draw):
 def test_logsumexp_rows_is_scipy_logsumexp_exactly(a):
     with np.errstate(over="ignore"):  # a - max overflows to -inf on wide rows, in both
         assert np.array_equal(logsumexp_rows(a), logsumexp(a, axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lse_rows(non_finite=True))
+def test_logsumexp_rows_along_axis_0_is_scipy_logsumexp_exactly(a):
+    """The mode-major form: each column reduced, non-finite columns included."""
+    columns = np.ascontiguousarray(a.T)
+    with np.errstate(all="ignore"):
+        want = logsumexp(columns, axis=0, keepdims=True)
+        got = logsumexp_rows(columns, axis=0)
+    assert got.shape == (1, columns.shape[1])
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_logsumexp_rows_non_finite_rows_match_scipy():

@@ -134,6 +134,20 @@ class TestSampling:
         chunks = policy.sample(np.zeros(2), 8)
         np.testing.assert_allclose(chunks.mean(axis=(0, 1)), [0.5, -0.5], atol=1e-3)
 
+    @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+    def test_sampler_equals_per_row_loop(self, behavior):
+        """Chunks gathered from the stacked mode means, against the loop that
+        built them one row at a time from the same generator draws."""
+        policies = [_mean_fn_policy(behavior), _mean_fn_policy(behavior)]
+        rng = np.random.default_rng(3)
+        for batch_size in (1, 7, 32):
+            state = rng.standard_normal(2)
+            chunks, assignments = policies[0].sample_with_modes(state, batch_size)
+            want, want_assignments = _reference_sample_with_modes(policies[1], state, batch_size)
+            assert np.array_equal(chunks, want)
+            assert np.array_equal(assignments, want_assignments)
+            assert policies[0].preferred_mode == policies[1].preferred_mode
+
     def test_mixture_proportions_match_base_weights_across_episodes(self):
         modes = [GmmMode(weight=0.25, stddev=0.1, attractor=np.array([1.0, 0.0])),
                  GmmMode(weight=0.75, stddev=0.1, attractor=np.array([-1.0, 0.0]))]
@@ -242,14 +256,27 @@ def _reference_gmm_eps(policy, noised_chunk, state, i):
     return eps_hat.reshape(*lead, h, d)
 
 
-def _mean_fn_policy():
+def _mean_fn_policy(behavior="consistent"):
     """Three modes, two of them with mean_fn overrides that read the state."""
     modes = [GmmMode(weight=0.2, stddev=0.4, attractor=np.array([1.0, 0.5])),
              GmmMode(weight=0.5, stddev=0.1, attractor=np.zeros(2),
                      mean_fn=lambda s, h: np.outer(np.linspace(0.0, 1.0, h), s[::-1])),
              GmmMode(weight=0.3, stddev=0.7, attractor=np.zeros(2),
                      mean_fn=lambda s, h: np.full((h, 2), s.sum()))]
-    return SyntheticGmmPolicy(modes, horizon=4, action_dim=2)
+    return SyntheticGmmPolicy(modes, horizon=4, action_dim=2, behavior=behavior)
+
+
+def _reference_sample_with_modes(policy, state, batch_size):
+    """The sampler as a loop over rows, on the generator draws it makes."""
+    h, d = policy.horizon, policy.action_dim
+    noise = policy._rng.standard_normal((batch_size, h, d))
+    weights = policy._current_weights()
+    assignments = policy._rng.choice(len(policy.modes), p=weights, size=batch_size)
+    chunks = np.empty((batch_size, h, d))
+    means = [mode.chunk_mean(state, h) for mode in policy.modes]
+    for b, m in enumerate(assignments):
+        chunks[b] = means[m] + noise[b] * policy.modes[m].stddev
+    return chunks, assignments
 
 
 class TestOracleAgainstReference:
@@ -301,6 +328,93 @@ class TestOracleAgainstReference:
         assert np.array_equal(gmm_exact_eps(policy, x, state, 5),
                               _reference_gmm_eps(policy, x, state, 5))
         assert not np.array_equal(before, gmm_exact_eps(policy, x, state, 5))
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_one_step_per_group(self, kind):
+        """A (G,) step array against one reference call per group, under one
+        state for every group or one state per group."""
+        policy = self.POLICIES[kind]()
+        rng = np.random.default_rng(14)
+        n = policy.schedule.n_steps
+        for lead in [(1,), (2,), (3, 5), (10, 4, 2)]:
+            x = rng.standard_normal(lead + (4, 2))
+            steps = rng.integers(0, n, size=lead[0])
+            steps[0] = n - 1
+            states = rng.standard_normal((lead[0], 2))
+            for state in (states[0], states):
+                got = gmm_exact_eps(policy, x, state, steps)
+                assert got.shape == x.shape
+                for g in range(lead[0]):
+                    s = state if state.ndim == 1 else state[g]
+                    assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], s, steps[g]))
+
+    @pytest.mark.parametrize("n_modes", [8, 12])
+    def test_eight_modes_or_more_agree_within_tolerance(self, n_modes):
+        """From 8 modes numpy sums a row pairwise but a leading axis in order,
+        so the mode-major sums may leave the reference's last bits."""
+        rng = np.random.default_rng(16)
+        modes = [GmmMode(weight=1.0 / n_modes, stddev=0.2 + 0.1 * m,
+                         attractor=rng.standard_normal(2)) for m in range(n_modes)]
+        policy = SyntheticGmmPolicy(modes, horizon=4, action_dim=2)
+        for i in (0, 10, 50, 99):
+            x, state = rng.standard_normal((64, 4, 2)) * 2.0, rng.standard_normal(2)
+            want = _reference_gmm_eps(policy, x, state, i)
+            np.testing.assert_allclose(gmm_exact_eps(policy, x, state, i), want,
+                                       rtol=0.0, atol=1e-9 * np.abs(want).max())
+
+    def test_mode_means_once_per_distinct_state(self, monkeypatch):
+        """A stack that repeats its states, as the stacked ddpm draws do,
+        builds each state's mode means once; the next call of the same step
+        that asks for those states in another stack builds none."""
+        policy = _mean_fn_policy()
+        calls = []
+        chunk_mean = GmmMode.chunk_mean
+        monkeypatch.setattr(GmmMode, "chunk_mean",
+                            lambda mode, state, h: calls.append(1) or chunk_mean(mode, state, h))
+        rng = np.random.default_rng(15)
+        curr, prev = rng.standard_normal(2), rng.standard_normal(2)
+        stack = np.repeat(np.stack([curr, prev]), 10, axis=0)
+        x = rng.standard_normal((20, 3, 4, 2))
+        steps = rng.integers(0, 100, size=20)
+        got = gmm_exact_eps(policy, x, stack, steps)
+        assert len(calls) == 2 * len(policy.modes)
+        gmm_exact_eps(policy, x[:2], np.stack([curr, prev]), 7)
+        assert len(calls) == 2 * len(policy.modes)
+        gmm_exact_eps(policy, x[:2], np.stack([prev, rng.standard_normal(2)]), 7)
+        assert len(calls) == 3 * len(policy.modes)
+        for g in range(20):
+            assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], stack[g], steps[g]))
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.bool_(False), "3", None, [1.5, 2.0],
+                                     np.array([True, False]), np.zeros((2, 1), dtype=int),
+                                     np.array([], dtype=int)])
+    def test_refuses_a_step_that_is_not_integer(self, bad):
+        policy = _two_mode_policy(horizon=4)
+        x = np.zeros((2, 3, 4, 2))
+        with pytest.raises(ValueError, match="(?s)denoise step .* not an integer"):
+            gmm_exact_eps(policy, x, np.zeros(2), bad)
+        with pytest.raises(ValueError, match="(?s)denoise step .* not an integer"):
+            gmm_exact_eps(policy, x, np.zeros((2, 2)), bad)
+
+    def test_refuses_steps_outside_the_schedule(self):
+        policy = _two_mode_policy(horizon=4)
+        n = policy.schedule.n_steps
+        x = np.zeros((3, 5, 4, 2))
+        for bad, named in [(np.array([0, -2, 3]), -2), (np.array([1, n, 2]), n),
+                           (np.array([n + 4, 0, -1]), -1)]:
+            with pytest.raises(ValueError, match=f"denoise step {named} outside"):
+                gmm_exact_eps(policy, x, np.zeros(2), bad)
+
+    def test_step_count_must_match_groups(self):
+        policy = _two_mode_policy(horizon=4)
+        with pytest.raises(ValueError, match="2 steps for 3 states"):
+            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((3, 2)), np.array([1, 2]))
+        with pytest.raises(ValueError, match="1 steps for 3 states"):
+            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((3, 2)), np.array([1]))
+        with pytest.raises(ValueError, match="2 steps need noised chunks"):
+            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros(2), np.array([1, 2]))
+        with pytest.raises(ValueError, match="2 steps need noised chunks"):
+            gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros(2), np.array([1, 2]))
 
     def test_group_count_must_match_states(self):
         policy = _two_mode_policy(horizon=4)
