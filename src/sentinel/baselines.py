@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import (MAX_EIG_COV, MEDIAN_HEURISTIC, BandwidthConfig, _PooledDistances,
-                        min_l2)
+from .distances import BandwidthConfig, _PooledDistances, min_l2
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
                       mask_array)
@@ -306,12 +305,9 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
         return steps
     dists = _PooledDistances(pair.prev, pair.curr)
     if "stac-mmd" in names:
-        bw = (dists.median_heuristic() if bandwidths.mmd_bandwidth == MEDIAN_HEURISTIC
-              else bandwidths.resolve_mmd(pair.prev, pair.curr, header.masked_dim))
-        steps["stac-mmd"] = dists.mmd_rbf(bw)
+        steps["stac-mmd"] = dists.mmd_rbf(bandwidths.resolve_mmd(dists, header.masked_dim))
     if "stac-klf" in names or "stac-klr" in names:
-        bw = (dists.kde_bandwidth_max_eig() if bandwidths.kde_bandwidth == MAX_EIG_COV
-              else bandwidths.resolve_kde(pair.prev, pair.curr))
+        bw = bandwidths.resolve_kde(dists)
         if "stac-klf" in names:
             steps["stac-klf"] = dists.kl_forward(bw)
         if "stac-klr" in names:
@@ -319,39 +315,25 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
     return steps
 
 
-def _single_score(name: str, header: RolloutHeader, mask: np.ndarray, ctx: DetectorContext,
-                  prev: Optional[InferenceRecord], curr: InferenceRecord, j: int) -> float:
-    """Step j of one non-STAC detector; `prev` is None only for non-pairwise ones."""
-    if name == "mahalanobis":
-        if ctx.embedding_stats is None:
-            raise ValueError("mahalanobis needs calibrated embedding stats")
-        return mahalanobis_score(_embedding(curr), ctx.embedding_stats)
-    if name == "ddpm":
-        return ddpm_loss_score(curr, _embedding(curr), ctx.oracle, ctx.n_noise_draws,
-                               _step_seed(ctx.seed, j))
-    if name == "ddpm-temporal":
-        return temporal_ddpm_loss_score(prev, curr, _embedding(prev), ctx.oracle,
-                                        ctx.n_noise_draws, _step_seed(ctx.seed, j))
-    if name == "recon":
-        return reconstruction_score(curr, _embedding(curr), ctx.oracle, ctx.depths,
-                                    _step_seed(ctx.seed, j))
-    if name == "recon-temporal":
-        return temporal_reconstruction_score(prev, curr, _embedding(prev), ctx.oracle,
-                                             ctx.depths, _step_seed(ctx.seed, j))
-    return output_variance_score(curr, mask)
-
-
 class OnlineScorer:
-    """Scores one rollout as it runs, for several registry detectors at once.
+    """Scores one rollout as it runs, for any roster of registry detectors.
 
     Each `push(record)` takes the next inference record and returns, per
     detector, the step score and the cumulative score so far. The scorer
     keeps only the previous record, so the scores known at inference step j
-    depend on records j-1 and j alone. Within a step the STAC detectors share
-    one overlap extraction and one pooled distance matrix, `ddpm` with
-    `ddpm-temporal` one oracle call for all their noise draws, and `recon`
-    with `recon-temporal` one stacked reverse pass; each detector's scores
-    are the ones it gets alone.
+    depend on records j-1 and j alone, and a pairwise detector scores 0 at
+    the first record. Each detector family is scored once per step, through
+    the same call whichever of its members the roster names:
+
+    - the STAC detectors share one overlap extraction and one pooled
+      distance matrix;
+    - `ddpm` and `ddpm-temporal` share one oracle call for all their noise
+      draws, and `recon` and `recon-temporal` one stacked reverse pass. The
+      base member scores the current chunks under the current embedding,
+      the `-temporal` member the stitched chunks under the previous one;
+    - `mahalanobis` and `outvar` read the current record alone.
+
+    Each detector's scores are the ones it gets alone.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -366,49 +348,50 @@ class OnlineScorer:
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
-        # "ddpm" and "recon" when scored beside their temporal variant.
-        self._oracle_pairs = [name for name in ("ddpm", "recon")
-                              if name in self.names and f"{name}-temporal" in self.names]
-        # Detectors scored one by one: at the first record the non-pairwise
-        # ones, later everything outside the shared overlap and oracle stacks.
-        shared = self._stac + [name + suffix for name in self._oracle_pairs
-                               for suffix in ("", "-temporal")]
-        self._first_singles = [name for name in self.names if name not in PAIRWISE_DETECTORS]
-        self._later_singles = [name for name in self.names if name not in shared]
+        # The oracle families the roster names: base detector, batched loss
+        # and the loss's per-step parameter.
+        self._families = [(base, loss, param) for base, loss, param in (
+            ("ddpm", _ddpm_loss, self.ctx.n_noise_draws),
+            ("recon", _reconstruction, self.ctx.depths))
+            if base in self.names or base + "-temporal" in self.names]
         self._cumulative = dict.fromkeys(self.names, 0.0)
         self._prev: Optional[InferenceRecord] = None
         self._j = 0
 
     def push(self, record: InferenceRecord) -> dict[str, tuple[float, float]]:
         """Score the next inference record: {name: (step score, cumulative)}."""
-        header, ctx, prev, j = self.header, self.ctx, self._prev, self._j
+        names, header, ctx, prev, j = self.names, self.header, self.ctx, self._prev, self._j
         if prev is None:
             steps = dict.fromkeys(self._pairwise, 0.0)  # nothing precedes the first step
-            singles = self._first_singles
         else:
             steps = {}
             if self._stac:
                 pair = extract_overlap(prev, record, header, self._mask)
                 steps.update(_stac_scores(self._stac, pair, prev, header, self._mask,
                                           ctx.bandwidths))
-            if self._oracle_pairs:
-                # One oracle stack per pair: the current chunks under the
-                # current state, the stitched ones under the previous state.
-                sets = [record.chunk_samples, _stitched_chunks(prev, record)]
-                states = np.stack([_embedding(record), _embedding(prev)])
-                oracle, seed = _require_oracle(ctx.oracle), _step_seed(ctx.seed, j)
-                if "ddpm" in self._oracle_pairs:
-                    steps["ddpm"], steps["ddpm-temporal"] = _ddpm_loss(
-                        sets, states, oracle, ctx.n_noise_draws, seed)
-                if "recon" in self._oracle_pairs:
-                    steps["recon"], steps["recon-temporal"] = _reconstruction(
-                        sets, states, oracle, ctx.depths, seed)
-            singles = self._later_singles
-        for name in singles:
-            steps[name] = _single_score(name, header, self._mask, ctx, prev, record, j)
+        for base, loss, param in self._families:
+            members = []  # (name, chunk set, state) of each member scored at this step
+            if base in names:
+                members.append((base, record.chunk_samples, _embedding(record)))
+            if prev is not None and base + "-temporal" in names:
+                members.append((base + "-temporal", _stitched_chunks(prev, record),
+                                _embedding(prev)))
+            if members:
+                member_names, sets, states = zip(*members)
+                # One member passes its one state: a (1, sd) stack would be
+                # repeated once per noise draw.
+                state = states[0] if len(states) == 1 else np.stack(states)
+                steps.update(zip(member_names, loss(sets, state, _require_oracle(ctx.oracle),
+                                                    param, _step_seed(ctx.seed, j))))
+        if "mahalanobis" in names:
+            if ctx.embedding_stats is None:
+                raise ValueError("mahalanobis needs calibrated embedding stats")
+            steps["mahalanobis"] = mahalanobis_score(_embedding(record), ctx.embedding_stats)
+        if "outvar" in names:
+            steps["outvar"] = output_variance_score(record, self._mask)
         out = {}
         cumulative = self._cumulative
-        for name in self.names:
+        for name in names:
             value = float(steps[name])
             running = cumulative[name] = cumulative[name] + value
             out[name] = (value, running)
@@ -436,11 +419,10 @@ def score_detectors(names: Sequence[str], log: RolloutLog,
         for name, (value, running) in scorer.push(record).items():
             steps[name].append(value)
             cumulative[name].append(running)
-    timesteps = [record.timestep for record in log.records]
     out = {}
     for name in scorer.names:
         try:
-            out[name] = ScoreSeries(timesteps=list(timesteps), step_scores=steps[name],
+            out[name] = ScoreSeries(timesteps=log.timesteps(), step_scores=steps[name],
                                     cumulative=cumulative[name])
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc

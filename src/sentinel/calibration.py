@@ -102,6 +102,15 @@ def _ridge(cov: np.ndarray) -> np.ndarray:
     return cov + lam * np.eye(dim)
 
 
+def _mean_ridged_cov(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ridged ddof-1 covariance of (n, dim) points; one row has zero covariance."""
+    if points.shape[0] > 1:
+        cov = np.atleast_2d(np.cov(points, rowvar=False, ddof=1))
+    else:
+        cov = np.zeros((points.shape[1], points.shape[1]))
+    return points.mean(axis=0), _ridge(cov)
+
+
 def leave_trajectory_out_stats(
         embeddings_by_trajectory: Sequence[Sequence[np.ndarray]],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -116,16 +125,8 @@ def leave_trajectory_out_stats(
     dims = {g.shape[1] for g in groups}
     if len(dims) != 1:
         raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    results = []
-    for i in range(len(groups)):
-        rest = np.vstack([g for j, g in enumerate(groups) if j != i])
-        mu = rest.mean(axis=0)
-        if rest.shape[0] > 1:
-            cov = np.atleast_2d(np.cov(rest, rowvar=False, ddof=1))
-        else:
-            cov = np.zeros((rest.shape[1], rest.shape[1]))
-        results.append((mu, _ridge(cov)))
-    return results
+    return [_mean_ridged_cov(np.vstack([g for j, g in enumerate(groups) if j != i]))
+            for i in range(len(groups))]
 
 
 def pooled_stats(embeddings_by_trajectory: Sequence[Sequence[np.ndarray]],
@@ -134,10 +135,4 @@ def pooled_stats(embeddings_by_trajectory: Sequence[Sequence[np.ndarray]],
     groups = [np.atleast_2d(np.asarray(g, dtype=np.float64)) for g in embeddings_by_trajectory]
     if not groups:
         raise ValueError("need at least one trajectory")
-    allpts = np.vstack(groups)
-    mu = allpts.mean(axis=0)
-    if allpts.shape[0] > 1:
-        cov = np.atleast_2d(np.cov(allpts, rowvar=False, ddof=1))
-    else:
-        cov = np.zeros((allpts.shape[1], allpts.shape[1]))
-    return mu, _ridge(cov)
+    return _mean_ridged_cov(np.vstack(groups))

@@ -252,7 +252,9 @@ class BandwidthConfig:
 
     Each field is either a fixed positive float or a named heuristic:
     `median_heuristic` / `inv_dim` (1 / masked action dim) for MMD, and
-    `max_eig_cov` for the KDE. Heuristics are resolved per overlap pair.
+    `max_eig_cov` for the KDE. Heuristics are resolved per overlap pair,
+    from the pair's `_PooledDistances`; this is the one place that reads
+    their names.
     """
 
     mmd_bandwidth: Union[float, str] = MEDIAN_HEURISTIC
@@ -271,14 +273,14 @@ class BandwidthConfig:
                     raise ValueError(f"fixed {name} must be > 0, got {value}")
                 object.__setattr__(self, name, value)
 
-    def resolve_mmd(self, x, y, masked_dim: int) -> float:
+    def resolve_mmd(self, dists: _PooledDistances, masked_dim: int) -> float:
         if self.mmd_bandwidth == MEDIAN_HEURISTIC:
-            return median_heuristic(x, y)
+            return dists.median_heuristic()
         if self.mmd_bandwidth == INV_DIM:
             return 1.0 / masked_dim
         return float(self.mmd_bandwidth)
 
-    def resolve_kde(self, x, y) -> float:
+    def resolve_kde(self, dists: _PooledDistances) -> float:
         if self.kde_bandwidth == MAX_EIG_COV:
-            return kde_bandwidth_max_eig(x, y)
+            return dists.kde_bandwidth_max_eig()
         return float(self.kde_bandwidth)

@@ -223,6 +223,10 @@ class ScriptedMonitor:
         return cls(**obj)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class BenchmarkConfig:
     """One battery: scenario geometry, set sizes, detector roster, seeds."""
@@ -243,15 +247,20 @@ class BenchmarkConfig:
                 raise ValueError(f"unknown detector {name!r}")
         if self.sentinel_detector not in self.detectors:
             raise ValueError("sentinel_detector must be in the detector roster")
-        if self.n_calibration < 2:
-            raise ValueError("need at least 2 calibration rollouts")
-        if not self.test_counts:
-            raise ValueError("test_counts must be nonempty")
+        if not _is_int(self.n_calibration) or self.n_calibration < 2:
+            raise ValueError("n_calibration must be an integer >= 2 (calibration rollouts)")
+        if not isinstance(self.test_counts, dict) or not self.test_counts:
+            raise ValueError("test_counts must be a nonempty object of behavior: count")
         for behavior, count in self.test_counts.items():
             if behavior not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {behavior!r}")
-            if count < 1:
-                raise ValueError("test counts must be >= 1")
+            if not _is_int(count) or count < 1:
+                raise ValueError(f"test_counts[{behavior!r}] must be an integer >= 1")
+        if not (isinstance(self.delta, (int, float)) and not isinstance(self.delta, bool)
+                and 0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
 
     def to_json_obj(self) -> dict:
         obj = {

@@ -266,6 +266,8 @@ class MockTransport(MonitorTransport):
         if not index_path.is_file():
             raise TransportError(f"no index.json under {fixture_dir}")
         index = json.loads(index_path.read_text(encoding="utf-8"))
+        if not isinstance(index, dict) or not all(isinstance(v, str) for v in index.values()):
+            raise TransportError(f"{index_path} must map request keys to reply file names")
         default = None
         responses = {}
         for key, name in index.items():

@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sentinel import baselines, distances, rollout
-from sentinel.baselines import (DETECTOR_NAMES, PAIRWISE_DETECTORS, DetectorContext,
-                                EmbeddingStats, OnlineScorer, ddpm_loss_score,
+from sentinel.baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, PAIRWISE_DETECTORS,
+                                DetectorContext, EmbeddingStats, OnlineScorer, ddpm_loss_score,
                                 mahalanobis_score, output_variance_score,
                                 reconstruction_score, reverse_reconstruct, score_detectors,
                                 score_log, temporal_ddpm_loss_score,
@@ -374,6 +375,50 @@ class TestOnlineScorer:
             prev = log.records[j - 1]
             assert step["ddpm-temporal"][0] == temporal_ddpm_loss_score(
                 prev, record, prev.embedding, policy, n_noise_draws, rng_seed=seed)
+
+    @pytest.mark.parametrize("oracle_names", [
+        roster for size in range(1, len(ORACLE_DETECTORS) + 1)
+        for roster in itertools.combinations(ORACLE_DETECTORS, size)], ids="+".join)
+    def test_mixed_oracle_roster_equals_each_detector_alone(self, oracle_names):
+        """Any roster of oracle detectors, beside a STAC and the two
+        record-only detectors, scores each detector as it scores alone, with
+        one eps call per step for the ddpm family and one reverse pass for
+        the recon family, whichever of their members are named."""
+        policy, log = TestStackedReconstruction._scenario_log("mode_resample")
+        depths = (7, 1, 3)
+        oracle = _CountingOracle(policy)
+        names = oracle_names + ("stac-mmd", "mahalanobis", "outvar")
+        scorer = OnlineScorer(names, log.header, self._ctx(oracle, depths=depths,
+                                                           n_noise_draws=3))
+        pushed = []
+        for j, record in enumerate(log.records):
+            oracle.calls = 0
+            pushed.append(scorer.push(record))
+            named = set(names) if j else set(names) - set(PAIRWISE_DETECTORS)
+            want_calls = 0
+            if named & {"ddpm", "ddpm-temporal"}:
+                want_calls += 1
+            if named & {"recon", "recon-temporal"}:
+                want_calls += max(depths) + 1
+            assert oracle.calls == want_calls, j
+        ctx = self._ctx(policy, depths=depths, n_noise_draws=3)
+        for name in names:
+            alone = score_log(name, log, ctx)
+            assert [step[name][0] for step in pushed] == alone.step_scores, name
+            assert [step[name][1] for step in pushed] == alone.cumulative, name
+        # The oracle detectors against their public score functions as well,
+        # each member under its own state.
+        public = {"ddpm": (ddpm_loss_score, temporal_ddpm_loss_score, 3),
+                  "recon": (reconstruction_score, temporal_reconstruction_score, depths)}
+        for j, (record, step) in enumerate(zip(log.records, pushed)):
+            prev, seed = log.records[j - 1], _step_seed(3, j)
+            for base, (score, temporal_score, param) in public.items():
+                if base in names:
+                    assert step[base][0] == score(record, record.embedding, policy, param,
+                                                  rng_seed=seed)
+                if base + "-temporal" in names and j > 0:
+                    assert step[base + "-temporal"][0] == temporal_score(
+                        prev, record, prev.embedding, policy, param, rng_seed=seed)
 
     def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
         """One cdist and one KDE bandwidth per step for the whole STAC roster,

@@ -284,7 +284,7 @@ class TestDetect:
 
 
 class TestEval:
-    def _benchmark_config(self, tmp_path):
+    def _benchmark_config(self, tmp_path, **overrides):
         obj = {
             "scenario": FAST_SCENARIO,
             "detectors": ["stac-mmd", "min-l2"],
@@ -295,6 +295,7 @@ class TestEval:
             "sentinel_detector": "stac-mmd",
             "monitor": {"true_positive_rate": 1.0, "false_positive_rate": 0.0},
         }
+        obj.update(overrides)
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(obj))
         return path
@@ -330,6 +331,23 @@ class TestEval:
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "config"
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", 1.5), ("delta", 0), ("delta", "x"), ("delta", True),
+        ("master_seed", "a"), ("master_seed", -1), ("master_seed", 1.5),
+        ("n_calibration", 6.5), ("test_counts", [1]),
+        ("test_counts", {"consistent": 2.5}), ("test_counts", {"consistent": "3"}),
+    ])
+    def test_invalid_field_is_config_error(self, capsys, tmp_path, field, value):
+        """Refused when the config is built, before any rollout is generated."""
+        config = self._benchmark_config(tmp_path, **{field: value})
+        code = run_cli(["eval", "--config", config, "--out", tmp_path / "r"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert field in error["message"]
+        assert not (tmp_path / "r").exists()
 
 
 class TestVlm:
@@ -385,6 +403,20 @@ class TestVlm:
         verdict = json.loads(captured.out)
         assert all(len(c["votes"]) == 3 for c in verdict["checkpoints"])
         assert verdict["decision"] == "failure"
+
+    @pytest.mark.parametrize("index", [["reply.txt"], {"_default": 5}],
+                             ids=["list", "non-string-name"])
+    def test_malformed_fixture_index_is_io_error(self, capsys, tmp_path, synth_nominal, index):
+        logs_dir, config = synth_nominal
+        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        code = run_cli(["vlm", "--log", log_path, "--transport", "mock",
+                        "--fixtures", tmp_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "io"
+        assert str(tmp_path / "index.json") in error["message"]
 
     def test_mock_requires_fixture_dir(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal

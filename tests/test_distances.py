@@ -374,8 +374,8 @@ class TestBandwidthConfig:
         x = SampleSet(rng.standard_normal((5, 2)))
         y = SampleSet(rng.standard_normal((5, 2)))
         config = BandwidthConfig(mmd_bandwidth=2.5, kde_bandwidth=0.3)
-        assert config.resolve_mmd(x, y, masked_dim=2) == 2.5
-        assert config.resolve_kde(x, y) == 0.3
+        assert config.resolve_mmd(_PooledDistances(x, y), masked_dim=2) == 2.5
+        assert config.resolve_kde(_PooledDistances(x, y)) == 0.3
 
     def test_rejects_nonpositive_fixed(self):
         with pytest.raises(ValueError):
@@ -386,13 +386,13 @@ class TestBandwidthConfig:
     def test_inv_dim_mode(self):
         x = SampleSet(np.zeros((2, 3)))
         config = BandwidthConfig(mmd_bandwidth="inv_dim")
-        assert config.resolve_mmd(x, x, masked_dim=4) == 0.25
+        assert config.resolve_mmd(_PooledDistances(x, x), masked_dim=4) == 0.25
 
     def test_median_heuristic_mode_matches_function(self):
         rng = np.random.default_rng(8)
         x = SampleSet(rng.standard_normal((6, 2)))
         y = SampleSet(rng.standard_normal((7, 2)))
         config = BandwidthConfig()
-        assert config.resolve_mmd(x, y, masked_dim=2) == median_heuristic(x, y)
-        assert config.resolve_kde(x, y) == kde_bandwidth_max_eig(x, y)
+        assert config.resolve_mmd(_PooledDistances(x, y), masked_dim=2) == median_heuristic(x, y)
+        assert config.resolve_kde(_PooledDistances(x, y)) == kde_bandwidth_max_eig(x, y)
 

@@ -312,6 +312,13 @@ class TestMockTransport:
         with pytest.raises(TransportError):
             MockTransport.from_dir(tmp_path)
 
+    @pytest.mark.parametrize("index", [["reply.txt"], {"_default": 5}],
+                             ids=["list", "non-string-name"])
+    def test_from_dir_refuses_malformed_index(self, tmp_path, index):
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(TransportError, match="index.json must map request keys"):
+            MockTransport.from_dir(tmp_path)
+
     def test_request_key_sensitivity(self):
         base = request_key("text", ["a", "b"])
         assert request_key("text", ["a", "c"]) != base
