@@ -91,6 +91,6 @@ print(f"\nensemble votes {verdict.votes} -> {verdict.decision}")
 t_flag, assessment = next((t, a) for t, a in votes if a == "failure")
 vlm_verdict = failure_verdict("vlm", t_flag, scenario.step_duration) \
     if assessment == "failure" else ok_verdict("vlm")
-overall = combine([stac_verdict], [vlm_verdict])
+overall = combine(stac_verdict, vlm_verdict)
 print(f"combined verdict: {overall.decision} from {overall.source} "
       f"at t={overall.detection_timestep}")

@@ -13,12 +13,12 @@ walks a log through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import BandwidthConfig, _PooledDistances, min_l2
+from .distances import _PooledDistances, min_l2
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
                       mask_array)
@@ -267,7 +267,6 @@ def output_variance_score(record: InferenceRecord,
 class DetectorContext:
     """Everything a detector might need beyond the log itself."""
 
-    bandwidths: BandwidthConfig = field(default_factory=BandwidthConfig)
     oracle: Optional[PolicyOracle] = None
     embedding_stats: Optional[EmbeddingStats] = None
     n_noise_draws: int = DEFAULT_NOISE_DRAWS
@@ -291,12 +290,12 @@ def _step_seed(base: int, j: int):
 
 
 def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
-                 header: RolloutHeader, mask: np.ndarray,
-                 bandwidths: BandwidthConfig) -> dict[str, float]:
+                 header: RolloutHeader, mask: np.ndarray) -> dict[str, float]:
     """Step scores of the STAC detectors in `names`, from one overlap pair.
 
-    The MMD and KDE-KL detectors read one pooled distance matrix, and the
-    two KL directions one KDE bandwidth, taken from the same pooled set.
+    The MMD and KDE-KL detectors read one pooled distance matrix: `stac-mmd`
+    takes its median-heuristic bandwidth, and the two KL directions one
+    max-eigenvalue bandwidth of the same pooled set.
     """
     steps = {}
     if "min-l2" in names:
@@ -305,9 +304,9 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
         return steps
     dists = _PooledDistances(pair.prev, pair.curr)
     if "stac-mmd" in names:
-        steps["stac-mmd"] = dists.mmd_rbf(bandwidths.resolve_mmd(dists, header.masked_dim))
+        steps["stac-mmd"] = dists.mmd_rbf(dists.median_heuristic())
     if "stac-klf" in names or "stac-klr" in names:
-        bw = bandwidths.resolve_kde(dists)
+        bw = dists.kde_bandwidth_max_eig()
         if "stac-klf" in names:
             steps["stac-klf"] = dists.kl_forward(bw)
         if "stac-klr" in names:
@@ -367,8 +366,7 @@ class OnlineScorer:
             steps = {}
             if self._stac:
                 pair = extract_overlap(prev, record, header, self._mask)
-                steps.update(_stac_scores(self._stac, pair, prev, header, self._mask,
-                                          ctx.bandwidths))
+                steps.update(_stac_scores(self._stac, pair, prev, header, self._mask))
         for base, loss, param in self._families:
             members = []  # (name, chunk set, state) of each member scored at this step
             if base in names:

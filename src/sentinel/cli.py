@@ -166,6 +166,8 @@ def _terminal_score(name: str, path, log, ctx: DetectorContext) -> float:
 
 
 def cmd_calibrate(args) -> int:
+    if not 0.0 < args.delta < 1.0:
+        raise CliError(f"--delta must be in (0, 1), got {args.delta}", kind="usage", code=2)
     logs = _collect_logs(args.logs)
     for path, log in logs:
         if log.label is None:
@@ -315,6 +317,8 @@ def _metrics_table(metrics: dict) -> str:
 
 
 def cmd_vlm(args) -> int:
+    if args.nu < 1:
+        raise CliError("--nu must be >= 1", kind="usage", code=2)
     log = _read_log_or_fail(args.log)
     if args.transport == "mock":
         if not args.fixtures:

@@ -3,7 +3,9 @@
 All estimators operate on n x d arrays of flattened overlap slices. The RBF
 kernel used by the MMD estimator is exp(-||a-b||^2 / b1) (no factor 2 in the
 denominator), while the KDE kernel is a normalized Gaussian with standard
-deviation b2 per dimension; the two conventions differ on purpose.
+deviation b2 per dimension; the two conventions differ on purpose. The
+bandwidths follow one fixed rule per overlap pair: b1 is the median
+heuristic and b2 the max-eigenvalue bandwidth, both of the pooled set.
 
 The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
 pooled squared-distance matrix: a single `cdist` of [x; y] with itself. Its
@@ -23,10 +25,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 BANDWIDTH_FALLBACK = 1e-8
-
-MEDIAN_HEURISTIC = "median_heuristic"
-MAX_EIG_COV = "max_eig_cov"
-INV_DIM = "inv_dim"
 
 
 @dataclass(frozen=True)
@@ -244,43 +242,3 @@ def min_l2(executed_overlap, curr) -> float:
     if not np.isfinite(executed).all():
         raise ValueError("executed overlap contains non-finite values")
     return float(np.min(np.linalg.norm(curr.points - executed, axis=1)))
-
-
-@dataclass(frozen=True)
-class BandwidthConfig:
-    """Bandwidth selection policy for the MMD (b1) and KDE (b2) kernels.
-
-    Each field is either a fixed positive float or a named heuristic:
-    `median_heuristic` / `inv_dim` (1 / masked action dim) for MMD, and
-    `max_eig_cov` for the KDE. Heuristics are resolved per overlap pair,
-    from the pair's `_PooledDistances`; this is the one place that reads
-    their names.
-    """
-
-    mmd_bandwidth: Union[float, str] = MEDIAN_HEURISTIC
-    kde_bandwidth: Union[float, str] = MAX_EIG_COV
-
-    def __post_init__(self):
-        for name, allowed in (("mmd_bandwidth", (MEDIAN_HEURISTIC, INV_DIM)),
-                              ("kde_bandwidth", (MAX_EIG_COV,))):
-            value = getattr(self, name)
-            if isinstance(value, str):
-                if value not in allowed:
-                    raise ValueError(f"{name} must be a positive number or one of {allowed}")
-            else:
-                value = float(value)
-                if not value > 0:
-                    raise ValueError(f"fixed {name} must be > 0, got {value}")
-                object.__setattr__(self, name, value)
-
-    def resolve_mmd(self, dists: _PooledDistances, masked_dim: int) -> float:
-        if self.mmd_bandwidth == MEDIAN_HEURISTIC:
-            return dists.median_heuristic()
-        if self.mmd_bandwidth == INV_DIM:
-            return 1.0 / masked_dim
-        return float(self.mmd_bandwidth)
-
-    def resolve_kde(self, dists: _PooledDistances) -> float:
-        if self.kde_bandwidth == MAX_EIG_COV:
-            return dists.kde_bandwidth_max_eig()
-        return float(self.kde_bandwidth)

@@ -22,7 +22,6 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
                         score_detectors)
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
-from .distances import BandwidthConfig
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import RolloutLog
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
@@ -77,22 +76,14 @@ def verdict_from_series(series: ScoreSeries, gamma: float, source: str,
     return failure_verdict(source, hit, step_duration)
 
 
-def _iter_verdicts(stream) -> list:
-    if stream is None:
-        return []
-    if isinstance(stream, Verdict):
-        return [stream]
-    return list(stream)
+def combine(*verdicts: Verdict) -> Verdict:
+    """Union of the given verdicts: failure if any flags, at the earliest flag.
 
-
-def combine(stac_stream, vlm_stream=None) -> Verdict:
-    """Union of both detectors: failure if either flags, at the earliest flag.
-
-    Streams tick at their own cadences; a missing monitor stream degrades to
-    the statistical detector alone.
+    Detectors tick at their own cadences, so the verdicts may come from any
+    mix of them; without a monitor verdict the union is the statistical
+    detector alone.
     """
-    ticks = _iter_verdicts(stac_stream) + _iter_verdicts(vlm_stream)
-    failures = [v for v in ticks if v.decision == "failure"]
+    failures = [v for v in verdicts if v.decision == "failure"]
     if not failures:
         return ok_verdict("sentinel")
     first = min(failures, key=lambda v: v.detection_timestep)
@@ -345,8 +336,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
         pooled = EmbeddingStats.from_mean_cov(*pooled_stats(embeddings))
 
     def _score(log: RolloutLog, seed: int, stats) -> dict:
-        ctx = DetectorContext(bandwidths=BandwidthConfig(), oracle=oracle,
-                              embedding_stats=stats, seed=seed)
+        ctx = DetectorContext(oracle=oracle, embedding_stats=stats, seed=seed)
         try:
             return score_detectors(config.detectors, log, ctx)
         except ValueError as exc:
@@ -380,8 +370,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     sentinel_verdicts = []
     primary = verdicts_by_detector[config.sentinel_detector]
     for i in range(len(test_logs)):
-        vlm_stream = [monitor_verdicts[i]] if monitor_verdicts is not None else None
-        sentinel_verdicts.append(combine([primary[i]], vlm_stream))
+        monitor = [monitor_verdicts[i]] if monitor_verdicts is not None else []
+        sentinel_verdicts.append(combine(primary[i], *monitor))
 
     labels = [log.label for log in test_logs]
     metrics = {name: compute_metrics(v, labels) for name, v in verdicts_by_detector.items()}

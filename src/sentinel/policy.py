@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -334,6 +335,18 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
     return eps_hat.reshape(*lead, h, d)
 
 
+# ScenarioConfig's scalar fields by the type each must hold. A bool is not a
+# number here, and a good value is kept as given, not coerced.
+_SCALAR_FIELDS = (
+    (("action_dim", "prediction_horizon", "execution_horizon", "episode_limit", "batch_size",
+      "n_denoise_steps"), (int, np.integer), "an integer"),
+    (("step_duration", "gain", "noise_std", "dominance", "stall_noise", "start_jitter",
+      "goal_radius", "task_time_limit"), numbers.Real, "a real number"),
+    (("record_embeddings", "record_frames"), bool, "a bool"),
+    (("task_description",), str, "a string"),
+)
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to generate synthetic rollouts for one scenario."""
@@ -362,6 +375,15 @@ class ScenarioConfig:
     record_frames: bool = True
 
     def __post_init__(self):
+        for names, kinds, what in _SCALAR_FIELDS:
+            for name in names:
+                value = getattr(self, name)
+                if name == "task_time_limit" and value is None:
+                    continue  # the default is filled in below
+                if not isinstance(value, kinds) or (kinds is not bool and isinstance(value, bool)):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.attractors = tuple(tuple(float(v) for v in a) for a in self.attractors)
         if not self.attractors:
             raise ValueError("need at least one attractor")

@@ -14,12 +14,12 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .rollout import RolloutHeader, RolloutLog
+from .rollout import RolloutLog
 
 TEMPLATE_IDS = ("video_qa", "image_qa", "video_qa_success_video", "video_qa_goal_images")
 
@@ -119,15 +119,14 @@ class EnsembleVerdict:
             raise ValueError("decision must be the majority vote")
 
 
-def subsample_frames(frame_refs: Sequence, k: int, nu: int) -> list:
-    """Frames at indices 0, nu*k, 2*nu*k, ... plus the final frame."""
+def subsample_frames(frame_refs: Sequence, nu: int) -> list:
+    """Frames at indices 0, nu, 2*nu, ... plus the final frame."""
     if not frame_refs:
         raise ValueError("frame_refs must be nonempty")
-    if k < 1 or nu < 1:
-        raise ValueError("k and nu must be >= 1")
-    stride = nu * k
-    picked = list(frame_refs[::stride])
-    if (len(frame_refs) - 1) % stride != 0:
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
+    picked = list(frame_refs[::nu])
+    if (len(frame_refs) - 1) % nu != 0:
         picked.append(frame_refs[-1])
     return picked
 
@@ -402,7 +401,7 @@ def prompt_from_log(log: RolloutLog, template_id: str, record_index: int, nu: in
     if template_id == "image_qa":
         frames = (refs[-1],)
     else:
-        frames = tuple(subsample_frames(refs, 1, nu))
+        frames = tuple(subsample_frames(refs, nu))
     return MonitorPrompt(
         template_id=template_id,
         task_description=header.task_description,

@@ -177,6 +177,26 @@ class TestCalibrate:
         assert str(log_path) in error["message"]
         assert not (tmp_path / "cal.json").exists()
 
+    @pytest.mark.parametrize("delta", ["1.5", "0", "-0.1", "nan"])
+    def test_delta_outside_unit_interval_is_usage_error(self, capsys, tmp_path, synth_nominal,
+                                                         monkeypatch, delta):
+        """Refused before a single log is read or scored."""
+        logs_dir, config = synth_nominal
+
+        def no_reads(pattern):
+            raise AssertionError("logs read before --delta was checked")
+
+        monkeypatch.setattr("sentinel.cli._collect_logs", no_reads)
+        out = tmp_path / "cal.json"
+        code = run_cli(["calibrate", "--detector", "stac-mmd", "--logs", f"{logs_dir}/*.jsonl",
+                        "--delta", delta, "--out", out, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert "--delta" in error["message"]
+        assert not out.exists()
+
     def test_mahalanobis_persists_embedding_stats(self, capsys, tmp_path, synth_nominal):
         logs_dir, config = synth_nominal
         out = tmp_path / "cal.json"
@@ -418,6 +438,24 @@ class TestVlm:
         assert error["type"] == "io"
         assert str(tmp_path / "index.json") in error["message"]
 
+    @pytest.mark.parametrize("nu", ["0", "-2"])
+    def test_nonpositive_nu_is_usage_error(self, capsys, synth_nominal, monkeypatch, nu):
+        """Refused before the log or the fixtures are read."""
+        logs_dir, config = synth_nominal
+
+        def no_reads(path):
+            raise AssertionError("log read before --nu was checked")
+
+        monkeypatch.setattr("sentinel.cli._read_log_or_fail", no_reads)
+        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
+        code = run_cli(["vlm", "--log", log_path, "--transport", "mock",
+                        "--fixtures", FIXTURES / "mock_vlm_ok", "--nu", nu])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert "--nu" in error["message"]
+
     def test_mock_requires_fixture_dir(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal
         log_path = sorted(logs_dir.glob("*.jsonl"))[0]
@@ -502,6 +540,35 @@ class TestErrorContract:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert str(bad) in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", "x"), ("batch_size", 0), ("episode_limit", 1.5),
+        ("n_denoise_steps", "100"), ("step_duration", True), ("gain", "0.2"),
+        ("record_frames", "no"), ("task_description", 5),
+    ])
+    def test_scenario_field_of_wrong_type_is_config_error(self, capsys, tmp_path, command,
+                                                          field, value):
+        """Refused when the scenario is built, before any rollout is generated."""
+        scenario = dict(FAST_SCENARIO, **{field: value})
+        path = tmp_path / "config.json"
+        out = tmp_path / "out"
+        if command == "synth":
+            path.write_text(json.dumps(scenario))
+            argv = ["synth", "--scenario", "nominal", "--n", "1", "--out", out,
+                    "--config", path]
+        else:
+            path.write_text(json.dumps({"scenario": scenario, "detectors": ["min-l2"],
+                                        "n_calibration": 2, "test_counts": {"consistent": 1},
+                                        "sentinel_detector": "min-l2"}))
+            argv = ["eval", "--config", path, "--out", out]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert field in error["message"]
         assert not out.exists()
 
     def test_unknown_command(self, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from sentinel.distances import (BANDWIDTH_FALLBACK, BandwidthConfig, SampleSet,
+from sentinel.distances import (BANDWIDTH_FALLBACK, SampleSet,
                                 _PooledDistances, kde_bandwidth_max_eig, kde_log_density,
                                 kl_forward, kl_reverse, logsumexp_rows, median_heuristic,
                                 min_l2, mmd_rbf)
@@ -361,38 +361,3 @@ def test_kl_nonnegative(xs, ys, bandwidth):
     prev = SampleSet(np.array(xs))
     curr = SampleSet(np.array(ys))
     assert kl_forward(prev, curr, bandwidth) >= 0.0
-
-
-class TestBandwidthConfig:
-    def test_defaults(self):
-        config = BandwidthConfig()
-        assert config.mmd_bandwidth == "median_heuristic"
-        assert config.kde_bandwidth == "max_eig_cov"
-
-    def test_fixed_values(self):
-        rng = np.random.default_rng(0)
-        x = SampleSet(rng.standard_normal((5, 2)))
-        y = SampleSet(rng.standard_normal((5, 2)))
-        config = BandwidthConfig(mmd_bandwidth=2.5, kde_bandwidth=0.3)
-        assert config.resolve_mmd(_PooledDistances(x, y), masked_dim=2) == 2.5
-        assert config.resolve_kde(_PooledDistances(x, y)) == 0.3
-
-    def test_rejects_nonpositive_fixed(self):
-        with pytest.raises(ValueError):
-            BandwidthConfig(mmd_bandwidth=0.0)
-        with pytest.raises(ValueError):
-            BandwidthConfig(kde_bandwidth=-1.0)
-
-    def test_inv_dim_mode(self):
-        x = SampleSet(np.zeros((2, 3)))
-        config = BandwidthConfig(mmd_bandwidth="inv_dim")
-        assert config.resolve_mmd(_PooledDistances(x, x), masked_dim=4) == 0.25
-
-    def test_median_heuristic_mode_matches_function(self):
-        rng = np.random.default_rng(8)
-        x = SampleSet(rng.standard_normal((6, 2)))
-        y = SampleSet(rng.standard_normal((7, 2)))
-        config = BandwidthConfig()
-        assert config.resolve_mmd(_PooledDistances(x, y), masked_dim=2) == median_heuristic(x, y)
-        assert config.resolve_kde(_PooledDistances(x, y)) == kde_bandwidth_max_eig(x, y)
-

@@ -93,13 +93,13 @@ class TestCombine:
         assert verdict.detection_seconds == 4.0
 
     def test_missing_monitor_degrades(self):
-        verdict = combine(failure_verdict("stac", 6, 0.5), None)
+        verdict = combine(failure_verdict("stac", 6, 0.5))
         assert verdict.decision == "failure"
         assert verdict.source == "sentinel"
 
     def test_accepts_iterables(self):
         stream = [ok_verdict("stac"), failure_verdict("stac", 10, 0.5)]
-        verdict = combine(stream, [ok_verdict("vlm")])
+        verdict = combine(*stream, ok_verdict("vlm"))
         assert verdict.detection_timestep == 10
 
 

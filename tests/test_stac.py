@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sentinel.baselines import PAIRWISE_DETECTORS, DetectorContext, score_log
-from sentinel.distances import BandwidthConfig, kl_forward, mmd_rbf, median_heuristic
+from sentinel.baselines import PAIRWISE_DETECTORS, score_detectors, score_log
+from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, mmd_rbf,
+                                median_heuristic)
 from sentinel.rollout import InvalidLogError
 from sentinel.stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, detect_online,
                            extract_overlap, executed_overlap_slice)
@@ -197,13 +198,18 @@ def test_non_stac_name_is_not_scored_as_stac(rng):
         score_log("mahalanobis", make_log(rng=rng))
 
 
-def test_fixed_kde_bandwidth_reaches_every_step(rng):
-    """A fixed bandwidth in the context is the one each KL step is scored with."""
-    log = make_log(n_records=4, rng=rng)
-    ctx = DetectorContext(bandwidths=BandwidthConfig(kde_bandwidth=0.8))
-    series = score_log("stac-klf", log, ctx)
-    expected = [0.0]
+def test_bandwidth_rule_reaches_every_step(rng):
+    """Each STAC step is the public estimator of its overlap pair, with the
+    median-heuristic MMD bandwidth and the max-eigenvalue KDE bandwidth of
+    that same pair."""
+    log = make_log(n_records=5, batch_size=6, rng=rng)
+    series = score_detectors(("stac-mmd", "stac-klf", "stac-klr"), log)
+    expected = {"stac-mmd": [0.0], "stac-klf": [0.0], "stac-klr": [0.0]}
     for prev, curr in zip(log.records, log.records[1:]):
         pair = extract_overlap(prev, curr, log.header)
-        expected.append(kl_forward(pair.prev, pair.curr, 0.8))
-    assert series.step_scores == expected
+        b1 = median_heuristic(pair.prev, pair.curr)
+        b2 = kde_bandwidth_max_eig(pair.prev, pair.curr)
+        expected["stac-mmd"].append(mmd_rbf(pair.prev, pair.curr, b1))
+        expected["stac-klf"].append(kl_forward(pair.prev, pair.curr, b2))
+        expected["stac-klr"].append(kl_reverse(pair.prev, pair.curr, b2))
+    assert {name: s.step_scores for name, s in series.items()} == expected

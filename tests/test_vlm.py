@@ -138,21 +138,20 @@ class TestParseResponse:
 class TestFrameSelection:
     def test_subsample_stride(self):
         refs = list(range(13))
-        assert subsample_frames(refs, 1, 4) == [0, 4, 8, 12]
-        assert subsample_frames(refs, 2, 2) == [0, 4, 8, 12]
+        assert subsample_frames(refs, 4) == [0, 4, 8, 12]
 
     def test_subsample_appends_final_when_missed(self):
         refs = list(range(11))
-        assert subsample_frames(refs, 1, 4) == [0, 4, 8, 10]
+        assert subsample_frames(refs, 4) == [0, 4, 8, 10]
 
     def test_subsample_single_frame(self):
-        assert subsample_frames(["only"], 1, 5) == ["only"]
+        assert subsample_frames(["only"], 5) == ["only"]
 
     def test_subsample_validation(self):
         with pytest.raises(ValueError):
-            subsample_frames([], 1, 1)
+            subsample_frames([], 1)
         with pytest.raises(ValueError):
-            subsample_frames([1], 0, 1)
+            subsample_frames([1], 0)
 
     def test_cap_noop_when_small(self):
         refs = list(range(30))
