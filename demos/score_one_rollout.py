@@ -7,8 +7,6 @@ scenario, scores both with the MMD temporal-consistency detector, and
 prints the per-step score series side by side.
 """
 
-import numpy as np
-
 from sentinel.baselines import score_log
 from sentinel.policy import ScenarioConfig, generate_rollout
 

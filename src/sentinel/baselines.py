@@ -73,35 +73,17 @@ def mahalanobis_score(z: np.ndarray, stats: EmbeddingStats) -> float:
     return math.sqrt(max(float(diff @ stats.covariance_inverse @ diff), 0.0))
 
 
-def _require_oracle(oracle) -> PolicyOracle:
-    if oracle is None:
-        raise ValueError("this score function needs a policy oracle")
-    return oracle
-
-
-def ddpm_loss_score(record: InferenceRecord, state, oracle: PolicyOracle,
-                    n_noise_draws: int = DEFAULT_NOISE_DRAWS, rng_seed=0) -> float:
-    """Empirical denoising loss of the sampled chunks under the policy.
-
-    Each of the n_noise_draws (i, eps) pairs re-noises the whole batch to
-    schedule step i (i uniform over [0, N)) and measures the squared error
-    of the predicted noise, averaged over chunks and draws.
-    """
-    oracle = _require_oracle(oracle)
-    return _ddpm_loss([record.chunk_samples], state, oracle, n_noise_draws, rng_seed)[0]
-
-
 def _ddpm_loss(chunk_sets, state, oracle, n_noise_draws, rng_seed) -> list[float]:
     """Denoising loss of each (B, h, d) chunk set, all from one oracle call.
 
-    Every set draws its (i, eps) pairs from a generator of its own seeded
-    with `rng_seed`, so a set scores the same alone or beside others. The
-    S * n_noise_draws re-noised batches are the leading groups of one call,
-    each under its own step; `state` is one state for every set or an
-    (S, sd) stack of one per set.
+    Each of the n_noise_draws (i, eps) pairs re-noises the whole set to
+    schedule step i (i uniform over [0, N)) and measures the squared error
+    of the predicted noise, averaged over chunks and draws. Every set draws
+    its pairs from a generator of its own seeded with `rng_seed`, so a set
+    scores the same alone or beside others. The S * n_noise_draws re-noised
+    batches are the leading groups of one call, each under its own step;
+    `state` is one state for every set or an (S, sd) stack of one per set.
     """
-    if n_noise_draws < 1:
-        raise ValueError("n_noise_draws must be >= 1")
     alpha_bar = oracle.schedule.alpha_bar
     shape = chunk_sets[0].shape
     steps = np.empty((len(chunk_sets), n_noise_draws), dtype=np.int64)
@@ -142,21 +124,6 @@ def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord)
     return np.concatenate([np.broadcast_to(prefix, (batch, k, prefix.shape[1])), suffix], axis=1)
 
 
-def temporal_ddpm_loss_score(prev_record: InferenceRecord, curr_record: InferenceRecord,
-                             prev_state, oracle: PolicyOracle,
-                             n_noise_draws: int = DEFAULT_NOISE_DRAWS, rng_seed=0) -> float:
-    """Denoising loss of committed-prefix chunks, conditioned on the prior state.
-
-    The evaluated chunk replaces each current sample's first k steps with the
-    actions actually executed since the previous inference, so chunks that
-    renege on the executed plan score poorly even when each marginal looks
-    fine on its own.
-    """
-    oracle = _require_oracle(oracle)
-    return _ddpm_loss([_stitched_chunks(prev_record, curr_record)], prev_state,
-                      oracle, n_noise_draws, rng_seed)[0]
-
-
 def _validate_depths(depths, n_steps) -> tuple[int, ...]:
     depths = tuple(int(i) for i in depths)
     if not depths:
@@ -165,17 +132,6 @@ def _validate_depths(depths, n_steps) -> tuple[int, ...]:
         if not 1 <= depth < n_steps:
             raise ValueError(f"depth {depth} outside [1, {n_steps})")
     return depths
-
-
-def reverse_reconstruct(oracle: PolicyOracle, noised, state, depth: int) -> np.ndarray:
-    """Deterministic reverse diffusion from schedule step `depth` down to clean.
-
-    Standard posterior-mean updates with zero added noise; the final step
-    (alpha_bar of the step before index 0 is defined as 1) maps exactly to
-    the clean-chunk estimate.
-    """
-    return _reverse_stacked(oracle, np.asarray(noised, dtype=np.float64)[None, None], state,
-                            (depth,))[0, 0]
 
 
 def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
@@ -206,21 +162,16 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
     return x[:, np.argsort(order)]
 
 
-def reconstruction_score(record: InferenceRecord, state, oracle: PolicyOracle,
-                         depths: Sequence[int] = DEFAULT_DEPTHS, rng_seed=0) -> float:
-    """Squared error between sampled chunks and their re-noised reconstructions."""
-    oracle = _require_oracle(oracle)
-    return _reconstruction([record.chunk_samples], state, oracle, depths, rng_seed)[0]
-
-
 def _reconstruction(chunk_sets, state, oracle, depths, rng_seed) -> list[float]:
     """Reconstruction error of each (B, h, d) chunk set, all in one reverse pass.
 
-    Every set draws its noise from a generator of its own seeded with
-    `rng_seed`, so a set scores the same alone or beside others; `state` is
-    one state for every set or a (G, sd) stack of one per set.
+    Each set is re-noised to every depth in `depths` (checked by
+    `_validate_depths`) and reverse-diffused back; the score is the squared
+    error to the set, averaged over chunks and depths. Every set draws its
+    noise from a generator of its own seeded with `rng_seed`, so a set
+    scores the same alone or beside others; `state` is one state for every
+    set or a (G, sd) stack of one per set.
     """
-    depths = _validate_depths(depths, oracle.schedule.n_steps)
     noised = np.empty((len(chunk_sets), len(depths)) + chunk_sets[0].shape)
     for g, chunks in enumerate(chunk_sets):
         rng = np.random.default_rng(rng_seed)
@@ -237,28 +188,16 @@ def _reconstruction(chunk_sets, state, oracle, depths, rng_seed) -> list[float]:
     return scores
 
 
-def temporal_reconstruction_score(prev_record: InferenceRecord, curr_record: InferenceRecord,
-                                  prev_state, oracle: PolicyOracle,
-                                  depths: Sequence[int] = DEFAULT_DEPTHS, rng_seed=0) -> float:
-    """Reconstruction error of committed-prefix chunks under the prior state."""
-    oracle = _require_oracle(oracle)
-    return _reconstruction([_stitched_chunks(prev_record, curr_record)], prev_state,
-                           oracle, depths, rng_seed)[0]
-
-
-def output_variance_score(record: InferenceRecord,
-                          action_mask: Optional[Sequence[bool]] = None) -> float:
+def output_variance_score(record: InferenceRecord, action_mask: np.ndarray) -> float:
     """Mean per-dimension sample variance across the chunk batch.
 
     Population (n-denominator) convention over the masked, flattened chunk
-    dimensions.
+    dimensions. `action_mask` is required: the header's mask as a
+    `mask_array`, or any sequence `apply_mask` takes.
     """
     if record.batch_size < 2:
         raise ValueError("output variance needs at least 2 sampled chunks")
-    if action_mask is None:
-        chunks = record.chunk_samples
-    else:
-        chunks = apply_mask(record, action_mask)
+    chunks = apply_mask(record, action_mask)
     flat = chunks.reshape(record.batch_size, -1)
     return float(np.mean(flat.var(axis=0)))
 
@@ -332,7 +271,8 @@ class OnlineScorer:
       the `-temporal` member the stitched chunks under the previous one;
     - `mahalanobis` and `outvar` read the current record alone.
 
-    Each detector's scores are the ones it gets alone.
+    Each detector's scores are the ones it gets alone. Building the scorer
+    checks the context for the roster it names, before any record is pushed.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -348,11 +288,19 @@ class OnlineScorer:
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
         # The oracle families the roster names: base detector, batched loss
-        # and the loss's per-step parameter.
-        self._families = [(base, loss, param) for base, loss, param in (
-            ("ddpm", _ddpm_loss, self.ctx.n_noise_draws),
-            ("recon", _reconstruction, self.ctx.depths))
-            if base in self.names or base + "-temporal" in self.names]
+        # and the loss's per-step parameter, checked here once.
+        if set(self.names) & set(ORACLE_DETECTORS) and self.ctx.oracle is None:
+            raise ValueError("this score function needs a policy oracle")
+        self._families = []
+        if "ddpm" in self.names or "ddpm-temporal" in self.names:
+            if self.ctx.n_noise_draws < 1:
+                raise ValueError("n_noise_draws must be >= 1")
+            self._families.append(("ddpm", _ddpm_loss, self.ctx.n_noise_draws))
+        if "recon" in self.names or "recon-temporal" in self.names:
+            depths = _validate_depths(self.ctx.depths, self.ctx.oracle.schedule.n_steps)
+            self._families.append(("recon", _reconstruction, depths))
+        if "mahalanobis" in self.names and self.ctx.embedding_stats is None:
+            raise ValueError("mahalanobis needs calibrated embedding stats")
         self._cumulative = dict.fromkeys(self.names, 0.0)
         self._prev: Optional[InferenceRecord] = None
         self._j = 0
@@ -379,11 +327,9 @@ class OnlineScorer:
                 # One member passes its one state: a (1, sd) stack would be
                 # repeated once per noise draw.
                 state = states[0] if len(states) == 1 else np.stack(states)
-                steps.update(zip(member_names, loss(sets, state, _require_oracle(ctx.oracle),
-                                                    param, _step_seed(ctx.seed, j))))
+                steps.update(zip(member_names, loss(sets, state, ctx.oracle, param,
+                                                    _step_seed(ctx.seed, j))))
         if "mahalanobis" in names:
-            if ctx.embedding_stats is None:
-                raise ValueError("mahalanobis needs calibrated embedding stats")
             steps["mahalanobis"] = mahalanobis_score(_embedding(record), ctx.embedding_stats)
         if "outvar" in names:
             steps["outvar"] = output_variance_score(record, self._mask)
@@ -407,10 +353,10 @@ def score_detectors(names: Sequence[str], log: RolloutLog,
     refuses a log with fewer than two. A series it refuses, for a step
     score that is not finite and nonnegative, is named in the error.
     """
-    scorer = OnlineScorer(names, log.header, ctx)
-    for name in scorer.names:
+    for name in names:
         if name in PAIRWISE_DETECTORS and log.n_records < 2:
             raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
+    scorer = OnlineScorer(names, log.header, ctx)
     steps = {name: [] for name in scorer.names}
     cumulative = {name: [] for name in scorer.names}
     for record in log.records:

@@ -83,16 +83,6 @@ def conformal_threshold(terminal_scores: Sequence[float],
     )
 
 
-def empirical_fpr(nominal_terminal_scores: Sequence[float], gamma: float) -> float:
-    """Fraction of nominal terminal scores strictly above gamma."""
-    scores = np.asarray(list(nominal_terminal_scores), dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("need at least one score")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    return float(np.mean(scores > gamma))
-
-
 def _ridge(cov: np.ndarray) -> np.ndarray:
     dim = cov.shape[0]
     lam = 1e-6 * float(np.trace(cov)) / dim

@@ -25,7 +25,7 @@ from .calibration import (DEFAULT_DELTA, CalibrationResult, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
                          verdict_from_series)
-from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
+from .policy import ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import LOG_SUFFIX, read_log, write_log
 from .vlm import (TEMPLATE_IDS, HttpTransport, MockTransport, MonitorError,
                   checkpoint_record_indices, ensemble_vote, prompt_from_log,

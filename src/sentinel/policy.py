@@ -13,8 +13,8 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,17 +88,12 @@ class PolicyOracle(abc.ABC):
 
 @dataclass
 class GmmMode:
-    """One mixture mode: exponential approach toward `attractor` at rate `gain`.
-
-    A custom mean_fn(state, horizon) -> (h, d) array overrides the attractor
-    parameterization when set.
-    """
+    """One mixture mode: exponential approach toward `attractor` at rate `gain`."""
 
     weight: float
     stddev: float
     attractor: np.ndarray
     gain: float = 0.05
-    mean_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
     def __post_init__(self):
         self.weight = float(self.weight)
@@ -113,11 +108,6 @@ class GmmMode:
         self.attractor = np.asarray(self.attractor, dtype=np.float64).ravel()
 
     def chunk_mean(self, state: np.ndarray, horizon: int) -> np.ndarray:
-        if self.mean_fn is not None:
-            mean = np.asarray(self.mean_fn(state, horizon), dtype=np.float64)
-            if mean.shape != (horizon, self.attractor.shape[0]):
-                raise ValueError(f"mean_fn returned shape {mean.shape}")
-            return mean
         # Open-loop plan of an exponential approach: following the plan from
         # `state` makes step j of the next plan coincide with step j+k of
         # this one, which is what keeps nominal rollouts temporally

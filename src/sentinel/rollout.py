@@ -94,10 +94,6 @@ class RolloutHeader:
         _check(any(self.action_mask), "action_mask needs at least one true entry")
         _check(isinstance(self.task_description, str), "task_description must be a string")
 
-    @property
-    def masked_dim(self) -> int:
-        return sum(self.action_mask)
-
     def to_json_obj(self) -> dict:
         return {
             "format_version": self.format_version,

@@ -78,18 +78,17 @@ def _flatten_overlap(chunks: np.ndarray) -> np.ndarray:
 
 
 def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: RolloutHeader,
-                    mask: Optional[np.ndarray] = None) -> OverlapPair:
+                    mask: np.ndarray) -> OverlapPair:
     """Slice two adjacent records down to their shared h-k overlap steps.
 
-    `mask` is the header's action mask as a `mask_array`, when the caller
-    has built it already.
+    `mask` is required: the header's action mask as a `mask_array`, built
+    once by the caller.
     """
     k = header.execution_horizon
     if curr.timestep != prev.timestep + k:
         raise InvalidLogError(
             f"records not adjacent: {prev.timestep} -> {curr.timestep} (k={k})")
     h = header.prediction_horizon
-    mask = header.action_mask if mask is None else mask
     prev_masked = apply_mask(prev, mask)
     curr_masked = apply_mask(curr, mask)
     return OverlapPair(
@@ -99,9 +98,9 @@ def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: Rollou
 
 
 def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader,
-                           mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Flattened overlap slice of the chunk that was actually executed at t."""
-    masked = apply_mask(prev, header.action_mask if mask is None else mask)
+                           mask: np.ndarray) -> np.ndarray:
+    """Flattened overlap slice of the executed chunk at t; `mask` is required."""
+    masked = apply_mask(prev, mask)
     k, h = header.execution_horizon, header.prediction_horizon
     return masked[prev.executed_index, k:h, :].ravel()
 

@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ def make_log(header=None, n_records=3, batch_size=4, rng=None, label=None,
         records.append(make_record(j * k, chunks, embedding=embedding,
                                    frame_ref=f"frames/t{j * k:04d}.png"))
     return RolloutLog(header=header, records=records, label=label)
+
+
+def empirical_fpr(nominal_terminal_scores: Sequence[float], gamma: float) -> float:
+    """Fraction of nominal terminal scores strictly above gamma."""
+    scores = np.asarray(list(nominal_terminal_scores), dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("need at least one score")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    return float(np.mean(scores > gamma))
 
 
 def success_label():

@@ -17,9 +17,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 import sentinel
-from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats,
-                                ddpm_loss_score, score_log)
-from sentinel.calibration import conformal_threshold, empirical_fpr
+from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, _ddpm_loss,
+                                score_log)
+from sentinel.calibration import conformal_threshold
 from sentinel.distances import (kde_log_density, kl_forward, kl_reverse,
                                 min_l2, mmd_rbf)
 from sentinel.evaluation import (BenchmarkConfig, compute_metrics,
@@ -31,7 +31,7 @@ from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, MonitorResponse,
                           ResponseParseError, build_prompt, ensemble_vote,
                           parse_response)
 
-from conftest import make_log, make_record
+from conftest import empirical_fpr, make_log, make_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -245,7 +245,7 @@ def test_c09_denoising_loss_oracle():
     state = np.array([0.3, 0.2])
     clean = point.modes[0].chunk_mean(state, 3)
     record = make_record(0, np.tile(clean, (4, 1, 1)))
-    exact = ddpm_loss_score(record, state, point, n_noise_draws=5)
+    exact = _ddpm_loss([record.chunk_samples], state, point, 5, 0)[0]
 
     policy = SyntheticGmmPolicy(
         [GmmMode(weight=1.0, stddev=0.3, attractor=np.array([2.0, 1.0]), gain=0.1)],
@@ -253,11 +253,10 @@ def test_c09_denoising_loss_oracle():
     base_state = np.zeros(2)
     rec = make_record(0, policy.sample(base_state, 4))
     in_dist = np.array([
-        ddpm_loss_score(rec, base_state, policy, n_noise_draws=1, rng_seed=i)
+        _ddpm_loss([rec.chunk_samples], base_state, policy, 1, i)[0]
         for i in range(10_000)])
     shifted = np.array([
-        ddpm_loss_score(rec, base_state + np.array([1.5, -1.0]), policy,
-                        n_noise_draws=1, rng_seed=i)
+        _ddpm_loss([rec.chunk_samples], base_state + np.array([1.5, -1.0]), policy, 1, i)[0]
         for i in range(10_000)])
     p_value = float(scipy_stats.ttest_rel(shifted, in_dist, alternative="greater").pvalue)
     ok = exact < 1e-10 and p_value < 0.01

@@ -6,13 +6,10 @@ import pytest
 
 from sentinel import baselines, distances, rollout
 from sentinel.baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, PAIRWISE_DETECTORS,
-                                DetectorContext, EmbeddingStats, OnlineScorer, ddpm_loss_score,
-                                mahalanobis_score, output_variance_score,
-                                reconstruction_score, reverse_reconstruct, score_detectors,
-                                score_log, temporal_ddpm_loss_score,
-                                temporal_reconstruction_score, _step_seed, _stitched_chunks)
-from sentinel.policy import (GmmMode, NoiseSchedule, ScenarioConfig, SyntheticGmmPolicy,
-                             generate_rollout)
+                                DetectorContext, EmbeddingStats, OnlineScorer, mahalanobis_score,
+                                output_variance_score, score_detectors, score_log, _ddpm_loss,
+                                _reconstruction, _reverse_stacked, _step_seed, _stitched_chunks)
+from sentinel.policy import GmmMode, ScenarioConfig, SyntheticGmmPolicy, generate_rollout
 from sentinel.rollout import InvalidLogError, RolloutLog
 from sentinel.stac import STAC_DETECTORS
 
@@ -62,36 +59,24 @@ class TestDdpmLoss:
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
         clean = policy.modes[0].chunk_mean(state, 3)
-        record = make_record(0, np.tile(clean, (4, 1, 1)))
-        assert ddpm_loss_score(record, state, policy, n_noise_draws=5) < 1e-10
+        chunks = np.tile(clean, (4, 1, 1))
+        assert _ddpm_loss([chunks], state, policy, 5, 0)[0] < 1e-10
 
     def test_off_distribution_state_scores_higher(self):
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
         clean = policy.modes[0].chunk_mean(state, 3)
-        record = make_record(0, np.tile(clean, (4, 1, 1)))
-        good = ddpm_loss_score(record, state, policy, n_noise_draws=5)
-        bad = ddpm_loss_score(record, state + 3.0, policy, n_noise_draws=5)
+        chunks = np.tile(clean, (4, 1, 1))
+        good = _ddpm_loss([chunks], state, policy, 5, 0)[0]
+        bad = _ddpm_loss([chunks], state + 3.0, policy, 5, 0)[0]
         assert bad > good
-
-    def test_requires_oracle(self):
-        record = make_record(0, np.zeros((2, 3, 2)))
-        with pytest.raises(ValueError):
-            ddpm_loss_score(record, np.zeros(2), None)
-
-    def test_rejects_zero_draws(self):
-        policy = _point_mass_policy()
-        record = make_record(0, np.zeros((2, 3, 2)))
-        with pytest.raises(ValueError):
-            ddpm_loss_score(record, np.zeros(2), policy, n_noise_draws=0)
 
     def test_seed_determinism(self):
         policy = _point_mass_policy()
-        rng = np.random.default_rng(0)
-        record = make_record(0, rng.standard_normal((4, 3, 2)))
-        a = ddpm_loss_score(record, np.zeros(2), policy, rng_seed=7)
-        b = ddpm_loss_score(record, np.zeros(2), policy, rng_seed=7)
-        c = ddpm_loss_score(record, np.zeros(2), policy, rng_seed=8)
+        chunks = np.random.default_rng(0).standard_normal((4, 3, 2))
+        a = _ddpm_loss([chunks], np.zeros(2), policy, 10, 7)[0]
+        b = _ddpm_loss([chunks], np.zeros(2), policy, 10, 7)[0]
+        c = _ddpm_loss([chunks], np.zeros(2), policy, 10, 8)[0]
         assert a == b
         assert a != c
 
@@ -124,7 +109,7 @@ class TestStitchedChunks:
         curr_chunks = np.tile(plan[2:6], (2, 1, 1))
         prev = make_record(0, prev_chunks)
         curr = make_record(2, curr_chunks)
-        score = temporal_ddpm_loss_score(prev, curr, state, policy, n_noise_draws=4)
+        score = _ddpm_loss([_stitched_chunks(prev, curr)], state, policy, 4, 0)[0]
         assert score < 1e-10
 
 
@@ -136,37 +121,27 @@ class TestReverseReconstruction:
         state = np.array([0.3, 0.2])
         clean = np.tile(policy.modes[0].chunk_mean(state, 3), (2, 1, 1))
         rng = np.random.default_rng(4)
-        for depth in (1, 10, 50):
+        depths = (1, 10, 50)
+        noised = np.empty((1, len(depths)) + clean.shape)
+        for r, depth in enumerate(depths):
             abar = policy.schedule.alpha_bar[depth]
             eps = rng.standard_normal(clean.shape)
-            noised = math.sqrt(abar) * clean + math.sqrt(1 - abar) * eps
-            recon = reverse_reconstruct(policy, noised, state, depth)
+            noised[0, r] = math.sqrt(abar) * clean + math.sqrt(1 - abar) * eps
+        for recon in _reverse_stacked(policy, noised, state, depths)[0]:
             np.testing.assert_allclose(recon, clean, atol=1e-8)
 
     def test_reconstruction_score_zero_for_exact_oracle(self):
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
-        record = make_record(0, np.tile(policy.modes[0].chunk_mean(state, 3), (3, 1, 1)))
-        assert reconstruction_score(record, state, policy, depths=(5, 20)) < 1e-10
-
-    def test_depth_validation(self):
-        policy = _point_mass_policy()
-        record = make_record(0, np.zeros((2, 3, 2)))
-        with pytest.raises(ValueError):
-            reconstruction_score(record, np.zeros(2), policy, depths=())
-        with pytest.raises(ValueError):
-            reconstruction_score(record, np.zeros(2), policy, depths=(0,))
-        with pytest.raises(ValueError):
-            reconstruction_score(record, np.zeros(2), policy,
-                                 depths=(policy.schedule.n_steps,))
+        chunks = np.tile(policy.modes[0].chunk_mean(state, 3), (3, 1, 1))
+        assert _reconstruction([chunks], state, policy, (5, 20), 0)[0] < 1e-10
 
     def test_temporal_reconstruction_runs(self):
         policy = _point_mass_policy(horizon=4)
         rng = np.random.default_rng(5)
         prev = make_record(0, rng.standard_normal((2, 4, 2)) * 0.1)
         curr = make_record(2, rng.standard_normal((2, 4, 2)) * 0.1)
-        score = temporal_reconstruction_score(prev, curr, np.zeros(2), policy,
-                                              depths=(3,))
+        score = _reconstruction([_stitched_chunks(prev, curr)], np.zeros(2), policy, (3,), 0)[0]
         assert score >= 0.0
 
 
@@ -199,14 +174,15 @@ def _reference_reverse(oracle, noised, state, depth):
 
 
 def _reference_reconstruction(chunks, state, oracle, depths, rng_seed):
-    """One reverse pass per depth, in depth order, with the same noise draws."""
+    """One step-by-step reverse pass per depth, in depth order, with the same
+    noise draws."""
     rng = np.random.default_rng(rng_seed)
     total = 0.0
     for depth in depths:
         abar = oracle.schedule.alpha_bar[depth]
         eps = rng.standard_normal(chunks.shape)
         noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
-        recon = reverse_reconstruct(oracle, noised, state, depth)
+        recon = _reference_reverse(oracle, noised, state, depth)
         total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
     return total / len(depths)
 
@@ -222,31 +198,43 @@ class TestStackedReconstruction:
         policy = config.build_policy(behavior, seed=2)
         return policy, generate_rollout(policy, config, seed=4)
 
-    def test_reverse_reconstruct_matches_step_loop(self):
+    @pytest.mark.parametrize("depths", DEPTHS + [(0, 17, 1, 60)])
+    def test_reverse_stacked_matches_step_loop(self, depths):
+        """Every (group, depth) row of the one pass, each noised differently
+        and under its group's state, against a step loop of its own depth."""
         policy, log = self._scenario_log("mode_resample")
         chunks = log.records[1].chunk_samples
-        state = log.records[1].embedding
-        noised = chunks + 0.3 * np.random.default_rng(1).standard_normal(chunks.shape)
-        for depth in (0, 1, 17, 60):
-            assert np.array_equal(reverse_reconstruct(policy, noised, state, depth),
-                                  _reference_reverse(policy, noised, state, depth))
+        states = np.stack([log.records[1].embedding, log.records[0].embedding])
+        rng = np.random.default_rng(1)
+        noised = chunks + 0.3 * rng.standard_normal((2, len(depths)) + chunks.shape)
+        for state in (states[0], states):
+            got = _reverse_stacked(policy, noised, state, depths)
+            for g in range(2):
+                group_state = state if state.ndim == 1 else state[g]
+                for r, depth in enumerate(depths):
+                    want = _reference_reverse(policy, noised[g, r], group_state, depth)
+                    assert np.array_equal(got[g, r], want), (g, depth)
 
     @pytest.mark.parametrize("depths", DEPTHS)
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
     def test_scores_equal_per_depth_reference(self, behavior, depths):
         policy, log = self._scenario_log(behavior)
+        ctx = DetectorContext(oracle=policy, depths=depths, seed=6)
+        scored = score_detectors(("recon", "recon-temporal"), log, ctx)
+        alone = {name: score_log(name, log, ctx) for name in scored}
         for j, record in enumerate(log.records):
+            seed = _step_seed(6, j)
             want = _reference_reconstruction(record.chunk_samples, record.embedding,
-                                             policy, depths, rng_seed=j)
-            assert reconstruction_score(record, record.embedding, policy, depths,
-                                        rng_seed=j) == want
+                                             policy, depths, seed)
+            assert alone["recon"].step_scores[j] == want
+            assert scored["recon"].step_scores[j] == want
             if j == 0:
                 continue
             prev = log.records[j - 1]
             want = _reference_reconstruction(_stitched_chunks(prev, record), prev.embedding,
-                                             policy, depths, rng_seed=j)
-            assert temporal_reconstruction_score(prev, record, prev.embedding, policy,
-                                                 depths, rng_seed=j) == want
+                                             policy, depths, seed)
+            assert alone["recon-temporal"].step_scores[j] == want
+            assert scored["recon-temporal"].step_scores[j] == want
 
     @pytest.mark.parametrize("depths", DEPTHS)
     def test_one_oracle_call_per_step(self, depths):
@@ -285,19 +273,22 @@ class TestStackedDdpm:
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
     def test_scores_equal_per_draw_reference(self, behavior, n_noise_draws):
         policy, log = TestStackedReconstruction._scenario_log(behavior)
+        ctx = DetectorContext(oracle=policy, n_noise_draws=n_noise_draws, seed=5)
+        scored = score_detectors(("ddpm", "ddpm-temporal"), log, ctx)
+        alone = {name: score_log(name, log, ctx) for name in scored}
         for j, record in enumerate(log.records):
             seed = _step_seed(5, j)
             want = _reference_ddpm_loss(record.chunk_samples, record.embedding, policy,
                                         n_noise_draws, seed)
-            assert ddpm_loss_score(record, record.embedding, policy, n_noise_draws,
-                                   seed) == want
+            assert alone["ddpm"].step_scores[j] == want
+            assert scored["ddpm"].step_scores[j] == want
             if j == 0:
                 continue
             prev = log.records[j - 1]
             want = _reference_ddpm_loss(_stitched_chunks(prev, record), prev.embedding, policy,
                                         n_noise_draws, seed)
-            assert temporal_ddpm_loss_score(prev, record, prev.embedding, policy,
-                                            n_noise_draws, seed) == want
+            assert alone["ddpm-temporal"].step_scores[j] == want
+            assert scored["ddpm-temporal"].step_scores[j] == want
 
 
 class TestOnlineScorer:
@@ -328,7 +319,7 @@ class TestOnlineScorer:
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
     def test_paired_reconstruction_equals_separate_scores(self, behavior, depths):
         """recon and recon-temporal from one (2, D, B, h, d) reverse pass per
-        step, against the two score functions called on their own."""
+        step, against a step-by-step pass per depth for each."""
         policy, log = TestStackedReconstruction._scenario_log(behavior)
         oracle = _CountingOracle(policy)
         scorer = OnlineScorer(("recon-temporal", "recon"), log.header,
@@ -338,20 +329,20 @@ class TestOnlineScorer:
             step = scorer.push(record)
             assert oracle.calls == max(depths) + 1
             seed = _step_seed(3, j)
-            assert step["recon"][0] == reconstruction_score(record, record.embedding, policy,
-                                                            depths, rng_seed=seed)
+            assert step["recon"][0] == _reference_reconstruction(
+                record.chunk_samples, record.embedding, policy, depths, seed)
             if j == 0:
                 assert step["recon-temporal"][0] == 0.0
                 continue
             prev = log.records[j - 1]
-            assert step["recon-temporal"][0] == temporal_reconstruction_score(
-                prev, record, prev.embedding, policy, depths, rng_seed=seed)
+            assert step["recon-temporal"][0] == _reference_reconstruction(
+                _stitched_chunks(prev, record), prev.embedding, policy, depths, seed)
 
     @pytest.mark.parametrize("n_noise_draws", [1, 10])
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
     def test_paired_ddpm_equals_separate_scores(self, behavior, n_noise_draws):
         """ddpm and ddpm-temporal from one eps call per step, each scorer
-        alone from one too, against the two score functions on their own."""
+        alone from one too, against an eps call per draw for each."""
         policy, log = TestStackedReconstruction._scenario_log(behavior)
         oracle = _CountingOracle(policy)
         ctx = self._ctx(oracle, n_noise_draws=n_noise_draws)
@@ -367,14 +358,14 @@ class TestOnlineScorer:
                 assert scorer.push(record)[name] == step[name]
                 assert oracle.calls == (0 if j == 0 and name == "ddpm-temporal" else 1)
             seed = _step_seed(3, j)
-            assert step["ddpm"][0] == ddpm_loss_score(record, record.embedding, policy,
-                                                      n_noise_draws, rng_seed=seed)
+            assert step["ddpm"][0] == _reference_ddpm_loss(
+                record.chunk_samples, record.embedding, policy, n_noise_draws, seed)
             if j == 0:
                 assert step["ddpm-temporal"][0] == 0.0
                 continue
             prev = log.records[j - 1]
-            assert step["ddpm-temporal"][0] == temporal_ddpm_loss_score(
-                prev, record, prev.embedding, policy, n_noise_draws, rng_seed=seed)
+            assert step["ddpm-temporal"][0] == _reference_ddpm_loss(
+                _stitched_chunks(prev, record), prev.embedding, policy, n_noise_draws, seed)
 
     @pytest.mark.parametrize("oracle_names", [
         roster for size in range(1, len(ORACLE_DETECTORS) + 1)
@@ -406,19 +397,19 @@ class TestOnlineScorer:
             alone = score_log(name, log, ctx)
             assert [step[name][0] for step in pushed] == alone.step_scores, name
             assert [step[name][1] for step in pushed] == alone.cumulative, name
-        # The oracle detectors against their public score functions as well,
+        # The oracle detectors against the brute-force references as well,
         # each member under its own state.
-        public = {"ddpm": (ddpm_loss_score, temporal_ddpm_loss_score, 3),
-                  "recon": (reconstruction_score, temporal_reconstruction_score, depths)}
+        references = {"ddpm": (_reference_ddpm_loss, 3),
+                      "recon": (_reference_reconstruction, depths)}
         for j, (record, step) in enumerate(zip(log.records, pushed)):
             prev, seed = log.records[j - 1], _step_seed(3, j)
-            for base, (score, temporal_score, param) in public.items():
+            for base, (reference, param) in references.items():
                 if base in names:
-                    assert step[base][0] == score(record, record.embedding, policy, param,
-                                                  rng_seed=seed)
+                    assert step[base][0] == reference(record.chunk_samples, record.embedding,
+                                                      policy, param, seed)
                 if base + "-temporal" in names and j > 0:
-                    assert step[base + "-temporal"][0] == temporal_score(
-                        prev, record, prev.embedding, policy, param, rng_seed=seed)
+                    assert step[base + "-temporal"][0] == reference(
+                        _stitched_chunks(prev, record), prev.embedding, policy, param, seed)
 
     def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
         """One cdist and one KDE bandwidth per step for the whole STAC roster,
@@ -460,6 +451,29 @@ class TestOnlineScorer:
         log = make_log(header=header, n_records=2, rng=rng)
         assert list(scorer.push(log.records[0])) == ["outvar", "stac-mmd"]
 
+    @pytest.mark.parametrize("needing, overrides, match", [
+        (ORACLE_DETECTORS, dict(oracle=None), "policy oracle"),
+        (("ddpm", "ddpm-temporal"), dict(n_noise_draws=0), "n_noise_draws must be >= 1"),
+        (("recon", "recon-temporal"), dict(depths=()), "at least one reconstruction depth"),
+        (("recon", "recon-temporal"), dict(depths=(5, 0)), r"depth 0 outside \[1, 100\)"),
+        (("recon", "recon-temporal"), dict(depths=(100,)), r"depth 100 outside \[1, 100\)"),
+        (("mahalanobis",), dict(embedding_stats=None), "embedding stats"),
+    ], ids=["oracle", "draws", "no-depths", "depth-0", "depth-n", "stats"])
+    def test_context_is_checked_at_construction(self, needing, overrides, match):
+        """A context that a named detector cannot use is refused when the
+        scorer is built, before any record is pushed, and by score_detectors
+        with the same message. A roster that names none of the detectors
+        needing it builds and scores."""
+        policy, log = TestStackedReconstruction._scenario_log("consistent")
+        ctx = self._ctx(policy, **overrides)
+        for name in needing:
+            with pytest.raises(ValueError, match=match):
+                OnlineScorer(("outvar", name), log.header, ctx)
+            with pytest.raises(ValueError, match=match):
+                score_detectors(("outvar", name), log, ctx)
+        rest = tuple(name for name in DETECTOR_NAMES if name not in needing)
+        assert list(score_detectors(rest, log, ctx)) == list(rest)
+
     def test_refusals_match_score_log(self, rng):
         header = make_header()
         with pytest.raises(ValueError, match="unknown detector 'mmd'"):
@@ -474,12 +488,12 @@ class TestOutputVariance:
         # two chunks at +1 and -1 in every dimension: population variance 1
         chunks = np.stack([np.ones((3, 2)), -np.ones((3, 2))])
         record = make_record(0, chunks)
-        assert output_variance_score(record) == pytest.approx(1.0)
+        assert output_variance_score(record, (True, True)) == pytest.approx(1.0)
 
     def test_identical_chunks_give_zero(self):
         chunks = np.tile(np.arange(6.0).reshape(1, 3, 2), (5, 1, 1))
         record = make_record(0, chunks)
-        assert output_variance_score(record) == 0.0
+        assert output_variance_score(record, (True, True)) == 0.0
 
     def test_mask_restricts_dimensions(self):
         chunks = np.zeros((2, 3, 2))
@@ -492,7 +506,7 @@ class TestOutputVariance:
     def test_needs_two_chunks(self):
         record = make_record(0, np.zeros((1, 3, 2)))
         with pytest.raises(ValueError):
-            output_variance_score(record)
+            output_variance_score(record, (True, True))
 
 
 class TestScoreFunctionRegistry:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentinel.calibration import (CalibrationResult, conformal_threshold,
-                                  empirical_fpr, leave_trajectory_out_stats,
-                                  pooled_stats)
+                                  leave_trajectory_out_stats, pooled_stats)
+
+from conftest import empirical_fpr
 
 
 class TestConformalThreshold:

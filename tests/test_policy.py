@@ -71,11 +71,6 @@ class TestGmmMode:
         with pytest.raises(ValueError):
             GmmMode(weight=0.5, stddev=0.1, attractor=np.zeros(2), gain=0.0)
 
-    def test_mean_fn_override(self):
-        mode = GmmMode(weight=1.0, stddev=0.1, attractor=np.zeros(2),
-                       mean_fn=lambda s, h: np.ones((h, 2)) * 7.0)
-        np.testing.assert_array_equal(mode.chunk_mean(np.zeros(2), 3), np.full((3, 2), 7.0))
-
 
 class TestPolicyConstruction:
     def test_rejects_bad_behavior(self):
@@ -138,7 +133,7 @@ class TestSampling:
     def test_sampler_equals_per_row_loop(self, behavior):
         """Chunks gathered from the stacked mode means, against the loop that
         built them one row at a time from the same generator draws."""
-        policies = [_mean_fn_policy(behavior), _mean_fn_policy(behavior)]
+        policies = [_three_mode_policy(behavior), _three_mode_policy(behavior)]
         rng = np.random.default_rng(3)
         for batch_size in (1, 7, 32):
             state = rng.standard_normal(2)
@@ -183,10 +178,9 @@ class TestExactNoiseOracle:
         the clean value; trapezoid quadrature on a fine grid approximates it
         independently of the linear-Gaussian algebra in the implementation.
         """
-        modes = [GmmMode(weight=0.3, stddev=0.5, attractor=np.array([1.0]),
-                         mean_fn=lambda s, h: np.full((h, 1), 0.8)),
-                 GmmMode(weight=0.7, stddev=0.8, attractor=np.array([1.0]),
-                         mean_fn=lambda s, h: np.full((h, 1), -0.6))]
+        # gain 1.0 from state 0 puts a one-step mode's mean at its attractor.
+        modes = [GmmMode(weight=0.3, stddev=0.5, attractor=np.array([0.8]), gain=1.0),
+                 GmmMode(weight=0.7, stddev=0.8, attractor=np.array([-0.6]), gain=1.0)]
         policy = SyntheticGmmPolicy(modes, horizon=1, action_dim=1)
         i = 25
         abar = policy.schedule.alpha_bar[i]
@@ -256,13 +250,11 @@ def _reference_gmm_eps(policy, noised_chunk, state, i):
     return eps_hat.reshape(*lead, h, d)
 
 
-def _mean_fn_policy(behavior="consistent"):
-    """Three modes, two of them with mean_fn overrides that read the state."""
+def _three_mode_policy(behavior="consistent"):
+    """Three modes with distinct attractors, gains and stddevs."""
     modes = [GmmMode(weight=0.2, stddev=0.4, attractor=np.array([1.0, 0.5])),
-             GmmMode(weight=0.5, stddev=0.1, attractor=np.zeros(2),
-                     mean_fn=lambda s, h: np.outer(np.linspace(0.0, 1.0, h), s[::-1])),
-             GmmMode(weight=0.3, stddev=0.7, attractor=np.zeros(2),
-                     mean_fn=lambda s, h: np.full((h, 2), s.sum()))]
+             GmmMode(weight=0.5, stddev=0.1, attractor=np.array([-0.7, 1.2]), gain=0.3),
+             GmmMode(weight=0.3, stddev=0.7, attractor=np.array([0.2, -1.5]), gain=0.9)]
     return SyntheticGmmPolicy(modes, horizon=4, action_dim=2, behavior=behavior)
 
 
@@ -283,7 +275,7 @@ class TestOracleAgainstReference:
     """gmm_exact_eps with its constants built once and its mode means kept per
     state, against the same arithmetic rebuilt on every call."""
 
-    POLICIES = {"attractor": lambda: _two_mode_policy(horizon=4), "mean_fn": _mean_fn_policy}
+    POLICIES = {"attractor": lambda: _two_mode_policy(horizon=4), "three_mode": _three_mode_policy}
 
     @pytest.mark.parametrize("kind", sorted(POLICIES))
     def test_one_state(self, kind):
@@ -366,7 +358,7 @@ class TestOracleAgainstReference:
         """A stack that repeats its states, as the stacked ddpm draws do,
         builds each state's mode means once; the next call of the same step
         that asks for those states in another stack builds none."""
-        policy = _mean_fn_policy()
+        policy = _three_mode_policy()
         calls = []
         chunk_mean = GmmMode.chunk_mean
         monkeypatch.setattr(GmmMode, "chunk_mean",

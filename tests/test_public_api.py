@@ -1,0 +1,66 @@
+"""Every public name of the package is used by a program, not only by tests.
+
+An AST scan of `src/sentinel/*.py` lists each public module-level function
+and class, and of every Python file under `src/`, `demos/` and `perfbench/`
+each identifier it names: a variable or attribute, an imported name, or a
+string that is exactly an identifier (perfbench's tracer names its targets
+that way). A definition counts as used when some other top-level statement
+names it; its own body and signature do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sentinel"
+PROGRAM_DIRS = ("src", "demos", "perfbench")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions():
+    """(module, name) of every public module-level function and class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
+def _named(node):
+    """Every identifier named anywhere inside `node`."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name.rsplit(".", 1)[-1]
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if child.value.isidentifier():
+                yield child.value
+
+
+def _uses():
+    """{identifier: set of (file, top-level definition or None) naming it}."""
+    uses = {}
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                owner = top.name if isinstance(top, DEFINITIONS) else None
+                for name in _named(top):
+                    uses.setdefault(name, set()).add((path, owner))
+    return uses
+
+
+def test_every_public_definition_is_named_by_a_program():
+    definitions = list(_public_definitions())
+    uses = _uses()
+    # The scan reads the package and the demos, so an empty result means
+    # what it says.
+    assert ("baselines", "score_log") in definitions
+    assert any(path.parent.name == "demos" for path, _ in uses["score_log"])
+    unused = []
+    for module, name in definitions:
+        own = PACKAGE / f"{module}.py"
+        if not {use for use in uses.get(name, ()) if use != (own, name)}:
+            unused.append(f"{module}.{name}")
+    assert unused == [], f"public but named by no program, only by tests: {unused}"

@@ -4,9 +4,9 @@ import pytest
 from sentinel.baselines import PAIRWISE_DETECTORS, score_detectors, score_log
 from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, mmd_rbf,
                                 median_heuristic)
-from sentinel.rollout import InvalidLogError
-from sentinel.stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, detect_online,
-                           extract_overlap, executed_overlap_slice)
+from sentinel.rollout import InvalidLogError, mask_array
+from sentinel.stac import (STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap,
+                           executed_overlap_slice)
 
 from conftest import make_header, make_log, make_record
 
@@ -22,20 +22,20 @@ def test_overlap_indices_match_hand_slices(rng):
     header = make_header()  # h=4, k=2, d=2
     log = make_log(header=header, n_records=2, batch_size=3, rng=rng)
     prev, curr = log.records
-    pair = extract_overlap(prev, curr, header)
+    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
     k, h = header.execution_horizon, header.prediction_horizon
     expected_prev = prev.chunk_samples[:, k:h, :].reshape(3, -1)
     expected_curr = curr.chunk_samples[:, :h - k, :].reshape(3, -1)
     np.testing.assert_array_equal(pair.prev.points, expected_prev)
     np.testing.assert_array_equal(pair.curr.points, expected_curr)
-    assert pair.prev.dim == (h - k) * header.masked_dim
+    assert pair.prev.dim == (h - k) * header.action_dim
 
 
 def test_overlap_respects_mask(rng):
     header = make_header(action_mask=(True, False))
     log = make_log(header=header, n_records=2, batch_size=2, rng=rng)
     prev, curr = log.records
-    pair = extract_overlap(prev, curr, header)
+    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
     assert pair.prev.dim == header.prediction_horizon - header.execution_horizon
 
 
@@ -44,7 +44,7 @@ def test_overlap_requires_adjacent_records(rng):
     a = make_record(0, rng.standard_normal((2, 4, 2)))
     b = make_record(6, rng.standard_normal((2, 4, 2)))
     with pytest.raises(ValueError):
-        extract_overlap(a, b, header)
+        extract_overlap(a, b, header, mask_array(header.action_mask))
 
 
 def test_flattening_is_time_major():
@@ -53,7 +53,7 @@ def test_flattening_is_time_major():
     header = make_header()
     prev = make_record(0, np.arange(8.0).reshape(1, 4, 2))
     curr = make_record(2, np.arange(8.0).reshape(1, 4, 2) + 100)
-    pair = extract_overlap(prev, curr, header)
+    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
     np.testing.assert_array_equal(pair.prev.points[0], [4.0, 5.0, 6.0, 7.0])
     np.testing.assert_array_equal(pair.curr.points[0], [100.0, 101.0, 102.0, 103.0])
 
@@ -62,7 +62,7 @@ def test_executed_overlap_slice():
     header = make_header()
     chunks = np.arange(16.0).reshape(2, 4, 2)
     record = make_record(0, chunks, executed_index=1)
-    out = executed_overlap_slice(record, header)
+    out = executed_overlap_slice(record, header, mask_array(header.action_mask))
     np.testing.assert_array_equal(out, chunks[1, 2:4, :].ravel())
 
 
@@ -121,7 +121,8 @@ def test_mmd_step_matches_manual_computation(rng):
     header = make_header()
     log = make_log(header=header, n_records=2, batch_size=4, rng=rng)
     series = score_log("stac-mmd", log)
-    pair = extract_overlap(log.records[0], log.records[1], header)
+    pair = extract_overlap(log.records[0], log.records[1], header,
+                           mask_array(header.action_mask))
     bandwidth = median_heuristic(pair.prev, pair.curr)
     assert series.step_scores[1] == pytest.approx(
         mmd_rbf(pair.prev, pair.curr, bandwidth), abs=1e-12)
@@ -206,7 +207,7 @@ def test_bandwidth_rule_reaches_every_step(rng):
     series = score_detectors(("stac-mmd", "stac-klf", "stac-klr"), log)
     expected = {"stac-mmd": [0.0], "stac-klf": [0.0], "stac-klr": [0.0]}
     for prev, curr in zip(log.records, log.records[1:]):
-        pair = extract_overlap(prev, curr, log.header)
+        pair = extract_overlap(prev, curr, log.header, mask_array(log.header.action_mask))
         b1 = median_heuristic(pair.prev, pair.curr)
         b2 = kde_bandwidth_max_eig(pair.prev, pair.curr)
         expected["stac-mmd"].append(mmd_rbf(pair.prev, pair.curr, b1))
