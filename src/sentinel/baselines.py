@@ -21,7 +21,7 @@ import numpy as np
 from .distances import _PooledDistances, min_l2
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
-                      mask_array)
+                      check_next, mask_array)
 from .stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, executed_overlap_slice,
                    extract_overlap)
 
@@ -110,14 +110,10 @@ def _ddpm_loss(chunk_sets, state, oracle, n_noise_draws, rng_seed) -> list[float
 
 
 def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord) -> np.ndarray:
-    """Executed prefix from the previous step glued to each current overlap."""
+    """Executed prefix from the previous step glued to each current overlap;
+    `curr_record` may follow `prev_record` (`rollout.check_next`)."""
     k = curr_record.timestep - prev_record.timestep
     h = prev_record.chunk_samples.shape[1]
-    if not 0 < k < h:
-        raise ValueError(
-            f"records not adjacent: timesteps {prev_record.timestep} -> {curr_record.timestep}")
-    if curr_record.chunk_samples.shape[1] != h:
-        raise ValueError("prediction horizons differ between records")
     prefix = prev_record.executed_chunk()[:k]  # (k, d)
     suffix = curr_record.chunk_samples[:, :h - k]  # (B, h-k, d)
     batch = suffix.shape[0]
@@ -273,6 +269,8 @@ class OnlineScorer:
 
     Each detector's scores are the ones it gets alone. Building the scorer
     checks the context for the roster it names, before any record is pushed.
+    `push` refuses a record that breaks the log's rules (`rollout.check_next`)
+    with InvalidLogError, whatever the roster, and leaves the scorer as it was.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -289,8 +287,10 @@ class OnlineScorer:
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
         # The oracle families the roster names: base detector, batched loss
         # and the loss's per-step parameter, checked here once.
-        if set(self.names) & set(ORACLE_DETECTORS) and self.ctx.oracle is None:
-            raise ValueError("this score function needs a policy oracle")
+        oracle_names = [name for name in self.names if name in ORACLE_DETECTORS]
+        if oracle_names and self.ctx.oracle is None:
+            raise ValueError("a policy oracle (DetectorContext.oracle) is needed by "
+                             + ", ".join(oracle_names))
         self._families = []
         if "ddpm" in self.names or "ddpm-temporal" in self.names:
             if self.ctx.n_noise_draws < 1:
@@ -302,12 +302,15 @@ class OnlineScorer:
         if "mahalanobis" in self.names and self.ctx.embedding_stats is None:
             raise ValueError("mahalanobis needs calibrated embedding stats")
         self._cumulative = dict.fromkeys(self.names, 0.0)
+        self._first: Optional[InferenceRecord] = None
         self._prev: Optional[InferenceRecord] = None
         self._j = 0
 
     def push(self, record: InferenceRecord) -> dict[str, tuple[float, float]]:
         """Score the next inference record: {name: (step score, cumulative)}."""
         names, header, ctx, prev, j = self.names, self.header, self.ctx, self._prev, self._j
+        first = record if prev is None else self._first
+        check_next(header, first, prev, record)
         if prev is None:
             steps = dict.fromkeys(self._pairwise, 0.0)  # nothing precedes the first step
         else:
@@ -339,6 +342,7 @@ class OnlineScorer:
             value = float(steps[name])
             running = cumulative[name] = cumulative[name] + value
             out[name] = (value, running)
+        self._first = first
         self._prev = record
         self._j = j + 1
         return out

@@ -27,8 +27,8 @@ from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
                          verdict_from_series)
 from .policy import ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import LOG_SUFFIX, read_log, write_log
-from .vlm import (TEMPLATE_IDS, HttpTransport, MockTransport, MonitorError,
-                  checkpoint_record_indices, ensemble_vote, prompt_from_log,
+from .vlm import (TEMPLATE_IDS, VARIANT_TEMPLATES, HttpTransport, MockTransport,
+                  MonitorError, checkpoint_record_indices, ensemble_vote, prompt_from_log,
                   query_monitor)
 
 # Scenario names map onto sampling behaviors; "nominal" is the calibration
@@ -336,7 +336,7 @@ def cmd_vlm(args) -> int:
 
     templates = ENSEMBLE_TEMPLATES if args.ensemble else (args.template,)
     aux = tuple(args.aux_frames) if args.aux_frames else None
-    if aux is None and any(t.startswith("video_qa_") for t in templates):
+    if aux is None and any(t in VARIANT_TEMPLATES for t in templates):
         raise CliError("--aux-frames is required for the comparison prompt variants",
                        kind="usage", code=2)
     checkpoints = checkpoint_record_indices(log)
@@ -347,9 +347,9 @@ def cmd_vlm(args) -> int:
         for j in checkpoints:
             responses = []
             for template_id in templates:
-                needs_aux = template_id.startswith("video_qa_")
-                prompt = prompt_from_log(log, template_id, j, nu=args.nu,
-                                         auxiliary_frames=aux if needs_aux else None)
+                prompt = prompt_from_log(
+                    log, template_id, j, nu=args.nu,
+                    auxiliary_frames=aux if template_id in VARIANT_TEMPLATES else None)
                 responses.append(query_monitor(prompt, transport))
             if len(responses) > 1:
                 verdict = ensemble_vote(responses)
@@ -448,6 +448,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # synth, calibrate and detect take --seed
+            raise CliError(f"--seed must be >= 0, got {args.seed}", kind="usage", code=2)
         return args.func(args)
     except CliError as exc:
         _fail(exc.kind, str(exc), exc.code)

@@ -49,6 +49,10 @@ def _check(condition: bool, message: str) -> None:
         raise InvalidLogError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class RolloutHeader:
     """Episode-level geometry shared by every record in a log.
@@ -71,13 +75,12 @@ class RolloutHeader:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        self.action_mask = tuple(bool(b) for b in self.action_mask)
         _check(self.format_version == FORMAT_VERSION,
-               f"unsupported format_version {self.format_version}")
+               f"unsupported format_version {self.format_version!r} (supported: {FORMAT_VERSION})")
+        self.action_mask = tuple(bool(b) for b in self.action_mask)
         for name in ("action_dim", "prediction_horizon", "execution_horizon", "episode_limit"):
             value = getattr(self, name)
-            _check(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-                   f"{name} must be an integer, got {value!r}")
+            _check(_is_int(value), f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         _check(self.action_dim >= 1, "action_dim must be >= 1")
         _check(0 < self.execution_horizon, "execution_horizon must be > 0")
@@ -129,8 +132,7 @@ class InferenceRecord:
     frame_ref: Optional[str] = None
 
     def __post_init__(self):
-        _check(isinstance(self.timestep, (int, np.integer)) and not isinstance(self.timestep, bool),
-               "timestep must be an integer")
+        _check(_is_int(self.timestep), "timestep must be an integer")
         self.timestep = int(self.timestep)
         _check(self.timestep >= 0, "timestep must be >= 0")
         chunks = np.asarray(self.chunk_samples, dtype=np.float64)
@@ -138,7 +140,7 @@ class InferenceRecord:
         _check(chunks.shape[0] >= 1, "need at least one sampled chunk")
         _check(bool(np.isfinite(chunks).all()), "chunk_samples must be finite")
         self.chunk_samples = chunks
-        _check(isinstance(self.executed_index, (int, np.integer)), "executed_index must be an integer")
+        _check(_is_int(self.executed_index), "executed_index must be an integer")
         self.executed_index = int(self.executed_index)
         _check(0 <= self.executed_index < chunks.shape[0],
                "executed_index out of range")
@@ -215,6 +217,31 @@ class RolloutLabel:
         }
 
 
+def check_next(header: RolloutHeader, first: InferenceRecord,
+               prev: Optional[InferenceRecord], record: InferenceRecord) -> None:
+    """Refuse `record` unless it may follow `prev` (None for the first record).
+
+    Every rule that spans records lives here, run by `RolloutLog`, by
+    `read_log` on each record line and by `OnlineScorer.push` on each live
+    record. Embeddings must match the shape of `first`, the log's first record.
+    """
+    h, k, d = header.prediction_horizon, header.execution_horizon, header.action_dim
+    t = record.timestep
+    _, horizon, dim = record.chunk_samples.shape
+    if horizon != h:
+        raise InvalidLogError(f"record at t={t}: chunk horizon {horizon} != prediction_horizon {h}")
+    if dim != d:
+        raise InvalidLogError(f"record at t={t}: action dim {dim} != action_dim {d}")
+    if prev is None and t % k != 0:
+        raise InvalidLogError(f"timestep {t} not a multiple of execution_horizon {k}")
+    if prev is not None and t != prev.timestep + k:
+        raise InvalidLogError(f"timesteps must increase by exactly {k}: {prev.timestep} -> {t}")
+    if record.embedding is not None and first.embedding is not None:
+        _check(record.embedding.shape == first.embedding.shape,
+               "embedding dimensions differ between records")
+    _check(t <= header.episode_limit - 1, "last timestep exceeds episode_limit - 1")
+
+
 @dataclass(eq=False)
 class RolloutLog:
     """A validated episode log: header, ordered inference records, optional label.
@@ -228,29 +255,10 @@ class RolloutLog:
 
     def __post_init__(self):
         _check(len(self.records) >= 1, "log needs at least one record")
-        h = self.header.prediction_horizon
-        k = self.header.execution_horizon
-        d = self.header.action_dim
-        previous_t = None
+        prev = None
         for record in self.records:
-            _check(record.chunk_samples.shape[1] == h,
-                   f"record at t={record.timestep}: chunk horizon "
-                   f"{record.chunk_samples.shape[1]} != prediction_horizon {h}")
-            _check(record.chunk_samples.shape[2] == d,
-                   f"record at t={record.timestep}: action dim "
-                   f"{record.chunk_samples.shape[2]} != action_dim {d}")
-            _check(record.timestep % k == 0,
-                   f"timestep {record.timestep} not a multiple of execution_horizon {k}")
-            if record.embedding is not None and self.records[0].embedding is not None:
-                _check(record.embedding.shape == self.records[0].embedding.shape,
-                       "embedding dimensions differ between records")
-            if previous_t is not None:
-                _check(record.timestep == previous_t + k,
-                       f"timesteps must increase by exactly {k}: "
-                       f"{previous_t} -> {record.timestep}")
-            previous_t = record.timestep
-        _check(self.records[-1].timestep <= self.header.episode_limit - 1,
-               "last timestep exceeds episode_limit - 1")
+            check_next(self.header, self.records[0], prev, record)
+            prev = record
 
     @property
     def n_records(self) -> int:
@@ -322,11 +330,34 @@ def _load_line(text: str, line_no: int) -> dict:
     return obj
 
 
+def _line_kind(obj: dict, line_no: int, after_label: bool) -> str:
+    """Name a parsed line "header", "label" or "record", after checking its fields."""
+    if line_no == 1:
+        kind, known, required = "header", _HEADER_KEYS, _HEADER_KEYS
+    elif "label" in obj:
+        if after_label:
+            raise LogParseError("multiple label lines", line_no)
+        kind, known, required = "label", _LABEL_KEYS, _LABEL_KEYS
+    elif "timestep" in obj:
+        if after_label:
+            raise LogParseError("record after label line", line_no)
+        kind, known, required = "record", _RECORD_KEYS, {"timestep", "chunk_samples"}
+    else:
+        raise LogParseError("line is neither a record nor a label", line_no)
+    unknown = set(obj) - known
+    if unknown:
+        raise LogParseError(f"unknown {kind} fields {sorted(unknown)}", line_no)
+    missing = required - set(obj)
+    if missing:
+        raise LogParseError(f"missing {kind} fields {sorted(missing)}", line_no)
+    return kind
+
+
 def read_log(source) -> RolloutLog:
     """Parse and validate a `.sentinel.jsonl` file.
 
-    Raises LogParseError with a 1-based line number on malformed input and
-    InvalidLogError on structural violations spanning lines.
+    Every fault raises LogParseError with the 1-based number of its line, a
+    record that may not follow the one before it (`check_next`) included.
     """
     with open(source, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().split("\n")
@@ -335,61 +366,31 @@ def read_log(source) -> RolloutLog:
     if not raw_lines:
         raise LogParseError("empty file", 1)
 
-    header_obj = _load_line(raw_lines[0], 1)
-    unknown = set(header_obj) - _HEADER_KEYS
-    if unknown:
-        raise LogParseError(f"unknown header fields {sorted(unknown)}", 1)
-    missing = _HEADER_KEYS - set(header_obj)
-    if missing:
-        raise LogParseError(f"missing header fields {sorted(missing)}", 1)
-    if header_obj["format_version"] != FORMAT_VERSION:
-        raise LogParseError(
-            f"unsupported format_version {header_obj['format_version']!r} "
-            f"(supported: {FORMAT_VERSION})", 1)
-    try:
-        header = RolloutHeader(**header_obj)
-    except InvalidLogError as exc:
-        raise LogParseError(str(exc), 1) from exc
-
+    header: Optional[RolloutHeader] = None
     records: list[InferenceRecord] = []
     label: Optional[RolloutLabel] = None
-    for idx, text in enumerate(raw_lines[1:], start=2):
-        obj = _load_line(text, idx)
-        if "label" in obj:
-            if label is not None:
-                raise LogParseError("multiple label lines", idx)
-            unknown = set(obj) - _LABEL_KEYS
-            if unknown:
-                raise LogParseError(f"unknown label fields {sorted(unknown)}", idx)
-            missing = _LABEL_KEYS - set(obj)
-            if missing:
-                raise LogParseError(f"missing label fields {sorted(missing)}", idx)
-            try:
+    for line_no, text in enumerate(raw_lines, start=1):
+        obj = _load_line(text, line_no)
+        kind = _line_kind(obj, line_no, label is not None)
+        try:
+            if kind == "header":
+                header = RolloutHeader(**obj)
+            elif kind == "label":
                 label = RolloutLabel(obj["label"], obj["return_value"], obj["return_threshold"])
-            except InvalidLogError as exc:
-                raise LogParseError(str(exc), idx) from exc
-        elif "timestep" in obj:
-            if label is not None:
-                raise LogParseError("record after label line", idx)
-            unknown = set(obj) - _RECORD_KEYS
-            if unknown:
-                raise LogParseError(f"unknown record fields {sorted(unknown)}", idx)
-            try:
-                records.append(InferenceRecord(
+            else:
+                record = InferenceRecord(
                     timestep=obj["timestep"],
                     chunk_samples=obj["chunk_samples"],
                     executed_index=obj.get("executed_index", 0),
                     embedding=obj.get("embedding"),
                     frame_ref=obj.get("frame_ref"),
-                ))
-            except (InvalidLogError, TypeError) as exc:
-                raise LogParseError(str(exc), idx) from exc
-        else:
-            raise LogParseError("line is neither a record nor a label", idx)
+                )
+                check_next(header, records[0] if records else record,
+                           records[-1] if records else None, record)
+                records.append(record)
+        except (ValueError, TypeError) as exc:
+            raise LogParseError(str(exc), line_no) from exc
 
     if not records:
         raise LogParseError("log contains no inference records", 1)
-    try:
-        return RolloutLog(header=header, records=records, label=label)
-    except InvalidLogError as exc:
-        raise LogParseError(str(exc), 1) from exc
+    return RolloutLog(header=header, records=records, label=label)

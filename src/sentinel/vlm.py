@@ -25,7 +25,7 @@ TEMPLATE_IDS = ("video_qa", "image_qa", "video_qa_success_video", "video_qa_goal
 
 # Prompt variants that compare the live video against success-only reference
 # media and therefore need auxiliary frames attached.
-_VARIANT_TEMPLATES = ("video_qa_success_video", "video_qa_goal_images")
+VARIANT_TEMPLATES = ("video_qa_success_video", "video_qa_goal_images")
 
 MAX_FRAMES_PER_REQUEST = 30
 DEFAULT_CHECKPOINT_FRACTIONS = (0.5, 1.0)
@@ -81,7 +81,7 @@ class MonitorPrompt:
         if self.template_id == "image_qa" and len(self.frames) != 1:
             raise ValueError("image_qa attaches exactly the most recent frame")
         aux = self.auxiliary_frames
-        if self.template_id in _VARIANT_TEMPLATES:
+        if self.template_id in VARIANT_TEMPLATES:
             if not aux:
                 raise ValueError(f"{self.template_id} needs auxiliary reference frames")
             object.__setattr__(self, "auxiliary_frames", tuple(aux))

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from sentinel.baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, PAIRWISE_DETEC
                                 output_variance_score, score_detectors, score_log, _ddpm_loss,
                                 _reconstruction, _reverse_stacked, _step_seed, _stitched_chunks)
 from sentinel.policy import GmmMode, ScenarioConfig, SyntheticGmmPolicy, generate_rollout
-from sentinel.rollout import InvalidLogError, RolloutLog
+from sentinel.rollout import InvalidLogError, LogParseError, RolloutLog, read_log
 from sentinel.stac import STAC_DETECTORS
 
 from conftest import make_header, make_log, make_record
@@ -93,11 +95,17 @@ class TestStitchedChunks:
             np.testing.assert_array_equal(out[b, 2:], curr.chunk_samples[b, :2])
 
     def test_rejects_non_adjacent(self):
+        """A non-adjacent record is refused where it enters the scorer, before
+        any chunks are stitched."""
         rng = np.random.default_rng(2)
-        prev = make_record(0, rng.standard_normal((2, 4, 2)))
-        far = make_record(4, rng.standard_normal((2, 4, 2)))
-        with pytest.raises(ValueError):
-            _stitched_chunks(prev, far)
+        header = make_header()  # k=2
+        prev = make_record(0, rng.standard_normal((2, 4, 2)), embedding=np.zeros(2))
+        far = make_record(4, rng.standard_normal((2, 4, 2)), embedding=np.zeros(2))
+        ctx = DetectorContext(oracle=_point_mass_policy(horizon=4))
+        scorer = OnlineScorer(("ddpm-temporal", "recon-temporal"), header, ctx)
+        scorer.push(prev)
+        with pytest.raises(ValueError, match="timesteps must increase by exactly 2: 0 -> 4"):
+            scorer.push(far)
 
     def test_temporal_loss_zero_for_faithful_continuation(self):
         """If the executed prefix plus the new samples reproduce the nominal
@@ -563,6 +571,53 @@ class TestScoreFunctionRegistry:
         for name in ("ddpm", "ddpm-temporal", "recon", "recon-temporal"):
             with pytest.raises(ValueError, match="policy oracle"):
                 score_log(name, log, DetectorContext())
+
+    def test_missing_oracle_names_the_detectors_needing_it(self):
+        header = make_header()
+        with pytest.raises(ValueError, match=r"^a policy oracle \(DetectorContext\.oracle\) "
+                                             r"is needed by ddpm, recon-temporal$"):
+            OnlineScorer(("stac-mmd", "ddpm", "outvar", "recon-temporal"), header)
+        with pytest.raises(ValueError, match=r"policy oracle .* is needed by recon$"):
+            OnlineScorer(("recon",), header)
+
+    @pytest.mark.parametrize("before, fault, message", [
+        ((0, 2), dict(timestep=6), "timesteps must increase by exactly 2: 2 -> 6"),
+        ((), dict(timestep=1), "timestep 1 not a multiple of execution_horizon 2"),
+        ((0, 2), dict(horizon=3), "record at t=4: chunk horizon 3 != prediction_horizon 4"),
+        ((0, 2), dict(dim=3), "record at t=4: action dim 3 != action_dim 2"),
+        ((0, 2), dict(embedding_dim=3), "embedding dimensions differ between records"),
+        ((0, 2, 4, 6), dict(timestep=8), "last timestep exceeds episode_limit - 1"),
+    ], ids=["gap", "off-grid-first", "horizon", "action-dim", "embedding-dim", "past-limit"])
+    def test_cross_record_fault_is_refused_where_the_record_enters(self, tmp_path, before,
+                                                                   fault, message):
+        """The record after `before` breaks one cross-record rule. read_log
+        reports it at its own line, and every one-detector roster refuses it
+        with the same text when it is pushed."""
+        header = make_header(episode_limit=8)  # h=4, k=2, d=2, timesteps <= 7
+        rng = np.random.default_rng(0)
+
+        def record(timestep, horizon=4, dim=2, embedding_dim=2):
+            return make_record(timestep, rng.standard_normal((3, horizon, dim)),
+                               embedding=rng.standard_normal(embedding_dim))
+
+        good = [record(t) for t in before]
+        bad = record(**dict(dict(timestep=len(before) * 2), **fault))
+        path = tmp_path / "fault.sentinel.jsonl"
+        objs = [header.to_json_obj()] + [r.to_json_obj() for r in good + [bad]]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        with pytest.raises(LogParseError) as err:
+            read_log(path)
+        line = len(good) + 2
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+        ctx = self._ctx(header)
+        for name in DETECTOR_NAMES:
+            scorer = OnlineScorer((name,), header, ctx)
+            for r in good:
+                scorer.push(r)
+            with pytest.raises(InvalidLogError, match=f"^{re.escape(message)}$"):
+                scorer.push(bad)
 
     def test_step_seed_isolation(self, rng):
         """Stochastic scores at different steps use different noise, but the

@@ -9,7 +9,7 @@ from sentinel.baselines import DetectorContext, score_log
 from sentinel.cli import _bundled_config, main
 from sentinel.evaluation import detector_source, verdict_from_series
 from sentinel.calibration import CalibrationResult, conformal_threshold
-from sentinel.rollout import read_log, write_log
+from sentinel.rollout import LogParseError, read_log, write_log
 
 from conftest import make_log
 
@@ -569,6 +569,62 @@ class TestErrorContract:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert field in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("header", "action_mask", 5),
+        ("header", "step_duration", None),
+        ("header", "step_duration", "x"),
+        ("record", "chunk_samples", [[["a", "b"]] * 4] * 4),
+        ("record", "executed_index", True),
+        ("label", "return_value", None),
+    ], ids=["mask-int", "duration-null", "duration-str", "chunks-str", "index-bool",
+            "return-null"])
+    def test_field_of_wrong_type_is_a_located_log_error(self, capsys, tmp_path, kind, field,
+                                                         value):
+        path = tmp_path / "typed.sentinel.jsonl"
+        write_log(make_log(label="success"), path)
+        lines = path.read_text().splitlines()
+        index = {"header": 0, "record": 1, "label": len(lines) - 1}[kind]
+        obj = json.loads(lines[index])
+        obj[field] = value
+        lines[index] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogParseError) as err:
+            read_log(path)
+        assert err.value.line == index + 1
+
+        code = run_cli(["vlm", "--log", path, "--transport", "mock",
+                        "--fixtures", FIXTURES / "mock_vlm_ok"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "log"
+        assert f"line {index + 1}: " in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--scenario", "nominal", "--n", "1", "--out", "OUT"],
+        ["calibrate", "--detector", "stac-mmd", "--logs", "*.jsonl", "--out", "OUT"],
+        ["calibrate", "--detector", "ddpm", "--logs", "*.jsonl", "--out", "OUT"],
+        ["detect", "--detector", "stac-mmd", "--calibration", "cal.json", "--log", "x.jsonl",
+         "--emit-series", "OUT"],
+        ["detect", "--detector", "ddpm", "--calibration", "cal.json", "--log", "x.jsonl",
+         "--emit-series", "OUT"],
+    ], ids=["synth", "calibrate-stac", "calibrate-oracle", "detect-stac", "detect-oracle"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        """Refused before any log is read or written."""
+        def no_io(*args):
+            raise AssertionError("log read or written before --seed was checked")
+
+        monkeypatch.setattr("sentinel.cli._read_log_or_fail", no_io)
+        monkeypatch.setattr("sentinel.cli.write_log", no_io)
+        out = tmp_path / "out"
+        code = run_cli([out if a == "OUT" else a for a in argv] + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"] == "--seed must be >= 0, got -1"
         assert not out.exists()
 
     def test_unknown_command(self, capsys):

@@ -40,6 +40,22 @@ def test_record_invariants():
         make_record(0, np.full((1, 4, 2), np.nan))
     with pytest.raises(ValueError):
         make_record(0, np.zeros((2, 4, 2)), executed_index=2)
+    with pytest.raises(ValueError, match="executed_index must be an integer"):
+        make_record(0, np.zeros((2, 4, 2)), executed_index=True)  # JSON true is not row 1
+
+
+def test_record_without_chunk_samples_is_located(tmp_path):
+    log = make_log()
+    path = tmp_path / "missing.sentinel.jsonl"
+    write_log(log, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    del record["chunk_samples"]
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError, match=r"missing record fields \['chunk_samples'\]") as err:
+        read_log(path)
+    assert err.value.line == 3
 
 
 def test_label_consistency():
@@ -128,6 +144,18 @@ def test_read_rejects_bad_version(tmp_path):
     with pytest.raises(LogParseError) as err:
         read_log(path)
     assert err.value.line == 1
+
+
+def test_unsupported_version_has_one_message(tmp_path):
+    """The header refuses the version with the text read_log reports."""
+    fields = make_header().to_json_obj()
+    with pytest.raises(InvalidLogError, match=r"^unsupported format_version 99 \(supported: 1\)$"):
+        RolloutHeader(**dict(fields, format_version=99))
+    path = tmp_path / "version.sentinel.jsonl"
+    path.write_text(json.dumps(dict(fields, format_version="1")) + "\n")
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert str(err.value) == "line 1: unsupported format_version '1' (supported: 1)"
 
 
 def test_read_rejects_non_monotone(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sentinel.baselines import PAIRWISE_DETECTORS, score_detectors, score_log
+from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors, score_log
 from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, mmd_rbf,
                                 median_heuristic)
 from sentinel.rollout import InvalidLogError, mask_array
@@ -40,11 +40,15 @@ def test_overlap_respects_mask(rng):
 
 
 def test_overlap_requires_adjacent_records(rng):
+    """A non-adjacent record is refused where it enters the scorer, before
+    any overlap is cut."""
     header = make_header()
     a = make_record(0, rng.standard_normal((2, 4, 2)))
     b = make_record(6, rng.standard_normal((2, 4, 2)))
-    with pytest.raises(ValueError):
-        extract_overlap(a, b, header, mask_array(header.action_mask))
+    scorer = OnlineScorer(STAC_DETECTORS, header)
+    scorer.push(a)
+    with pytest.raises(InvalidLogError, match="timesteps must increase by exactly 2: 0 -> 6"):
+        scorer.push(b)
 
 
 def test_flattening_is_time_major():
