@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import _PooledDistances, min_l2
+from .distances import _PooledDistances, _cdist, min_l2
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
                       check_next, mask_array)
@@ -284,6 +284,8 @@ class OnlineScorer:
         self._mask = mask_array(header.action_mask)
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
+        if set(self._stac) - {"min-l2"}:  # import scipy here, not in a pushed step's budget
+            _cdist()
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
         # The oracle families the roster names: base detector, batched loss
         # and the loss's per-step parameter, checked here once.

@@ -168,6 +168,7 @@ def _terminal_score(name: str, path, log, ctx: DetectorContext) -> float:
 def cmd_calibrate(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise CliError(f"--delta must be in (0, 1), got {args.delta}", kind="usage", code=2)
+    scenario = _load_scenario(args.config)
     logs = _collect_logs(args.logs)
     for path, log in logs:
         if log.label is None:
@@ -175,7 +176,6 @@ def cmd_calibrate(args) -> int:
         if log.label.is_failure:
             raise CliError(f"{path}: refusing to calibrate on a failure-labeled rollout",
                            kind="label")
-    scenario = _load_scenario(args.config)
     stats_json = None
     if args.detector == "mahalanobis":
         if len(logs) < 2:
@@ -243,8 +243,8 @@ def _load_calibration(path, detector: str):
 
 def cmd_detect(args) -> int:
     result, stats = _load_calibration(args.calibration, args.detector)
-    log = _read_log_or_fail(args.log)
     scenario = _load_scenario(args.config)
+    log = _read_log_or_fail(args.log)
     if stats is not None:
         first = log.records[0].embedding
         if first is None or first.shape != stats.mean.shape:
@@ -319,7 +319,6 @@ def _metrics_table(metrics: dict) -> str:
 def cmd_vlm(args) -> int:
     if args.nu < 1:
         raise CliError("--nu must be >= 1", kind="usage", code=2)
-    log = _read_log_or_fail(args.log)
     if args.transport == "mock":
         if not args.fixtures:
             raise CliError("--fixtures DIR is required with the mock transport",
@@ -339,6 +338,7 @@ def cmd_vlm(args) -> int:
     if aux is None and any(t in VARIANT_TEMPLATES for t in templates):
         raise CliError("--aux-frames is required for the comparison prompt variants",
                        kind="usage", code=2)
+    log = _read_log_or_fail(args.log)
     checkpoints = checkpoint_record_indices(log)
     results = []
     final = "ok"

@@ -8,10 +8,10 @@ bandwidths follow one fixed rule per overlap pair: b1 is the median
 heuristic and b2 the max-eigenvalue bandwidth, both of the pooled set.
 
 The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
-pooled squared-distance matrix: a single `cdist` of [x; y] with itself. Its
-blocks are the x-x, y-y and x-y distances, and the median heuristic is the
-median of its strict upper triangle, which holds `pdist`'s values. The
-max-eigenvalue KDE bandwidth reads the same stacked [x; y].
+pooled squared-distance matrix: a single scipy `cdist` of [x; y] with itself,
+imported on first use (`_cdist`). Its blocks are the x-x, y-y and x-y
+distances; the median heuristic is the median of its strict upper triangle
+(`pdist`'s values), and the max-eigenvalue KDE bandwidth reads the same [x; y].
 """
 
 from __future__ import annotations
@@ -22,9 +22,15 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 BANDWIDTH_FALLBACK = 1e-8
+
+
+@functools.cache
+def _cdist():
+    """`scipy.spatial.distance.cdist`, imported on the first call, as scipy is slow to load."""
+    from scipy.spatial.distance import cdist
+    return cdist
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ def _strict_upper(n: int) -> np.ndarray:
 
 
 class _PooledDistances:
-    """Squared Euclidean distances over the pooled set [x; y], from one `cdist`.
+    """Squared Euclidean distances over [x; y], from one `cdist`, which `_cdist` loads once.
 
     `cdist` gives a pair of points the same float wherever the pair sits, so
     the x-by-y block is `cdist(x, y)`, the y-by-x block `cdist(y, x)` and the
@@ -94,7 +100,7 @@ class _PooledDistances:
     def __init__(self, x, y):
         x, y = as_sample_set(x), as_sample_set(y)
         self.pooled = _pooled(x, y)
-        self.sq = cdist(self.pooled, self.pooled, "sqeuclidean")
+        self.sq = _cdist()(self.pooled, self.pooled, "sqeuclidean")
         self.n = {"x": x.n, "y": y.n}
         self.dim = x.dim
         self._half = {"x": slice(None, x.n), "y": slice(x.n, None)}

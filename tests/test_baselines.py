@@ -433,8 +433,10 @@ class TestOnlineScorer:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("cdist", "_max_eig_bandwidth", "_pooled"):
+        for name in ("_max_eig_bandwidth", "_pooled"):
             monkeypatch.setattr(distances, name, counting(name, getattr(distances, name)))
+        counted_cdist = counting("cdist", distances._cdist())
+        monkeypatch.setattr(distances, "_cdist", lambda: counted_cdist)
         wrapped_mask_array = counting("mask_array", rollout.mask_array)
         for module in (rollout, baselines):
             monkeypatch.setattr(module, "mask_array", wrapped_mask_array)

@@ -403,15 +403,6 @@ class TestVlm:
         assert "detection_timestep" not in verdict
         assert all(c["votes"] == ["ok"] for c in verdict["checkpoints"])
 
-    def test_ensemble_requires_aux_frames(self, capsys, synth_nominal):
-        logs_dir, config = synth_nominal
-        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
-        code = run_cli(["vlm", "--log", log_path, "--transport", "mock",
-                        "--fixtures", FIXTURES / "mock_vlm_ok", "--ensemble"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert json.loads(captured.err)["error"]["type"] == "usage"
-
     def test_ensemble_with_aux_votes_all_templates(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal
         log_path = sorted(logs_dir.glob("*.jsonl"))[0]
@@ -456,21 +447,20 @@ class TestVlm:
         assert error["type"] == "usage"
         assert "--nu" in error["message"]
 
-    def test_mock_requires_fixture_dir(self, capsys, synth_nominal):
-        logs_dir, config = synth_nominal
-        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
-        code = run_cli(["vlm", "--log", log_path, "--transport", "mock"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["--transport", "mock"], "--fixtures"),
+        (["--transport", "http", "--url", "http://localhost:1"], "--model"),
+        (["--transport", "mock", "--fixtures", FIXTURES / "mock_vlm_ok", "--ensemble"],
+         "--aux-frames"),
+    ], ids=["mock-without-fixtures", "http-without-model", "variants-without-aux-frames"])
+    def test_flag_required_by_the_transport_or_template(self, capsys, tmp_path, argv, flag):
+        """A usage error, raised before the log (here a missing one) is read."""
+        code = run_cli(["vlm", "--log", tmp_path / "missing.sentinel.jsonl"] + argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.err)["error"]["type"] == "usage"
-
-    def test_http_requires_url_and_model(self, capsys, synth_nominal):
-        logs_dir, config = synth_nominal
-        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
-        code = run_cli(["vlm", "--log", log_path, "--transport", "http"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert json.loads(captured.err)["error"]["type"] == "usage"
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert flag in error["message"]
 
 
 class TestErrorContract:
@@ -540,6 +530,32 @@ class TestErrorContract:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert str(bad) in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    @pytest.mark.parametrize("text", [None, "{bad"], ids=["missing", "not-json"])
+    def test_config_is_loaded_before_any_log_is_read(self, capsys, tmp_path, command, text):
+        """A malformed log beside a bad --config: the config is refused first."""
+        (tmp_path / "bad.sentinel.jsonl").write_text("not a log\n")
+        config = tmp_path / "scenario.json"
+        if text is not None:
+            config.write_text(text)
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"detector": "stac-mmd", "result":
+                                   conformal_threshold([1.0, 2.0], 0.4).to_json_obj()}))
+        out = tmp_path / "out.json"
+        argv = {
+            "calibrate": ["calibrate", "--detector", "stac-mmd", "--logs",
+                          f"{tmp_path}/*.jsonl", "--out", out],
+            "detect": ["detect", "--detector", "stac-mmd", "--calibration", cal,
+                       "--log", tmp_path / "bad.sentinel.jsonl"],
+        }[command]
+        code = run_cli(argv + ["--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert str(config) in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "eval"])
