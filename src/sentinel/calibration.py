@@ -43,16 +43,21 @@ class CalibrationResult:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationResult":
+        """The result `obj` holds, refused unless it is `conformal_threshold` of its own scores."""
         gamma = obj["gamma"]
         if gamma == "inf":
             gamma = math.inf
-        return cls(
+        stored = cls(
             gamma=float(gamma),
             delta=float(obj["delta"]),
             m=int(obj["m"]),
             quantile_index=int(obj["quantile_index"]),
             terminal_scores=tuple(float(s) for s in obj["terminal_scores"]),
         )
+        if stored != conformal_threshold(stored.terminal_scores, stored.delta):
+            raise ValueError(f"gamma {stored.gamma} (m {stored.m}, quantile_index {stored.quantile_index}) "
+                             "is not the conformal threshold of its sorted terminal scores and delta")
+        return stored
 
 
 def conformal_threshold(terminal_scores: Sequence[float],
@@ -63,23 +68,22 @@ def conformal_threshold(terminal_scores: Sequence[float],
     threshold and gamma is +inf. Ties occupy consecutive ranks (plain order
     statistics).
     """
-    scores = [float(s) for s in terminal_scores]
-    if not scores:
+    ordered = tuple(sorted(float(s) for s in terminal_scores))
+    if not ordered:
         raise ValueError("calibration needs at least one terminal score")
-    if not all(math.isfinite(s) for s in scores):
+    if not all(math.isfinite(s) for s in ordered):
         raise ValueError("terminal scores must be finite")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    m = len(scores)
+    m = len(ordered)
     quantile_index = math.ceil((m + 1) * (1.0 - delta))
-    ordered = sorted(scores)
     gamma = ordered[quantile_index - 1] if quantile_index <= m else math.inf
     return CalibrationResult(
         gamma=gamma,
         delta=delta,
         m=m,
         quantile_index=quantile_index,
-        terminal_scores=tuple(ordered),
+        terminal_scores=ordered,
     )
 
 

@@ -8,10 +8,10 @@ bandwidths follow one fixed rule per overlap pair: b1 is the median
 heuristic and b2 the max-eigenvalue bandwidth, both of the pooled set.
 
 The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
-pooled squared-distance matrix: a single scipy `cdist` of [x; y] with itself,
-imported on first use (`_cdist`). Its blocks are the x-x, y-y and x-y
-distances; the median heuristic is the median of its strict upper triangle
-(`pdist`'s values), and the max-eigenvalue KDE bandwidth reads the same [x; y].
+pooled squared-distance matrix, a scipy `cdist` of [x; y] with itself loaded
+on first use (`_cdist`): the median of its strict upper triangle (`pdist`'s
+values) comes from one in-place partition, and each kernel reads its x-x, y-y
+or x-y block through one division into a fresh contiguous array.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ def as_sample_set(x: Union[SampleSet, np.ndarray, list]) -> SampleSet:
     return x if isinstance(x, SampleSet) else SampleSet(np.asarray(x))
 
 
-def _pooled(x, y) -> np.ndarray:
-    x, y = as_sample_set(x), as_sample_set(y)
+def _pooled(x: SampleSet, y: SampleSet) -> np.ndarray:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return np.vstack([x.points, y.points])
+    return np.concatenate((x.points, y.points))
 
 
 def _check_bandwidth(bandwidth: float) -> None:
@@ -92,9 +91,9 @@ class _PooledDistances:
 
     `cdist` gives a pair of points the same float wherever the pair sits, so
     the x-by-y block is `cdist(x, y)`, the y-by-x block `cdist(y, x)` and the
-    strict upper triangle `pdist` of the pooled set, bit for bit. Blocks are
-    copied to contiguous arrays before they are reduced, so every sum runs
-    in the order it runs on a `cdist` of its own.
+    strict upper triangle `pdist` of the pooled set, bit for bit. A kernel
+    divides a block by -s into a fresh contiguous array, which is -d / s
+    exactly, so every later pass and sum runs as on a `cdist` of its own.
     """
 
     def __init__(self, x, y):
@@ -105,41 +104,44 @@ class _PooledDistances:
         self.dim = x.dim
         self._half = {"x": slice(None, x.n), "y": slice(x.n, None)}
 
-    def _block(self, rows: str, cols: str) -> np.ndarray:
-        """Contiguous copy of the `rows` by `cols` block, each "x" or "y"."""
-        return np.ascontiguousarray(self.sq[self._half[rows], self._half[cols]])
+    def _negated_block(self, rows: str, cols: str, scale: float) -> np.ndarray:
+        """`rows` by `cols` block (each "x" or "y") over -`scale`, as a fresh contiguous array."""
+        return np.divide(self.sq[self._half[rows], self._half[cols]], -scale)
 
     def median_heuristic(self) -> float:
-        """`np.median` of the strict upper triangle, from `np.partition`."""
-        n = self.sq.shape[0]
-        if n < 2:
-            raise ValueError("median heuristic needs at least 2 pooled points")
-        upper = self.sq[_strict_upper(n)]
+        """`np.median` of the strict upper triangle, from one in-place partition:
+        the `mid` smallest values then lie below `mid`, and their maximum is the lower middle."""
+        upper = self.sq[_strict_upper(self.sq.shape[0])]
         mid = upper.size // 2
+        upper.partition(mid)
         if upper.size % 2:
-            med = float(np.partition(upper, mid)[mid])
+            med = float(upper[mid])
         else:
-            part = np.partition(upper, (mid - 1, mid))
-            med = float((part[mid - 1] + part[mid]) / 2.0)
+            med = float((upper[:mid].max() + upper[mid]) / 2.0)
         return med if med > 0.0 else BANDWIDTH_FALLBACK
 
     def kde_bandwidth_max_eig(self) -> float:
         """`kde_bandwidth_max_eig` of x and y, from the pooled set built here."""
         return _max_eig_bandwidth(self.pooled)
 
+    def _kernel_mean(self, rows: str, cols: str, bandwidth: float) -> np.floating:
+        """Mean RBF kernel value over one block: `.mean()`'s pairwise sum, without its wrapper."""
+        k = self._negated_block(rows, cols, bandwidth)
+        return np.add.reduce(np.exp(k, out=k), axis=None) / k.size
+
     def mmd_rbf(self, bandwidth: float) -> float:
         _check_bandwidth(bandwidth)
-        kxx = np.exp(-self._block("x", "x") / bandwidth).mean()
-        kyy = np.exp(-self._block("y", "y") / bandwidth).mean()
-        kxy = np.exp(-self._block("x", "y") / bandwidth).mean()
+        kxx = self._kernel_mean("x", "x", bandwidth)
+        kyy = self._kernel_mean("y", "y", bandwidth)
+        kxy = self._kernel_mean("x", "y", bandwidth)
         return max(float(kxx + kyy - 2.0 * kxy), 0.0)
 
     def kde_log_density(self, fit: str, queries: str, bandwidth: float) -> np.ndarray:
         """Log density of the KDE on the `fit` set at the `queries` set ("x" or "y")."""
         _check_bandwidth(bandwidth)
-        sq = self._block(queries, fit)
+        scaled = self._negated_block(queries, fit, 2.0 * bandwidth ** 2)
         log_norm = math.log(self.n[fit]) + 0.5 * self.dim * math.log(2.0 * math.pi * bandwidth ** 2)
-        return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
+        return logsumexp_rows(scaled)[:, 0] - log_norm
 
     def kl_forward(self, bandwidth: float) -> float:
         """KL(y || x) averaged over y's points, clamped at 0."""
@@ -166,13 +168,13 @@ def median_heuristic(x, y) -> float:
 
 def kde_bandwidth_max_eig(x, y) -> float:
     """Square root of the largest eigenvalue of the pooled sample covariance."""
-    return _max_eig_bandwidth(_pooled(x, y))
+    return _max_eig_bandwidth(_pooled(as_sample_set(x), as_sample_set(y)))
 
 
 def _max_eig_bandwidth(pooled: np.ndarray) -> float:
-    if pooled.shape[0] < 2:
-        raise ValueError("covariance bandwidth needs at least 2 pooled points")
-    cov = np.atleast_2d(np.cov(pooled, rowvar=False, ddof=1))
+    # `np.cov(pooled, rowvar=False, ddof=1)`'s own arithmetic, without its wrapper.
+    centred = pooled - pooled.mean(axis=0)
+    cov = np.dot(centred.T, centred) * np.true_divide(1, pooled.shape[0] - 1)
     top = float(np.linalg.eigvalsh(cov)[-1])
     bw = math.sqrt(max(top, 0.0))
     return bw if bw > 0.0 else BANDWIDTH_FALLBACK

@@ -280,6 +280,11 @@ def apply_mask(record: InferenceRecord, mask: Sequence[bool]) -> np.ndarray:
     Returns a (B, h, d') array where d' counts the true mask entries; the
     retained dimensions keep their original order.
     """
+    return record.chunk_samples[:, :, checked_mask(mask, record)]
+
+
+def checked_mask(mask: Sequence[bool], record: InferenceRecord) -> np.ndarray:
+    """`mask` as a boolean array, refused unless it fits `record`'s action dim and selects one."""
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
         mask = mask_array(mask)
     if mask.shape[0] != record.chunk_samples.shape[2]:
@@ -287,7 +292,7 @@ def apply_mask(record: InferenceRecord, mask: Sequence[bool]) -> np.ndarray:
             f"mask length {mask.shape[0]} != action_dim {record.chunk_samples.shape[2]}")
     if not mask.any():
         raise InvalidLogError("mask selects no dimensions")
-    return record.chunk_samples[:, :, mask]
+    return mask
 
 
 def _json_line(obj: dict) -> str:

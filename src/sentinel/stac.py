@@ -18,7 +18,7 @@ import numpy as np
 # mmd_rbf is also bound here: perfbench's tests check that its tracer wraps a
 # function under every name it is bound to, sentinel.stac.mmd_rbf included.
 from .distances import SampleSet, mmd_rbf  # noqa: F401
-from .rollout import InferenceRecord, RolloutHeader, apply_mask
+from .rollout import InferenceRecord, RolloutHeader, apply_mask, checked_mask
 
 # The temporal-consistency family of the detector registry, by registry name.
 STAC_DETECTORS = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
@@ -81,11 +81,10 @@ def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: Rollou
     """
     k = header.execution_horizon
     h = header.prediction_horizon
-    prev_masked = apply_mask(prev, mask)
-    curr_masked = apply_mask(curr, mask)
+    # Slicing the steps before masking leaves the mask only the overlap steps to copy.
     return OverlapPair(
-        prev=SampleSet(_flatten_overlap(prev_masked[:, k:h, :])),
-        curr=SampleSet(_flatten_overlap(curr_masked[:, 0:h - k, :])),
+        prev=SampleSet(_flatten_overlap(prev.chunk_samples[:, k:h, checked_mask(mask, prev)])),
+        curr=SampleSet(_flatten_overlap(curr.chunk_samples[:, 0:h - k, checked_mask(mask, curr)])),
     )
 
 

@@ -106,6 +106,30 @@ class TestCalibrationResultJson:
         assert clone.is_infinite
         assert clone.m == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", float("nan")),
+        ("gamma", 2.0),  # a score, but not the one at quantile_index 3
+        ("gamma", 0.5),
+        ("delta", 1.5),
+        ("delta", 0.0),
+        ("m", 4),
+        ("quantile_index", 2),
+        ("terminal_scores", [2.0, 1.0, 3.0]),  # unsorted
+        ("terminal_scores", [1.0, 2.0, float("inf")]),
+    ])
+    def test_refuses_a_result_that_breaks_the_conformal_rank(self, field, value):
+        obj = conformal_threshold([1.0, 2.0, 3.0], delta=0.25).to_json_obj()
+        assert (obj["gamma"], obj["quantile_index"]) == (3.0, 3)
+        obj[field] = value
+        with pytest.raises(ValueError):
+            CalibrationResult.from_json_obj(obj)
+
+    def test_refuses_a_finite_gamma_past_m(self):
+        obj = conformal_threshold([1.0, 2.0], delta=0.05).to_json_obj()
+        obj["gamma"] = 2.0
+        with pytest.raises(ValueError, match="not the conformal threshold"):
+            CalibrationResult.from_json_obj(obj)
+
     def test_json_is_plain_types(self):
         result = conformal_threshold([1.5, 2.5, 3.5], delta=0.3)
         text = json.dumps(result.to_json_obj())

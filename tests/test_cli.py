@@ -268,6 +268,22 @@ class TestDetect:
             assert float(ss) == s  # repr round-trip is exact
             assert float(cs) == c
 
+    @pytest.mark.parametrize("delta", ["0.4", "0.05"], ids=["finite", "infinite"])
+    def test_file_calibrate_wrote_loads(self, capsys, tmp_path, synth_nominal, delta):
+        logs_dir, config = synth_nominal
+        cal = tmp_path / "cal.json"
+        assert run_cli(["calibrate", "--detector", "stac-mmd", "--logs", f"{logs_dir}/*.jsonl",
+                        "--delta", delta, "--out", cal, "--config", config]) == 0
+        obj = json.loads(cal.read_text())["result"]
+        assert CalibrationResult.from_json_obj(obj).to_json_obj() == obj
+        assert (obj["gamma"] == "inf") == (delta == "0.05")  # 6 logs: rank 7 > m at 0.05
+        capsys.readouterr()
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["gamma"] == obj["gamma"]
+
     def test_detector_mismatch_rejected(self, capsys, calibrated):
         logs_dir, config, cal = calibrated
         log_path = sorted(logs_dir.glob("*.jsonl"))[0]
@@ -499,6 +515,28 @@ class TestErrorContract:
                         "--log", log_path, "--config", config])
         captured = capsys.readouterr()
         assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert str(cal) in error["message"]
+
+    @pytest.mark.parametrize("changes", [
+        {"gamma": float("nan")},  # written as NaN, which would make detect print invalid JSON
+        {"gamma": -1.0, "quantile_index": 99},  # fires at t=0 if trusted
+    ], ids=["gamma-nan", "gamma-not-its-rank-statistic"])
+    def test_calibration_file_that_breaks_the_conformal_rank(self, capsys, tmp_path,
+                                                             synth_nominal, changes):
+        logs_dir, config = synth_nominal
+        obj = conformal_threshold([0.1, 0.2, 0.3], delta=0.4).to_json_obj()
+        assert obj["m"] == 3
+        obj.update(changes)
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"detector": "stac-mmd", "result": obj}))
+        log_path = sorted(logs_dir.glob("*.jsonl"))[0]
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", log_path, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert str(cal) in error["message"]

@@ -231,10 +231,18 @@ def test_pooled_matrix_is_the_per_block_arithmetic_exactly(pair):
     _assert_matches_parent(*pair)
 
 
+# 300 pairs whose lower middle `partition(150)` (numpy 2.4) leaves off index 149.
+_POOL_25 = np.random.default_rng(106).standard_normal((25, 1))
+
+
 @pytest.mark.parametrize("x, y", [
     ([[0.0, 1.0]], [[2.0, -1.0]]),  # pool of 2 points: 1 pair
     ([[0.0], [3.0]], [[1.0]]),  # 3 pairs (odd)
     ([[0.0], [3.0]], [[1.0], [7.0]]),  # 6 pairs (even)
+    ([[0.0], [1.0]], [[2.0], [4.0]]),  # 6 pairs (even), the two middle values tie at 4
+    (np.eye(4)[:2], np.eye(4)[2:]),  # every distance 2.0: nonzero and all equal
+    ([0.5], [-1.5]),  # 1-D pool of 2 points: 1 pair
+    (_POOL_25[:12], _POOL_25[12:]),
     ([[1.0, 2.0]] * 3, [[1.0, 2.0], [0.0, 0.0]]),  # duplicate rows, n_x != n_y
     (np.zeros((4, 3)), np.zeros((2, 3))),  # all zeros: fallback bandwidth
     ([0.5, -1.0, 2.0], [1.5, 0.0]),  # 1-D input

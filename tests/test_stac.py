@@ -98,6 +98,17 @@ def test_first_step_scores_zero(rng):
     assert series.timesteps[0] == 0
 
 
+@pytest.mark.parametrize("mask, message", [
+    ((True,), "^mask length 1 != action_dim 2$"),
+    ((False, False), "^mask selects no dimensions$"),
+])
+def test_extract_overlap_refuses_a_mask_that_selects_nothing_or_misfits(rng, mask, message):
+    header = make_header()  # d=2
+    prev, curr = make_log(header=header, n_records=2, batch_size=3, rng=rng).records
+    with pytest.raises(InvalidLogError, match=message):
+        extract_overlap(prev, curr, header, mask_array(mask))
+
+
 def test_cumulative_is_running_sum(rng):
     log = make_log(n_records=5, rng=rng)
     series = score_log("stac-mmd", log)
