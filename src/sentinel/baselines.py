@@ -22,8 +22,7 @@ from .distances import _PooledDistances, _cdist, min_l2
 from .policy import PolicyOracle
 from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
                       check_next, mask_array)
-from .stac import (STAC_DETECTORS, OverlapPair, ScoreSeries, executed_overlap_slice,
-                   extract_overlap)
+from .stac import STAC_DETECTORS, OverlapPair, ScoreSeries, extract_overlap
 
 # Detectors that query a reference policy for its denoising noise prediction.
 ORACLE_DETECTORS = ("ddpm", "ddpm-temporal", "recon", "recon-temporal")
@@ -224,17 +223,18 @@ def _step_seed(base: int, j: int):
     return np.random.SeedSequence((int(base), int(j)))
 
 
-def _stac_scores(names: Sequence[str], pair: OverlapPair, prev: InferenceRecord,
-                 header: RolloutHeader, mask: np.ndarray) -> dict[str, float]:
+def _stac_scores(names: Sequence[str], pair: OverlapPair,
+                 executed_index: int) -> dict[str, float]:
     """Step scores of the STAC detectors in `names`, from one overlap pair.
 
-    The MMD and KDE-KL detectors read one pooled distance matrix: `stac-mmd`
-    takes its median-heuristic bandwidth, and the two KL directions one
-    max-eigenvalue bandwidth of the same pooled set.
+    `min-l2` takes the executed chunk's overlap as row `executed_index` of
+    `pair.prev`. The MMD and KDE-KL detectors read one pooled distance
+    matrix: `stac-mmd` takes its median-heuristic bandwidth, and the two KL
+    directions one max-eigenvalue bandwidth of the same pooled set.
     """
     steps = {}
     if "min-l2" in names:
-        steps["min-l2"] = min_l2(executed_overlap_slice(prev, header, mask), pair.curr)
+        steps["min-l2"] = min_l2(pair.prev.points[executed_index], pair.curr)
     if len(steps) == len(names):
         return steps
     dists = _PooledDistances(pair.prev, pair.curr)
@@ -319,7 +319,7 @@ class OnlineScorer:
             steps = {}
             if self._stac:
                 pair = extract_overlap(prev, record, header, self._mask)
-                steps.update(_stac_scores(self._stac, pair, prev, header, self._mask))
+                steps.update(_stac_scores(self._stac, pair, prev.executed_index))
         for base, loss, param in self._families:
             members = []  # (name, chunk set, state) of each member scored at this step
             if base in names:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +23,7 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
-from .rollout import RolloutLog
+from .rollout import RolloutLog, _is_int
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 from .vlm import checkpoint_record_indices
 
@@ -201,21 +201,14 @@ class ScriptedMonitor:
         return ok_verdict("vlm")
 
     def to_json_obj(self) -> dict:
-        return {"true_positive_rate": self.true_positive_rate,
-                "false_positive_rate": self.false_positive_rate,
-                "checkpoint_fraction": self.checkpoint_fraction}
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScriptedMonitor":
-        known = {"true_positive_rate", "false_positive_rate", "checkpoint_fraction"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown monitor keys: {sorted(unknown)}")
         return cls(**obj)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -254,31 +247,19 @@ class BenchmarkConfig:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "scenario": self.scenario.to_json_obj(),
-            "detectors": list(self.detectors),
-            "n_calibration": self.n_calibration,
-            "test_counts": dict(self.test_counts),
-            "delta": self.delta,
-            "master_seed": self.master_seed,
-            "sentinel_detector": self.sentinel_detector,
-        }
-        if self.monitor is not None:
-            obj["monitor"] = self.monitor.to_json_obj()
+        obj = asdict(self)
+        if self.monitor is None:
+            del obj["monitor"]
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BenchmarkConfig":
-        known = {"scenario", "detectors", "n_calibration", "test_counts", "delta",
-                 "master_seed", "sentinel_detector", "monitor"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")
         kwargs = dict(obj)
         if "scenario" in kwargs:
             kwargs["scenario"] = ScenarioConfig.from_json_obj(kwargs["scenario"])
-        if "detectors" in kwargs:
-            kwargs["detectors"] = tuple(kwargs["detectors"])
         if kwargs.get("monitor") is not None:
             kwargs["monitor"] = ScriptedMonitor.from_json_obj(kwargs["monitor"])
         return cls(**kwargs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,13 +56,9 @@ class NoiseSchedule:
 
 
 class PolicyOracle(abc.ABC):
-    """What every detector needs from a policy: sampler, noise predictor, encoder."""
+    """What every detector needs from a policy: a noise predictor and an encoder."""
 
     schedule: NoiseSchedule
-
-    @abc.abstractmethod
-    def sample(self, state: np.ndarray, batch_size: int) -> np.ndarray:
-        """Draw batch_size action chunks of shape (B, h, action_dim)."""
 
     @abc.abstractmethod
     def eps(self, noised_chunk: np.ndarray, state: np.ndarray, i) -> np.ndarray:
@@ -188,7 +184,10 @@ class SyntheticGmmPolicy(PolicyOracle):
         return _sharpened(self.base_weights, self.preferred_mode, self.dominance)
 
     def sample_with_modes(self, state, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Like sample(), but also return the per-chunk mode assignments (-1 = none)."""
+        """Draw batch_size chunks of shape (B, h, action_dim) and their mode assignments.
+
+        A chunk that follows no mode (stall or drift) is assigned -1.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         state = np.asarray(state, dtype=np.float64).ravel()
@@ -204,10 +203,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         means = np.stack([mode.chunk_mean(state, h) for mode in self.modes])
         chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]
         return chunks, assignments
-
-    def sample(self, state, batch_size: int) -> np.ndarray:
-        chunks, _ = self.sample_with_modes(state, batch_size)
-        return chunks
 
     def eps(self, noised_chunk, state, i) -> np.ndarray:
         return gmm_exact_eps(self, noised_chunk, state, i)
@@ -386,8 +381,18 @@ class ScenarioConfig:
             self.mode_weights = tuple(float(w) for w in self.mode_weights)
         if len(self.mode_weights) != len(self.attractors):
             raise ValueError("mode_weights length != number of attractors")
+        self.drift_step = tuple(self.drift_step)
+        self.start = tuple(self.start)
+        if len(self.start) != self.action_dim:
+            raise ValueError(f"start length {len(self.start)} != action_dim {self.action_dim}")
+        if self.action_mask is not None:
+            self.action_mask = tuple(self.action_mask)
         if self.task_time_limit is None:
             self.task_time_limit = self.episode_limit * self.step_duration
+        # Build what a run builds once, so that geometry no rollout could
+        # follow is refused here, by the rules of the header and the policy.
+        self.header()
+        self.build_policy()
 
     def header(self) -> RolloutHeader:
         mask = self.action_mask if self.action_mask is not None else (True,) * self.action_dim
@@ -414,47 +419,16 @@ class ScenarioConfig:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "action_dim": self.action_dim,
-            "prediction_horizon": self.prediction_horizon,
-            "execution_horizon": self.execution_horizon,
-            "episode_limit": self.episode_limit,
-            "step_duration": self.step_duration,
-            "batch_size": self.batch_size,
-            "attractors": [list(a) for a in self.attractors],
-            "mode_weights": list(self.mode_weights),
-            "gain": self.gain,
-            "noise_std": self.noise_std,
-            "dominance": self.dominance,
-            "stall_noise": self.stall_noise,
-            "drift_step": list(self.drift_step),
-            "start": list(self.start),
-            "start_jitter": self.start_jitter,
-            "goal_radius": self.goal_radius,
-            "action_mask": None if self.action_mask is None else list(self.action_mask),
-            "task_description": self.task_description,
-            "task_time_limit": self.task_time_limit,
-            "n_denoise_steps": self.n_denoise_steps,
-            "record_embeddings": self.record_embeddings,
-            "record_frames": self.record_frames,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise ValueError("scenario config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario fields {sorted(unknown)}")
-        kwargs = dict(obj)
-        for key in ("attractors",):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(tuple(v) for v in kwargs[key])
-        for key in ("mode_weights", "drift_step", "start", "action_mask"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def default_goal_label(states: Sequence[np.ndarray], config: ScenarioConfig) -> RolloutLabel:

@@ -9,7 +9,8 @@ the episode return.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,18 +18,6 @@ import numpy as np
 FORMAT_VERSION = 1
 LOG_SUFFIX = ".sentinel.jsonl"
 
-_HEADER_KEYS = {
-    "format_version",
-    "action_dim",
-    "prediction_horizon",
-    "execution_horizon",
-    "episode_limit",
-    "step_duration",
-    "action_mask",
-    "task_description",
-    "task_time_limit",
-}
-_RECORD_KEYS = {"timestep", "chunk_samples", "executed_index", "embedding", "frame_ref"}
 _LABEL_KEYS = {"label", "return_value", "return_threshold"}
 
 
@@ -51,6 +40,22 @@ def _check(condition: bool, message: str) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """`value` as a float, refused unless it is a real number (a bool or string is not)."""
+    _check(isinstance(value, numbers.Real) and not isinstance(value, bool),
+           f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _numeric_array(value, name: str) -> np.ndarray:
+    """`value` as a float64 array, refused unless it holds integers or floats."""
+    array = np.asarray(value)
+    # Not `_check`, which would format the dtype into its message on every record read.
+    if array.dtype.kind not in "iuf":
+        raise InvalidLogError(f"{name} must hold numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 @dataclass
@@ -77,6 +82,9 @@ class RolloutHeader:
     def __post_init__(self):
         _check(self.format_version == FORMAT_VERSION,
                f"unsupported format_version {self.format_version!r} (supported: {FORMAT_VERSION})")
+        _check(not isinstance(self.action_mask, str)
+               and all(isinstance(b, (bool, np.bool_)) for b in self.action_mask),
+               f"action_mask entries must be bools, got {self.action_mask!r}")
         self.action_mask = tuple(bool(b) for b in self.action_mask)
         for name in ("action_dim", "prediction_horizon", "execution_horizon", "episode_limit"):
             value = getattr(self, name)
@@ -88,9 +96,9 @@ class RolloutHeader:
                "execution_horizon must be < prediction_horizon")
         _check(self.prediction_horizon <= self.episode_limit,
                "prediction_horizon must be <= episode_limit")
-        self.step_duration = float(self.step_duration)
+        self.step_duration = _real(self.step_duration, "step_duration")
         _check(self.step_duration > 0, "step_duration must be > 0")
-        self.task_time_limit = float(self.task_time_limit)
+        self.task_time_limit = _real(self.task_time_limit, "task_time_limit")
         _check(self.task_time_limit > 0, "task_time_limit must be > 0")
         _check(len(self.action_mask) == self.action_dim,
                "action_mask length must equal action_dim")
@@ -98,22 +106,8 @@ class RolloutHeader:
         _check(isinstance(self.task_description, str), "task_description must be a string")
 
     def to_json_obj(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "action_dim": self.action_dim,
-            "prediction_horizon": self.prediction_horizon,
-            "execution_horizon": self.execution_horizon,
-            "episode_limit": self.episode_limit,
-            "step_duration": self.step_duration,
-            "action_mask": list(self.action_mask),
-            "task_description": self.task_description,
-            "task_time_limit": self.task_time_limit,
-        }
-
-    def __eq__(self, other):
-        if not isinstance(other, RolloutHeader):
-            return NotImplemented
-        return self.to_json_obj() == other.to_json_obj()
+        obj = asdict(self)
+        return {"format_version": obj.pop("format_version"), **obj}
 
 
 @dataclass(eq=False)
@@ -135,7 +129,7 @@ class InferenceRecord:
         _check(_is_int(self.timestep), "timestep must be an integer")
         self.timestep = int(self.timestep)
         _check(self.timestep >= 0, "timestep must be >= 0")
-        chunks = np.asarray(self.chunk_samples, dtype=np.float64)
+        chunks = _numeric_array(self.chunk_samples, "chunk_samples")
         _check(chunks.ndim == 3, f"chunk_samples must be B x h x action_dim, got shape {chunks.shape}")
         _check(chunks.shape[0] >= 1, "need at least one sampled chunk")
         _check(bool(np.isfinite(chunks).all()), "chunk_samples must be finite")
@@ -145,7 +139,7 @@ class InferenceRecord:
         _check(0 <= self.executed_index < chunks.shape[0],
                "executed_index out of range")
         if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=np.float64)
+            emb = _numeric_array(self.embedding, "embedding")
             _check(emb.ndim == 1, "embedding must be a flat vector")
             _check(bool(np.isfinite(emb).all()), "embedding must be finite")
             self.embedding = emb
@@ -196,8 +190,9 @@ class RolloutLabel:
     def __post_init__(self):
         _check(self.outcome in ("success", "failure"),
                f"label must be 'success' or 'failure', got {self.outcome!r}")
-        object.__setattr__(self, "return_value", float(self.return_value))
-        object.__setattr__(self, "return_threshold", float(self.return_threshold))
+        object.__setattr__(self, "return_value", _real(self.return_value, "return_value"))
+        object.__setattr__(self, "return_threshold",
+                           _real(self.return_threshold, "return_threshold"))
         _check(np.isfinite(self.return_value) and np.isfinite(self.return_threshold),
                "label return values must be finite")
         expected = "failure" if self.return_value < self.return_threshold else "success"
@@ -215,6 +210,11 @@ class RolloutLabel:
             "return_value": self.return_value,
             "return_threshold": self.return_threshold,
         }
+
+
+_HEADER_KEYS = {f.name for f in fields(RolloutHeader)}
+_RECORD_KEYS = {f.name for f in fields(InferenceRecord)}
+_RECORD_REQUIRED = {f.name for f in fields(InferenceRecord) if f.default is MISSING}
 
 
 def check_next(header: RolloutHeader, first: InferenceRecord,
@@ -346,7 +346,7 @@ def _line_kind(obj: dict, line_no: int, after_label: bool) -> str:
     elif "timestep" in obj:
         if after_label:
             raise LogParseError("record after label line", line_no)
-        kind, known, required = "record", _RECORD_KEYS, {"timestep", "chunk_samples"}
+        kind, known, required = "record", _RECORD_KEYS, _RECORD_REQUIRED
     else:
         raise LogParseError("line is neither a record nor a label", line_no)
     unknown = set(obj) - known
@@ -383,13 +383,7 @@ def read_log(source) -> RolloutLog:
             elif kind == "label":
                 label = RolloutLabel(obj["label"], obj["return_value"], obj["return_threshold"])
             else:
-                record = InferenceRecord(
-                    timestep=obj["timestep"],
-                    chunk_samples=obj["chunk_samples"],
-                    executed_index=obj.get("executed_index", 0),
-                    embedding=obj.get("embedding"),
-                    frame_ref=obj.get("frame_ref"),
-                )
+                record = InferenceRecord(**obj)
                 check_next(header, records[0] if records else record,
                            records[-1] if records else None, record)
                 records.append(record)

@@ -18,7 +18,7 @@ import numpy as np
 # mmd_rbf is also bound here: perfbench's tests check that its tracer wraps a
 # function under every name it is bound to, sentinel.stac.mmd_rbf included.
 from .distances import SampleSet, mmd_rbf  # noqa: F401
-from .rollout import InferenceRecord, RolloutHeader, apply_mask, checked_mask
+from .rollout import InferenceRecord, RolloutHeader, checked_mask
 
 # The temporal-consistency family of the detector registry, by registry name.
 STAC_DETECTORS = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
@@ -86,14 +86,6 @@ def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: Rollou
         prev=SampleSet(_flatten_overlap(prev.chunk_samples[:, k:h, checked_mask(mask, prev)])),
         curr=SampleSet(_flatten_overlap(curr.chunk_samples[:, 0:h - k, checked_mask(mask, curr)])),
     )
-
-
-def executed_overlap_slice(prev: InferenceRecord, header: RolloutHeader,
-                           mask: np.ndarray) -> np.ndarray:
-    """Flattened overlap slice of the executed chunk at t; `mask` is required."""
-    masked = apply_mask(prev, mask)
-    k, h = header.execution_horizon, header.prediction_horizon
-    return masked[prev.executed_index, k:h, :].ravel()
 
 
 def detect_online(series: ScoreSeries, gamma: float) -> Optional[int]:

@@ -251,7 +251,7 @@ def test_c09_denoising_loss_oracle():
         [GmmMode(weight=1.0, stddev=0.3, attractor=np.array([2.0, 1.0]), gain=0.1)],
         horizon=4, action_dim=2, seed=0)
     base_state = np.zeros(2)
-    rec = make_record(0, policy.sample(base_state, 4))
+    rec = make_record(0, policy.sample_with_modes(base_state, 4)[0])
     in_dist = np.array([
         _ddpm_loss([rec.chunk_samples], base_state, policy, 1, i)[0]
         for i in range(10_000)])

@@ -479,6 +479,29 @@ class TestVlm:
         assert flag in error["message"]
 
 
+def _scenario_config_error(capsys, tmp_path, command, field, value) -> str:
+    """Run `synth` or `eval` on the fast scenario with `field` set to `value`;
+    return the message of the `config` error it must exit with, before any output."""
+    scenario = dict(FAST_SCENARIO, **{field: value})
+    path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    if command == "synth":
+        path.write_text(json.dumps(scenario))
+        argv = ["synth", "--scenario", "nominal", "--n", "1", "--out", out, "--config", path]
+    else:
+        path.write_text(json.dumps({"scenario": scenario, "detectors": ["min-l2"],
+                                    "n_calibration": 2, "test_counts": {"consistent": 1},
+                                    "sentinel_detector": "min-l2"}))
+        argv = ["eval", "--config", path, "--out", out]
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config"
+    assert not out.exists()
+    return error["message"]
+
+
 class TestErrorContract:
     def test_unknown_flag(self, capsys):
         code = run_cli(["detect", "--bogus"])
@@ -605,35 +628,45 @@ class TestErrorContract:
     def test_scenario_field_of_wrong_type_is_config_error(self, capsys, tmp_path, command,
                                                           field, value):
         """Refused when the scenario is built, before any rollout is generated."""
-        scenario = dict(FAST_SCENARIO, **{field: value})
-        path = tmp_path / "config.json"
-        out = tmp_path / "out"
-        if command == "synth":
-            path.write_text(json.dumps(scenario))
-            argv = ["synth", "--scenario", "nominal", "--n", "1", "--out", out,
-                    "--config", path]
-        else:
-            path.write_text(json.dumps({"scenario": scenario, "detectors": ["min-l2"],
-                                        "n_calibration": 2, "test_counts": {"consistent": 1},
-                                        "sentinel_detector": "min-l2"}))
-            argv = ["eval", "--config", path, "--out", out]
-        code = run_cli(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        error = json.loads(captured.err)["error"]
-        assert error["type"] == "config"
-        assert field in error["message"]
-        assert not out.exists()
+        assert field in _scenario_config_error(capsys, tmp_path, command, field, value)
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("field, value, text", [
+        ("start", [0, 0, 0], "start length 3"), ("start", [1], "start length 1"),
+        ("mode_weights", [0.9, 0.9], "mode weights must sum to 1"),
+        ("episode_limit", 4, "prediction_horizon must be <= episode_limit"),
+        ("action_mask", [True], "action_mask length"),
+        ("drift_step", [1], "drift_step dimension"),
+        ("noise_std", 0, "mode stddev must be positive"),
+    ], ids=["start-long", "start-short", "weights-sum", "episode-limit", "mask-length",
+            "drift-step-length", "noise-std-zero"])
+    def test_impossible_scenario_geometry_is_config_error(self, capsys, tmp_path, command,
+                                                           field, value, text):
+        """Well-typed values that no rollout could follow are refused when the
+        scenario is built, by the rules of the header and the policy."""
+        assert text in _scenario_config_error(capsys, tmp_path, command, field, value)
 
     @pytest.mark.parametrize("kind, field, value", [
         ("header", "action_mask", 5),
+        ("header", "action_mask", "ab"),
+        ("header", "action_mask", [None, 1]),
+        ("header", "action_mask", [2.5, 0]),
+        ("header", "action_mask", [1, 0]),
         ("header", "step_duration", None),
         ("header", "step_duration", "x"),
+        ("header", "step_duration", "0.25"),
+        ("header", "task_time_limit", True),
         ("record", "chunk_samples", [[["a", "b"]] * 4] * 4),
+        ("record", "chunk_samples", [[["1", "2"]] * 4] * 4),
+        ("record", "embedding", ["1", "2"]),
         ("record", "executed_index", True),
         ("label", "return_value", None),
-    ], ids=["mask-int", "duration-null", "duration-str", "chunks-str", "index-bool",
-            "return-null"])
+        ("label", "return_value", "1.0"),
+        ("label", "return_threshold", "1.0"),
+    ], ids=["mask-int", "mask-str", "mask-null-entry", "mask-float-entry", "mask-int-entries",
+            "duration-null", "duration-str", "duration-numeric-str", "time-limit-bool",
+            "chunks-str", "chunks-numeric-str", "embedding-numeric-str", "index-bool",
+            "return-null", "return-str", "threshold-str"])
     def test_field_of_wrong_type_is_a_located_log_error(self, capsys, tmp_path, kind, field,
                                                          value):
         path = tmp_path / "typed.sentinel.jsonl"

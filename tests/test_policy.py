@@ -92,7 +92,7 @@ class TestPolicyConstruction:
 class TestSampling:
     def test_sample_shape(self):
         policy = _two_mode_policy()
-        chunks = policy.sample(np.zeros(2), 16)
+        chunks = policy.sample_with_modes(np.zeros(2), 16)[0]
         assert chunks.shape == (16, 4, 2)
 
     def test_consistent_behavior_concentrates_on_preferred_mode(self):
@@ -106,27 +106,27 @@ class TestSampling:
         policy = _two_mode_policy(seed=5)
         before = policy.preferred_mode
         for _ in range(10):
-            policy.sample(np.zeros(2), 8)
+            policy.sample_with_modes(np.zeros(2), 8)[0]
         assert policy.preferred_mode == before
 
     def test_mode_resample_redraws_preference(self):
         policy = _two_mode_policy(behavior="mode_resample", seed=2)
         seen = set()
         for _ in range(30):
-            policy.sample(np.zeros(2), 4)
+            policy.sample_with_modes(np.zeros(2), 4)[0]
             seen.add(policy.preferred_mode)
         assert seen == {0, 1}
 
     def test_stall_chunks_are_tiny(self):
         policy = _two_mode_policy(behavior="constant_stall")
-        chunks = policy.sample(np.zeros(2), 8)
+        chunks = policy.sample_with_modes(np.zeros(2), 8)[0]
         assert np.abs(chunks).max() < 1e-2
 
     def test_drift_offsets_every_step(self):
         modes = [GmmMode(weight=1.0, stddev=0.1, attractor=np.zeros(2))]
         policy = SyntheticGmmPolicy(modes, horizon=4, action_dim=2,
                                     behavior="drift", drift_step=(0.5, -0.5))
-        chunks = policy.sample(np.zeros(2), 8)
+        chunks = policy.sample_with_modes(np.zeros(2), 8)[0]
         np.testing.assert_allclose(chunks.mean(axis=(0, 1)), [0.5, -0.5], atol=1e-3)
 
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
@@ -430,6 +430,12 @@ class TestScenario:
                                 mode_weights=(1.0,))
         clone = ScenarioConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj())))
         assert clone == config
+        # JSON gives lists; the config holds the tuples it was built with.
+        config = ScenarioConfig(action_mask=(True, False), start=(0.5, -1), drift_step=(0.1, 0))
+        clone = ScenarioConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj())))
+        assert clone == config
+        assert (clone.action_mask, clone.start, clone.drift_step) == \
+            ((True, False), (0.5, -1), (0.1, 0))
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):

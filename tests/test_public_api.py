@@ -1,11 +1,15 @@
 """Every public name of the package is used by a program, not only by tests.
 
 An AST scan of `src/sentinel/*.py` lists each public module-level function
-and class, and of every Python file under `src/`, `demos/` and `perfbench/`
-each identifier it names: a variable or attribute, an imported name, or a
-string that is exactly an identifier (perfbench's tracer names its targets
-that way). A definition counts as used when some other top-level statement
-names it; its own body and signature do not count.
+and class and each public method of a public class, and of every Python file
+under `src/`, `demos/` and `perfbench/` each identifier it names: a variable
+or attribute, an imported name, or a string that is exactly an identifier
+(perfbench's tracer names its targets that way). A module-level definition
+counts as used when some other top-level statement names it; its own body
+and signature do not count. A method counts as used when any program names
+it, its own class included, so one called only by its class's other methods
+is used. Methods are matched by name alone: one that shares its name with
+an attribute some program reads counts as used.
 """
 
 import ast
@@ -23,6 +27,17 @@ def _public_definitions():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
                 yield path.stem, node.name
+
+
+def _public_methods():
+    """(class, method) of every public method of a public module-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield node.name, item.name
 
 
 def _named(node):
@@ -64,3 +79,11 @@ def test_every_public_definition_is_named_by_a_program():
         if not {use for use in uses.get(name, ()) if use != (own, name)}:
             unused.append(f"{module}.{name}")
     assert unused == [], f"public but named by no program, only by tests: {unused}"
+
+
+def test_every_public_method_is_named_by_a_program():
+    methods = list(_public_methods())
+    uses = _uses()
+    assert ("OnlineScorer", "push") in methods
+    unused = [f"{cls}.{name}" for cls, name in methods if name not in uses]
+    assert unused == [], f"public methods named by no program, only by tests: {unused}"

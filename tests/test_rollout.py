@@ -44,6 +44,29 @@ def test_record_invariants():
         make_record(0, np.zeros((2, 4, 2)), executed_index=True)  # JSON true is not row 1
 
 
+def test_write_log_bytes_are_pinned(tmp_path):
+    """The on-disk form, byte for byte: the header with format_version first,
+    a record without its optional fields, one with both, then the label."""
+    header = make_header(prediction_horizon=2, execution_horizon=1, episode_limit=4,
+                         step_duration=0.25, action_mask=(True, False),
+                         task_description="park", task_time_limit=1.0)
+    records = [make_record(0, [[[0.0, -1.5], [2.0, 0.1]]]),
+               make_record(1, [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.5]]],
+                           executed_index=1, embedding=[0.25, -3.0],
+                           frame_ref="frames/t0001.png")]
+    path = tmp_path / "pinned.sentinel.jsonl"
+    write_log(RolloutLog(header=header, records=records, label=success_label()), path)
+    assert path.read_bytes() == (
+        b'{"format_version":1,"action_dim":2,"prediction_horizon":2,"execution_horizon":1,'
+        b'"episode_limit":4,"step_duration":0.25,"action_mask":[true,false],'
+        b'"task_description":"park","task_time_limit":1.0}\n'
+        b'{"timestep":0,"chunk_samples":[[[0.0,-1.5],[2.0,0.1]]],"executed_index":0}\n'
+        b'{"timestep":1,"chunk_samples":[[[1.0,2.0],[3.0,4.0]],[[5.0,6.0],[7.0,8.5]]],'
+        b'"executed_index":1,"embedding":[0.25,-3.0],"frame_ref":"frames/t0001.png"}\n'
+        b'{"label":"success","return_value":1.0,"return_threshold":1.0}\n')
+    assert read_log(path).header == header
+
+
 def test_record_without_chunk_samples_is_located(tmp_path):
     log = make_log()
     path = tmp_path / "missing.sentinel.jsonl"

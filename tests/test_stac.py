@@ -5,8 +5,7 @@ from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors
 from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, mmd_rbf,
                                 median_heuristic)
 from sentinel.rollout import InvalidLogError, mask_array
-from sentinel.stac import (STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap,
-                           executed_overlap_slice)
+from sentinel.stac import STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap
 
 from conftest import make_header, make_log, make_record
 
@@ -60,14 +59,6 @@ def test_flattening_is_time_major():
     pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
     np.testing.assert_array_equal(pair.prev.points[0], [4.0, 5.0, 6.0, 7.0])
     np.testing.assert_array_equal(pair.curr.points[0], [100.0, 101.0, 102.0, 103.0])
-
-
-def test_executed_overlap_slice():
-    header = make_header()
-    chunks = np.arange(16.0).reshape(2, 4, 2)
-    record = make_record(0, chunks, executed_index=1)
-    out = executed_overlap_slice(record, header, mask_array(header.action_mask))
-    np.testing.assert_array_equal(out, chunks[1, 2:4, :].ravel())
 
 
 class TestScoreSeries:
