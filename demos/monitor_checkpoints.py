@@ -10,10 +10,9 @@ This demo uses a scripted transport in place of a live VLM endpoint.
 
 from sentinel.baselines import score_log
 from sentinel.calibration import conformal_threshold
-from sentinel.evaluation import combine, failure_verdict, ok_verdict, verdict_from_series
+from sentinel.evaluation import combine, verdict_at, verdict_from_series
 from sentinel.policy import ScenarioConfig, generate_rollout
-from sentinel.vlm import (MockTransport, checkpoint_record_indices, ensemble_vote,
-                          prompt_from_log, query_monitor)
+from sentinel.vlm import MonitorTransport, monitor_log
 
 ON_PACE = """[start of output]
 Questions: 1. Is the robot making contact? 2. Is the goal getting closer?
@@ -51,46 +50,39 @@ print(f"statistical detector: terminal {series.terminal:.3f} vs "
       f"gamma {gamma:.3f}, verdict {stac_verdict.decision}")
 
 # Checkpoints sit at fixed fractions of the task time limit, by default
-# halfway and at the end. The prompt for a checkpoint strides over the
-# frames recorded so far.
-checkpoints = checkpoint_record_indices(stalled)
-print(f"checkpoint record indices: {checkpoints}")
+# halfway and at the end. At each one monitor_log sends a prompt whose frames
+# stride over those recorded so far, parses the reply, and reports the first
+# checkpoint that fails. Scripted replies stand in for a live endpoint: on
+# pace at the halfway checkpoint, unchanged scene at the final one.
+class ScriptedReplies(MonitorTransport):
+    """Answers each request with the next of its replies, in order."""
 
-# Scripted replies stand in for a live endpoint: on pace at the halfway
-# checkpoint, unchanged scene at the final one.
-replies = [ON_PACE, STALLED]
-votes = []
+    def __init__(self, *replies):
+        super().__init__()
+        self.replies = list(replies)
+
+    def _send(self, text, frames):
+        return self.replies.pop(0)
+
+
+checkpoints, t_flag = monitor_log(stalled, ScriptedReplies(ON_PACE, STALLED), nu=2)
 print()
-for reply, index in zip(replies, checkpoints):
-    prompt = prompt_from_log(stalled, "video_qa", index, nu=2)
-    response = query_monitor(prompt, MockTransport(default=reply))
-    t = stalled.records[index].timestep
-    print(f"checkpoint t={t:3d}: {len(prompt.frames)} frames, "
-          f"assessment {response.assessment}")
-    votes.append((t, response.assessment))
+for row in checkpoints:
+    print(f"checkpoint t={row['timestep']:3d} (record {row['record_index']}, "
+          f"{row['elapsed_seconds']:.0f}s): assessment {row['decision']}")
 
 # At the final checkpoint the three prompt variants can vote. The two
 # reference-conditioned variants take auxiliary frames showing what
 # success looks like.
-final = checkpoints[-1]
 goal_refs = ("goal/dock_left.png", "goal/dock_right.png")
-responses = [
-    query_monitor(prompt_from_log(stalled, "video_qa", final, nu=2),
-                  MockTransport(default=STALLED)),
-    query_monitor(prompt_from_log(stalled, "video_qa_success_video", final, nu=2,
-                                  auxiliary_frames=goal_refs),
-                  MockTransport(default=STALLED)),
-    query_monitor(prompt_from_log(stalled, "video_qa_goal_images", final, nu=2,
-                                  auxiliary_frames=goal_refs),
-                  MockTransport(default=ON_PACE)),
-]
-verdict = ensemble_vote(responses)
-print(f"\nensemble votes {verdict.votes} -> {verdict.decision}")
+(final,), _ = monitor_log(
+    stalled, ScriptedReplies(STALLED, STALLED, ON_PACE),
+    templates=("video_qa", "video_qa_success_video", "video_qa_goal_images"),
+    nu=2, auxiliary_frames=goal_refs, fractions=(1.0,))
+print(f"\nensemble votes {final['votes']} -> {final['decision']}")
 
 # The combiner unions both detectors: either one flagging is enough.
-t_flag, assessment = next((t, a) for t, a in votes if a == "failure")
-vlm_verdict = failure_verdict("vlm", t_flag, scenario.step_duration) \
-    if assessment == "failure" else ok_verdict("vlm")
+vlm_verdict = verdict_at("vlm", t_flag, scenario.step_duration)
 overall = combine(stac_verdict, vlm_verdict)
 print(f"combined verdict: {overall.decision} from {overall.source} "
       f"at t={overall.detection_timestep}")

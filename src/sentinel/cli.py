@@ -28,8 +28,7 @@ from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
 from .policy import ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import LOG_SUFFIX, read_log, write_log
 from .vlm import (TEMPLATE_IDS, VARIANT_TEMPLATES, HttpTransport, MockTransport,
-                  MonitorError, checkpoint_record_indices, ensemble_vote, prompt_from_log,
-                  query_monitor)
+                  MonitorError, monitor_log)
 
 # Scenario names map onto sampling behaviors; "nominal" is the calibration
 # distribution.
@@ -339,43 +338,13 @@ def cmd_vlm(args) -> int:
         raise CliError("--aux-frames is required for the comparison prompt variants",
                        kind="usage", code=2)
     log = _read_log_or_fail(args.log)
-    checkpoints = checkpoint_record_indices(log)
-    results = []
-    final = "ok"
-    final_timestep = None
-    try:
-        for j in checkpoints:
-            responses = []
-            for template_id in templates:
-                prompt = prompt_from_log(
-                    log, template_id, j, nu=args.nu,
-                    auxiliary_frames=aux if template_id in VARIANT_TEMPLATES else None)
-                responses.append(query_monitor(prompt, transport))
-            if len(responses) > 1:
-                verdict = ensemble_vote(responses)
-                decision = verdict.decision
-                votes = list(verdict.votes)
-            else:
-                decision = responses[0].assessment
-                votes = [decision]
-            timestep = log.records[j].timestep
-            results.append({
-                "record_index": j,
-                "timestep": timestep,
-                "elapsed_seconds": timestep * log.header.step_duration,
-                "votes": votes,
-                "decision": decision,
-            })
-            if decision == "failure" and final == "ok":
-                final = "failure"
-                final_timestep = timestep
-    except MonitorError as exc:
-        raise CliError(str(exc), kind="monitor") from exc
-
+    results, detection_timestep = monitor_log(log, transport, templates, nu=args.nu,
+                                              auxiliary_frames=aux)
+    final = "ok" if detection_timestep is None else "failure"
     obj = {"checkpoints": results, "decision": final}
-    if final_timestep is not None:
-        obj["detection_timestep"] = final_timestep
-        obj["detection_seconds"] = final_timestep * log.header.step_duration
+    if detection_timestep is not None:
+        obj["detection_timestep"] = detection_timestep
+        obj["detection_seconds"] = detection_timestep * log.header.step_duration
     lines = [f"t={r['timestep']} ({r['elapsed_seconds']:.0f}s): {r['decision']}"
              f" votes={','.join(r['votes'])}" for r in results]
     lines.append(f"final: {final}")

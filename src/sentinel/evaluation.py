@@ -23,9 +23,9 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
-from .rollout import RolloutLog, _is_int
+from .rollout import RolloutLog, _is_int, _python_value
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
-from .vlm import checkpoint_record_indices
+from .vlm import MockTransport, monitor_log
 
 
 def detector_source(name: str) -> str:
@@ -68,12 +68,16 @@ def failure_verdict(source: str, timestep: int, step_duration: float) -> Verdict
                    detection_seconds=float(timestep) * float(step_duration))
 
 
+def verdict_at(source: str, timestep: Optional[int], step_duration: float) -> Verdict:
+    """A failure at `timestep`, or ok when there is none."""
+    if timestep is None:
+        return ok_verdict(source)
+    return failure_verdict(source, timestep, step_duration)
+
+
 def verdict_from_series(series: ScoreSeries, gamma: float, source: str,
                         step_duration: float) -> Verdict:
-    hit = detect_online(series, gamma)
-    if hit is None:
-        return ok_verdict(source)
-    return failure_verdict(source, hit, step_duration)
+    return verdict_at(source, detect_online(series, gamma), step_duration)
 
 
 def combine(*verdicts: Verdict) -> Verdict:
@@ -173,8 +177,9 @@ def compute_metrics(verdicts: Sequence[Verdict], labels: Sequence) -> MetricsRep
 class ScriptedMonitor:
     """Offline stand-in for the video-QA monitor with set confusion rates.
 
-    Flags (per its rates, against ground truth) at the checkpoint fraction of
-    the time limit, mimicking the twice-per-episode query cadence.
+    Its transport answers every prompt about a log with one reply, whose
+    assessment is one seeded draw against the log's ground truth (per its
+    rates); eval queries it at the checkpoint fraction of the time limit.
     """
 
     true_positive_rate: float = 0.95
@@ -182,23 +187,21 @@ class ScriptedMonitor:
     checkpoint_fraction: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, _python_value(getattr(self, f.name)))
         for rate in (self.true_positive_rate, self.false_positive_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("confusion rates must be in [0, 1]")
         if not 0.0 < self.checkpoint_fraction <= 1.0:
             raise ValueError("checkpoint_fraction must be in (0, 1]")
 
-    def checkpoint_timestep(self, log: RolloutLog) -> int:
-        (index,) = checkpoint_record_indices(log, (self.checkpoint_fraction,))
-        return log.records[index].timestep
-
-    def verdict(self, log: RolloutLog, rng: np.random.Generator) -> Verdict:
+    def transport(self, log: RolloutLog, rng: np.random.Generator) -> MockTransport:
         if log.label is None:
             raise ValueError("scripted monitor needs a labeled rollout")
         rate = self.true_positive_rate if log.label.is_failure else self.false_positive_rate
-        if rng.random() < rate:
-            return failure_verdict("vlm", self.checkpoint_timestep(log), log.header.step_duration)
-        return ok_verdict("vlm")
+        assessment = "failure" if rng.random() < rate else "ok"
+        reply = f"[start of output]\nOverall assessment: {assessment}\n[end of output]\n"
+        return MockTransport(default=reply)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -245,6 +248,11 @@ class BenchmarkConfig:
             raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+        self.n_calibration = _python_value(self.n_calibration)
+        self.test_counts = {b: _python_value(count) for b, count in self.test_counts.items()}
+        self.master_seed = _python_value(self.master_seed)
+        if self.monitor is not None and not self.scenario.record_frames:
+            raise ValueError("a monitor reads frame references: it needs scenario.record_frames")
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -331,34 +339,28 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
 
     test_series = [_score(log, seed, pooled) for (_, seed), log in zip(test_plan, test_logs)]
     series_by_detector: dict = {}
-    verdicts_by_detector: dict = {}
+    verdicts: dict = {}  # by source: each detector, then the monitor and the union
     step_duration = scenario.step_duration
     for name in config.detectors:
         gamma = calibrations[name].gamma
         source = detector_source(name)
         series = [s[name] for s in test_series]
         series_by_detector[name] = series
-        verdicts_by_detector[name] = [
-            verdict_from_series(s, gamma, source, step_duration) for s in series]
+        verdicts[name] = [verdict_from_series(s, gamma, source, step_duration) for s in series]
 
-    monitor_verdicts = None
+    union_members = [verdicts[config.sentinel_detector]]
     if config.monitor is not None:
-        monitor_verdicts = []
+        verdicts["vlm"] = []
         for i, log in enumerate(test_logs):
             rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 7, i)))
-            monitor_verdicts.append(config.monitor.verdict(log, rng))
-
-    sentinel_verdicts = []
-    primary = verdicts_by_detector[config.sentinel_detector]
-    for i in range(len(test_logs)):
-        monitor = [monitor_verdicts[i]] if monitor_verdicts is not None else []
-        sentinel_verdicts.append(combine(primary[i], *monitor))
+            _, hit = monitor_log(log, config.monitor.transport(log, rng),
+                                 fractions=(config.monitor.checkpoint_fraction,))
+            verdicts["vlm"].append(verdict_at("vlm", hit, step_duration))
+        union_members.append(verdicts["vlm"])
+    verdicts["sentinel"] = [combine(*members) for members in zip(*union_members)]
 
     labels = [log.label for log in test_logs]
-    metrics = {name: compute_metrics(v, labels) for name, v in verdicts_by_detector.items()}
-    if monitor_verdicts is not None:
-        metrics["vlm"] = compute_metrics(monitor_verdicts, labels)
-    metrics["sentinel"] = compute_metrics(sentinel_verdicts, labels)
+    metrics = {name: compute_metrics(v, labels) for name, v in verdicts.items()}
 
     report = {
         "config": config.to_json_obj(),
@@ -375,12 +377,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        all_verdicts = dict(verdicts_by_detector)
-        if monitor_verdicts is not None:
-            all_verdicts["vlm"] = monitor_verdicts
-        all_verdicts["sentinel"] = sentinel_verdicts
         (out_dir / "verdicts.csv").write_text(
-            _verdicts_csv(test_plan, labels, all_verdicts), encoding="utf-8")
+            _verdicts_csv(test_plan, labels, verdicts), encoding="utf-8")
         (out_dir / "scores.svg").write_text(
             score_chart_svg(series_by_detector[config.sentinel_detector],
                             [label.is_failure for label in labels],
@@ -390,8 +388,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     return report
 
 
-def _verdicts_csv(test_plan, labels, verdicts_by_detector: dict) -> str:
-    names = sorted(verdicts_by_detector)
+def _verdicts_csv(test_plan, labels, verdicts_by_source: dict) -> str:
+    names = sorted(verdicts_by_source)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["index", "seed", "behavior", "label"]
@@ -401,7 +399,7 @@ def _verdicts_csv(test_plan, labels, verdicts_by_detector: dict) -> str:
     for i, ((behavior, seed), label) in enumerate(zip(test_plan, labels)):
         row = [i, seed, behavior, label.outcome]
         for name in names:
-            verdict = verdicts_by_detector[name][i]
+            verdict = verdicts_by_source[name][i]
             row.append(verdict.decision)
             row.append("" if verdict.detection_timestep is None else verdict.detection_timestep)
         writer.writerow(row)

@@ -14,12 +14,12 @@ import abc
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distances import logsumexp_rows
-from .rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog
+from .rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog, _python_value
 
 BEHAVIORS = ("consistent", "mode_resample", "constant_stall", "drift")
 
@@ -321,7 +321,7 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
 
 
 # ScenarioConfig's scalar fields by the type each must hold. A bool is not a
-# number here, and a good value is kept as given, not coerced.
+# number here. A good value is kept as given, a numpy scalar as its Python value.
 _SCALAR_FIELDS = (
     (("action_dim", "prediction_horizon", "execution_horizon", "episode_limit", "batch_size",
       "n_denoise_steps"), (int, np.integer), "an integer"),
@@ -367,6 +367,7 @@ class ScenarioConfig:
                     continue  # the default is filled in below
                 if not isinstance(value, kinds) or (kinds is not bool and isinstance(value, bool)):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
+                setattr(self, name, _python_value(value))
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.attractors = tuple(tuple(float(v) for v in a) for a in self.attractors)

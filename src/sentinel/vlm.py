@@ -10,6 +10,7 @@ raise; they are never converted into ok/failure verdicts.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import re
@@ -141,14 +142,10 @@ def cap_frames(frame_refs: Sequence, cap: int = MAX_FRAMES_PER_REQUEST) -> list:
     return [frame_refs[i] for i in indices]
 
 
-_template_cache: dict = {}
-
-
+@functools.cache
 def _load_template(template_id: str) -> str:
-    if template_id not in _template_cache:
-        path = resources.files("sentinel").joinpath(f"templates/{template_id}.txt")
-        _template_cache[template_id] = path.read_text(encoding="utf-8")
-    return _template_cache[template_id]
+    path = resources.files("sentinel").joinpath(f"templates/{template_id}.txt")
+    return path.read_text(encoding="utf-8")
 
 
 def build_prompt(p: MonitorPrompt) -> str:
@@ -359,8 +356,6 @@ def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> MonitorRespo
 
 def ensemble_vote(responses: Sequence[MonitorResponse]) -> EnsembleVerdict:
     """Majority decision over an odd number of prompt responses."""
-    if not responses or len(responses) % 2 == 0:
-        raise ValueError("ensemble needs an odd number of responses")
     votes = tuple(r.assessment for r in responses)
     decision = "failure" if votes.count("failure") > len(votes) // 2 else "ok"
     return EnsembleVerdict(votes=votes, decision=decision)
@@ -410,3 +405,33 @@ def prompt_from_log(log: RolloutLog, template_id: str, record_index: int, nu: in
         frames=frames,
         auxiliary_frames=tuple(auxiliary_frames) if auxiliary_frames else None,
     )
+
+
+def monitor_log(log: RolloutLog, transport: MonitorTransport,
+                templates: Sequence[str] = ("video_qa",), nu: int = 1,
+                auxiliary_frames: Optional[Sequence] = None,
+                fractions: Sequence[float] = DEFAULT_CHECKPOINT_FRACTIONS) -> tuple:
+    """Query the monitor at each checkpoint, one prompt per template (only the
+    comparison variants get the auxiliary frames), and majority-vote the
+    replies; one template is a one-vote ensemble. Returns (checkpoint rows,
+    timestep of the first failing checkpoint or None)."""
+    rows = []
+    detection_timestep = None
+    for j in checkpoint_record_indices(log, fractions):
+        responses = []
+        for template_id in templates:
+            aux = auxiliary_frames if template_id in VARIANT_TEMPLATES else None
+            prompt = prompt_from_log(log, template_id, j, nu=nu, auxiliary_frames=aux)
+            responses.append(query_monitor(prompt, transport))
+        verdict = ensemble_vote(responses)
+        timestep = log.records[j].timestep
+        rows.append({
+            "record_index": j,
+            "timestep": timestep,
+            "elapsed_seconds": timestep * log.header.step_duration,
+            "votes": list(verdict.votes),
+            "decision": verdict.decision,
+        })
+        if verdict.decision == "failure" and detection_timestep is None:
+            detection_timestep = timestep
+    return rows, detection_timestep

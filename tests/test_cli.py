@@ -368,6 +368,22 @@ class TestEval:
         assert code == 1
         assert json.loads(captured.err)["error"]["type"] == "config"
 
+    def test_monitor_without_frames_is_config_error(self, capsys, tmp_path, monkeypatch):
+        """The monitor reads frame references: refused before any rollout is generated."""
+        def no_rollouts(*args, **kwargs):
+            raise AssertionError("rollout generated before the config was checked")
+
+        monkeypatch.setattr("sentinel.evaluation.generate_rollout", no_rollouts)
+        config = self._benchmark_config(tmp_path,
+                                        scenario=dict(FAST_SCENARIO, record_frames=False))
+        code = run_cli(["eval", "--config", config, "--out", tmp_path / "r"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert "record_frames" in error["message"]
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("delta", 1.5), ("delta", 0), ("delta", "x"), ("delta", True),
         ("master_seed", "a"), ("master_seed", -1), ("master_seed", 1.5),

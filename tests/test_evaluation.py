@@ -1,16 +1,18 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from sentinel import distances
+from sentinel import distances, evaluation, vlm
 from sentinel.evaluation import (BenchmarkConfig, MetricsReport,
                                  ScriptedMonitor, Verdict, combine,
                                  compute_metrics, detector_source,
                                  failure_verdict, ok_verdict, run_benchmark,
                                  score_chart_svg, verdict_from_series)
-from sentinel.policy import ScenarioConfig
+from sentinel.policy import ScenarioConfig, default_goal_label, generate_rollout
 from sentinel.stac import ScoreSeries
+from sentinel.vlm import monitor_log
 
 from conftest import make_header, make_log
 
@@ -195,31 +197,51 @@ class TestScriptedMonitor:
 
     def test_checkpoint_timestep(self, rng):
         header = make_header(episode_limit=16, task_time_limit=8.0)
-        log = make_log(header=header, n_records=8, batch_size=2, rng=rng)
-        monitor = ScriptedMonitor(checkpoint_fraction=0.5)
+        log = make_log(header=header, n_records=8, batch_size=2, rng=rng, label="failure")
+        monitor = ScriptedMonitor(true_positive_rate=1.0, checkpoint_fraction=0.5)
+        rows, hit = monitor_log(log, monitor.transport(log, np.random.default_rng(0)),
+                                fractions=(monitor.checkpoint_fraction,))
         # 50% of the 8s limit admits timesteps through 8 (record 4)
-        assert monitor.checkpoint_timestep(log) == 8
+        assert [(row["record_index"], row["timestep"]) for row in rows] == [(4, 8)]
+        assert hit == 8
 
     def test_deterministic_given_rng(self, rng):
         log = make_log(rng=rng, label="failure")
         monitor = ScriptedMonitor(true_positive_rate=0.5)
-        a = monitor.verdict(log, np.random.default_rng(3))
-        b = monitor.verdict(log, np.random.default_rng(3))
+        a = monitor_log(log, monitor.transport(log, np.random.default_rng(3)))
+        b = monitor_log(log, monitor.transport(log, np.random.default_rng(3)))
         assert a == b
+        # One draw per log, whatever the number of checkpoints it is asked at.
+        g = np.random.default_rng(3)
+        monitor.transport(log, g)
+        reference = np.random.default_rng(3)
+        reference.random()
+        assert g.random() == reference.random()
 
     def test_extreme_rates(self, rng):
-        log_fail = make_log(rng=rng, label="failure")
-        log_ok = make_log(rng=rng, label="success")
+        # Eight records: the default checkpoints (half and full time) differ.
+        log_fail = make_log(n_records=8, rng=rng, label="failure")
+        log_ok = make_log(n_records=8, rng=rng, label="success")
         monitor = ScriptedMonitor(true_positive_rate=1.0, false_positive_rate=0.0)
         g = np.random.default_rng(0)
-        assert monitor.verdict(log_fail, g).decision == "failure"
-        assert monitor.verdict(log_ok, g).decision == "ok"
-        assert monitor.verdict(log_fail, g).source == "vlm"
+        rows, hit = monitor_log(log_fail, monitor.transport(log_fail, g))
+        assert [row["decision"] for row in rows] == ["failure", "failure"]
+        assert hit == rows[0]["timestep"]
+        rows, hit = monitor_log(log_ok, monitor.transport(log_ok, g))
+        assert [row["decision"] for row in rows] == ["ok", "ok"]
+        assert hit is None
 
     def test_unlabeled_rejected(self, rng):
         log = make_log(rng=rng, label=None)
-        with pytest.raises(ValueError):
-            ScriptedMonitor().verdict(log, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="labeled"):
+            ScriptedMonitor().transport(log, np.random.default_rng(0))
+
+    def test_numpy_rates_are_stored_as_python_floats(self):
+        monitor = ScriptedMonitor(true_positive_rate=np.float32(0.5),
+                                  false_positive_rate=np.float64(0.25),
+                                  checkpoint_fraction=np.float32(0.75))
+        assert monitor == ScriptedMonitor(0.5, 0.25, 0.75)
+        assert all(type(value) is float for value in monitor.to_json_obj().values())
 
     def test_json_round_trip(self):
         monitor = ScriptedMonitor(true_positive_rate=0.8, false_positive_rate=0.1,
@@ -252,6 +274,19 @@ class TestBenchmarkConfig:
     def test_rejects_unknown_behavior(self):
         with pytest.raises(ValueError):
             _small_benchmark_config(test_counts={"explode": 3})
+
+    def test_monitor_needs_frames(self):
+        scenario = ScenarioConfig(episode_limit=16, batch_size=8, gain=0.2, record_frames=False)
+        with pytest.raises(ValueError, match="record_frames"):
+            _small_benchmark_config(scenario=scenario)
+        assert _small_benchmark_config(scenario=scenario, monitor=None).monitor is None
+
+    def test_numpy_counts_are_stored_as_python_ints(self):
+        config = _small_benchmark_config(n_calibration=np.int64(6), master_seed=np.uint8(5),
+                                         test_counts={"consistent": np.int32(3)})
+        assert config == _small_benchmark_config(test_counts={"consistent": 3})
+        for value in (config.n_calibration, config.master_seed, config.test_counts["consistent"]):
+            assert type(value) is int
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +354,114 @@ class TestRunBenchmark:
         report = run_benchmark(config)
         assert "vlm" not in report["metrics"]
         assert "sentinel" in report["metrics"]
+
+    # (numpy config, the same config built from the Python values numpy holds)
+    NUMPY_CONFIGS = {
+        "integers": (
+            dict(scenario=dict(episode_limit=np.int64(16), batch_size=np.int64(8), gain=0.2),
+                 n_calibration=np.int32(3), master_seed=np.int64(2),
+                 test_counts={"consistent": np.int64(1), "mode_resample": np.uint16(1)},
+                 monitor=ScriptedMonitor()),
+            dict(scenario=dict(episode_limit=16, batch_size=8, gain=0.2),
+                 n_calibration=3, master_seed=2,
+                 test_counts={"consistent": 1, "mode_resample": 1},
+                 monitor=ScriptedMonitor())),
+        "reals": (
+            dict(scenario=dict(episode_limit=16, batch_size=8, gain=np.float32(0.2)),
+                 n_calibration=3, master_seed=2,
+                 test_counts={"consistent": 1, "mode_resample": 1},
+                 monitor=ScriptedMonitor(true_positive_rate=np.float32(0.5))),
+            dict(scenario=dict(episode_limit=16, batch_size=8, gain=float(np.float32(0.2))),
+                 n_calibration=3, master_seed=2,
+                 test_counts={"consistent": 1, "mode_resample": 1},
+                 monitor=ScriptedMonitor(true_positive_rate=0.5))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NUMPY_CONFIGS))
+    def test_numpy_scalars_write_the_python_report(self, kind, tmp_path):
+        """A numpy scalar in a config is stored as its Python value, so the
+        report is written, with the bytes of the Python-valued config."""
+        outs = []
+        for side, kwargs in zip(("numpy", "python"), self.NUMPY_CONFIGS[kind]):
+            kwargs = dict(kwargs, scenario=ScenarioConfig(**kwargs["scenario"]))
+            config = BenchmarkConfig(detectors=("min-l2",), sentinel_detector="min-l2", **kwargs)
+            run_benchmark(config, out_dir=tmp_path / side)
+            outs.append((tmp_path / side / "report.json").read_bytes())
+        assert outs[0] == outs[1]
+
+
+def _old_rule_vlm_verdicts(config, report):
+    """The scripted monitor's rule before it answered through the monitor
+    pipeline: per test log, one draw from the log's generator; a failure at
+    the checkpoint-fraction timestep iff the draw is below the log's rate."""
+    scenario, monitor = config.scenario, config.monitor
+    budget = monitor.checkpoint_fraction * scenario.task_time_limit
+    verdicts = []
+    plan = zip(report["test_behaviors"], report["seeds"]["test"])
+    for i, (behavior, seed) in enumerate(plan):
+        log = generate_rollout(scenario.build_policy(behavior, seed), scenario,
+                               label_rule=default_goal_label, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 7, i)))
+        rate = monitor.true_positive_rate if log.label.is_failure else monitor.false_positive_rate
+        if rng.random() < rate:
+            checkpoint = [r.timestep for r in log.records
+                          if r.timestep * scenario.step_duration <= budget][-1]
+            verdicts.append(failure_verdict("vlm", checkpoint, scenario.step_duration))
+        else:
+            verdicts.append(ok_verdict("vlm"))
+    return verdicts
+
+
+def _run_capturing_vlm_verdicts(config, monkeypatch):
+    """run_benchmark's report and the monitor verdicts it hands to the union."""
+    members = []
+
+    def spy(*verdicts):
+        members.append(verdicts)
+        return combine(*verdicts)
+
+    monkeypatch.setattr(evaluation, "combine", spy)
+    report = run_benchmark(config)
+    assert all(len(m) == 2 for m in members)
+    return report, [m[1] for m in members]
+
+
+RATES = (0.0, 0.3, 1.0)
+
+
+class TestMonitorThroughPipeline:
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("master_seed", [0, 1, 2])
+    def test_vlm_verdicts_equal_the_old_rule(self, fraction, master_seed, monkeypatch):
+        scenario = ScenarioConfig(episode_limit=16, batch_size=8, gain=0.2)
+        for tpr, fpr in itertools.product(RATES, RATES):
+            config = BenchmarkConfig(
+                scenario=scenario, detectors=("min-l2",), sentinel_detector="min-l2",
+                n_calibration=3, master_seed=master_seed, delta=0.4,
+                test_counts={"consistent": 3, "mode_resample": 3, "constant_stall": 3},
+                monitor=ScriptedMonitor(tpr, fpr, checkpoint_fraction=fraction))
+            report, got = _run_capturing_vlm_verdicts(config, monkeypatch)
+            expected = _old_rule_vlm_verdicts(config, report)
+            assert got == expected, (tpr, fpr)
+            vlm_counts = report["metrics"]["vlm"]
+            assert vlm_counts["tp"] + vlm_counts["fn"] > 0  # failures to draw against tpr
+            assert vlm_counts["tn"] + vlm_counts["fp"] > 0  # successes to draw against fpr
+
+    def test_one_query_and_one_parse_per_test_log(self, monkeypatch):
+        counts = {"query_monitor": 0, "parse_response": 0}
+        for name in counts:
+            real = getattr(vlm, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(vlm, name, counting)
+        config = _small_benchmark_config(detectors=("min-l2",), sentinel_detector="min-l2",
+                                         n_calibration=3)
+        report = run_benchmark(config)
+        n_test = len(report["seeds"]["test"])
+        assert counts == {"query_monitor": n_test, "parse_response": n_test}
 
 
 class TestScoreChartSvg:
