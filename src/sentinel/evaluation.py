@@ -23,7 +23,7 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
-from .rollout import RolloutLog, _is_int, _python_value
+from .rollout import RolloutLog, _is_int, _is_real, _python_value
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 from .vlm import MockTransport, monitor_log
 
@@ -188,7 +188,10 @@ class ScriptedMonitor:
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, _python_value(getattr(self, f.name)))
+            value = _python_value(getattr(self, f.name))
+            if not _is_real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            setattr(self, f.name, value)
         for rate in (self.true_positive_rate, self.false_positive_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("confusion rates must be in [0, 1]")
@@ -202,6 +205,10 @@ class ScriptedMonitor:
         assessment = "failure" if rng.random() < rate else "ok"
         reply = f"[start of output]\nOverall assessment: {assessment}\n[end of output]\n"
         return MockTransport(default=reply)
+
+    def verdict(self, log: RolloutLog, rng: np.random.Generator) -> Verdict:
+        _, hit = monitor_log(log, self.transport(log, rng), fractions=(self.checkpoint_fraction,))
+        return verdict_at("vlm", hit, log.header.step_duration)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -243,14 +250,14 @@ class BenchmarkConfig:
                 raise ValueError(f"unknown behavior {behavior!r}")
             if not _is_int(count) or count < 1:
                 raise ValueError(f"test_counts[{behavior!r}] must be an integer >= 1")
-        if not (isinstance(self.delta, (int, float)) and not isinstance(self.delta, bool)
-                and 0.0 < self.delta < 1.0):
+        if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         self.n_calibration = _python_value(self.n_calibration)
         self.test_counts = {b: _python_value(count) for b, count in self.test_counts.items()}
         self.master_seed = _python_value(self.master_seed)
+        self.delta = _python_value(self.delta)
         if self.monitor is not None and not self.scenario.record_frames:
             raise ValueError("a monitor reads frame references: it needs scenario.record_frames")
 
@@ -306,12 +313,9 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     cal_seeds = [seed for seed, _ in kept]
     cal_logs = [log for _, log in kept]
 
-    test_plan = []  # (behavior, seed)
-    index = 0
-    for behavior, count in config.test_counts.items():
-        for _ in range(count):
-            test_plan.append((behavior, _trajectory_seed(config.master_seed, index, test=True)))
-            index += 1
+    behaviors = [behavior for behavior, count in config.test_counts.items() for _ in range(count)]
+    test_plan = [(behavior, _trajectory_seed(config.master_seed, j, test=True))
+                 for j, behavior in enumerate(behaviors)]  # (behavior, seed)
     test_logs = [_generate(config, behavior, seed) for behavior, seed in test_plan]
 
     # Mahalanobis stats: leave-one-out per calibration log, pooled for tests.
@@ -353,9 +357,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
         verdicts["vlm"] = []
         for i, log in enumerate(test_logs):
             rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 7, i)))
-            _, hit = monitor_log(log, config.monitor.transport(log, rng),
-                                 fractions=(config.monitor.checkpoint_fraction,))
-            verdicts["vlm"].append(verdict_at("vlm", hit, step_duration))
+            verdicts["vlm"].append(config.monitor.verdict(log, rng))
         union_members.append(verdicts["vlm"])
     verdicts["sentinel"] = [combine(*members) for members in zip(*union_members)]
 

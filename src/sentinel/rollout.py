@@ -42,6 +42,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _python_value(value):
     """A numpy scalar as the Python value it holds (JSON writes only those); else `value`."""
     return value.item() if isinstance(value, np.generic) else value
@@ -49,8 +53,7 @@ def _python_value(value):
 
 def _real(value, name: str) -> float:
     """`value` as a float, refused unless it is a real number (a bool or string is not)."""
-    _check(isinstance(value, numbers.Real) and not isinstance(value, bool),
-           f"{name} must be a real number, got {value!r}")
+    _check(_is_real(value), f"{name} must be a real number, got {value!r}")
     return float(value)
 
 

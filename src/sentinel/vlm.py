@@ -371,11 +371,8 @@ def checkpoint_record_indices(log: RolloutLog,
         if not 0 < fraction <= 1:
             raise ValueError("checkpoint fractions must be in (0, 1]")
         budget = fraction * header.task_time_limit
-        best = 0
-        for j, record in enumerate(log.records):
-            if record.timestep * header.step_duration <= budget:
-                best = j
-        out.append(best)
+        out.append(max((j for j, record in enumerate(log.records)
+                        if record.timestep * header.step_duration <= budget), default=0))
     return sorted(set(out))
 
 

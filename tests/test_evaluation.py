@@ -236,6 +236,27 @@ class TestScriptedMonitor:
         with pytest.raises(ValueError, match="labeled"):
             ScriptedMonitor().transport(log, np.random.default_rng(0))
 
+    def test_verdict_is_the_transport_asked_at_the_checkpoint(self, rng):
+        header = make_header(episode_limit=16, task_time_limit=8.0)
+        log = make_log(header=header, n_records=8, batch_size=2, rng=rng, label="failure")
+        monitor = ScriptedMonitor(true_positive_rate=0.5, checkpoint_fraction=0.5)
+        hits = set()
+        for seed in range(8):
+            _, hit = monitor_log(log, monitor.transport(log, np.random.default_rng(seed)),
+                                 fractions=(0.5,))
+            expected = ok_verdict("vlm") if hit is None else failure_verdict(
+                "vlm", hit, header.step_duration)
+            assert monitor.verdict(log, np.random.default_rng(seed)) == expected
+            hits.add(hit)
+        assert hits == {None, 8}  # both draws seen; a failure lands at the checkpoint
+
+    def test_bool_rates_rejected(self):
+        for name in ("true_positive_rate", "false_positive_rate", "checkpoint_fraction"):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                ScriptedMonitor(**{name: True})
+        with pytest.raises(ValueError, match="true_positive_rate"):
+            ScriptedMonitor.from_json_obj({"true_positive_rate": True})
+
     def test_numpy_rates_are_stored_as_python_floats(self):
         monitor = ScriptedMonitor(true_positive_rate=np.float32(0.5),
                                   false_positive_rate=np.float64(0.25),
@@ -287,6 +308,14 @@ class TestBenchmarkConfig:
         assert config == _small_benchmark_config(test_counts={"consistent": 3})
         for value in (config.n_calibration, config.master_seed, config.test_counts["consistent"]):
             assert type(value) is int
+
+    def test_numpy_delta_is_stored_as_python_float(self):
+        config = _small_benchmark_config(delta=np.float32(0.25))
+        assert type(config.delta) is float and config.delta == 0.25
+        assert config == _small_benchmark_config(delta=0.25)
+        for bad in (True, np.float32(1.0), "0.1"):
+            with pytest.raises(ValueError, match="delta"):
+                _small_benchmark_config(delta=bad)
 
 
 @pytest.fixture(scope="module")
@@ -368,11 +397,11 @@ class TestRunBenchmark:
                  monitor=ScriptedMonitor())),
         "reals": (
             dict(scenario=dict(episode_limit=16, batch_size=8, gain=np.float32(0.2)),
-                 n_calibration=3, master_seed=2,
+                 n_calibration=3, master_seed=2, delta=np.float32(0.4),
                  test_counts={"consistent": 1, "mode_resample": 1},
                  monitor=ScriptedMonitor(true_positive_rate=np.float32(0.5))),
             dict(scenario=dict(episode_limit=16, batch_size=8, gain=float(np.float32(0.2))),
-                 n_calibration=3, master_seed=2,
+                 n_calibration=3, master_seed=2, delta=float(np.float32(0.4)),
                  test_counts={"consistent": 1, "mode_resample": 1},
                  monitor=ScriptedMonitor(true_positive_rate=0.5))),
     }
