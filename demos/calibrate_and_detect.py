@@ -6,7 +6,7 @@ Calibrates a detection threshold on success-only rollouts, then runs the
 detector online on fresh episodes and reports when (and whether) it fires.
 """
 
-from sentinel.baselines import score_log
+from sentinel.baselines import OnlineScorer, score_log
 from sentinel.calibration import conformal_threshold
 from sentinel.evaluation import verdict_from_series
 from sentinel.policy import ScenarioConfig, generate_rollout
@@ -34,15 +34,24 @@ print(f"calibrated on M={result.m} successes at delta={result.delta}")
 print(f"threshold gamma = {result.gamma:.4f} "
       f"(order statistic {result.quantile_index} of {result.m})")
 
-# Step 3: run online on fresh episodes. detect_online walks the cumulative
-# score and returns the first timestep strictly above gamma, or None.
+# Step 3: run online on fresh episodes. A deployed monitor pushes each
+# inference record into an OnlineScorer as the policy emits it, and stops
+# the robot at the first step whose cumulative score is strictly above gamma.
 print()
 print("behavior        outcome   terminal   detection")
 for behavior, seed in [("consistent", 900), ("consistent", 901),
                        ("mode_resample", 902), ("mode_resample", 903)]:
     log = rollout(behavior, seed)
+    scorer = OnlineScorer(("stac-mmd",), log.header)
+    fired_at = None
+    for record in log.records:
+        _, cumulative = scorer.push(record)["stac-mmd"]
+        if cumulative > result.gamma:
+            fired_at = record.timestep
+            break
+    # Offline, detect_online applies the same rule to a whole scored log.
     series = score_log("stac-mmd", log)
-    fired_at = detect_online(series, result.gamma)
+    assert detect_online(series, result.gamma) == fired_at
     verdict = verdict_from_series(series, result.gamma, "stac",
                                   log.header.step_duration)
     when = f"t={fired_at} ({verdict.detection_seconds:.1f}s)" if fired_at is not None else "never"

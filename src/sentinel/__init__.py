@@ -4,8 +4,8 @@ Statistical temporal-consistency scoring over overlapping action chunks,
 conformal threshold calibration on success-only rollouts, reference baseline
 scores, a video-QA task-progression monitor, and a synthetic benchmark
 harness, all over a line-delimited rollout log format. Import from the
-submodules: `sentinel.baselines.OnlineScorer`, `score_detectors` and
-`score_log` are the only scoring entry points.
+submodules: `sentinel.baselines.OnlineScorer`, `score_logs`,
+`score_detectors` and `score_log` are the only scoring entry points.
 """
 
 __version__ = "0.1.0"

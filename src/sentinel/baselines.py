@@ -6,8 +6,9 @@ nonnegative per-inference-step score, summed into a cumulative series by
 holds the non-consistency scores (embedding distance, diffusion-style
 losses, output variance), the name registry the CLI and harness select
 from, `OnlineScorer`, which scores every requested detector one inference
-record at a time, and `score_detectors` / `score_log`, the one loop that
-walks a log through it.
+record at a time, and `score_logs`, the one loop that walks a battery of
+logs through it in lockstep, with `score_detectors` / `score_log` as its
+one-log cases.
 """
 
 from __future__ import annotations
@@ -72,33 +73,31 @@ def mahalanobis_score(z: np.ndarray, stats: EmbeddingStats) -> float:
     return math.sqrt(max(float(diff @ stats.covariance_inverse @ diff), 0.0))
 
 
-def _ddpm_loss(chunk_sets, state, oracle, n_noise_draws, rng_seed) -> list[float]:
+def _ddpm_loss(chunk_sets, states, oracle, n_noise_draws, rng_seeds) -> list[float]:
     """Denoising loss of each (B, h, d) chunk set, all from one oracle call.
 
     Each of the n_noise_draws (i, eps) pairs re-noises the whole set to
     schedule step i (i uniform over [0, N)) and measures the squared error
-    of the predicted noise, averaged over chunks and draws. Every set draws
-    its pairs from a generator of its own seeded with `rng_seed`, so a set
+    of the predicted noise, averaged over chunks and draws. Set g draws its
+    pairs from a generator of its own seeded with `rng_seeds[g]`, so a set
     scores the same alone or beside others. The S * n_noise_draws re-noised
     batches are the leading groups of one call, each under its own step;
-    `state` is one state for every set or an (S, sd) stack of one per set.
+    `states` is an (S, sd) stack of one state per set.
     """
     alpha_bar = oracle.schedule.alpha_bar
     shape = chunk_sets[0].shape
     steps = np.empty((len(chunk_sets), n_noise_draws), dtype=np.int64)
     eps = np.empty(steps.shape + shape)
     noised = np.empty_like(eps)
-    for g, chunks in enumerate(chunk_sets):
-        rng = np.random.default_rng(rng_seed)
+    for g, (chunks, seed) in enumerate(zip(chunk_sets, rng_seeds)):
+        rng = np.random.default_rng(seed)
         steps[g] = rng.integers(0, oracle.schedule.n_steps, size=n_noise_draws)
         for r, i in enumerate(steps[g]):
             abar = alpha_bar[i]
             eps[g, r] = rng.standard_normal(shape)
             noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps[g, r]
-    state = np.asarray(state, dtype=np.float64)
-    if state.ndim == 2:
-        state = np.repeat(state, n_noise_draws, axis=0)
-    pred = oracle.eps(noised.reshape((-1,) + shape), state, steps.ravel()).reshape(eps.shape)
+    states = np.repeat(np.asarray(states, dtype=np.float64), n_noise_draws, axis=0)
+    pred = oracle.eps(noised.reshape((-1,) + shape), states, steps.ravel()).reshape(eps.shape)
     scores = []
     for set_losses in np.mean(np.sum((eps - pred) ** 2, axis=(3, 4)), axis=2):
         total = 0.0
@@ -138,7 +137,9 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
     on every chunk independently, so the stack runs the steps from
     max(depths) down to 0 once, and step j queries the oracle for the rows
     whose depth is at least j. The rows are held deepest first, so those are
-    a leading slice; they come back in the order of `depths`.
+    a leading slice; they come back in the order of `depths`. Lockstep
+    scoring (`score_logs`) stacks the groups of every log of a battery, so
+    each of the max(depths) + 1 calls carries all their live rows at once.
     """
     alpha_bar = oracle.schedule.alpha_bar
     order = sorted(range(len(depths)), key=lambda r: -depths[r])
@@ -157,25 +158,25 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
     return x[:, np.argsort(order)]
 
 
-def _reconstruction(chunk_sets, state, oracle, depths, rng_seed) -> list[float]:
+def _reconstruction(chunk_sets, states, oracle, depths, rng_seeds) -> list[float]:
     """Reconstruction error of each (B, h, d) chunk set, all in one reverse pass.
 
     Each set is re-noised to every depth in `depths` (checked by
     `_validate_depths`) and reverse-diffused back; the score is the squared
-    error to the set, averaged over chunks and depths. Every set draws its
-    noise from a generator of its own seeded with `rng_seed`, so a set
-    scores the same alone or beside others; `state` is one state for every
-    set or a (G, sd) stack of one per set.
+    error to the set, averaged over chunks and depths. Set g draws its noise
+    from a generator of its own seeded with `rng_seeds[g]`, so a set scores
+    the same alone or beside others; `states` is a (G, sd) stack of one
+    state per set.
     """
     noised = np.empty((len(chunk_sets), len(depths)) + chunk_sets[0].shape)
-    for g, chunks in enumerate(chunk_sets):
-        rng = np.random.default_rng(rng_seed)
+    for g, (chunks, seed) in enumerate(zip(chunk_sets, rng_seeds)):
+        rng = np.random.default_rng(seed)
         for r, depth in enumerate(depths):
             abar = oracle.schedule.alpha_bar[depth]
             eps = rng.standard_normal(chunks.shape)
             noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
     scores = []
-    for chunks, recons in zip(chunk_sets, _reverse_stacked(oracle, noised, state, depths)):
+    for chunks, recons in zip(chunk_sets, _reverse_stacked(oracle, noised, states, depths)):
         total = 0.0
         for recon in recons:
             total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
@@ -267,10 +268,12 @@ class OnlineScorer:
       the `-temporal` member the stitched chunks under the previous one;
     - `mahalanobis` and `outvar` read the current record alone.
 
-    Each detector's scores are the ones it gets alone. Building the scorer
-    checks the context for the roster it names, before any record is pushed.
-    `push` refuses a record that breaks the log's rules (`rollout.check_next`)
-    with InvalidLogError, whatever the roster, and leaves the scorer as it was.
+    `push` is the one-log case of the step `score_logs` takes over a whole
+    battery (`_push_lockstep`). Each detector's scores are the ones it gets
+    alone. Building the scorer checks the context for the roster it names,
+    before any record is pushed. `push` refuses a record that breaks the
+    log's rules (`rollout.check_next`) with InvalidLogError, whatever the
+    roster, and leaves the scorer as it was.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -287,8 +290,8 @@ class OnlineScorer:
         if set(self._stac) - {"min-l2"}:  # import scipy here, not in a pushed step's budget
             _cdist()
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
-        # The oracle families the roster names: base detector, batched loss
-        # and the loss's per-step parameter, checked here once.
+        # The oracle families the roster names: base detector, batched loss,
+        # oracle and the loss's per-step parameter, checked here once.
         oracle_names = [name for name in self.names if name in ORACLE_DETECTORS]
         if oracle_names and self.ctx.oracle is None:
             raise ValueError("a policy oracle (DetectorContext.oracle) is needed by "
@@ -297,10 +300,10 @@ class OnlineScorer:
         if "ddpm" in self.names or "ddpm-temporal" in self.names:
             if self.ctx.n_noise_draws < 1:
                 raise ValueError("n_noise_draws must be >= 1")
-            self._families.append(("ddpm", _ddpm_loss, self.ctx.n_noise_draws))
+            self._families.append(("ddpm", _ddpm_loss, self.ctx.oracle, self.ctx.n_noise_draws))
         if "recon" in self.names or "recon-temporal" in self.names:
             depths = _validate_depths(self.ctx.depths, self.ctx.oracle.schedule.n_steps)
-            self._families.append(("recon", _reconstruction, depths))
+            self._families.append(("recon", _reconstruction, self.ctx.oracle, depths))
         if "mahalanobis" in self.names and self.ctx.embedding_stats is None:
             raise ValueError("mahalanobis needs calibrated embedding stats")
         self._cumulative = dict.fromkeys(self.names, 0.0)
@@ -310,9 +313,13 @@ class OnlineScorer:
 
     def push(self, record: InferenceRecord) -> dict[str, tuple[float, float]]:
         """Score the next inference record: {name: (step score, cumulative)}."""
-        names, header, ctx, prev, j = self.names, self.header, self.ctx, self._prev, self._j
-        first = record if prev is None else self._first
-        check_next(header, first, prev, record)
+        return _push_lockstep({0: (self, record)})[0]
+
+    def _score_own(self, record: InferenceRecord) -> tuple[dict, list]:
+        """Check `record`, score the detectors that read this log alone, and
+        list the oracle members left to score: (family, name, set, state, seed)."""
+        names, header, ctx, prev = self.names, self.header, self.ctx, self._prev
+        check_next(header, record if prev is None else self._first, prev, record)
         if prev is None:
             steps = dict.fromkeys(self._pairwise, 0.0)  # nothing precedes the first step
         else:
@@ -320,63 +327,115 @@ class OnlineScorer:
             if self._stac:
                 pair = extract_overlap(prev, record, header, self._mask)
                 steps.update(_stac_scores(self._stac, pair, prev.executed_index))
-        for base, loss, param in self._families:
-            members = []  # (name, chunk set, state) of each member scored at this step
+        members = []
+        for family in self._families:
+            base, seed = family[0], _step_seed(ctx.seed, self._j)
             if base in names:
-                members.append((base, record.chunk_samples, _embedding(record)))
+                members.append((family, base, record.chunk_samples, _embedding(record), seed))
             if prev is not None and base + "-temporal" in names:
-                members.append((base + "-temporal", _stitched_chunks(prev, record),
-                                _embedding(prev)))
-            if members:
-                member_names, sets, states = zip(*members)
-                # One member passes its one state: a (1, sd) stack would be
-                # repeated once per noise draw.
-                state = states[0] if len(states) == 1 else np.stack(states)
-                steps.update(zip(member_names, loss(sets, state, ctx.oracle, param,
-                                                    _step_seed(ctx.seed, j))))
+                members.append((family, base + "-temporal", _stitched_chunks(prev, record),
+                                _embedding(prev), seed))
         if "mahalanobis" in names:
             steps["mahalanobis"] = mahalanobis_score(_embedding(record), ctx.embedding_stats)
         if "outvar" in names:
             steps["outvar"] = output_variance_score(record, self._mask)
+        return steps, members
+
+    def _advance(self, record: InferenceRecord, steps: dict) -> dict[str, tuple[float, float]]:
+        """Add a scored step to the running sums and move on past `record`."""
         out = {}
         cumulative = self._cumulative
-        for name in names:
+        for name in self.names:
             value = float(steps[name])
             running = cumulative[name] = cumulative[name] + value
             out[name] = (value, running)
-        self._first = first
+        if self._prev is None:
+            self._first = record
         self._prev = record
-        self._j = j + 1
+        self._j += 1
         return out
+
+
+def _push_lockstep(pushes: dict) -> dict:
+    """One inference step over many logs: push each {index: (scorer, record)}.
+
+    Each log scores its own detectors, then each oracle family scores the
+    members of every log in one call per chunk-set shape. Returns {index:
+    what `push` returns}. A ValueError about one log's record carries its
+    index as `log_index`; no scorer moves on unless every log's step scores.
+    """
+    steps, calls = {}, {}
+    for index, (scorer, record) in pushes.items():
+        try:
+            steps[index], members = scorer._score_own(record)
+        except ValueError as exc:
+            exc.log_index = index
+            raise
+        for family, name, chunks, state, seed in members:
+            calls.setdefault((family, chunks.shape), []).append(
+                (steps[index], name, chunks, state, seed))
+    for ((_, loss, oracle, param), _), members in calls.items():
+        outs, names, sets, states, seeds = zip(*members)
+        for out, name, value in zip(outs, names,
+                                    loss(sets, np.stack(states), oracle, param, seeds)):
+            out[name] = value
+    return {index: scorer._advance(record, steps[index])
+            for index, (scorer, record) in pushes.items()}
+
+
+def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
+               ctxs: Sequence[Optional[DetectorContext]]) -> list[dict[str, ScoreSeries]]:
+    """Score a battery of rollouts with several registry detectors, in lockstep.
+
+    The one loop that scores logs: step j pushes record j of every log that
+    has one through its `OnlineScorer` in one `_push_lockstep`. The logs
+    share the oracle, `n_noise_draws` and `depths`; contexts that disagree
+    on one are refused, naming it, before any record is scored. A pairwise
+    detector refuses a log with fewer than two records, and a series that
+    is refused, for a step score that is not finite and nonnegative, is
+    named in the error. A ValueError about one log carries its `log_index`.
+    """
+    ctxs = [ctx or DetectorContext() for ctx in ctxs]
+    for ctx in ctxs[1:]:
+        for field in ("oracle", "n_noise_draws", "depths"):
+            if getattr(ctx, field) != getattr(ctxs[0], field):
+                raise ValueError(f"contexts disagree on {field}: a battery scores under one")
+    scorers = []
+    for index, (log, ctx) in enumerate(zip(logs, ctxs, strict=True)):
+        try:
+            for name in names:
+                if name in PAIRWISE_DETECTORS and log.n_records < 2:
+                    raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
+            scorers.append(OnlineScorer(names, log.header, ctx))
+        except ValueError as exc:
+            exc.log_index = index
+            raise
+    pushed = [[] for _ in logs]  # per log, what each push returned
+    for j in range(max([log.n_records for log in logs], default=0)):
+        live = {index: (scorers[index], log.records[j])
+                for index, log in enumerate(logs) if j < log.n_records}
+        for index, out in _push_lockstep(live).items():
+            pushed[index].append(out)
+    battery = []
+    for index, (log, scorer) in enumerate(zip(logs, scorers)):
+        series = {}
+        for name in scorer.names:
+            try:
+                series[name] = ScoreSeries(
+                    timesteps=log.timesteps(), step_scores=[s[name][0] for s in pushed[index]],
+                    cumulative=[s[name][1] for s in pushed[index]])
+            except ValueError as exc:
+                error = ValueError(f"{name}: {exc}")
+                error.log_index = index
+                raise error from exc
+        battery.append(series)
+    return battery
 
 
 def score_detectors(names: Sequence[str], log: RolloutLog,
                     ctx: Optional[DetectorContext] = None) -> dict[str, ScoreSeries]:
-    """Score one rollout with several registry detectors in one walk over it.
-
-    The one loop that scores a log: it pushes each record through an
-    `OnlineScorer`. A pairwise detector compares records j-1 and j, so it
-    refuses a log with fewer than two. A series it refuses, for a step
-    score that is not finite and nonnegative, is named in the error.
-    """
-    for name in names:
-        if name in PAIRWISE_DETECTORS and log.n_records < 2:
-            raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
-    scorer = OnlineScorer(names, log.header, ctx)
-    steps = {name: [] for name in scorer.names}
-    cumulative = {name: [] for name in scorer.names}
-    for record in log.records:
-        for name, (value, running) in scorer.push(record).items():
-            steps[name].append(value)
-            cumulative[name].append(running)
-    out = {}
-    for name in scorer.names:
-        try:
-            out[name] = ScoreSeries(timesteps=log.timesteps(), step_scores=steps[name],
-                                    cumulative=cumulative[name])
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-    return out
+    """Score one rollout with several registry detectors: `score_logs` for one log."""
+    return score_logs(names, [log], [ctx])[0]
 
 
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embedding_matrix,
-                        score_detectors)
+                        score_logs)
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
@@ -328,20 +328,20 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
                      for mu, cov in leave_trajectory_out_stats(embeddings)]
         pooled = EmbeddingStats.from_mean_cov(*pooled_stats(embeddings))
 
-    def _score(log: RolloutLog, seed: int, stats) -> dict:
-        ctx = DetectorContext(oracle=oracle, embedding_stats=stats, seed=seed)
-        try:
-            return score_detectors(config.detectors, log, ctx)
-        except ValueError as exc:
-            raise type(exc)(f"trajectory seed {seed}: {exc}") from exc
-
-    cal_series = [_score(log, seed, stats)
-                  for seed, log, stats in zip(cal_seeds, cal_logs, lto_stats)]
+    seeds = cal_seeds + [seed for _, seed in test_plan]
+    ctxs = [DetectorContext(oracle=oracle, embedding_stats=stats, seed=seed)
+            for seed, stats in zip(seeds, lto_stats + [pooled] * len(test_logs))]
+    try:
+        battery = score_logs(config.detectors, cal_logs + test_logs, ctxs)
+    except ValueError as exc:
+        if not hasattr(exc, "log_index"):
+            raise
+        raise type(exc)(f"trajectory seed {seeds[exc.log_index]}: {exc}") from exc
+    cal_series, test_series = battery[:len(cal_logs)], battery[len(cal_logs):]
     calibrations = {name: conformal_threshold([s[name].terminal for s in cal_series],
                                               config.delta)
                     for name in config.detectors}
 
-    test_series = [_score(log, seed, pooled) for (_, seed), log in zip(test_plan, test_logs)]
     series_by_detector: dict = {}
     verdicts: dict = {}  # by source: each detector, then the monitor and the union
     step_duration = scenario.step_duration

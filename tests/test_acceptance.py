@@ -245,7 +245,7 @@ def test_c09_denoising_loss_oracle():
     state = np.array([0.3, 0.2])
     clean = point.modes[0].chunk_mean(state, 3)
     record = make_record(0, np.tile(clean, (4, 1, 1)))
-    exact = _ddpm_loss([record.chunk_samples], state, point, 5, 0)[0]
+    exact = _ddpm_loss([record.chunk_samples], state[None], point, 5, [0])[0]
 
     policy = SyntheticGmmPolicy(
         [GmmMode(weight=1.0, stddev=0.3, attractor=np.array([2.0, 1.0]), gain=0.1)],
@@ -253,10 +253,11 @@ def test_c09_denoising_loss_oracle():
     base_state = np.zeros(2)
     rec = make_record(0, policy.sample_with_modes(base_state, 4)[0])
     in_dist = np.array([
-        _ddpm_loss([rec.chunk_samples], base_state, policy, 1, i)[0]
+        _ddpm_loss([rec.chunk_samples], base_state[None], policy, 1, [i])[0]
         for i in range(10_000)])
     shifted = np.array([
-        _ddpm_loss([rec.chunk_samples], base_state + np.array([1.5, -1.0]), policy, 1, i)[0]
+        _ddpm_loss([rec.chunk_samples], base_state[None] + np.array([1.5, -1.0]), policy, 1,
+                   [i])[0]
         for i in range(10_000)])
     p_value = float(scipy_stats.ttest_rel(shifted, in_dist, alternative="greater").pvalue)
     ok = exact < 1e-10 and p_value < 0.01

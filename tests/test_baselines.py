@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,11 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from sentinel import baselines, distances, rollout
+from sentinel import baselines, distances, evaluation, rollout
 from sentinel.baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, PAIRWISE_DETECTORS,
                                 DetectorContext, EmbeddingStats, OnlineScorer, mahalanobis_score,
-                                output_variance_score, score_detectors, score_log, _ddpm_loss,
-                                _reconstruction, _reverse_stacked, _step_seed, _stitched_chunks)
+                                output_variance_score, score_detectors, score_log, score_logs,
+                                _ddpm_loss, _reconstruction, _reverse_stacked, _step_seed,
+                                _stitched_chunks)
+from sentinel.evaluation import BenchmarkConfig, run_benchmark
 from sentinel.policy import GmmMode, ScenarioConfig, SyntheticGmmPolicy, generate_rollout
 from sentinel.rollout import InvalidLogError, LogParseError, RolloutLog, read_log
 from sentinel.stac import STAC_DETECTORS
@@ -62,23 +65,23 @@ class TestDdpmLoss:
         state = np.array([0.3, 0.2])
         clean = policy.modes[0].chunk_mean(state, 3)
         chunks = np.tile(clean, (4, 1, 1))
-        assert _ddpm_loss([chunks], state, policy, 5, 0)[0] < 1e-10
+        assert _ddpm_loss([chunks], state[None], policy, 5, [0])[0] < 1e-10
 
     def test_off_distribution_state_scores_higher(self):
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
         clean = policy.modes[0].chunk_mean(state, 3)
         chunks = np.tile(clean, (4, 1, 1))
-        good = _ddpm_loss([chunks], state, policy, 5, 0)[0]
-        bad = _ddpm_loss([chunks], state + 3.0, policy, 5, 0)[0]
+        good = _ddpm_loss([chunks], state[None], policy, 5, [0])[0]
+        bad = _ddpm_loss([chunks], state[None] + 3.0, policy, 5, [0])[0]
         assert bad > good
 
     def test_seed_determinism(self):
         policy = _point_mass_policy()
         chunks = np.random.default_rng(0).standard_normal((4, 3, 2))
-        a = _ddpm_loss([chunks], np.zeros(2), policy, 10, 7)[0]
-        b = _ddpm_loss([chunks], np.zeros(2), policy, 10, 7)[0]
-        c = _ddpm_loss([chunks], np.zeros(2), policy, 10, 8)[0]
+        a = _ddpm_loss([chunks], np.zeros((1, 2)), policy, 10, [7])[0]
+        b = _ddpm_loss([chunks], np.zeros((1, 2)), policy, 10, [7])[0]
+        c = _ddpm_loss([chunks], np.zeros((1, 2)), policy, 10, [8])[0]
         assert a == b
         assert a != c
 
@@ -117,7 +120,7 @@ class TestStitchedChunks:
         curr_chunks = np.tile(plan[2:6], (2, 1, 1))
         prev = make_record(0, prev_chunks)
         curr = make_record(2, curr_chunks)
-        score = _ddpm_loss([_stitched_chunks(prev, curr)], state, policy, 4, 0)[0]
+        score = _ddpm_loss([_stitched_chunks(prev, curr)], state[None], policy, 4, [0])[0]
         assert score < 1e-10
 
 
@@ -142,14 +145,15 @@ class TestReverseReconstruction:
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
         chunks = np.tile(policy.modes[0].chunk_mean(state, 3), (3, 1, 1))
-        assert _reconstruction([chunks], state, policy, (5, 20), 0)[0] < 1e-10
+        assert _reconstruction([chunks], state[None], policy, (5, 20), [0])[0] < 1e-10
 
     def test_temporal_reconstruction_runs(self):
         policy = _point_mass_policy(horizon=4)
         rng = np.random.default_rng(5)
         prev = make_record(0, rng.standard_normal((2, 4, 2)) * 0.1)
         curr = make_record(2, rng.standard_normal((2, 4, 2)) * 0.1)
-        score = _reconstruction([_stitched_chunks(prev, curr)], np.zeros(2), policy, (3,), 0)[0]
+        score = _reconstruction([_stitched_chunks(prev, curr)], np.zeros((1, 2)), policy, (3,),
+                                [0])[0]
         assert score >= 0.0
 
 
@@ -247,7 +251,9 @@ class TestStackedReconstruction:
     @pytest.mark.parametrize("depths", DEPTHS)
     def test_one_oracle_call_per_step(self, depths):
         """max(depths) + 1 eps calls per record, where a pass per depth makes
-        sum(depth + 1); each call predicts only the rows still live."""
+        sum(depth + 1); each call predicts only the rows still live. Logs of
+        one shape scored in lockstep make as many calls per step as one log,
+        each carrying the rows of all of them."""
         policy, log = self._scenario_log("consistent")
         oracle = _CountingOracle(policy)
         ctx = DetectorContext(oracle=oracle, depths=depths)
@@ -258,6 +264,15 @@ class TestStackedReconstruction:
         oracle.calls = 0
         score_log("recon-temporal", log, ctx)
         assert oracle.calls == (log.n_records - 1) * (max(depths) + 1)
+        config = ScenarioConfig(episode_limit=12)
+        logs = [log] + [generate_rollout(config.build_policy(behavior, seed=seed), config,
+                                         seed=seed)
+                        for seed, behavior in [(5, "consistent"), (6, "mode_resample")]]
+        oracle.calls = oracle.rows = 0
+        score_logs(("recon",), logs, [ctx] * len(logs))
+        assert oracle.calls == log.n_records * (max(depths) + 1)
+        assert oracle.rows == len(logs) * log.n_records * batch * sum(depth + 1
+                                                                       for depth in depths)
 
 
 def _reference_ddpm_loss(chunks, state, oracle, n_noise_draws, rng_seed):
@@ -491,6 +506,102 @@ class TestOnlineScorer:
         one = make_log(header=header, n_records=1, rng=rng)
         with pytest.raises(InvalidLogError, match="min-l2 scoring needs at least 2"):
             score_detectors(("outvar", "min-l2", "stac-mmd"), one)
+
+
+class TestScoreLogs:
+    """A battery scored in lockstep against each of its logs scored alone."""
+
+    DEPTHS = (7, 1, 3)
+
+    @classmethod
+    def _battery(cls, oracle):
+        """Logs of three lengths, one at another batch size, each under its
+        own seed and embedding stats, all under one oracle."""
+        logs, ctxs = [], []
+        for i, (episode_limit, batch_size, behavior) in enumerate([
+                (12, 32, "consistent"), (20, 32, "mode_resample"),
+                (16, 16, "mode_resample"), (16, 32, "consistent")]):
+            config = ScenarioConfig(episode_limit=episode_limit, batch_size=batch_size)
+            logs.append(generate_rollout(config.build_policy(behavior, seed=i), config, seed=i))
+            stats = EmbeddingStats.from_mean_cov(np.full(2, 0.5 * i), np.eye(2) * (1.0 + i))
+            ctxs.append(DetectorContext(oracle=oracle, embedding_stats=stats, seed=10 + i,
+                                        n_noise_draws=3, depths=cls.DEPTHS))
+        return logs, ctxs
+
+    def test_every_detector_equals_each_log_alone(self):
+        """Bit for bit, for all ten detectors, with one eps call per family
+        per step for each chunk-set shape among the logs still running."""
+        policy = ScenarioConfig().build_policy("consistent", seed=0)
+        oracle = _CountingOracle(policy)
+        logs, ctxs = self._battery(oracle)
+        battery = score_logs(DETECTOR_NAMES, logs, ctxs)
+        shapes_per_step = [len({log.records[0].batch_size for log in logs if j < log.n_records})
+                           for j in range(max(log.n_records for log in logs))]
+        assert oracle.calls == sum(shapes_per_step) * (1 + max(self.DEPTHS) + 1)
+        for log, ctx, series in zip(logs, ctxs, battery):
+            alone = score_detectors(DETECTOR_NAMES, log, ctx)
+            assert list(series) == list(DETECTOR_NAMES)
+            for name in DETECTOR_NAMES:
+                assert series[name] == alone[name], name
+        assert score_logs(DETECTOR_NAMES, [], []) == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("oracle", ScenarioConfig().build_policy("consistent", seed=1)),
+        ("n_noise_draws", 4),
+        ("depths", (7, 1)),
+    ])
+    def test_mixed_oracle_settings_are_refused(self, field, value, monkeypatch):
+        """The oracle settings hold for the whole battery, whichever
+        detectors the roster names: contexts that disagree on one are
+        refused, naming it, before any record is checked or scored."""
+        oracle = _CountingOracle(ScenarioConfig().build_policy("consistent", seed=0))
+        logs, ctxs = self._battery(oracle)
+        ctxs[2] = dataclasses.replace(ctxs[2], **{field: value})
+        checked = []
+        monkeypatch.setattr(baselines, "check_next", lambda *args: checked.append(args))
+        for names in (DETECTOR_NAMES, ("stac-mmd",)):
+            with pytest.raises(ValueError, match=rf"^contexts disagree on {field}\b"):
+                score_logs(names, logs, ctxs)
+        assert oracle.calls == 0 and checked == []
+
+    def test_errors_name_their_log_by_index(self, monkeypatch):
+        """A log refused before scoring, and a series refused after, carry
+        the position of their own log, not of the first."""
+        oracle = ScenarioConfig().build_policy("consistent", seed=0)
+        logs, ctxs = self._battery(oracle)
+        short = RolloutLog(header=logs[1].header, records=logs[1].records[:1])
+        with pytest.raises(InvalidLogError, match="^min-l2 scoring needs") as refused:
+            score_logs(("outvar", "min-l2"), logs[:1] + [short] + logs[2:], ctxs)
+        assert refused.value.log_index == 1
+        bad = logs[2].records[1]
+        scored = baselines.output_variance_score
+        monkeypatch.setattr(baselines, "output_variance_score", lambda record, mask: (
+            float("nan") if record is bad else scored(record, mask)))
+        with pytest.raises(ValueError, match="^outvar: step score at index 1 must be finite"
+                           ) as refused:
+            score_logs(("stac-mmd", "outvar"), logs, ctxs)
+        assert refused.value.log_index == 2
+
+    def test_benchmark_names_the_seed_of_a_refused_test_log(self, monkeypatch):
+        """A test log's refused series names that log's trajectory seed,
+        though the calibration logs are scored in the same lockstep."""
+        config = BenchmarkConfig(
+            scenario=ScenarioConfig(episode_limit=16, batch_size=8, gain=0.2),
+            detectors=("stac-mmd", "mahalanobis"), n_calibration=4,
+            test_counts={"consistent": 2, "mode_resample": 2}, delta=0.4, master_seed=5)
+        test_seed = evaluation._trajectory_seed(config.master_seed, 2, test=True)
+        generate = evaluation._generate
+
+        def generate_lost_embedding(config, behavior, seed):
+            log = generate(config, behavior, seed)
+            if seed == test_seed:
+                log.records[2].embedding = np.full_like(log.records[2].embedding, np.nan)
+            return log
+
+        monkeypatch.setattr(evaluation, "_generate", generate_lost_embedding)
+        with pytest.raises(ValueError, match=rf"^trajectory seed {test_seed}: mahalanobis: "
+                                             r"step score at index 2 must be finite"):
+            run_benchmark(config)
 
 
 class TestOutputVariance:
