@@ -582,6 +582,25 @@ class TestScoreLogs:
             score_logs(("stac-mmd", "outvar"), logs, ctxs)
         assert refused.value.log_index == 2
 
+    @pytest.mark.parametrize("target", [1, 3])
+    def test_refused_record_names_its_log(self, target, monkeypatch):
+        """A record refused in a step carries its own log's index: log 3
+        after the shortest log has ended, log 1 when it runs on alone."""
+        oracle = ScenarioConfig().build_policy("consistent", seed=0)
+        logs, ctxs = self._battery(oracle)
+        bad = logs[target].records[-1]
+        check = baselines.check_next
+
+        def refuse(header, first, prev, record):
+            if record is bad:
+                raise InvalidLogError("refused")
+            check(header, first, prev, record)
+
+        monkeypatch.setattr(baselines, "check_next", refuse)
+        with pytest.raises(InvalidLogError, match="^refused$") as refused:
+            score_logs(("stac-mmd", "outvar"), logs, ctxs)
+        assert refused.value.log_index == target
+
     def test_benchmark_names_the_seed_of_a_refused_test_log(self, monkeypatch):
         """A test log's refused series names that log's trajectory seed,
         though the calibration logs are scored in the same lockstep."""
