@@ -73,38 +73,44 @@ def mahalanobis_score(z: np.ndarray, stats: EmbeddingStats) -> float:
     return math.sqrt(max(float(diff @ stats.covariance_inverse @ diff), 0.0))
 
 
+def _renoised(chunk_sets, rng_seeds, schedule, n_draws, steps=None) -> tuple:
+    """Per (B, h, d) chunk set, from a generator seeded with its own `rng_seeds[g]` (so a
+    set scores the same alone or beside others), n_draws steps, uniform over [0, N) unless
+    `steps` fixes them, then all its noise in one call. Returns the (S, R) steps, and the
+    (S, R, B, h, d) noise and re-noised sets, sqrt(abar) * chunks + sqrt(1 - abar) * noise."""
+    draw_steps = np.empty((len(chunk_sets), n_draws), dtype=np.int64)
+    eps = np.empty(draw_steps.shape + chunk_sets[0].shape)
+    for g, seed in enumerate(rng_seeds):
+        rng = np.random.default_rng(seed)
+        draw_steps[g] = rng.integers(0, schedule.n_steps, n_draws) if steps is None else steps
+        rng.standard_normal(out=eps[g])
+    abar = np.asarray(schedule.alpha_bar)[draw_steps][..., None, None, None]
+    noised = np.sqrt(1.0 - abar) * eps
+    noised += np.sqrt(abar) * np.stack(chunk_sets)[:, None]
+    return draw_steps, eps, noised
+
+
+def _mean_over_draws(errors: np.ndarray) -> list[float]:
+    """Score of each set from its (S, R, B, h, d) errors, squared in place: per
+    draw the squared error summed over a chunk and averaged over the B chunks,
+    then the mean of the R draws, added in draw order as a Python loop would."""
+    losses = np.mean(np.sum(np.square(errors, out=errors), axis=(3, 4)), axis=2)
+    return (np.cumsum(losses, axis=1)[:, -1] / losses.shape[1]).tolist()
+
+
 def _ddpm_loss(chunk_sets, states, oracle, n_noise_draws, rng_seeds) -> list[float]:
     """Denoising loss of each (B, h, d) chunk set, all from one oracle call.
 
-    Each of the n_noise_draws (i, eps) pairs re-noises the whole set to
-    schedule step i (i uniform over [0, N)) and measures the squared error
-    of the predicted noise, averaged over chunks and draws. Set g draws its
-    pairs from a generator of its own seeded with `rng_seeds[g]`, so a set
-    scores the same alone or beside others. The S * n_noise_draws re-noised
-    batches are the leading groups of one call, each under its own step;
-    `states` is an (S, sd) stack of one state per set.
+    Each of the n_noise_draws (i, eps) pairs (`_renoised`) re-noises the
+    whole set to schedule step i and measures the squared error of the
+    predicted noise, averaged over chunks and draws. The S * n_noise_draws
+    re-noised batches are the leading groups of one call, each under its
+    own step; `states` is an (S, sd) stack of one state per set.
     """
-    alpha_bar = oracle.schedule.alpha_bar
-    shape = chunk_sets[0].shape
-    steps = np.empty((len(chunk_sets), n_noise_draws), dtype=np.int64)
-    eps = np.empty(steps.shape + shape)
-    noised = np.empty_like(eps)
-    for g, (chunks, seed) in enumerate(zip(chunk_sets, rng_seeds)):
-        rng = np.random.default_rng(seed)
-        steps[g] = rng.integers(0, oracle.schedule.n_steps, size=n_noise_draws)
-        for r, i in enumerate(steps[g]):
-            abar = alpha_bar[i]
-            eps[g, r] = rng.standard_normal(shape)
-            noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps[g, r]
+    steps, eps, noised = _renoised(chunk_sets, rng_seeds, oracle.schedule, n_noise_draws)
     states = np.repeat(np.asarray(states, dtype=np.float64), n_noise_draws, axis=0)
-    pred = oracle.eps(noised.reshape((-1,) + shape), states, steps.ravel()).reshape(eps.shape)
-    scores = []
-    for set_losses in np.mean(np.sum((eps - pred) ** 2, axis=(3, 4)), axis=2):
-        total = 0.0
-        for loss in set_losses:
-            total += float(loss)
-        scores.append(total / n_noise_draws)
-    return scores
+    eps -= oracle.eps(noised.reshape(-1, *eps.shape[2:]), states, steps.ravel()).reshape(eps.shape)
+    return _mean_over_draws(eps)
 
 
 def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord) -> np.ndarray:
@@ -132,56 +138,47 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
                      depths: Sequence[int]) -> np.ndarray:
     """Reverse-diffuse each noised[g, r] from schedule step depths[r] in one pass.
 
-    `noised` is (G, D, B, h, d), and `state` is one state for every group or
-    a (G, sd) stack of one per group. The updates are deterministic and act
-    on every chunk independently, so the stack runs the steps from
-    max(depths) down to 0 once, and step j queries the oracle for the rows
-    whose depth is at least j. The rows are held deepest first, so those are
-    a leading slice; they come back in the order of `depths`. Lockstep
-    scoring (`score_logs`) stacks the groups of every log of a battery, so
-    each of the max(depths) + 1 calls carries all their live rows at once.
+    `noised` is (G, D, B, h, d) and is not written into; `state` is one
+    state for every group or a (G, sd) stack of one per group. The updates
+    are deterministic and act on every chunk independently, so the stack
+    runs the steps from max(depths) down to 0 once, and step j updates in
+    place the rows whose depth is at least j. Held depth-major, deepest
+    first, in one contiguous (D, G, B, h, d) copy, those are a leading
+    block, one (live depths * G, B, h, d) oracle call under the state stack
+    repeated per live depth. Lockstep scoring (`score_logs`) puts every log
+    of a battery in each call. The rows come back as (G, D, B, h, d) in the
+    order of `depths`.
     """
     alpha_bar = oracle.schedule.alpha_bar
     order = sorted(range(len(depths)), key=lambda r: -depths[r])
     deepest_first = [int(depths[r]) for r in order]
-    x = noised[:, order]
+    x = np.ascontiguousarray(noised.swapaxes(0, 1)[order])
     n_live = 0
     for j in range(deepest_first[0], -1, -1):
         while n_live < len(order) and deepest_first[n_live] >= j:
             n_live += 1
+            live_state = state if np.ndim(state) == 1 else np.tile(state, (n_live, 1))
         ab_j = alpha_bar[j]
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
-        x_live = x[:, :n_live]
-        pred = oracle.eps(x_live, state, j)
-        x_live[...] = (x_live - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
-    return x[:, np.argsort(order)]
+        x_live = x[:n_live].reshape((-1,) + x.shape[2:])
+        x_live -= (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * oracle.eps(x_live, live_state, j)
+        x_live /= math.sqrt(alpha_j)
+    return x.swapaxes(0, 1)[:, np.argsort(order)]
 
 
 def _reconstruction(chunk_sets, states, oracle, depths, rng_seeds) -> list[float]:
     """Reconstruction error of each (B, h, d) chunk set, all in one reverse pass.
 
     Each set is re-noised to every depth in `depths` (checked by
-    `_validate_depths`) and reverse-diffused back; the score is the squared
-    error to the set, averaged over chunks and depths. Set g draws its noise
-    from a generator of its own seeded with `rng_seeds[g]`, so a set scores
-    the same alone or beside others; `states` is a (G, sd) stack of one
-    state per set.
+    `_validate_depths`; noise drawn by `_renoised`) and reverse-diffused
+    back; the score is the squared error to the set, averaged over chunks
+    and depths. `states` is a (G, sd) stack of one state per set.
     """
-    noised = np.empty((len(chunk_sets), len(depths)) + chunk_sets[0].shape)
-    for g, (chunks, seed) in enumerate(zip(chunk_sets, rng_seeds)):
-        rng = np.random.default_rng(seed)
-        for r, depth in enumerate(depths):
-            abar = oracle.schedule.alpha_bar[depth]
-            eps = rng.standard_normal(chunks.shape)
-            noised[g, r] = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
-    scores = []
-    for chunks, recons in zip(chunk_sets, _reverse_stacked(oracle, noised, states, depths)):
-        total = 0.0
-        for recon in recons:
-            total += float(np.mean(np.sum((chunks - recon) ** 2, axis=(1, 2))))
-        scores.append(total / len(depths))
-    return scores
+    _, _, noised = _renoised(chunk_sets, rng_seeds, oracle.schedule, len(depths), depths)
+    recons = _reverse_stacked(oracle, noised, states, depths)
+    np.subtract(np.stack(chunk_sets)[:, None], recons, out=recons)
+    return _mean_over_draws(recons)
 
 
 def output_variance_score(record: InferenceRecord, action_mask: np.ndarray) -> float:

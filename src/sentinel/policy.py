@@ -65,16 +65,16 @@ class PolicyOracle(abc.ABC):
         """Predict the noise inside chunks re-noised to schedule step i.
 
         `noised_chunk` has shape (..., h, action_dim) with any leading batch
-        dims, e.g. (G, D, B, h, action_dim) from the stacked reconstruction
-        pass; each chunk's prediction must not depend on the other rows.
-        `state` is one state of shape (sd,) for every chunk, or a (G, sd)
-        stack of G states, one per leading group: chunk noised_chunk[g, ...]
-        is conditioned on state[g]. Likewise `i` is one integer step for
-        every chunk, or a (G,) integer array of one step per leading group,
-        as when the noise draws of the ddpm detectors are stacked. Returns an
-        array of the same shape. A policy's modes and schedule are fixed once
-        it is built, so an implementation may compute what depends only on
-        them, or on the step and the state, once and reuse it.
+        dims; each chunk's prediction must not depend on the other rows, and
+        the array must not be written into. `state` is one state of shape
+        (sd,) for every chunk, or a (G, sd) stack of G states, one per leading
+        group: chunk noised_chunk[g, ...] is conditioned on state[g]. Likewise
+        `i` is one integer step for every chunk, or a (G,) integer array of
+        one step per leading group. Returns an array of the same shape, which
+        callers never write into, so it may be read-only or kept by the
+        oracle. A policy's modes and schedule are fixed once it is built, so
+        an implementation may compute what depends only on them, or on the
+        step and the state, once and reuse it.
         """
 
     @abc.abstractmethod
@@ -284,7 +284,9 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
     laid out mode-major, (M, n), and reduced over the leading mode axis.
     Below 8 modes numpy sums that axis in the order it sums a row of the
     (n, M) layout, so both give the same bits; from 8 modes on it sums a
-    row pairwise, and the two differ in the last bits.
+    row pairwise, and the two differ in the last bits. The per-mode posterior
+    means are built in the buffer of the differences, and the prediction in
+    the blend's: nothing is written into `noised_chunk`.
     """
     steps, per_group_step = _denoise_steps(i, policy.schedule.n_steps)
     log_weights, step_scalars, step_modes = policy._oracle_constants
@@ -303,20 +305,21 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
                          f"({n_groups}, ..., {h}, {d}), got {x.shape}")
     lead = x.shape[:-2]
     groups = x.reshape(n_groups, -1, h * d)  # (G, n/G, V)
-
     mu = _gmm_mode_means(policy, states)[:, :, None, :]  # (M, G, 1, V)
     n_modes, v = mu.shape[0], mu.shape[-1]
     sqrt_abar, sqrt_one_minus_abar = step_scalars.take(steps, axis=1)  # (G, 1, 1)
     s2, log_norm, shrink = step_modes.take(steps, axis=2)  # (M, G, 1)
     diff = groups - sqrt_abar * mu  # (M, G, n/G, V)
-    post_mean_per_mode = (mu + shrink[..., None] * diff).reshape(n_modes, -1, v)
     sq = np.einsum("mgrv,mgrv->mgr", diff, diff)
+    post_mean_per_mode = np.add(mu, np.multiply(shrink[..., None], diff, out=diff), out=diff)
     log_resp = (log_weights[:, None, None] - 0.5 * sq / s2 - log_norm).reshape(n_modes, -1)
     log_resp -= logsumexp_rows(log_resp, axis=0)
     resp = np.exp(log_resp)  # (M, n)
-    post_mean = np.einsum("mn,mnv->nv", resp, post_mean_per_mode).reshape(groups.shape)
-
-    eps_hat = (groups - sqrt_abar * post_mean) / sqrt_one_minus_abar
+    post_mean = np.einsum("mn,mnv->nv", resp, post_mean_per_mode.reshape(n_modes, -1, v))
+    post_mean = post_mean.reshape(groups.shape)
+    post_mean *= sqrt_abar
+    eps_hat = np.subtract(groups, post_mean, out=post_mean)
+    eps_hat /= sqrt_one_minus_abar
     return eps_hat.reshape(*lead, h, d)
 
 

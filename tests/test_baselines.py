@@ -314,6 +314,48 @@ class TestStackedDdpm:
             assert scored["ddpm-temporal"].step_scores[j] == want
 
 
+class _ReadOnlyOracle:
+    """A policy oracle whose predictions are read-only arrays."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.schedule = policy.schedule
+
+    def eps(self, noised_chunk, state, i):
+        pred = self.policy.eps(noised_chunk, state, i)
+        pred.flags.writeable = False
+        return pred
+
+
+class TestOracleContract:
+    """Scoring never writes into an array the oracle returns, nor into the
+    rows it hands to the reverse pass."""
+
+    def test_read_only_predictions_give_the_same_scores(self):
+        policy, log = TestStackedReconstruction._scenario_log("mode_resample")
+        config = ScenarioConfig(episode_limit=12)
+        logs = [log, generate_rollout(config.build_policy("consistent", seed=5), config, seed=5)]
+
+        def scored(oracle):
+            ctx = DetectorContext(oracle=oracle, n_noise_draws=4, depths=(7, 2, 12), seed=9)
+            return score_logs(ORACLE_DETECTORS, logs, [ctx] * len(logs))
+
+        assert scored(_ReadOnlyOracle(policy)) == scored(policy)
+
+    def test_reverse_stacked_leaves_its_input(self):
+        policy, log = TestStackedReconstruction._scenario_log("consistent")
+        chunks = log.records[1].chunk_samples
+        states = np.stack([log.records[1].embedding, log.records[0].embedding])
+        noised = chunks + 0.3 * np.random.default_rng(2).standard_normal((2, 3) + chunks.shape)
+        before = noised.copy()
+        noised.flags.writeable = False  # a write into it raises
+        for state in (states[0], states):
+            got = _reverse_stacked(_ReadOnlyOracle(policy), noised, state, (5, 1, 9))
+            assert np.array_equal(noised, before)
+            assert not np.shares_memory(got, noised)
+            assert np.array_equal(got, _reverse_stacked(policy, before, state, (5, 1, 9)))
+
+
 class TestOnlineScorer:
     """Every detector pushed through one scorer against each detector alone."""
 

@@ -192,7 +192,11 @@ class TestExactNoiseOracle:
                  + 0.7 * np.exp(-0.5 * ((grid + 0.6) / 0.8) ** 2) / 0.8)
         lik = np.exp(-0.5 * (x[0, 0] - math.sqrt(abar) * grid) ** 2 / (1 - abar))
         post = prior * lik
-        post_mean = np.trapezoid(grid * post, grid) / np.trapezoid(post, grid)
+
+        def trapezoid(y):  # the trapezoid rule, written out: numpy < 2.0 has no np.trapezoid
+            return float(np.sum((y[1:] + y[:-1]) * np.diff(grid)) / 2.0)
+
+        post_mean = trapezoid(grid * post) / trapezoid(post)
         expected_eps = (x[0, 0] - math.sqrt(abar) * post_mean) / math.sqrt(1 - abar)
 
         pred = gmm_exact_eps(policy, x, state, i)
@@ -414,6 +418,37 @@ class TestOracleAgainstReference:
             gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((2, 2)), 3)
         with pytest.raises(ValueError, match="2 states"):
             gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros((2, 2)), 3)
+
+
+class TestOracleInputSafety:
+    """gmm_exact_eps writes nothing it was given, returns memory of its own,
+    and gives the same bits whatever the layout of its input."""
+
+    WEIGHTS = {1: (1.0,), 2: (0.4, 0.6), 3: (0.2, 0.5, 0.3)}
+
+    @pytest.mark.parametrize("n_modes", sorted(WEIGHTS))
+    def test_leaves_its_input_and_ignores_its_layout(self, n_modes):
+        rng = np.random.default_rng(18)
+        modes = [GmmMode(weight=w, stddev=0.2 + 0.3 * m, attractor=rng.standard_normal(2),
+                         gain=0.1 + 0.4 * m) for m, w in enumerate(self.WEIGHTS[n_modes])]
+        policy = SyntheticGmmPolicy(modes, horizon=4, action_dim=2)
+        base = rng.standard_normal((6, 5, 4, 4)) * 2.0
+        base.flags.writeable = False  # a write into any view of it raises
+        views = [base[::2, :, :, 1:3], base[:3, ::2, :, ::2],
+                 base.transpose(1, 0, 2, 3)[:3, :4, :, :2], base[::2, :, :, :2].copy()[:, ::2]]
+        for x in views:
+            assert not x.flags.c_contiguous
+            x.flags.writeable = False
+            before = x.copy()
+            for state, i in [(rng.standard_normal(2), 37),
+                             (rng.standard_normal((3, 2)), 0),
+                             (rng.standard_normal((3, 2)), np.array([99, 5, 50]))]:
+                got = gmm_exact_eps(policy, x, state, i)
+                assert np.array_equal(x, before)
+                assert not np.shares_memory(got, x)
+                want = gmm_exact_eps(policy, np.ascontiguousarray(x), state, i)
+                assert got.shape == want.shape == x.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestScenario:
