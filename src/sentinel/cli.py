@@ -318,6 +318,9 @@ def _metrics_table(metrics: dict) -> str:
 def cmd_vlm(args) -> int:
     if args.nu < 1:
         raise CliError("--nu must be >= 1", kind="usage", code=2)
+    if not 0.0 < args.timeout < float("inf"):
+        raise CliError(f"--timeout must be a finite number > 0, got {args.timeout}",
+                       kind="usage", code=2)
     if args.transport == "mock":
         if not args.fixtures:
             raise CliError("--fixtures DIR is required with the mock transport",

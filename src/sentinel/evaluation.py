@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +23,7 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
-from .rollout import RolloutLog, _is_int, _is_real, _python_value
+from .rollout import RolloutLog, _check_scalar_fields, _json_fields
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 from .vlm import MockTransport, monitor_log
 
@@ -187,11 +187,7 @@ class ScriptedMonitor:
     checkpoint_fraction: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = _python_value(getattr(self, f.name))
-            if not _is_real(value):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            setattr(self, f.name, value)
+        _check_scalar_fields(self)
         for rate in (self.true_positive_rate, self.false_positive_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("confusion rates must be in [0, 1]")
@@ -215,10 +211,7 @@ class ScriptedMonitor:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScriptedMonitor":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown monitor keys: {sorted(unknown)}")
-        return cls(**obj)
+        return cls(**_json_fields(cls, obj, "monitor"))
 
 
 @dataclass
@@ -235,29 +228,27 @@ class BenchmarkConfig:
     monitor: Optional[ScriptedMonitor] = None
 
     def __post_init__(self):
+        _check_scalar_fields(self)
         self.detectors = tuple(self.detectors)
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ValueError(f"unknown detector {name!r}")
         if self.sentinel_detector not in self.detectors:
             raise ValueError("sentinel_detector must be in the detector roster")
-        if not _is_int(self.n_calibration) or self.n_calibration < 2:
+        if self.n_calibration < 2:
             raise ValueError("n_calibration must be an integer >= 2 (calibration rollouts)")
         if not isinstance(self.test_counts, dict) or not self.test_counts:
             raise ValueError("test_counts must be a nonempty object of behavior: count")
         for behavior, count in self.test_counts.items():
             if behavior not in BEHAVIORS:
                 raise ValueError(f"unknown behavior {behavior!r}")
-            if not _is_int(count) or count < 1:
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
                 raise ValueError(f"test_counts[{behavior!r}] must be an integer >= 1")
-        if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
+        if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
-        if not _is_int(self.master_seed) or self.master_seed < 0:
+        if self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        self.n_calibration = _python_value(self.n_calibration)
-        self.test_counts = {b: _python_value(count) for b, count in self.test_counts.items()}
-        self.master_seed = _python_value(self.master_seed)
-        self.delta = _python_value(self.delta)
+        self.test_counts = {b: int(count) for b, count in self.test_counts.items()}
         if self.monitor is not None and not self.scenario.record_frames:
             raise ValueError("a monitor reads frame references: it needs scenario.record_frames")
 
@@ -269,10 +260,7 @@ class BenchmarkConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BenchmarkConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
+        kwargs = _json_fields(cls, obj, "benchmark config")
         if "scenario" in kwargs:
             kwargs["scenario"] = ScenarioConfig.from_json_obj(kwargs["scenario"])
         if kwargs.get("monitor") is not None:

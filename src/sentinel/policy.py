@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distances import logsumexp_rows
-from .rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog, _python_value
+from .rollout import (InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog,
+                      _check_scalar_fields, _json_fields)
 
 BEHAVIORS = ("consistent", "mode_resample", "constant_stall", "drift")
 
@@ -323,18 +323,6 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
     return eps_hat.reshape(*lead, h, d)
 
 
-# ScenarioConfig's scalar fields by the type each must hold. A bool is not a
-# number here. A good value is kept as given, a numpy scalar as its Python value.
-_SCALAR_FIELDS = (
-    (("action_dim", "prediction_horizon", "execution_horizon", "episode_limit", "batch_size",
-      "n_denoise_steps"), (int, np.integer), "an integer"),
-    (("step_duration", "gain", "noise_std", "dominance", "stall_noise", "start_jitter",
-      "goal_radius", "task_time_limit"), numbers.Real, "a real number"),
-    (("record_embeddings", "record_frames"), bool, "a bool"),
-    (("task_description",), str, "a string"),
-)
-
-
 @dataclass
 class ScenarioConfig:
     """Everything needed to generate synthetic rollouts for one scenario."""
@@ -363,14 +351,7 @@ class ScenarioConfig:
     record_frames: bool = True
 
     def __post_init__(self):
-        for names, kinds, what in _SCALAR_FIELDS:
-            for name in names:
-                value = getattr(self, name)
-                if name == "task_time_limit" and value is None:
-                    continue  # the default is filled in below
-                if not isinstance(value, kinds) or (kinds is not bool and isinstance(value, bool)):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-                setattr(self, name, _python_value(value))
+        _check_scalar_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         self.attractors = tuple(tuple(float(v) for v in a) for a in self.attractors)
@@ -408,7 +389,7 @@ class ScenarioConfig:
             step_duration=self.step_duration,
             action_mask=tuple(mask),
             task_description=self.task_description,
-            task_time_limit=float(self.task_time_limit),
+            task_time_limit=self.task_time_limit,
         )
 
     def build_policy(self, behavior: str = "consistent", seed: int = 0) -> SyntheticGmmPolicy:
@@ -427,12 +408,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScenarioConfig":
-        if not isinstance(obj, dict):
-            raise ValueError("scenario config must be a JSON object")
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown scenario fields {sorted(unknown)}")
-        return cls(**obj)
+        return cls(**_json_fields(cls, obj, "scenario config"))
 
 
 def default_goal_label(states: Sequence[np.ndarray], config: ScenarioConfig) -> RolloutLabel:

@@ -38,23 +38,46 @@ def _check(condition: bool, message: str) -> None:
         raise InvalidLogError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# A scalar annotation -> the types it accepts, its refusal's noun, its stored type.
+_SCALAR_KINDS = {
+    "int": ((int, np.integer), "an integer", int),
+    "float": (numbers.Real, "a real number", float),
+    "bool": ((bool, np.bool_), "a bool", bool),
+    "str": (str, "a string", str),
+}
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _check_scalar_fields(obj) -> None:
+    """Refuse or convert each field of dataclass `obj` annotated int, float, bool or str,
+    or ``Optional`` of one (which may hold None). A bool is no number, a number must fit
+    a float, and a numpy scalar is stored as the annotated Python type."""
+    for f in fields(obj):  # annotations are postponed, so `f.type` is a string
+        optional = f.type.startswith("Optional[")
+        kind = _SCALAR_KINDS.get(f.type[len("Optional["):-1] if optional else f.type)
+        value = getattr(obj, f.name)
+        if kind is None or (optional and value is None):
+            continue
+        accepted, what, stored = kind
+        ok = isinstance(value, accepted) and (stored is bool or not isinstance(value, bool))
+        if ok and stored in (int, float):
+            try:
+                float(value)
+            except OverflowError:  # an int past the float range
+                ok = False
+        if not ok:
+            raise InvalidLogError(f"{f.name} must be {what}, got {value!r}")
+        object.__setattr__(obj, f.name, stored(value))  # `RolloutLabel` is frozen
 
 
-def _python_value(value):
-    """A numpy scalar as the Python value it holds (JSON writes only those); else `value`."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _real(value, name: str) -> float:
-    """`value` as a float, refused unless it is a real number (a bool or string is not)."""
-    _check(_is_real(value), f"{name} must be a real number, got {value!r}")
-    return float(value)
+def _json_fields(cls, obj, what: str) -> dict:
+    """`obj` as keyword arguments for dataclass `cls`, refused unless it is a
+    JSON object whose every key names a field of `cls`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(obj)
 
 
 def _numeric_array(value, name: str) -> np.ndarray:
@@ -90,28 +113,22 @@ class RolloutHeader:
     def __post_init__(self):
         _check(self.format_version == FORMAT_VERSION,
                f"unsupported format_version {self.format_version!r} (supported: {FORMAT_VERSION})")
+        _check_scalar_fields(self)
         _check(not isinstance(self.action_mask, str)
                and all(isinstance(b, (bool, np.bool_)) for b in self.action_mask),
                f"action_mask entries must be bools, got {self.action_mask!r}")
         self.action_mask = tuple(bool(b) for b in self.action_mask)
-        for name in ("action_dim", "prediction_horizon", "execution_horizon", "episode_limit"):
-            value = getattr(self, name)
-            _check(_is_int(value), f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
         _check(self.action_dim >= 1, "action_dim must be >= 1")
         _check(0 < self.execution_horizon, "execution_horizon must be > 0")
         _check(self.execution_horizon < self.prediction_horizon,
                "execution_horizon must be < prediction_horizon")
         _check(self.prediction_horizon <= self.episode_limit,
                "prediction_horizon must be <= episode_limit")
-        self.step_duration = _real(self.step_duration, "step_duration")
         _check(self.step_duration > 0, "step_duration must be > 0")
-        self.task_time_limit = _real(self.task_time_limit, "task_time_limit")
         _check(self.task_time_limit > 0, "task_time_limit must be > 0")
         _check(len(self.action_mask) == self.action_dim,
                "action_mask length must equal action_dim")
         _check(any(self.action_mask), "action_mask needs at least one true entry")
-        _check(isinstance(self.task_description, str), "task_description must be a string")
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -134,16 +151,13 @@ class InferenceRecord:
     frame_ref: Optional[str] = None
 
     def __post_init__(self):
-        _check(_is_int(self.timestep), "timestep must be an integer")
-        self.timestep = int(self.timestep)
+        _check_scalar_fields(self)
         _check(self.timestep >= 0, "timestep must be >= 0")
         chunks = _numeric_array(self.chunk_samples, "chunk_samples")
         _check(chunks.ndim == 3, f"chunk_samples must be B x h x action_dim, got shape {chunks.shape}")
         _check(chunks.shape[0] >= 1, "need at least one sampled chunk")
         _check(bool(np.isfinite(chunks).all()), "chunk_samples must be finite")
         self.chunk_samples = chunks
-        _check(_is_int(self.executed_index), "executed_index must be an integer")
-        self.executed_index = int(self.executed_index)
         _check(0 <= self.executed_index < chunks.shape[0],
                "executed_index out of range")
         if self.embedding is not None:
@@ -151,8 +165,6 @@ class InferenceRecord:
             _check(emb.ndim == 1, "embedding must be a flat vector")
             _check(bool(np.isfinite(emb).all()), "embedding must be finite")
             self.embedding = emb
-        if self.frame_ref is not None:
-            _check(isinstance(self.frame_ref, str), "frame_ref must be a string")
 
     @property
     def batch_size(self) -> int:
@@ -173,19 +185,6 @@ class InferenceRecord:
             obj["frame_ref"] = self.frame_ref
         return obj
 
-    def __eq__(self, other):
-        if not isinstance(other, InferenceRecord):
-            return NotImplemented
-        if self.timestep != other.timestep or self.executed_index != other.executed_index:
-            return False
-        if not np.array_equal(self.chunk_samples, other.chunk_samples):
-            return False
-        if (self.embedding is None) != (other.embedding is None):
-            return False
-        if self.embedding is not None and not np.array_equal(self.embedding, other.embedding):
-            return False
-        return self.frame_ref == other.frame_ref
-
 
 @dataclass(frozen=True)
 class RolloutLabel:
@@ -196,11 +195,9 @@ class RolloutLabel:
     return_threshold: float
 
     def __post_init__(self):
+        _check_scalar_fields(self)
         _check(self.outcome in ("success", "failure"),
                f"label must be 'success' or 'failure', got {self.outcome!r}")
-        object.__setattr__(self, "return_value", _real(self.return_value, "return_value"))
-        object.__setattr__(self, "return_threshold",
-                           _real(self.return_threshold, "return_threshold"))
         _check(np.isfinite(self.return_value) and np.isfinite(self.return_threshold),
                "label return values must be finite")
         expected = "failure" if self.return_value < self.return_threshold else "success"

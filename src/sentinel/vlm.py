@@ -324,9 +324,13 @@ class HttpTransport(MonitorTransport):
             raise TransportError(f"request rejected ({reply.status_code}): {reply.text[:200]}",
                                  transient=False)
         try:
-            return reply.json()["choices"][0]["message"]["content"]
+            content = reply.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed endpoint reply: {exc}", transient=False) from exc
+        if not isinstance(content, str):
+            raise TransportError(f"malformed endpoint reply: content is {content!r}, not a string",
+                                 transient=False)
+        return content
 
 
 def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> MonitorResponse:

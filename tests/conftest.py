@@ -62,6 +62,19 @@ def empirical_fpr(nominal_terminal_scores: Sequence[float], gamma: float) -> flo
     return float(np.mean(scores > gamma))
 
 
+def records_equal(a: InferenceRecord, b: InferenceRecord) -> bool:
+    """Whether two records hold the same fields, arrays compared by value."""
+    if a.timestep != b.timestep or a.executed_index != b.executed_index:
+        return False
+    if not np.array_equal(a.chunk_samples, b.chunk_samples):
+        return False
+    if (a.embedding is None) != (b.embedding is None):
+        return False
+    if a.embedding is not None and not np.array_equal(a.embedding, b.embedding):
+        return False
+    return a.frame_ref == b.frame_ref
+
+
 def success_label():
     return RolloutLabel(outcome="success", return_value=1.0, return_threshold=1.0)
 

@@ -177,6 +177,22 @@ class TestCalibrate:
         assert str(log_path) in error["message"]
         assert not (tmp_path / "cal.json").exists()
 
+    def test_header_int_past_the_float_range_is_a_log_error(self, capsys, tmp_path):
+        """Refused at its line as a `log` error, not an OverflowError traceback."""
+        log_path = tmp_path / "logs" / "huge.sentinel.jsonl"
+        log_path.parent.mkdir()
+        write_log(make_log(label="success"), log_path)
+        text = log_path.read_text().replace('"step_duration":0.5', '"step_duration":1' + "0" * 400)
+        log_path.write_text(text)
+        code = run_cli(["calibrate", "--detector", "stac-mmd",
+                        "--logs", f"{log_path.parent}/*.jsonl", "--out", tmp_path / "cal.json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "log"
+        assert f"{log_path}: line 1: step_duration must be a real number" in error["message"]
+        assert not (tmp_path / "cal.json").exists()
+
     @pytest.mark.parametrize("delta", ["1.5", "0", "-0.1", "nan"])
     def test_delta_outside_unit_interval_is_usage_error(self, capsys, tmp_path, synth_nominal,
                                                          monkeypatch, delta):
@@ -479,6 +495,22 @@ class TestVlm:
         assert error["type"] == "usage"
         assert "--nu" in error["message"]
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_timeout_not_finite_and_positive_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                            timeout):
+        """Refused before the log is read or a transport is built, so no request is sent."""
+        def no_reads(path):
+            raise AssertionError("log read before --timeout was checked")
+
+        monkeypatch.setattr("sentinel.cli._read_log_or_fail", no_reads)
+        code = run_cli(["vlm", "--log", tmp_path / "x.sentinel.jsonl", "--transport", "http",
+                        "--url", "http://localhost:1", "--model", "m", f"--timeout={timeout}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "usage"
+        assert "--timeout" in error["message"]
+
     @pytest.mark.parametrize("argv, flag", [
         (["--transport", "mock"], "--fixtures"),
         (["--transport", "http", "--url", "http://localhost:1"], "--model"),
@@ -639,7 +671,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", "x"), ("batch_size", 0), ("episode_limit", 1.5),
         ("n_denoise_steps", "100"), ("step_duration", True), ("gain", "0.2"),
-        ("record_frames", "no"), ("task_description", 5),
+        ("record_frames", "no"), ("task_description", 5), ("step_duration", 10 ** 400),
     ])
     def test_scenario_field_of_wrong_type_is_config_error(self, capsys, tmp_path, command,
                                                           field, value):

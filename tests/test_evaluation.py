@@ -288,6 +288,22 @@ class TestBenchmarkConfig:
         with pytest.raises(ValueError):
             BenchmarkConfig.from_json_obj({"n_test": 5})
 
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "benchmark config must be a JSON object"),
+        ({"n_test": 5}, "unknown benchmark config keys: ['n_test']"),
+        ({"monitor": "abc"}, "monitor must be a JSON object"),
+        ({"monitor": 5}, "monitor must be a JSON object"),
+        ({"monitor": {"tpr": 0.9}}, "unknown monitor keys: ['tpr']"),
+        ({"scenario": 5}, "scenario config must be a JSON object"),
+        ({"scenario": {"gravity": 9.8}}, "unknown scenario config keys: ['gravity']"),
+    ], ids=["config-list", "config-key", "monitor-str", "monitor-int", "monitor-key",
+            "scenario-int", "scenario-key"])
+    def test_json_object_rule(self, obj, message):
+        """One rule for the config and each object nested in it: an object of known keys."""
+        with pytest.raises(ValueError) as err:
+            BenchmarkConfig.from_json_obj(obj)
+        assert str(err.value) == message
+
     def test_sentinel_detector_must_be_enrolled(self):
         with pytest.raises(ValueError):
             _small_benchmark_config(detectors=("min-l2",), sentinel_detector="stac-mmd")

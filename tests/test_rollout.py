@@ -9,7 +9,8 @@ from sentinel.rollout import (InferenceRecord, InvalidLogError, LogParseError,
                               RolloutHeader, RolloutLabel, RolloutLog, apply_mask,
                               mask_array, read_log, write_log)
 
-from conftest import failure_label, make_header, make_log, make_record, success_label
+from conftest import (failure_label, make_header, make_log, make_record, records_equal,
+                      success_label)
 
 
 def test_header_invariants():
@@ -65,6 +66,30 @@ def test_write_log_bytes_are_pinned(tmp_path):
         b'"executed_index":1,"embedding":[0.25,-3.0],"frame_ref":"frames/t0001.png"}\n'
         b'{"label":"success","return_value":1.0,"return_threshold":1.0}\n')
     assert read_log(path).header == header
+
+
+def test_integral_step_duration_is_written_as_a_float(tmp_path):
+    """A header built with an int where a float belongs writes the float."""
+    path = tmp_path / "int-duration.sentinel.jsonl"
+    write_log(make_log(header=make_header(step_duration=1)), path)
+    assert path.read_bytes().split(b"\n")[0] == (
+        b'{"format_version":1,"action_dim":2,"prediction_horizon":4,"execution_horizon":2,'
+        b'"episode_limit":16,"step_duration":1.0,"action_mask":[true,true],'
+        b'"task_description":"push the supply cart to either of the two marked loading docks '
+        b'and bring it to rest inside the dock circle","task_time_limit":8.0}')
+
+
+def test_header_int_past_the_float_range_is_located(tmp_path):
+    """Refused at its line, not left to escape as an OverflowError."""
+    path = tmp_path / "huge.sentinel.jsonl"
+    write_log(make_log(), path)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace('"step_duration":0.5', '"step_duration":1' + "0" * 400)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: step_duration must be a real number, got 1" + "0" * 400
 
 
 def test_record_without_chunk_samples_is_located(tmp_path):
@@ -136,7 +161,7 @@ def test_round_trip_simple(tmp_path):
     assert loaded.header == log.header
     assert len(loaded.records) == len(log.records)
     for a, b in zip(loaded.records, log.records):
-        assert a == b
+        assert records_equal(a, b)
     assert loaded.label == log.label
 
 
@@ -299,5 +324,5 @@ def test_round_trip_property(tmp_path_factory, log):
     assert loaded.header == log.header
     assert len(loaded.records) == len(log.records)
     for a, b in zip(loaded.records, log.records):
-        assert a == b
+        assert records_equal(a, b)
     assert loaded.label == log.label

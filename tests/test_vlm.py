@@ -1,12 +1,13 @@
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from sentinel.vlm import (DEFAULT_CHECKPOINT_FRACTIONS, MAX_FRAMES_PER_REQUEST,
-                          TEMPLATE_IDS, EnsembleVerdict, MockTransport,
+                          TEMPLATE_IDS, EnsembleVerdict, HttpTransport, MockTransport,
                           MonitorPrompt, MonitorResponse,
                           MonitorUnavailableError, ResponseParseError,
                           TransportError, TransportTimeout, build_prompt,
@@ -282,6 +283,35 @@ class TestQueryMonitor:
         p = _prompt(frames=tuple(f"f{i}.png" for i in range(90)))
         query_monitor(p, Capture())
         assert len(seen["frames"]) <= MAX_FRAMES_PER_REQUEST
+
+
+class TestHttpTransport:
+    @pytest.mark.parametrize("content", [None, 5, ["ok"]], ids=["null", "number", "list"])
+    def test_reply_content_not_a_string_is_unavailable(self, tmp_path, monkeypatch, content):
+        """A well-formed reply whose content is no text is refused once, not retried."""
+        import requests
+
+        calls = []
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": content}}]}
+
+        def post(*args, **kwargs):
+            calls.append(kwargs["json"])
+            return Reply()
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv(HttpTransport.API_KEY_ENV, "test-key")
+        frame = tmp_path / "f0.png"
+        frame.write_bytes(b"png")
+        transport = HttpTransport("http://localhost:1/v1/chat", "model")
+        with pytest.raises(MonitorUnavailableError,
+                           match=f"^malformed endpoint reply: content is {re.escape(repr(content))}, "):
+            query_monitor(_prompt(frames=(str(frame),)), transport)
+        assert len(calls) == 1
 
 
 class TestMockTransport:
