@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rollout import _check_scalar_fields, _json_fields
+
 DEFAULT_DELTA = 0.05
 
 
@@ -27,6 +29,9 @@ class CalibrationResult:
     m: int
     quantile_index: int
     terminal_scores: tuple[float, ...]  # sorted ascending
+
+    def __post_init__(self):
+        _check_scalar_fields(self)
 
     @property
     def is_infinite(self) -> bool:
@@ -44,16 +49,10 @@ class CalibrationResult:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CalibrationResult":
         """The result `obj` holds, refused unless it is `conformal_threshold` of its own scores."""
-        gamma = obj["gamma"]
-        if gamma == "inf":
-            gamma = math.inf
-        stored = cls(
-            gamma=float(gamma),
-            delta=float(obj["delta"]),
-            m=int(obj["m"]),
-            quantile_index=int(obj["quantile_index"]),
-            terminal_scores=tuple(float(s) for s in obj["terminal_scores"]),
-        )
+        kwargs = _json_fields(cls, obj, "calibration result")
+        if kwargs.get("gamma") == "inf":
+            kwargs["gamma"] = math.inf
+        stored = cls(**kwargs)
         if stored != conformal_threshold(stored.terminal_scores, stored.delta):
             raise ValueError(f"gamma {stored.gamma} (m {stored.m}, quantile_index {stored.quantile_index}) "
                              "is not the conformal threshold of its sorted terminal scores and delta")

@@ -8,14 +8,16 @@ the episode return.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # a header of version 1 (arrays as JSON lists) still reads
 LOG_SUFFIX = ".sentinel.jsonl"
 
 _LABEL_KEYS = {"label", "return_value", "return_threshold"}
@@ -47,26 +49,36 @@ _SCALAR_KINDS = {
 }
 
 
+def _scalar(value, kind: str, name: str):
+    """`value` as the Python type `kind` names ("int", "float", "bool" or "str"), refused
+    as `name` unless it is one. A bool is no number, a number must fit a float, and a
+    numpy scalar is stored as the Python type."""
+    accepted, what, stored = _SCALAR_KINDS[kind]
+    ok = isinstance(value, accepted) and (stored is bool or not isinstance(value, bool))
+    if ok and stored in (int, float):
+        try:
+            float(value)
+        except OverflowError:  # an int past the float range
+            ok = False
+    if not ok:
+        raise InvalidLogError(f"{name} must be {what}, got {value!r}")
+    return stored(value)
+
+
 def _check_scalar_fields(obj) -> None:
-    """Refuse or convert each field of dataclass `obj` annotated int, float, bool or str,
-    or ``Optional`` of one (which may hold None). A bool is no number, a number must fit
-    a float, and a numpy scalar is stored as the annotated Python type."""
+    """Refuse or convert, by `_scalar`, each field of dataclass `obj` annotated int, float,
+    bool or str, ``Optional`` of one (which may hold None) or ``tuple[X, ...]`` of one
+    (each entry named by its index)."""
     for f in fields(obj):  # annotations are postponed, so `f.type` is a string
         optional = f.type.startswith("Optional[")
-        kind = _SCALAR_KINDS.get(f.type[len("Optional["):-1] if optional else f.type)
+        kind = f.type[len("Optional["):-1] if optional else f.type
+        entry_kind = kind[len("tuple["):-len(", ...]")] if kind.startswith("tuple[") else None
         value = getattr(obj, f.name)
-        if kind is None or (optional and value is None):
-            continue
-        accepted, what, stored = kind
-        ok = isinstance(value, accepted) and (stored is bool or not isinstance(value, bool))
-        if ok and stored in (int, float):
-            try:
-                float(value)
-            except OverflowError:  # an int past the float range
-                ok = False
-        if not ok:
-            raise InvalidLogError(f"{f.name} must be {what}, got {value!r}")
-        object.__setattr__(obj, f.name, stored(value))  # `RolloutLabel` is frozen
+        if kind in _SCALAR_KINDS and not (optional and value is None):
+            object.__setattr__(obj, f.name, _scalar(value, kind, f.name))  # some are frozen
+        elif entry_kind in _SCALAR_KINDS:
+            entries = tuple(_scalar(v, entry_kind, f"{f.name}[{i}]") for i, v in enumerate(value))
+            object.__setattr__(obj, f.name, entries)
 
 
 def _json_fields(cls, obj, what: str) -> dict:
@@ -80,13 +92,35 @@ def _json_fields(cls, obj, what: str) -> dict:
     return dict(obj)
 
 
+def _array_json(array: np.ndarray, name: str, timestep: int) -> dict:
+    """`array` as `{"shape": [...], "f8": base64 of its little-endian float64s in C order}`."""
+    if not np.isfinite(array).all():
+        raise InvalidLogError(f"record at t={timestep}: {name} must be finite")
+    data = base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return {"shape": list(array.shape), "f8": data}
+
+
 def _numeric_array(value, name: str) -> np.ndarray:
-    """`value` as a float64 array, refused unless it holds integers or floats."""
-    array = np.asarray(value)
-    # Not `_check`, which would format the dtype into its message on every record read.
-    if array.dtype.kind not in "iuf":
-        raise InvalidLogError(f"{name} must hold numbers, got dtype {array.dtype}")
-    return array.astype(np.float64, copy=False)
+    """`value` as a float64 array: the object `_array_json` writes, or nested lists (as
+    format version 1 writes) of integers or floats."""
+    if not isinstance(value, dict):
+        array = np.asarray(value)
+        # Not `_check`, which would format the dtype into its message on every record read.
+        if array.dtype.kind not in "iuf":
+            raise InvalidLogError(f"{name} must hold numbers, got dtype {array.dtype}")
+        return array.astype(np.float64, copy=False)
+    if value.keys() != {"shape", "f8"}:
+        raise InvalidLogError(f"{name} keys must be ['f8', 'shape'], got {sorted(value)}")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise InvalidLogError(f"{name} shape must list non-negative integers, got {shape!r}")
+    try:
+        data = base64.b64decode(value["f8"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise InvalidLogError(f"{name} f8 is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):  # before any array, whatever the shape claims
+        raise InvalidLogError(f"{name} f8 holds {len(data)} bytes, not 8 for each of {shape}")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 @dataclass
@@ -111,13 +145,10 @@ class RolloutHeader:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        _check(self.format_version == FORMAT_VERSION,
-               f"unsupported format_version {self.format_version!r} (supported: {FORMAT_VERSION})")
+        _check(self.format_version in (1, FORMAT_VERSION),
+               f"unsupported format_version {self.format_version!r} (supported: 1, 2)")
         _check_scalar_fields(self)
-        _check(not isinstance(self.action_mask, str)
-               and all(isinstance(b, (bool, np.bool_)) for b in self.action_mask),
-               f"action_mask entries must be bools, got {self.action_mask!r}")
-        self.action_mask = tuple(bool(b) for b in self.action_mask)
+        self.format_version = FORMAT_VERSION  # a log read is written back in this format
         _check(self.action_dim >= 1, "action_dim must be >= 1")
         _check(0 < self.execution_horizon, "execution_horizon must be > 0")
         _check(self.execution_horizon < self.prediction_horizon,
@@ -176,11 +207,11 @@ class InferenceRecord:
     def to_json_obj(self) -> dict:
         obj = {
             "timestep": self.timestep,
-            "chunk_samples": self.chunk_samples.tolist(),
+            "chunk_samples": _array_json(self.chunk_samples, "chunk_samples", self.timestep),
             "executed_index": self.executed_index,
         }
         if self.embedding is not None:
-            obj["embedding"] = self.embedding.tolist()
+            obj["embedding"] = _array_json(self.embedding, "embedding", self.timestep)
         if self.frame_ref is not None:
             obj["frame_ref"] = self.frame_ref
         return obj
@@ -301,8 +332,8 @@ def checked_mask(mask: Sequence[bool], record: InferenceRecord) -> np.ndarray:
 
 
 def _json_line(obj: dict) -> str:
-    # allow_nan=False rejects NaN/Inf at serialization time; repr-based float
-    # formatting gives shortest round-trip decimals.
+    # allow_nan=False refuses a NaN or inf scalar; arrays are base64 text by now, checked
+    # finite by `_array_json`.
     return json.dumps(obj, allow_nan=False, separators=(",", ":"))
 
 

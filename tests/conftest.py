@@ -1,3 +1,5 @@
+import base64
+import json
 from typing import Sequence
 
 import numpy as np
@@ -62,17 +64,41 @@ def empirical_fpr(nominal_terminal_scores: Sequence[float], gamma: float) -> flo
     return float(np.mean(scores > gamma))
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays have the same shape and the same bits in every entry,
+    so -0.0 differs from 0.0 and every subnormal counts."""
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
 def records_equal(a: InferenceRecord, b: InferenceRecord) -> bool:
-    """Whether two records hold the same fields, arrays compared by value."""
+    """Whether two records hold the same fields, arrays compared bit for bit."""
     if a.timestep != b.timestep or a.executed_index != b.executed_index:
         return False
-    if not np.array_equal(a.chunk_samples, b.chunk_samples):
+    if not same_bits(a.chunk_samples, b.chunk_samples):
         return False
     if (a.embedding is None) != (b.embedding is None):
         return False
-    if a.embedding is not None and not np.array_equal(a.embedding, b.embedding):
+    if a.embedding is not None and not same_bits(a.embedding, b.embedding):
         return False
     return a.frame_ref == b.frame_ref
+
+
+def v1_text(text: str) -> str:
+    """A log file's text rewritten in format version 1: the header's version is 1 and
+    each array is nested JSON lists of decimals, as version 1 writers wrote them. The
+    arrays are decoded here from their base64 bytes, not through `sentinel.rollout`."""
+    lines = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        if "format_version" in obj:
+            obj["format_version"] = 1
+        for key in ("chunk_samples", "embedding"):
+            if key in obj:
+                data = base64.b64decode(obj[key]["f8"], validate=True)
+                obj[key] = np.frombuffer(data, dtype="<f8").reshape(obj[key]["shape"]).tolist()
+        lines.append(json.dumps(obj, allow_nan=False, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 def success_label():

@@ -11,7 +11,7 @@ from sentinel.evaluation import detector_source, verdict_from_series
 from sentinel.calibration import CalibrationResult, conformal_threshold
 from sentinel.rollout import LogParseError, read_log, write_log
 
-from conftest import make_log
+from conftest import make_log, v1_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -335,6 +335,52 @@ class TestDetect:
         assert "at least 2 inference records" in error["message"]
 
 
+class TestFormatV1:
+    def test_v1_copies_give_the_same_outputs(self, capsys, tmp_path, synth_nominal):
+        """Logs rewritten as format version 1 (arrays as decimal lists) calibrate, detect
+        and monitor to the same bytes as the version 2 files `synth` wrote."""
+        logs_dir, config = synth_nominal
+        erratic = tmp_path / "erratic"
+        assert run_cli(["synth", "--scenario", "erratic", "--n", "2", "--seed", "5",
+                        "--out", erratic, "--config", config]) == 0
+        v2 = sorted(logs_dir.glob("*.jsonl")) + sorted(erratic.glob("*.jsonl"))
+        v1_dir = tmp_path / "v1"
+        v1_dir.mkdir()
+        v1 = []
+        for path in v2:
+            copy = v1_dir / f"{path.parent.name}-{path.name}"
+            copy.write_text(v1_text(path.read_text()))
+            assert json.loads(copy.read_text().splitlines()[0])["format_version"] == 1
+            assert copy.read_bytes() != path.read_bytes()
+            v1.append(copy)
+        capsys.readouterr()
+
+        calibrations = []
+        for logs in (f"{logs_dir}/*.jsonl", f"{v1_dir}/logs-*.jsonl"):
+            cal = tmp_path / f"cal-{len(calibrations)}.json"
+            assert run_cli(["calibrate", "--detector", "stac-mmd", "--logs", logs,
+                            "--delta", "0.4", "--out", cal, "--config", config]) == 0
+            calibrations.append(cal.read_bytes())
+        assert calibrations[0] == calibrations[1]
+        capsys.readouterr()
+
+        decisions = set()
+        for original, copy in zip(v2, v1):
+            outputs = []
+            for path in (original, copy):
+                series = tmp_path / "series.csv"
+                assert run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                                "--log", path, "--config", config,
+                                "--emit-series", series]) == 0
+                detect = capsys.readouterr().out
+                assert run_cli(["vlm", "--log", path, "--transport", "mock",
+                                "--fixtures", FIXTURES / "mock_vlm_failure"]) == 0
+                outputs.append((detect, series.read_bytes(), capsys.readouterr().out))
+            assert outputs[0] == outputs[1]
+            decisions.add(json.loads(outputs[0][0])["decision"])
+        assert decisions == {"ok", "failure"}
+
+
 class TestEval:
     def _benchmark_config(self, tmp_path, **overrides):
         obj = {
@@ -576,7 +622,9 @@ class TestErrorContract:
         [{"detector": "stac-mmd"}],
         {"detector": "stac-mmd"},
         {"detector": "stac-mmd", "result": {"gamma": 1.0, "delta": 0.05, "m": 20}},
-    ], ids=["not-an-object", "no-result", "result-missing-keys"])
+        {"detector": "stac-mmd",
+         "result": dict(conformal_threshold([0.1, 0.2, 0.3], delta=0.4).to_json_obj(), fpr=0)},
+    ], ids=["not-an-object", "no-result", "result-missing-keys", "result-unknown-key"])
     def test_malformed_calibration_file(self, capsys, tmp_path, synth_nominal, envelope):
         logs_dir, config = synth_nominal
         cal = tmp_path / "cal.json"
@@ -611,6 +659,31 @@ class TestErrorContract:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert str(cal) in error["message"]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"delta": "0.4"}, "delta must be a real number, got '0.4'"),
+        ({"terminal_scores": ["0.1", "0.2", "0.3"]},
+         "terminal_scores[0] must be a real number, got '0.1'"),
+        ({"m": 3.9}, "m must be an integer, got 3.9"),
+    ], ids=["delta-str", "terminal-scores-str", "m-float"])
+    def test_calibration_field_of_wrong_type_is_refused_not_coerced(self, capsys, tmp_path,
+                                                                     synth_nominal, changes,
+                                                                     message):
+        """Each file would pass the conformal check if its values were coerced."""
+        logs_dir, config = synth_nominal
+        obj = conformal_threshold([0.1, 0.2, 0.3], delta=0.4).to_json_obj()
+        obj.update(changes)
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"detector": "stac-mmd", "result": obj}))
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert str(cal) in error["message"]
+        assert message in error["message"]
 
     @pytest.mark.parametrize("command, text", [
         ("eval", "{bad"),

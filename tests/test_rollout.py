@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from sentinel.rollout import (InferenceRecord, InvalidLogError, LogParseError,
                               mask_array, read_log, write_log)
 
 from conftest import (failure_label, make_header, make_log, make_record, records_equal,
-                      success_label)
+                      same_bits, success_label, v1_text)
 
 
 def test_header_invariants():
@@ -45,9 +46,8 @@ def test_record_invariants():
         make_record(0, np.zeros((2, 4, 2)), executed_index=True)  # JSON true is not row 1
 
 
-def test_write_log_bytes_are_pinned(tmp_path):
-    """The on-disk form, byte for byte: the header with format_version first,
-    a record without its optional fields, one with both, then the label."""
+def _pinned_log():
+    """A header, a record without its optional fields, one with both, and a label."""
     header = make_header(prediction_horizon=2, execution_horizon=1, episode_limit=4,
                          step_duration=0.25, action_mask=(True, False),
                          task_description="park", task_time_limit=1.0)
@@ -55,17 +55,54 @@ def test_write_log_bytes_are_pinned(tmp_path):
                make_record(1, [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.5]]],
                            executed_index=1, embedding=[0.25, -3.0],
                            frame_ref="frames/t0001.png")]
+    return RolloutLog(header=header, records=records, label=success_label())
+
+
+# `_pinned_log` as format version 1 wrote it: arrays as nested lists of decimals.
+PINNED_V1_BYTES = (
+    b'{"format_version":1,"action_dim":2,"prediction_horizon":2,"execution_horizon":1,'
+    b'"episode_limit":4,"step_duration":0.25,"action_mask":[true,false],'
+    b'"task_description":"park","task_time_limit":1.0}\n'
+    b'{"timestep":0,"chunk_samples":[[[0.0,-1.5],[2.0,0.1]]],"executed_index":0}\n'
+    b'{"timestep":1,"chunk_samples":[[[1.0,2.0],[3.0,4.0]],[[5.0,6.0],[7.0,8.5]]],'
+    b'"executed_index":1,"embedding":[0.25,-3.0],"frame_ref":"frames/t0001.png"}\n'
+    b'{"label":"success","return_value":1.0,"return_threshold":1.0}\n')
+
+
+def test_write_log_bytes_are_pinned(tmp_path):
+    """The on-disk form, byte for byte: the header with format_version first, then each
+    array as its shape and the base64 of its little-endian float64 bytes in C order."""
+    log = _pinned_log()
     path = tmp_path / "pinned.sentinel.jsonl"
-    write_log(RolloutLog(header=header, records=records, label=success_label()), path)
+    write_log(log, path)
     assert path.read_bytes() == (
-        b'{"format_version":1,"action_dim":2,"prediction_horizon":2,"execution_horizon":1,'
+        b'{"format_version":2,"action_dim":2,"prediction_horizon":2,"execution_horizon":1,'
         b'"episode_limit":4,"step_duration":0.25,"action_mask":[true,false],'
         b'"task_description":"park","task_time_limit":1.0}\n'
-        b'{"timestep":0,"chunk_samples":[[[0.0,-1.5],[2.0,0.1]]],"executed_index":0}\n'
-        b'{"timestep":1,"chunk_samples":[[[1.0,2.0],[3.0,4.0]],[[5.0,6.0],[7.0,8.5]]],'
-        b'"executed_index":1,"embedding":[0.25,-3.0],"frame_ref":"frames/t0001.png"}\n'
+        b'{"timestep":0,"chunk_samples":{"shape":[1,2,2],'
+        b'"f8":"AAAAAAAAAAAAAAAAAAD4vwAAAAAAAABAmpmZmZmZuT8="},"executed_index":0}\n'
+        b'{"timestep":1,"chunk_samples":{"shape":[2,2,2],"f8":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhA'
+        b'AAAAAAAAEEAAAAAAAAAUQAAAAAAAABhAAAAAAAAAHEAAAAAAAAAhQA=="},"executed_index":1,'
+        b'"embedding":{"shape":[2],"f8":"AAAAAAAA0D8AAAAAAAAIwA=="},'
+        b'"frame_ref":"frames/t0001.png"}\n'
         b'{"label":"success","return_value":1.0,"return_threshold":1.0}\n')
-    assert read_log(path).header == header
+    assert read_log(path).header == log.header
+    # The test helper that rewrites a log as version 1 gives the pinned version 1 bytes.
+    assert v1_text(path.read_text()).encode() == PINNED_V1_BYTES
+
+
+def test_pinned_v1_bytes_still_read(tmp_path):
+    """A version 1 log reads as the log it was written from, and writes back as version 2."""
+    log = _pinned_log()
+    path = tmp_path / "v1.sentinel.jsonl"
+    path.write_bytes(PINNED_V1_BYTES)
+    loaded = read_log(path)
+    assert loaded.header == log.header
+    assert loaded.header.format_version == 2
+    assert len(loaded.records) == len(log.records)
+    for a, b in zip(loaded.records, log.records):
+        assert records_equal(a, b)
+    assert loaded.label == log.label
 
 
 def test_integral_step_duration_is_written_as_a_float(tmp_path):
@@ -73,7 +110,7 @@ def test_integral_step_duration_is_written_as_a_float(tmp_path):
     path = tmp_path / "int-duration.sentinel.jsonl"
     write_log(make_log(header=make_header(step_duration=1)), path)
     assert path.read_bytes().split(b"\n")[0] == (
-        b'{"format_version":1,"action_dim":2,"prediction_horizon":4,"execution_horizon":2,'
+        b'{"format_version":2,"action_dim":2,"prediction_horizon":4,"execution_horizon":2,'
         b'"episode_limit":16,"step_duration":1.0,"action_mask":[true,true],'
         b'"task_description":"push the supply cart to either of the two marked loading docks '
         b'and bring it to rest inside the dock circle","task_time_limit":8.0}')
@@ -141,7 +178,7 @@ def test_minimal_log_is_three_lines(tmp_path):
     write_log(log, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
-    assert json.loads(lines[0])["format_version"] == 1
+    assert json.loads(lines[0])["format_version"] == 2
     assert json.loads(lines[1])["timestep"] == 0
     assert json.loads(lines[2])["label"] == "success"
 
@@ -166,11 +203,10 @@ def test_round_trip_simple(tmp_path):
 
 
 def test_read_rejects_nan(tmp_path):
-    log = make_log()
+    """A NaN token in a list-form (version 1) array is refused at its line."""
     path = tmp_path / "nan.sentinel.jsonl"
-    write_log(log, path)
-    text = path.read_text().replace('"timestep":0', '"timestep":0')
-    lines = text.splitlines()
+    write_log(make_log(), path)
+    lines = v1_text(path.read_text()).splitlines()
     record = json.loads(lines[1])
     record["chunk_samples"][0][0][0] = "NaN"
     lines[1] = json.dumps(record).replace('"NaN"', "NaN")
@@ -178,6 +214,79 @@ def test_read_rejects_nan(tmp_path):
     with pytest.raises(LogParseError) as err:
         read_log(path)
     assert err.value.line == 2
+
+
+def _f8(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _drop_last_value(array: dict) -> None:
+    array["f8"] = _f8(np.frombuffer(base64.b64decode(array["f8"]), dtype="<f8")[:-1])
+
+
+@pytest.mark.parametrize("field, change, message", [
+    ("chunk_samples", lambda a: a.update(f8=a["f8"][:4] + "!" + a["f8"][4:]),
+     r"chunk_samples f8 is not base64"),
+    ("embedding", lambda a: a.update(f8=a["f8"][:4] + " " + a["f8"][4:]),
+     r"embedding f8 is not base64"),
+    ("chunk_samples", _drop_last_value,
+     r"chunk_samples f8 holds 248 bytes, not 8 for each of \[4, 4, 2\]"),
+    ("embedding", _drop_last_value, r"embedding f8 holds 8 bytes, not 8 for each of \[2\]"),
+    ("chunk_samples", lambda a: a.update(shape=[True, 4, 2]), r"shape must list non-negative"),
+    ("chunk_samples", lambda a: a.update(shape=[4, -1, 2]), r"shape must list non-negative"),
+    ("chunk_samples", lambda a: a.update(shape=[4, 4, 2.0]), r"shape must list non-negative"),
+    ("embedding", lambda a: a.update(shape=2), r"shape must list non-negative"),
+    ("chunk_samples", lambda a: a.update(dtype="f8"),
+     r"chunk_samples keys must be \['f8', 'shape'\], got \['dtype', 'f8', 'shape'\]"),
+    ("embedding", lambda a: a.pop("shape"),
+     r"embedding keys must be \['f8', 'shape'\], got \['f8'\]"),
+    ("chunk_samples", lambda a: a.update(f8=_f8([np.nan] + [0.0] * 31)),
+     r"^line 2: chunk_samples must be finite$"),
+    ("embedding", lambda a: a.update(f8=_f8([0.0, -np.inf])), r"^line 2: embedding must be finite$"),
+], ids=["chunks-not-alphabet", "embedding-not-alphabet", "chunks-one-value-short",
+        "embedding-one-value-short", "shape-true", "shape-negative", "shape-float",
+        "shape-not-a-list", "unknown-key", "missing-key", "chunks-nan", "embedding-inf"])
+def test_malformed_array_object_is_refused_at_its_line(tmp_path, field, change, message):
+    path = tmp_path / "array.sentinel.jsonl"
+    write_log(make_log(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    change(record[field])
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError, match=message) as err:
+        read_log(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field, value", [("chunk_samples", np.nan), ("embedding", np.inf)])
+def test_write_refuses_a_non_finite_array_value_before_opening_the_file(tmp_path, field,
+                                                                        value):
+    log = make_log()
+    getattr(log.records[1], field).flat[0] = value
+    path = tmp_path / "nonfinite.sentinel.jsonl"
+    with pytest.raises(InvalidLogError, match=rf"^record at t=2: {field} must be finite$"):
+        write_log(log, path)
+    assert not path.exists()
+
+
+def test_round_trip_keeps_every_bit(tmp_path):
+    """-0.0, subnormals and the extremes of float64 read back with the bits written,
+    and the arrays read are writeable."""
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nextafter(0.0, 1.0) * 3,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e-310]
+    chunks = np.array(edge[:8], dtype=np.float64).reshape(2, 4, 1)
+    header = make_header(action_dim=1, action_mask=(True,))
+    log = RolloutLog(header=header, records=[
+        make_record(0, chunks, embedding=edge[8:]),
+        make_record(2, chunks[::-1], embedding=edge[:4])])
+    path = tmp_path / "bits.sentinel.jsonl"
+    write_log(log, path)
+    loaded = read_log(path)
+    for a, b in zip(loaded.records, log.records):
+        assert records_equal(a, b)
+        assert a.chunk_samples.flags.writeable and a.embedding.flags.writeable
+    assert not same_bits(np.array([0.0]), np.array([-0.0]))
 
 
 def test_read_rejects_bad_version(tmp_path):
@@ -197,13 +306,13 @@ def test_read_rejects_bad_version(tmp_path):
 def test_unsupported_version_has_one_message(tmp_path):
     """The header refuses the version with the text read_log reports."""
     fields = make_header().to_json_obj()
-    with pytest.raises(InvalidLogError, match=r"^unsupported format_version 99 \(supported: 1\)$"):
+    with pytest.raises(InvalidLogError, match=r"^unsupported format_version 99 \(supported: 1, 2\)$"):
         RolloutHeader(**dict(fields, format_version=99))
     path = tmp_path / "version.sentinel.jsonl"
     path.write_text(json.dumps(dict(fields, format_version="1")) + "\n")
     with pytest.raises(LogParseError) as err:
         read_log(path)
-    assert str(err.value) == "line 1: unsupported format_version '1' (supported: 1)"
+    assert str(err.value) == "line 1: unsupported format_version '1' (supported: 1, 2)"
 
 
 def test_read_rejects_non_monotone(tmp_path):

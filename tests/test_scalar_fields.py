@@ -1,7 +1,8 @@
-"""One type rule for every int, float, bool and str field of the log and config
-dataclasses, read from each field's annotation: a bool is no number, a number
-must fit a float, a numpy scalar is stored as the annotated Python type, and a
-refusal names the field."""
+"""One type rule for every int, float, bool and str field of the log, config and
+calibration dataclasses, and for each entry of a ``tuple[X, ...]`` field, read from
+each field's annotation: a bool is no number, a number must fit a float, a numpy
+scalar is stored as the annotated Python type, and a refusal names the field (and
+the entry's index)."""
 
 import dataclasses
 import re
@@ -9,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from sentinel.calibration import CalibrationResult, conformal_threshold
 from sentinel.evaluation import BenchmarkConfig, ScriptedMonitor
 from sentinel.policy import ScenarioConfig
 from sentinel.rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLabel
@@ -23,6 +25,7 @@ VALID = {
     ScenarioConfig: lambda: ScenarioConfig(task_time_limit=16.0),
     ScriptedMonitor: ScriptedMonitor,
     BenchmarkConfig: BenchmarkConfig,
+    CalibrationResult: lambda: conformal_threshold([0.1, 0.2, 0.3], delta=0.4),
 }
 
 # Annotation -> (stored type, the noun a refusal uses, a numpy scalar of a value).
@@ -55,7 +58,8 @@ def test_every_class_has_its_scalar_fields_checked():
         cls = param.values[0]
         counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
     assert counts == {"RolloutHeader": 8, "InferenceRecord": 3, "RolloutLabel": 3,
-                      "ScenarioConfig": 17, "ScriptedMonitor": 3, "BenchmarkConfig": 4}
+                      "ScenarioConfig": 17, "ScriptedMonitor": 3, "BenchmarkConfig": 4,
+                      "CalibrationResult": 4}
 
 
 @pytest.mark.parametrize("cls, name, kind", SCALAR_FIELDS)
@@ -88,3 +92,19 @@ def test_int_past_the_float_range_is_a_located_refusal(cls, name, kind):
         return
     with pytest.raises(InvalidLogError, match=_refusal(name, kind, 10 ** 400)):
         _built(cls, name, 10 ** 400)
+
+
+@pytest.mark.parametrize("cls, name, kind, bad", [
+    (RolloutHeader, "action_mask", "bool", 1),
+    (RolloutHeader, "action_mask", "bool", "x"),
+    (CalibrationResult, "terminal_scores", "float", "0.2"),
+    (CalibrationResult, "terminal_scores", "float", False),
+], ids=["mask-int", "mask-str", "score-str", "score-bool"])
+def test_tuple_entry_of_wrong_type_is_refused_naming_its_index(cls, name, kind, bad):
+    good = getattr(VALID[cls](), name)
+    with pytest.raises(InvalidLogError, match=_refusal(rf"{name}\[1\]", kind, bad)):
+        _built(cls, name, (good[0], bad) + good[2:])
+    numpy_values = [KINDS[kind][2](v) for v in good]  # a list, with numpy entries
+    held = getattr(_built(cls, name, numpy_values), name)
+    assert type(held) is tuple and held == tuple(v.item() for v in numpy_values)
+    assert all(type(v) is KINDS[kind][0] for v in held)
