@@ -31,21 +31,22 @@ print(f"battery: {len(calibration)} calibration successes, "
 
 # Scoring context shared by every variant. The embedding baseline needs
 # mean/covariance statistics fit on the calibration embeddings; the
-# model-based scores need a reference policy to query.
+# model-based scores need a reference policy to query, passed as its own
+# argument.
 embeddings = [np.stack([r.embedding for r in log.records]) for log in calibration]
 context = DetectorContext(
-    oracle=scenario.build_policy("consistent", seed=0),
     embedding_stats=EmbeddingStats.from_mean_cov(*pooled_stats(embeddings)),
 )
+oracle = scenario.build_policy("consistent", seed=0)
 
 # Same protocol for each variant: calibrate its own threshold at
 # delta=0.05, then flag test episodes whose terminal score exceeds it.
 print()
 print("detector      gamma     succ mean  fail mean   flags on fail  flags on succ")
 for name in DETECTORS:
-    cal_terms = [score_log(name, log, context).terminal for log in calibration]
+    cal_terms = [score_log(name, log, context, oracle).terminal for log in calibration]
     gamma = conformal_threshold(cal_terms, delta=0.05).gamma
-    terms = np.array([score_log(name, log, context).terminal for log in test_logs])
+    terms = np.array([score_log(name, log, context, oracle).terminal for log in test_logs])
     failed = np.array(labels)
     hits = int(np.sum(terms[failed] > gamma))
     false_alarms = int(np.sum(terms[~failed] > gamma))

@@ -34,8 +34,10 @@ DETECTOR_NAMES = STAC_DETECTORS + ("mahalanobis",) + ORACLE_DETECTORS + ("outvar
 # scores 0 at the first record and needs at least two records.
 PAIRWISE_DETECTORS = STAC_DETECTORS + ("ddpm-temporal", "recon-temporal")
 
-DEFAULT_DEPTHS = (5, 10, 25, 50)
-DEFAULT_NOISE_DRAWS = 10
+# The oracle families' settings, one for every log, read when a scorer is built:
+# `ddpm*` averages over NOISE_DRAWS noise draws, `recon*` over DEPTHS.
+NOISE_DRAWS = 10
+DEPTHS = (5, 10, 25, 50)
 
 
 @dataclass(frozen=True)
@@ -124,16 +126,6 @@ def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord)
     return np.concatenate([np.broadcast_to(prefix, (batch, k, prefix.shape[1])), suffix], axis=1)
 
 
-def _validate_depths(depths, n_steps) -> tuple[int, ...]:
-    depths = tuple(int(i) for i in depths)
-    if not depths:
-        raise ValueError("need at least one reconstruction depth")
-    for depth in depths:
-        if not 1 <= depth < n_steps:
-            raise ValueError(f"depth {depth} outside [1, {n_steps})")
-    return depths
-
-
 def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
                      depths: Sequence[int]) -> np.ndarray:
     """Reverse-diffuse each noised[g, r] from schedule step depths[r] in one pass.
@@ -170,8 +162,8 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
 def _reconstruction(chunk_sets, states, oracle, depths, rng_seeds) -> list[float]:
     """Reconstruction error of each (B, h, d) chunk set, all in one reverse pass.
 
-    Each set is re-noised to every depth in `depths` (checked by
-    `_validate_depths`; noise drawn by `_renoised`) and reverse-diffused
+    Each set is re-noised to every depth in `depths` (checked when a scorer
+    is built; noise drawn by `_renoised`) and reverse-diffused
     back; the score is the squared error to the set, averaged over chunks
     and depths. `states` is a (G, sd) stack of one state per set.
     """
@@ -197,12 +189,10 @@ def output_variance_score(record: InferenceRecord, action_mask: np.ndarray) -> f
 
 @dataclass
 class DetectorContext:
-    """Everything a detector might need beyond the log itself."""
+    """What a detector needs beyond the log that differs from log to log: the
+    stats `mahalanobis` reads and the seed of the oracle detectors' noise."""
 
-    oracle: Optional[PolicyOracle] = None
     embedding_stats: Optional[EmbeddingStats] = None
-    n_noise_draws: int = DEFAULT_NOISE_DRAWS
-    depths: tuple = DEFAULT_DEPTHS
     seed: int = 0
 
 
@@ -267,14 +257,16 @@ class OnlineScorer:
 
     `push` is the one-log case of the step `score_logs` takes over a whole
     battery (`_push_lockstep`). Each detector's scores are the ones it gets
-    alone. Building the scorer checks the context for the roster it names,
-    before any record is pushed. `push` refuses a record that breaks the
-    log's rules (`rollout.check_next`) with InvalidLogError, whatever the
-    roster, and leaves the scorer as it was.
+    alone. The oracle detectors query `oracle`, with NOISE_DRAWS and DEPTHS
+    as they are when the scorer is built. Building the scorer checks the
+    context and the oracle for the roster it names, before any record is
+    pushed. `push` refuses a record that breaks the log's rules
+    (`rollout.check_next`) with InvalidLogError, whatever the roster, and
+    leaves the scorer as it was.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
-                 ctx: Optional[DetectorContext] = None):
+                 ctx: Optional[DetectorContext] = None, oracle: Optional[PolicyOracle] = None):
         self.names = tuple(dict.fromkeys(names))
         for name in self.names:
             if name not in DETECTOR_NAMES:
@@ -290,17 +282,18 @@ class OnlineScorer:
         # The oracle families the roster names: base detector, batched loss,
         # oracle and the loss's per-step parameter, checked here once.
         oracle_names = [name for name in self.names if name in ORACLE_DETECTORS]
-        if oracle_names and self.ctx.oracle is None:
-            raise ValueError("a policy oracle (DetectorContext.oracle) is needed by "
+        if oracle_names and oracle is None:
+            raise ValueError("a policy oracle (the oracle argument) is needed by "
                              + ", ".join(oracle_names))
         self._families = []
         if "ddpm" in self.names or "ddpm-temporal" in self.names:
-            if self.ctx.n_noise_draws < 1:
-                raise ValueError("n_noise_draws must be >= 1")
-            self._families.append(("ddpm", _ddpm_loss, self.ctx.oracle, self.ctx.n_noise_draws))
+            self._families.append(("ddpm", _ddpm_loss, oracle, NOISE_DRAWS))
         if "recon" in self.names or "recon-temporal" in self.names:
-            depths = _validate_depths(self.ctx.depths, self.ctx.oracle.schedule.n_steps)
-            self._families.append(("recon", _reconstruction, self.ctx.oracle, depths))
+            n_steps = oracle.schedule.n_steps
+            for depth in DEPTHS:
+                if not 1 <= depth < n_steps:
+                    raise ValueError(f"depth {depth} outside [1, {n_steps})")
+            self._families.append(("recon", _reconstruction, oracle, DEPTHS))
         if "mahalanobis" in self.names and self.ctx.embedding_stats is None:
             raise ValueError("mahalanobis needs calibrated embedding stats")
         self._cumulative = dict.fromkeys(self.names, 0.0)
@@ -359,7 +352,8 @@ def _push_lockstep(pushes: dict) -> dict:
     Each log scores its own detectors, then each oracle family scores the
     members of every log in one call per chunk-set shape. Returns {index:
     what `push` returns}. A ValueError about one log's record carries its
-    index as `log_index`; no scorer moves on unless every log's step scores.
+    index as `log_index`, and one from an oracle call the index of the
+    call's first log; no scorer moves on unless every log's step scores.
     """
     steps, calls = {}, {}
     for index, (scorer, record) in pushes.items():
@@ -370,40 +364,39 @@ def _push_lockstep(pushes: dict) -> dict:
             raise
         for family, name, chunks, state, seed in members:
             calls.setdefault((family, chunks.shape), []).append(
-                (steps[index], name, chunks, state, seed))
+                (index, steps[index], name, chunks, state, seed))
     for ((_, loss, oracle, param), _), members in calls.items():
-        outs, names, sets, states, seeds = zip(*members)
-        for out, name, value in zip(outs, names,
-                                    loss(sets, np.stack(states), oracle, param, seeds)):
+        indexes, outs, names, sets, states, seeds = zip(*members)
+        try:  # e.g. an oracle that refuses the call's chunk shape, for every log in it
+            values = loss(sets, np.stack(states), oracle, param, seeds)
+        except ValueError as exc:
+            exc.log_index = indexes[0]
+            raise
+        for out, name, value in zip(outs, names, values):
             out[name] = value
     return {index: scorer._advance(record, steps[index])
             for index, (scorer, record) in pushes.items()}
 
 
 def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
-               ctxs: Sequence[Optional[DetectorContext]]) -> list[dict[str, ScoreSeries]]:
+               ctxs: Sequence[Optional[DetectorContext]],
+               oracle: Optional[PolicyOracle] = None) -> list[dict[str, ScoreSeries]]:
     """Score a battery of rollouts with several registry detectors, in lockstep.
 
     The one loop that scores logs: step j pushes record j of every log that
-    has one through its `OnlineScorer` in one `_push_lockstep`. The logs
-    share the oracle, `n_noise_draws` and `depths`; contexts that disagree
-    on one are refused, naming it, before any record is scored. A pairwise
+    has one through its `OnlineScorer`, each built with its own context and
+    the battery's one `oracle`, in one `_push_lockstep`. A pairwise
     detector refuses a log with fewer than two records, and a series that
     is refused, for a step score that is not finite and nonnegative, is
     named in the error. A ValueError about one log carries its `log_index`.
     """
-    ctxs = [ctx or DetectorContext() for ctx in ctxs]
-    for ctx in ctxs[1:]:
-        for field in ("oracle", "n_noise_draws", "depths"):
-            if getattr(ctx, field) != getattr(ctxs[0], field):
-                raise ValueError(f"contexts disagree on {field}: a battery scores under one")
     scorers = []
     for index, (log, ctx) in enumerate(zip(logs, ctxs, strict=True)):
         try:
             for name in names:
                 if name in PAIRWISE_DETECTORS and log.n_records < 2:
                     raise InvalidLogError(f"{name} scoring needs at least 2 inference records")
-            scorers.append(OnlineScorer(names, log.header, ctx))
+            scorers.append(OnlineScorer(names, log.header, ctx, oracle))
         except ValueError as exc:
             exc.log_index = index
             raise
@@ -429,12 +422,13 @@ def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
     return battery
 
 
-def score_detectors(names: Sequence[str], log: RolloutLog,
-                    ctx: Optional[DetectorContext] = None) -> dict[str, ScoreSeries]:
+def score_detectors(names: Sequence[str], log: RolloutLog, ctx: Optional[DetectorContext] = None,
+                    oracle: Optional[PolicyOracle] = None) -> dict[str, ScoreSeries]:
     """Score one rollout with several registry detectors: `score_logs` for one log."""
-    return score_logs(names, [log], [ctx])[0]
+    return score_logs(names, [log], [ctx], oracle)[0]
 
 
-def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None) -> ScoreSeries:
+def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None,
+              oracle: Optional[PolicyOracle] = None) -> ScoreSeries:
     """Score one rollout with one registry detector: `score_detectors` for one name."""
-    return score_detectors((name,), log, ctx)[name]
+    return score_detectors((name,), log, ctx, oracle)[name]

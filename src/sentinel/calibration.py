@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rollout import _check_scalar_fields, _json_fields
+from .rollout import _check_scalar_fields, _json_fields, _scalar
 
 DEFAULT_DELTA = 0.05
 
@@ -65,9 +65,10 @@ def conformal_threshold(terminal_scores: Sequence[float],
 
     When that rank exceeds M the guarantee cannot be met by any finite
     threshold and gamma is +inf. Ties occupy consecutive ranks (plain order
-    statistics).
+    statistics). A score that is not a real number is refused, not coerced.
     """
-    ordered = tuple(sorted(float(s) for s in terminal_scores))
+    ordered = tuple(sorted(_scalar(s, "float", f"terminal_scores[{i}]")
+                           for i, s in enumerate(terminal_scores)))
     if not ordered:
         raise ValueError("calibration needs at least one terminal score")
     if not all(math.isfinite(s) for s in ordered):

@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, DetectorContext, EmbeddingStats,
-                        embedding_matrix, score_log)
+                        embedding_matrix, score_log, score_logs)
 from .calibration import (DEFAULT_DELTA, CalibrationResult, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
                          verdict_from_series)
 from .policy import ScenarioConfig, default_goal_label, generate_rollout
-from .rollout import LOG_SUFFIX, read_log, write_log
+from .rollout import LOG_SUFFIX, _scalar, read_log, write_log
 from .vlm import (TEMPLATE_IDS, VARIANT_TEMPLATES, HttpTransport, MockTransport,
                   MonitorError, monitor_log)
 
@@ -107,12 +107,9 @@ def _read_log_or_fail(path):
         raise CliError(f"{path}: {exc}", kind="log") from exc
 
 
-def _detector_context(name: str, scenario: ScenarioConfig, seed: int,
-                      embedding_stats=None) -> DetectorContext:
-    oracle = None
-    if name in ORACLE_DETECTORS:
-        oracle = scenario.build_policy("consistent", seed=0)
-    return DetectorContext(oracle=oracle, embedding_stats=embedding_stats, seed=seed)
+def _oracle(name: str, scenario: ScenarioConfig):
+    """The reference policy an oracle detector queries; None for any other detector."""
+    return scenario.build_policy("consistent", seed=0) if name in ORACLE_DETECTORS else None
 
 
 def cmd_synth(args) -> int:
@@ -157,13 +154,6 @@ def _collect_logs(pattern: str):
     return [(path, _read_log_or_fail(path)) for path in paths]
 
 
-def _terminal_score(name: str, path, log, ctx: DetectorContext) -> float:
-    try:
-        return score_log(name, log, ctx).terminal
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}", kind="score") from exc
-
-
 def cmd_calibrate(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise CliError(f"--delta must be in (0, 1), got {args.delta}", kind="usage", code=2)
@@ -176,6 +166,7 @@ def cmd_calibrate(args) -> int:
             raise CliError(f"{path}: refusing to calibrate on a failure-labeled rollout",
                            kind="label")
     stats_json = None
+    per_log_stats = [None] * len(logs)
     if args.detector == "mahalanobis":
         if len(logs) < 2:
             raise CliError(f"mahalanobis calibration needs at least 2 logs, and --logs "
@@ -191,12 +182,15 @@ def cmd_calibrate(args) -> int:
                          for mu, cov in leave_trajectory_out_stats(embeddings)]
         mu, cov = pooled_stats(embeddings)
         stats_json = {"mean": mu.tolist(), "covariance": cov.tolist()}
-        terminals = [_terminal_score(args.detector, path, log,
-                                     DetectorContext(embedding_stats=stats, seed=args.seed))
-                     for (path, log), stats in zip(logs, per_log_stats)]
-    else:
-        ctx = _detector_context(args.detector, scenario, args.seed)
-        terminals = [_terminal_score(args.detector, path, log, ctx) for path, log in logs]
+    ctxs = [DetectorContext(embedding_stats=stats, seed=args.seed) for stats in per_log_stats]
+    try:
+        battery = score_logs((args.detector,), [log for _, log in logs], ctxs,
+                             _oracle(args.detector, scenario))
+    except ValueError as exc:
+        # Named by its file: the first bad log that lockstep meets, which can
+        # be a later file than another bad one.
+        raise CliError(f"{logs[exc.log_index][0]}: {exc}", kind="score") from exc
+    terminals = [series[args.detector].terminal for series in battery]
 
     result = conformal_threshold(terminals, args.delta)
     envelope = {"detector": args.detector, "result": result.to_json_obj()}
@@ -231,9 +225,14 @@ def _load_calibration(path, detector: str):
         result = CalibrationResult.from_json_obj(envelope["result"])
         stats = None
         if "embedding_stats" in envelope:
+            # Each entry is refused unless it is a real number, as in the result.
+            fit = envelope["embedding_stats"]
             stats = EmbeddingStats.from_mean_cov(
-                np.asarray(envelope["embedding_stats"]["mean"], dtype=np.float64),
-                np.asarray(envelope["embedding_stats"]["covariance"], dtype=np.float64))
+                np.array([_scalar(v, "float", f"embedding_stats.mean[{i}]")
+                          for i, v in enumerate(fit["mean"])]),
+                np.array([[_scalar(v, "float", f"embedding_stats.covariance[{i}][{j}]")
+                           for j, v in enumerate(row)]
+                          for i, row in enumerate(fit["covariance"])]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed calibration file: {type(exc).__name__}: {exc}",
                        kind="config") from exc
@@ -249,9 +248,9 @@ def cmd_detect(args) -> int:
         if first is None or first.shape != stats.mean.shape:
             raise CliError("log embeddings do not match calibrated statistics",
                            kind="config")
-    ctx = _detector_context(args.detector, scenario, args.seed, embedding_stats=stats)
+    ctx = DetectorContext(embedding_stats=stats, seed=args.seed)
     try:
-        series = score_log(args.detector, log, ctx)
+        series = score_log(args.detector, log, ctx, _oracle(args.detector, scenario))
     except ValueError as exc:
         raise CliError(str(exc), kind="score") from exc
     verdict = verdict_from_series(series, result.gamma, detector_source(args.detector),

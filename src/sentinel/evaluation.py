@@ -317,10 +317,10 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
         pooled = EmbeddingStats.from_mean_cov(*pooled_stats(embeddings))
 
     seeds = cal_seeds + [seed for _, seed in test_plan]
-    ctxs = [DetectorContext(oracle=oracle, embedding_stats=stats, seed=seed)
+    ctxs = [DetectorContext(embedding_stats=stats, seed=seed)
             for seed, stats in zip(seeds, lto_stats + [pooled] * len(test_logs))]
     try:
-        battery = score_logs(config.detectors, cal_logs + test_logs, ctxs)
+        battery = score_logs(config.detectors, cal_logs + test_logs, ctxs, oracle)
     except ValueError as exc:
         if not hasattr(exc, "log_index"):
             raise

@@ -5,6 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from sentinel import baselines
 from sentinel.rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog
 
 
@@ -117,3 +118,15 @@ def header():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def oracle_settings(monkeypatch):
+    """Set the oracle detectors' `baselines.NOISE_DRAWS` and `DEPTHS` for one test:
+    `oracle_settings(draws=2, depths=(2,))`. A scorer built after the call uses them."""
+    def set_settings(draws=None, depths=None):
+        if draws is not None:
+            monkeypatch.setattr(baselines, "NOISE_DRAWS", draws)
+        if depths is not None:
+            monkeypatch.setattr(baselines, "DEPTHS", depths)
+    return set_settings

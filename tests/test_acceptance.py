@@ -162,21 +162,21 @@ def test_c05_quantile_formula():
 
 # -- cumulative-score monotonicity + online detection -------------------------
 
-def test_c06_monotone_scores_and_online_detection():
+def test_c06_monotone_scores_and_online_detection(oracle_settings):
     scenario = ScenarioConfig(prediction_horizon=4, execution_horizon=2,
                               attractors=((1.0, 0.5),), mode_weights=(1.0,),
                               drift_step=(0.0, 0.0), n_denoise_steps=8)
-    ctx = DetectorContext(oracle=scenario.build_policy("consistent", 0),
-                          embedding_stats=EmbeddingStats.from_mean_cov(
-                              np.zeros(2), np.eye(2)),
-                          n_noise_draws=2, depths=(2,), seed=0)
+    oracle_settings(draws=2, depths=(2,))
+    oracle = scenario.build_policy("consistent", 0)
+    ctx = DetectorContext(embedding_stats=EmbeddingStats.from_mean_cov(np.zeros(2), np.eye(2)),
+                          seed=0)
     rng = np.random.default_rng(66)
     series_checked = 0
     for _ in range(1000):
         log = make_log(n_records=int(rng.integers(2, 6)),
                        batch_size=int(rng.integers(2, 5)), rng=rng)
         for name in DETECTOR_NAMES:
-            series = score_log(name, log, ctx)
+            series = score_log(name, log, ctx, oracle)
             assert np.all(np.diff(series.cumulative) >= 0.0), name
             gammas = (math.inf,
                       float(rng.uniform(0.0, max(series.terminal, 1e-9) * 1.5)))

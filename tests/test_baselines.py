@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -104,8 +103,8 @@ class TestStitchedChunks:
         header = make_header()  # k=2
         prev = make_record(0, rng.standard_normal((2, 4, 2)), embedding=np.zeros(2))
         far = make_record(4, rng.standard_normal((2, 4, 2)), embedding=np.zeros(2))
-        ctx = DetectorContext(oracle=_point_mass_policy(horizon=4))
-        scorer = OnlineScorer(("ddpm-temporal", "recon-temporal"), header, ctx)
+        scorer = OnlineScorer(("ddpm-temporal", "recon-temporal"), header,
+                              oracle=_point_mass_policy(horizon=4))
         scorer.push(prev)
         with pytest.raises(ValueError, match="timesteps must increase by exactly 2: 0 -> 4"):
             scorer.push(far)
@@ -229,11 +228,12 @@ class TestStackedReconstruction:
 
     @pytest.mark.parametrize("depths", DEPTHS)
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
-    def test_scores_equal_per_depth_reference(self, behavior, depths):
+    def test_scores_equal_per_depth_reference(self, behavior, depths, oracle_settings):
         policy, log = self._scenario_log(behavior)
-        ctx = DetectorContext(oracle=policy, depths=depths, seed=6)
-        scored = score_detectors(("recon", "recon-temporal"), log, ctx)
-        alone = {name: score_log(name, log, ctx) for name in scored}
+        oracle_settings(depths=depths)
+        ctx = DetectorContext(seed=6)
+        scored = score_detectors(("recon", "recon-temporal"), log, ctx, policy)
+        alone = {name: score_log(name, log, ctx, policy) for name in scored}
         for j, record in enumerate(log.records):
             seed = _step_seed(6, j)
             want = _reference_reconstruction(record.chunk_samples, record.embedding,
@@ -249,27 +249,27 @@ class TestStackedReconstruction:
             assert scored["recon-temporal"].step_scores[j] == want
 
     @pytest.mark.parametrize("depths", DEPTHS)
-    def test_one_oracle_call_per_step(self, depths):
+    def test_one_oracle_call_per_step(self, depths, oracle_settings):
         """max(depths) + 1 eps calls per record, where a pass per depth makes
         sum(depth + 1); each call predicts only the rows still live. Logs of
         one shape scored in lockstep make as many calls per step as one log,
         each carrying the rows of all of them."""
         policy, log = self._scenario_log("consistent")
         oracle = _CountingOracle(policy)
-        ctx = DetectorContext(oracle=oracle, depths=depths)
-        score_log("recon", log, ctx)
+        oracle_settings(depths=depths)
+        score_log("recon", log, oracle=oracle)
         assert oracle.calls == log.n_records * (max(depths) + 1)
         batch = log.records[0].batch_size
         assert oracle.rows == log.n_records * batch * sum(depth + 1 for depth in depths)
         oracle.calls = 0
-        score_log("recon-temporal", log, ctx)
+        score_log("recon-temporal", log, oracle=oracle)
         assert oracle.calls == (log.n_records - 1) * (max(depths) + 1)
         config = ScenarioConfig(episode_limit=12)
         logs = [log] + [generate_rollout(config.build_policy(behavior, seed=seed), config,
                                          seed=seed)
                         for seed, behavior in [(5, "consistent"), (6, "mode_resample")]]
         oracle.calls = oracle.rows = 0
-        score_logs(("recon",), logs, [ctx] * len(logs))
+        score_logs(("recon",), logs, [None] * len(logs), oracle)
         assert oracle.calls == log.n_records * (max(depths) + 1)
         assert oracle.rows == len(logs) * log.n_records * batch * sum(depth + 1
                                                                        for depth in depths)
@@ -294,11 +294,12 @@ class TestStackedDdpm:
 
     @pytest.mark.parametrize("n_noise_draws", [1, 3, 10])
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
-    def test_scores_equal_per_draw_reference(self, behavior, n_noise_draws):
+    def test_scores_equal_per_draw_reference(self, behavior, n_noise_draws, oracle_settings):
         policy, log = TestStackedReconstruction._scenario_log(behavior)
-        ctx = DetectorContext(oracle=policy, n_noise_draws=n_noise_draws, seed=5)
-        scored = score_detectors(("ddpm", "ddpm-temporal"), log, ctx)
-        alone = {name: score_log(name, log, ctx) for name in scored}
+        oracle_settings(draws=n_noise_draws)
+        ctx = DetectorContext(seed=5)
+        scored = score_detectors(("ddpm", "ddpm-temporal"), log, ctx, policy)
+        alone = {name: score_log(name, log, ctx, policy) for name in scored}
         for j, record in enumerate(log.records):
             seed = _step_seed(5, j)
             want = _reference_ddpm_loss(record.chunk_samples, record.embedding, policy,
@@ -331,14 +332,15 @@ class TestOracleContract:
     """Scoring never writes into an array the oracle returns, nor into the
     rows it hands to the reverse pass."""
 
-    def test_read_only_predictions_give_the_same_scores(self):
+    def test_read_only_predictions_give_the_same_scores(self, oracle_settings):
         policy, log = TestStackedReconstruction._scenario_log("mode_resample")
         config = ScenarioConfig(episode_limit=12)
         logs = [log, generate_rollout(config.build_policy("consistent", seed=5), config, seed=5)]
+        oracle_settings(draws=4, depths=(7, 2, 12))
 
         def scored(oracle):
-            ctx = DetectorContext(oracle=oracle, n_noise_draws=4, depths=(7, 2, 12), seed=9)
-            return score_logs(ORACLE_DETECTORS, logs, [ctx] * len(logs))
+            return score_logs(ORACLE_DETECTORS, logs, [DetectorContext(seed=9)] * len(logs),
+                              oracle)
 
         assert scored(_ReadOnlyOracle(policy)) == scored(policy)
 
@@ -360,35 +362,36 @@ class TestOnlineScorer:
     """Every detector pushed through one scorer against each detector alone."""
 
     @staticmethod
-    def _ctx(policy, **overrides):
+    def _ctx(**overrides):
         stats = EmbeddingStats.from_mean_cov(np.zeros(2), np.eye(2))
-        fields = dict(oracle=policy, embedding_stats=stats, seed=3)
+        fields = dict(embedding_stats=stats, seed=3)
         fields.update(overrides)
         return DetectorContext(**fields)
 
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
     def test_every_detector_equals_its_own_walk(self, behavior):
         policy, log = TestStackedReconstruction._scenario_log(behavior)
-        ctx = self._ctx(policy)
-        scorer = OnlineScorer(DETECTOR_NAMES, log.header, ctx)
+        ctx = self._ctx()
+        scorer = OnlineScorer(DETECTOR_NAMES, log.header, ctx, policy)
         pushed = [scorer.push(record) for record in log.records]
-        together = score_detectors(DETECTOR_NAMES, log, ctx)
+        together = score_detectors(DETECTOR_NAMES, log, ctx, policy)
         assert list(together) == list(DETECTOR_NAMES)
         for name in DETECTOR_NAMES:
-            alone = score_log(name, log, ctx)
+            alone = score_log(name, log, ctx, policy)
             assert [step[name][0] for step in pushed] == alone.step_scores, name
             assert [step[name][1] for step in pushed] == alone.cumulative, name
             assert together[name] == alone, name
 
     @pytest.mark.parametrize("depths", TestStackedReconstruction.DEPTHS)
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
-    def test_paired_reconstruction_equals_separate_scores(self, behavior, depths):
+    def test_paired_reconstruction_equals_separate_scores(self, behavior, depths,
+                                                          oracle_settings):
         """recon and recon-temporal from one (2, D, B, h, d) reverse pass per
         step, against a step-by-step pass per depth for each."""
         policy, log = TestStackedReconstruction._scenario_log(behavior)
         oracle = _CountingOracle(policy)
-        scorer = OnlineScorer(("recon-temporal", "recon"), log.header,
-                              self._ctx(oracle, depths=depths))
+        oracle_settings(depths=depths)
+        scorer = OnlineScorer(("recon-temporal", "recon"), log.header, self._ctx(), oracle)
         for j, record in enumerate(log.records):
             oracle.calls = 0
             step = scorer.push(record)
@@ -405,14 +408,15 @@ class TestOnlineScorer:
 
     @pytest.mark.parametrize("n_noise_draws", [1, 10])
     @pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
-    def test_paired_ddpm_equals_separate_scores(self, behavior, n_noise_draws):
+    def test_paired_ddpm_equals_separate_scores(self, behavior, n_noise_draws, oracle_settings):
         """ddpm and ddpm-temporal from one eps call per step, each scorer
         alone from one too, against an eps call per draw for each."""
         policy, log = TestStackedReconstruction._scenario_log(behavior)
         oracle = _CountingOracle(policy)
-        ctx = self._ctx(oracle, n_noise_draws=n_noise_draws)
-        paired = OnlineScorer(("ddpm-temporal", "ddpm"), log.header, ctx)
-        alone = {name: OnlineScorer((name,), log.header, ctx)
+        oracle_settings(draws=n_noise_draws)
+        ctx = self._ctx()
+        paired = OnlineScorer(("ddpm-temporal", "ddpm"), log.header, ctx, oracle)
+        alone = {name: OnlineScorer((name,), log.header, ctx, oracle)
                  for name in ("ddpm", "ddpm-temporal")}
         for j, record in enumerate(log.records):
             oracle.calls = 0
@@ -435,17 +439,18 @@ class TestOnlineScorer:
     @pytest.mark.parametrize("oracle_names", [
         roster for size in range(1, len(ORACLE_DETECTORS) + 1)
         for roster in itertools.combinations(ORACLE_DETECTORS, size)], ids="+".join)
-    def test_mixed_oracle_roster_equals_each_detector_alone(self, oracle_names):
+    def test_mixed_oracle_roster_equals_each_detector_alone(self, oracle_names,
+                                                            oracle_settings):
         """Any roster of oracle detectors, beside a STAC and the two
         record-only detectors, scores each detector as it scores alone, with
         one eps call per step for the ddpm family and one reverse pass for
         the recon family, whichever of their members are named."""
         policy, log = TestStackedReconstruction._scenario_log("mode_resample")
         depths = (7, 1, 3)
+        oracle_settings(draws=3, depths=depths)
         oracle = _CountingOracle(policy)
         names = oracle_names + ("stac-mmd", "mahalanobis", "outvar")
-        scorer = OnlineScorer(names, log.header, self._ctx(oracle, depths=depths,
-                                                           n_noise_draws=3))
+        scorer = OnlineScorer(names, log.header, self._ctx(), oracle)
         pushed = []
         for j, record in enumerate(log.records):
             oracle.calls = 0
@@ -457,9 +462,9 @@ class TestOnlineScorer:
             if named & {"recon", "recon-temporal"}:
                 want_calls += max(depths) + 1
             assert oracle.calls == want_calls, j
-        ctx = self._ctx(policy, depths=depths, n_noise_draws=3)
+        ctx = self._ctx()
         for name in names:
-            alone = score_log(name, log, ctx)
+            alone = score_log(name, log, ctx, policy)
             assert [step[name][0] for step in pushed] == alone.step_scores, name
             assert [step[name][1] for step in pushed] == alone.cumulative, name
         # The oracle detectors against the brute-force references as well,
@@ -518,28 +523,28 @@ class TestOnlineScorer:
         log = make_log(header=header, n_records=2, rng=rng)
         assert list(scorer.push(log.records[0])) == ["outvar", "stac-mmd"]
 
-    @pytest.mark.parametrize("needing, overrides, match", [
-        (ORACLE_DETECTORS, dict(oracle=None), "policy oracle"),
-        (("ddpm", "ddpm-temporal"), dict(n_noise_draws=0), "n_noise_draws must be >= 1"),
-        (("recon", "recon-temporal"), dict(depths=()), "at least one reconstruction depth"),
-        (("recon", "recon-temporal"), dict(depths=(5, 0)), r"depth 0 outside \[1, 100\)"),
-        (("recon", "recon-temporal"), dict(depths=(100,)), r"depth 100 outside \[1, 100\)"),
-        (("mahalanobis",), dict(embedding_stats=None), "embedding stats"),
-    ], ids=["oracle", "draws", "no-depths", "depth-0", "depth-n", "stats"])
-    def test_context_is_checked_at_construction(self, needing, overrides, match):
-        """A context that a named detector cannot use is refused when the
-        scorer is built, before any record is pushed, and by score_detectors
-        with the same message. A roster that names none of the detectors
-        needing it builds and scores."""
-        policy, log = TestStackedReconstruction._scenario_log("consistent")
-        ctx = self._ctx(policy, **overrides)
+    @pytest.mark.parametrize("needing, oracle_steps, overrides, match", [
+        (ORACLE_DETECTORS, None, {}, "policy oracle"),
+        (("recon", "recon-temporal"), 50, {}, r"depth 50 outside \[1, 50\)"),
+        (("mahalanobis",), 100, dict(embedding_stats=None), "embedding stats"),
+    ], ids=["oracle", "depth-n", "stats"])
+    def test_context_is_checked_at_construction(self, needing, oracle_steps, overrides, match):
+        """A context or an oracle that a named detector cannot use is refused
+        when the scorer is built, before any record is pushed, and by
+        score_detectors with the same message: no oracle, or one whose
+        schedule is too short for the deepest of DEPTHS. A roster that names
+        none of the detectors needing it builds and scores."""
+        _, log = TestStackedReconstruction._scenario_log("consistent")
+        oracle = None if oracle_steps is None else ScenarioConfig(
+            n_denoise_steps=oracle_steps).build_policy("consistent", seed=2)
+        ctx = self._ctx(**overrides)
         for name in needing:
             with pytest.raises(ValueError, match=match):
-                OnlineScorer(("outvar", name), log.header, ctx)
+                OnlineScorer(("outvar", name), log.header, ctx, oracle)
             with pytest.raises(ValueError, match=match):
-                score_detectors(("outvar", name), log, ctx)
+                score_detectors(("outvar", name), log, ctx, oracle)
         rest = tuple(name for name in DETECTOR_NAMES if name not in needing)
-        assert list(score_detectors(rest, log, ctx)) == list(rest)
+        assert list(score_detectors(rest, log, ctx, oracle)) == list(rest)
 
     def test_refusals_match_score_log(self, rng):
         header = make_header()
@@ -555,10 +560,14 @@ class TestScoreLogs:
 
     DEPTHS = (7, 1, 3)
 
-    @classmethod
-    def _battery(cls, oracle):
+    @pytest.fixture(autouse=True)
+    def _short_oracle(self, oracle_settings):
+        oracle_settings(draws=3, depths=self.DEPTHS)
+
+    @staticmethod
+    def _battery():
         """Logs of three lengths, one at another batch size, each under its
-        own seed and embedding stats, all under one oracle."""
+        own seed and embedding stats."""
         logs, ctxs = [], []
         for i, (episode_limit, batch_size, behavior) in enumerate([
                 (12, 32, "consistent"), (20, 32, "mode_resample"),
@@ -566,8 +575,7 @@ class TestScoreLogs:
             config = ScenarioConfig(episode_limit=episode_limit, batch_size=batch_size)
             logs.append(generate_rollout(config.build_policy(behavior, seed=i), config, seed=i))
             stats = EmbeddingStats.from_mean_cov(np.full(2, 0.5 * i), np.eye(2) * (1.0 + i))
-            ctxs.append(DetectorContext(oracle=oracle, embedding_stats=stats, seed=10 + i,
-                                        n_noise_draws=3, depths=cls.DEPTHS))
+            ctxs.append(DetectorContext(embedding_stats=stats, seed=10 + i))
         return logs, ctxs
 
     def test_every_detector_equals_each_log_alone(self):
@@ -575,42 +583,22 @@ class TestScoreLogs:
         per step for each chunk-set shape among the logs still running."""
         policy = ScenarioConfig().build_policy("consistent", seed=0)
         oracle = _CountingOracle(policy)
-        logs, ctxs = self._battery(oracle)
-        battery = score_logs(DETECTOR_NAMES, logs, ctxs)
+        logs, ctxs = self._battery()
+        battery = score_logs(DETECTOR_NAMES, logs, ctxs, oracle)
         shapes_per_step = [len({log.records[0].batch_size for log in logs if j < log.n_records})
                            for j in range(max(log.n_records for log in logs))]
         assert oracle.calls == sum(shapes_per_step) * (1 + max(self.DEPTHS) + 1)
         for log, ctx, series in zip(logs, ctxs, battery):
-            alone = score_detectors(DETECTOR_NAMES, log, ctx)
+            alone = score_detectors(DETECTOR_NAMES, log, ctx, oracle)
             assert list(series) == list(DETECTOR_NAMES)
             for name in DETECTOR_NAMES:
                 assert series[name] == alone[name], name
         assert score_logs(DETECTOR_NAMES, [], []) == []
 
-    @pytest.mark.parametrize("field, value", [
-        ("oracle", ScenarioConfig().build_policy("consistent", seed=1)),
-        ("n_noise_draws", 4),
-        ("depths", (7, 1)),
-    ])
-    def test_mixed_oracle_settings_are_refused(self, field, value, monkeypatch):
-        """The oracle settings hold for the whole battery, whichever
-        detectors the roster names: contexts that disagree on one are
-        refused, naming it, before any record is checked or scored."""
-        oracle = _CountingOracle(ScenarioConfig().build_policy("consistent", seed=0))
-        logs, ctxs = self._battery(oracle)
-        ctxs[2] = dataclasses.replace(ctxs[2], **{field: value})
-        checked = []
-        monkeypatch.setattr(baselines, "check_next", lambda *args: checked.append(args))
-        for names in (DETECTOR_NAMES, ("stac-mmd",)):
-            with pytest.raises(ValueError, match=rf"^contexts disagree on {field}\b"):
-                score_logs(names, logs, ctxs)
-        assert oracle.calls == 0 and checked == []
-
     def test_errors_name_their_log_by_index(self, monkeypatch):
         """A log refused before scoring, and a series refused after, carry
         the position of their own log, not of the first."""
-        oracle = ScenarioConfig().build_policy("consistent", seed=0)
-        logs, ctxs = self._battery(oracle)
+        logs, ctxs = self._battery()
         short = RolloutLog(header=logs[1].header, records=logs[1].records[:1])
         with pytest.raises(InvalidLogError, match="^min-l2 scoring needs") as refused:
             score_logs(("outvar", "min-l2"), logs[:1] + [short] + logs[2:], ctxs)
@@ -628,8 +616,7 @@ class TestScoreLogs:
     def test_refused_record_names_its_log(self, target, monkeypatch):
         """A record refused in a step carries its own log's index: log 3
         after the shortest log has ended, log 1 when it runs on alone."""
-        oracle = ScenarioConfig().build_policy("consistent", seed=0)
-        logs, ctxs = self._battery(oracle)
+        logs, ctxs = self._battery()
         bad = logs[target].records[-1]
         check = baselines.check_next
 
@@ -692,7 +679,12 @@ class TestOutputVariance:
 
 
 class TestScoreFunctionRegistry:
-    def _ctx(self, header):
+    @pytest.fixture(autouse=True)
+    def _short_oracle(self, oracle_settings):
+        oracle_settings(draws=2, depths=(2,))  # within the 10-step schedule of `_scoring`
+
+    def _scoring(self, header):
+        """A context and an oracle that every detector can score `header`'s logs with."""
         config = __import__("sentinel.policy", fromlist=["ScenarioConfig"]).ScenarioConfig(
             action_dim=header.action_dim,
             prediction_horizon=header.prediction_horizon,
@@ -707,8 +699,7 @@ class TestScoreFunctionRegistry:
         policy = config.build_policy("consistent", 0)
         d = header.action_dim
         stats = EmbeddingStats.from_mean_cov(np.zeros(d), np.eye(d))
-        return DetectorContext(oracle=policy, embedding_stats=stats,
-                               n_noise_draws=2, depths=(2,), seed=0)
+        return DetectorContext(embedding_stats=stats, seed=0), policy
 
     def test_unknown_name_lists_registry(self):
         header = make_header()
@@ -720,18 +711,18 @@ class TestScoreFunctionRegistry:
     def test_every_detector_scores_every_log(self, rng):
         header = make_header()
         log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
-        ctx = self._ctx(header)
+        ctx, oracle = self._scoring(header)
         for name in DETECTOR_NAMES:
-            series = score_log(name, log, ctx)
+            series = score_log(name, log, ctx, oracle)
             assert len(series.timesteps) == 3
             assert all(s >= 0.0 for s in series.step_scores)
 
     def test_temporal_variants_zero_at_first_step(self, rng):
         header = make_header()
         log = make_log(header=header, n_records=2, batch_size=3, rng=rng)
-        ctx = self._ctx(header)
+        ctx, oracle = self._scoring(header)
         for name in ("ddpm-temporal", "recon-temporal"):
-            assert score_log(name, log, ctx).step_scores[0] == 0.0
+            assert score_log(name, log, ctx, oracle).step_scores[0] == 0.0
 
     def test_mahalanobis_needs_stats(self, rng):
         header = make_header()
@@ -748,7 +739,7 @@ class TestScoreFunctionRegistry:
 
     def test_missing_oracle_names_the_detectors_needing_it(self):
         header = make_header()
-        with pytest.raises(ValueError, match=r"^a policy oracle \(DetectorContext\.oracle\) "
+        with pytest.raises(ValueError, match=r"^a policy oracle \(the oracle argument\) "
                                              r"is needed by ddpm, recon-temporal$"):
             OnlineScorer(("stac-mmd", "ddpm", "outvar", "recon-temporal"), header)
         with pytest.raises(ValueError, match=r"policy oracle .* is needed by recon$"):
@@ -785,9 +776,9 @@ class TestScoreFunctionRegistry:
         assert err.value.line == line
         assert str(err.value) == f"line {line}: {message}"
 
-        ctx = self._ctx(header)
+        ctx, oracle = self._scoring(header)
         for name in DETECTOR_NAMES:
-            scorer = OnlineScorer((name,), header, ctx)
+            scorer = OnlineScorer((name,), header, ctx, oracle)
             for r in good:
                 scorer.push(r)
             with pytest.raises(InvalidLogError, match=f"^{re.escape(message)}$"):
@@ -798,15 +789,15 @@ class TestScoreFunctionRegistry:
         same step re-scored gives the identical value."""
         header = make_header()
         log = make_log(header=header, n_records=3, batch_size=4, rng=rng)
-        ctx = self._ctx(header)
-        first = score_log("ddpm", log, ctx).step_scores[1]
-        again = score_log("ddpm", log, ctx).step_scores[1]
+        ctx, oracle = self._scoring(header)
+        first = score_log("ddpm", log, ctx, oracle).step_scores[1]
+        again = score_log("ddpm", log, ctx, oracle).step_scores[1]
         assert first == again
         # Record 2 repeats record 1's chunks and embedding: only the noise differs.
         twin = make_record(4, log.records[1].chunk_samples,
                            embedding=log.records[1].embedding)
         twins = RolloutLog(header=header, records=log.records[:2] + [twin], label=None)
-        steps = score_log("ddpm", twins, ctx).step_scores
+        steps = score_log("ddpm", twins, ctx, oracle).step_scores
         assert steps[1] == first
         assert steps[2] != steps[1]
 
@@ -816,12 +807,12 @@ class TestScoreFunctionRegistry:
         log scores exactly as the same steps of the whole log."""
         header = make_header()
         log = make_log(header=header, n_records=5, batch_size=4, rng=rng)
-        ctx = self._ctx(header)
-        full = score_log(name, log, ctx)
+        ctx, oracle = self._scoring(header)
+        full = score_log(name, log, ctx, oracle)
         shortest = 2 if name in PAIRWISE_DETECTORS else 1
         for n in range(shortest, log.n_records + 1):
             prefix = RolloutLog(header=header, records=log.records[:n], label=None)
-            series = score_log(name, prefix, ctx)
+            series = score_log(name, prefix, ctx, oracle)
             assert series.step_scores == full.step_scores[:n]
             assert series.cumulative == full.cumulative[:n]
 

@@ -51,6 +51,20 @@ class TestConformalThreshold:
         with pytest.raises(ValueError):
             conformal_threshold([1.0, float("inf")])
 
+    @pytest.mark.parametrize("scores, message", [
+        (["0.3", 0.1, 0.2], "terminal_scores[0] must be a real number, got '0.3'"),
+        ([0.3, 0.1, True], "terminal_scores[2] must be a real number, got True"),
+    ], ids=["str", "bool"])
+    def test_score_of_wrong_type_is_refused_not_coerced(self, scores, message):
+        with pytest.raises(ValueError) as refused:
+            conformal_threshold(scores, delta=0.4)
+        assert str(refused.value) == message
+
+    def test_int_and_numpy_scores_are_accepted(self):
+        result = conformal_threshold([3, np.float64(1.5), 2], delta=0.4)
+        assert result.terminal_scores == (1.5, 2.0, 3.0)
+        assert all(type(s) is float for s in result.terminal_scores)
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError):

@@ -3,12 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sentinel.baselines import DetectorContext, score_log
+from sentinel.baselines import DetectorContext, EmbeddingStats, embedding_matrix, score_log
 from sentinel.cli import _bundled_config, main
 from sentinel.evaluation import detector_source, verdict_from_series
-from sentinel.calibration import CalibrationResult, conformal_threshold
+from sentinel.calibration import (CalibrationResult, conformal_threshold,
+                                  leave_trajectory_out_stats)
+from sentinel.policy import ScenarioConfig, SyntheticGmmPolicy
 from sentinel.rollout import LogParseError, read_log, write_log
 
 from conftest import make_log, v1_text
@@ -225,6 +228,78 @@ class TestCalibrate:
         stats = envelope["embedding_stats"]
         assert len(stats["mean"]) == 2
         assert len(stats["covariance"]) == 2
+
+    @pytest.mark.parametrize("detector", ["stac-mmd", "mahalanobis", "ddpm", "recon-temporal"])
+    def test_terminal_scores_equal_each_log_scored_alone(self, capsys, tmp_path, synth_nominal,
+                                                         detector):
+        """The file holds the sorted terminal scores the library gives each log alone,
+        at the same --seed: mahalanobis under its leave-one-out stats, the oracle
+        detectors under the scenario's consistent policy."""
+        logs_dir, config = synth_nominal
+        out = tmp_path / "cal.json"
+        code = run_cli(["calibrate", "--detector", detector, "--logs", f"{logs_dir}/*.jsonl",
+                        "--delta", "0.4", "--seed", "7", "--out", out, "--config", config])
+        capsys.readouterr()
+        assert code == 0
+        logs = [read_log(path) for path in sorted(logs_dir.glob("*.jsonl"))]
+        stats = [None] * len(logs)
+        if detector == "mahalanobis":
+            stats = [EmbeddingStats.from_mean_cov(mu, cov) for mu, cov in
+                     leave_trajectory_out_stats([embedding_matrix(log) for log in logs])]
+        oracle = ScenarioConfig.from_json_obj(FAST_SCENARIO).build_policy("consistent", seed=0)
+        terminals = [score_log(detector, log, DetectorContext(embedding_stats=s, seed=7), oracle
+                               ).terminal for log, s in zip(logs, stats)]
+        written = json.loads(out.read_text())["result"]["terminal_scores"]
+        assert written == sorted(terminals)
+
+    def test_oracle_detector_scores_the_logs_in_lockstep(self, capsys, tmp_path, synth_nominal,
+                                                          monkeypatch):
+        """One eps call per inference step for all six logs, not one per log per step."""
+        logs_dir, config = synth_nominal
+        calls = []
+        eps = SyntheticGmmPolicy.eps
+        monkeypatch.setattr(SyntheticGmmPolicy, "eps",
+                            lambda self, *args: calls.append(args) or eps(self, *args))
+        code = run_cli(["calibrate", "--detector", "ddpm", "--logs", f"{logs_dir}/*.jsonl",
+                        "--delta", "0.4", "--out", tmp_path / "cal.json", "--config", config])
+        capsys.readouterr()
+        assert code == 0
+        n_records = [read_log(path).n_records for path in sorted(logs_dir.glob("*.jsonl"))]
+        assert len(n_records) == 6
+        assert len(calls) == max(n_records)
+
+    def test_depth_past_a_short_schedule_names_the_first_log(self, capsys, tmp_path,
+                                                             synth_nominal):
+        logs_dir, _ = synth_nominal
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(dict(FAST_SCENARIO, n_denoise_steps=40)))
+        out = tmp_path / "cal.json"
+        code = run_cli(["calibrate", "--detector", "recon", "--logs", f"{logs_dir}/*.jsonl",
+                        "--out", out, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "score"
+        first = sorted(logs_dir.glob("*.jsonl"))[0]
+        assert error["message"] == f"{first}: depth 50 outside [1, 40)"
+        assert not out.exists()
+
+    def test_oracle_refusing_the_chunk_shape_names_the_first_log(self, capsys, tmp_path):
+        """The lockstep oracle call scores both logs at once; its refusal is
+        located at the first of them, as a per-log call located it."""
+        paths = [tmp_path / "logs" / f"short_{i}.sentinel.jsonl" for i in range(2)]
+        paths[0].parent.mkdir()
+        for i, path in enumerate(paths):  # horizon 4 where the default policy plans 8
+            write_log(make_log(label="success", rng=np.random.default_rng(i)), path)
+        out = tmp_path / "cal.json"
+        code = run_cli(["calibrate", "--detector", "ddpm", "--logs", f"{paths[0].parent}/*.jsonl",
+                        "--out", out])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "score"
+        assert error["message"].startswith(f"{paths[0]}: noised chunk must end in shape (8, 2)")
+        assert not out.exists()
 
 
 class TestDetect:
@@ -665,16 +740,23 @@ class TestErrorContract:
         ({"terminal_scores": ["0.1", "0.2", "0.3"]},
          "terminal_scores[0] must be a real number, got '0.1'"),
         ({"m": 3.9}, "m must be an integer, got 3.9"),
-    ], ids=["delta-str", "terminal-scores-str", "m-float"])
+        ({"embedding_stats": {"mean": ["0.1", "0.2"], "covariance": [[1.0, 0.0], [0.0, 1.0]]}},
+         "embedding_stats.mean[0] must be a real number, got '0.1'"),
+        ({"embedding_stats": {"mean": [0.1, 0.2], "covariance": [[1.0, 0.0], [0.0, True]]}},
+         "embedding_stats.covariance[1][1] must be a real number, got True"),
+    ], ids=["delta-str", "terminal-scores-str", "m-float", "stats-mean-str",
+            "stats-covariance-bool"])
     def test_calibration_field_of_wrong_type_is_refused_not_coerced(self, capsys, tmp_path,
                                                                      synth_nominal, changes,
                                                                      message):
         """Each file would pass the conformal check if its values were coerced."""
         logs_dir, config = synth_nominal
         obj = conformal_threshold([0.1, 0.2, 0.3], delta=0.4).to_json_obj()
-        obj.update(changes)
+        envelope = {"detector": "stac-mmd", "result": obj}
+        for key, value in changes.items():  # embedding_stats sits beside the result
+            (envelope if key == "embedding_stats" else obj)[key] = value
         cal = tmp_path / "cal.json"
-        cal.write_text(json.dumps({"detector": "stac-mmd", "result": obj}))
+        cal.write_text(json.dumps(envelope))
         code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
                         "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config])
         captured = capsys.readouterr()

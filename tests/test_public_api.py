@@ -10,10 +10,17 @@ and signature do not count. A method counts as used when any program names
 it, its own class included, so one called only by its class's other methods
 is used. Methods are matched by name alone: one that shares its name with
 an attribute some program reads counts as used.
+
+README's inline call forms of the scoring entry points are checked against
+their signatures too, so the documented parameters cannot drift from the code.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
+
+from sentinel import baselines
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sentinel"
@@ -87,3 +94,25 @@ def test_every_public_method_is_named_by_a_program():
     assert ("OnlineScorer", "push") in methods
     unused = [f"{cls}.{name}" for cls, name in methods if name not in uses]
     assert unused == [], f"public methods named by no program, only by tests: {unused}"
+
+
+SCORING_ENTRY_POINTS = ("OnlineScorer", "score_logs", "score_detectors", "score_log")
+
+
+def _readme_call_forms():
+    """(entry point, parameter names) of each call of a scoring entry point in an
+    inline code span of README, outside fenced code blocks; `ctx=None` names `ctx`."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                  flags=re.S | re.M)
+    call = re.compile(rf"\b({'|'.join(SCORING_ENTRY_POINTS)})\(([^()]*)\)")
+    for span in re.findall(r"`([^`]+)`", text):
+        for name, args in call.findall(span):
+            yield name, [arg.split("=")[0].strip() for arg in args.split(",") if arg.strip()]
+
+
+def test_readme_call_forms_name_the_entry_points_parameters():
+    forms = list(_readme_call_forms())
+    assert {name for name, _ in forms} == set(SCORING_ENTRY_POINTS)
+    for name, params in forms:
+        signature = list(inspect.signature(getattr(baselines, name)).parameters)
+        assert params == signature[:len(params)], (name, params, signature)
