@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors, score_log
-from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, mmd_rbf,
-                                median_heuristic)
+from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, median_heuristic,
+                                min_l2, mmd_rbf)
+from sentinel.policy import ScenarioConfig, generate_rollout
 from sentinel.rollout import InvalidLogError, mask_array
 from sentinel.stac import STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap
 
@@ -130,8 +131,7 @@ def test_mmd_step_matches_manual_computation(rng):
     pair = extract_overlap(log.records[0], log.records[1], header,
                            mask_array(header.action_mask))
     bandwidth = median_heuristic(pair.prev, pair.curr)
-    assert series.step_scores[1] == pytest.approx(
-        mmd_rbf(pair.prev, pair.curr, bandwidth), abs=1e-12)
+    assert series.step_scores[1] == mmd_rbf(pair.prev, pair.curr, bandwidth)
 
 
 def test_identical_consecutive_chunks_score_zero():
@@ -219,4 +219,36 @@ def test_bandwidth_rule_reaches_every_step(rng):
         expected["stac-mmd"].append(mmd_rbf(pair.prev, pair.curr, b1))
         expected["stac-klf"].append(kl_forward(pair.prev, pair.curr, b2))
         expected["stac-klr"].append(kl_reverse(pair.prev, pair.curr, b2))
+    assert {name: s.step_scores for name, s in series.items()} == expected
+
+
+@pytest.mark.parametrize("mask", [(True, True), (True, False), (False, True)])
+@pytest.mark.parametrize("behavior", ["consistent", "mode_resample"])
+def test_every_step_equals_the_public_functions_on_overlaps_cut_by_hand(behavior, mask):
+    """Bit for bit, at every step of a scenario log: each STAC step is the public
+    estimator of the overlap cut here by numpy slicing, under the header's mask,
+    and `outvar` the mean population variance of the masked, flattened chunks."""
+    config = ScenarioConfig(episode_limit=24, action_mask=mask)
+    log = generate_rollout(config.build_policy(behavior, seed=7), config, seed=7)
+    names = STAC_DETECTORS + ("outvar",)
+    series = score_detectors(names, log)
+    h, k = config.prediction_horizon, config.execution_horizon
+    keep = np.array(mask)
+    expected = {name: [0.0] for name in STAC_DETECTORS}
+    expected["outvar"] = []
+    for j, record in enumerate(log.records):
+        chunks = record.chunk_samples
+        batch = chunks.shape[0]
+        expected["outvar"].append(float(np.mean(chunks[:, :, keep].reshape(batch, -1).var(axis=0))))
+        if j == 0:
+            continue
+        prev = log.records[j - 1]
+        x = prev.chunk_samples[:, k:h, keep].reshape(prev.batch_size, -1)
+        y = chunks[:, :h - k, keep].reshape(batch, -1)
+        expected["stac-mmd"].append(mmd_rbf(x, y, median_heuristic(x, y)))
+        bandwidth = kde_bandwidth_max_eig(x, y)
+        expected["stac-klf"].append(kl_forward(x, y, bandwidth))
+        expected["stac-klr"].append(kl_reverse(x, y, bandwidth))
+        expected["min-l2"].append(min_l2(x[prev.executed_index], y))
+    assert log.n_records == 6
     assert {name: s.step_scores for name, s in series.items()} == expected
