@@ -21,8 +21,7 @@ import numpy as np
 
 from .distances import _PooledDistances, _cdist, min_l2
 from .policy import PolicyOracle
-from .rollout import (InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, apply_mask,
-                      check_next, mask_array)
+from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, check_next
 from .stac import STAC_DETECTORS, OverlapPair, ScoreSeries, extract_overlap
 
 # Detectors that query a reference policy for its denoising noise prediction.
@@ -173,16 +172,16 @@ def _reconstruction(chunk_sets, states, oracle, depths, rng_seeds) -> list[float
     return _mean_over_draws(recons)
 
 
-def output_variance_score(record: InferenceRecord, action_mask: np.ndarray) -> float:
+def output_variance_score(record: InferenceRecord, header: RolloutHeader) -> float:
     """Mean per-dimension sample variance across the chunk batch.
 
-    Population (n-denominator) convention over the masked, flattened chunk
-    dimensions. `action_mask` is required: the header's mask as a
-    `mask_array`, or any sequence `apply_mask` takes.
+    Population (n-denominator) convention over the flattened chunk dimensions
+    that the header's `mask` keeps. `record` belongs to a log with this header,
+    whose rules give it the action dim the mask fits.
     """
     if record.batch_size < 2:
         raise ValueError("output variance needs at least 2 sampled chunks")
-    chunks = apply_mask(record, action_mask)
+    chunks = record.chunk_samples[:, :, header.mask]
     flat = chunks.reshape(record.batch_size, -1)
     return float(np.mean(flat.var(axis=0)))
 
@@ -222,7 +221,7 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair,
     """
     steps = {}
     if "min-l2" in names:
-        steps["min-l2"] = min_l2(pair.prev.points[executed_index], pair.curr)
+        steps["min-l2"] = min_l2(pair.prev[executed_index], pair.curr)
     if len(steps) == len(names):
         return steps
     dists = _PooledDistances(pair.prev, pair.curr)
@@ -262,7 +261,8 @@ class OnlineScorer:
     context and the oracle for the roster it names, before any record is
     pushed. `push` refuses a record that breaks the log's rules
     (`rollout.check_next`) with InvalidLogError, whatever the roster, and
-    leaves the scorer as it was.
+    leaves the scorer as it was. That check is made once, as the record is
+    pushed; the step reads the header's `mask` and checks nothing again.
     """
 
     def __init__(self, names: Sequence[str], header: RolloutHeader,
@@ -273,7 +273,6 @@ class OnlineScorer:
                 raise ValueError(
                     f"unknown detector {name!r}; known: {', '.join(DETECTOR_NAMES)}")
         self.header = header
-        self._mask = mask_array(header.action_mask)
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
         if set(self._stac) - {"min-l2"}:  # import scipy here, not in a pushed step's budget
@@ -303,19 +302,21 @@ class OnlineScorer:
 
     def push(self, record: InferenceRecord) -> dict[str, tuple[float, float]]:
         """Score the next inference record: {name: (step score, cumulative)}."""
+        prev = self._prev
+        check_next(self.header, record if prev is None else self._first, prev, record)
         return _push_lockstep({0: (self, record)})[0]
 
     def _score_own(self, record: InferenceRecord) -> tuple[dict, list]:
-        """Check `record`, score the detectors that read this log alone, and
-        list the oracle members left to score: (family, name, set, state, seed)."""
+        """Score the detectors that read this log alone on `record`, which the log's
+        rules let follow the last record, and list the oracle members left to score:
+        (family, name, set, state, seed)."""
         names, header, ctx, prev = self.names, self.header, self.ctx, self._prev
-        check_next(header, record if prev is None else self._first, prev, record)
         if prev is None:
             steps = dict.fromkeys(self._pairwise, 0.0)  # nothing precedes the first step
         else:
             steps = {}
             if self._stac:
-                pair = extract_overlap(prev, record, header, self._mask)
+                pair = extract_overlap(prev, record, header)
                 steps.update(_stac_scores(self._stac, pair, prev.executed_index))
         members = []
         for family in self._families:
@@ -328,7 +329,7 @@ class OnlineScorer:
         if "mahalanobis" in names:
             steps["mahalanobis"] = mahalanobis_score(_embedding(record), ctx.embedding_stats)
         if "outvar" in names:
-            steps["outvar"] = output_variance_score(record, self._mask)
+            steps["outvar"] = output_variance_score(record, header)
         return steps, members
 
     def _advance(self, record: InferenceRecord, steps: dict) -> dict[str, tuple[float, float]]:
@@ -385,10 +386,12 @@ def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
 
     The one loop that scores logs: step j pushes record j of every log that
     has one through its `OnlineScorer`, each built with its own context and
-    the battery's one `oracle`, in one `_push_lockstep`. A pairwise
-    detector refuses a log with fewer than two records, and a series that
-    is refused, for a step score that is not finite and nonnegative, is
-    named in the error. A ValueError about one log carries its `log_index`.
+    the battery's one `oracle`, in one `_push_lockstep`. Each `RolloutLog`
+    checked its records when it was built, so no record is checked again
+    here. A pairwise detector refuses a log with fewer than two records, and
+    a series that is refused, for a step score that is not finite and
+    nonnegative, is named in the error. A ValueError about one log carries
+    its `log_index`.
     """
     scorers = []
     for index, (log, ctx) in enumerate(zip(logs, ctxs, strict=True)):

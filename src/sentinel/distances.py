@@ -12,6 +12,11 @@ pooled squared-distance matrix, a scipy `cdist` of [x; y] with itself loaded
 on first use (`_cdist`): the median of its strict upper triangle (`pdist`'s
 values) comes from one in-place partition, and each kernel reads its x-x, y-y
 or x-y block through one division into a fresh contiguous array.
+
+The module-level functions are the checked boundary for outside input: each
+refuses, through `as_sample_set`, an empty, ragged or non-finite set, and two
+sets of different dimension. The scoring step builds `_PooledDistances` from
+an overlap pair cut from checked records, and checks nothing again.
 """
 
 from __future__ import annotations
@@ -52,10 +57,6 @@ class SampleSet:
         object.__setattr__(self, "points", pts)
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.points.shape[1]
 
@@ -64,10 +65,13 @@ def as_sample_set(x: Union[SampleSet, np.ndarray, list]) -> SampleSet:
     return x if isinstance(x, SampleSet) else SampleSet(np.asarray(x))
 
 
-def _pooled(x: SampleSet, y: SampleSet) -> np.ndarray:
+def _checked_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The points of `x` and `y`, refused unless each is a sample set
+    (`as_sample_set`) and the two have one dimension."""
+    x, y = as_sample_set(x), as_sample_set(y)
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return np.concatenate((x.points, y.points))
+    return x.points, y.points
 
 
 def _check_bandwidth(bandwidth: float) -> None:
@@ -94,15 +98,18 @@ class _PooledDistances:
     strict upper triangle `pdist` of the pooled set, bit for bit. A kernel
     divides a block by -s into a fresh contiguous array, which is -d / s
     exactly, so every later pass and sum runs as on a `cdist` of its own.
+
+    `x` and `y` are (n, d) float64 arrays that are already checked: the
+    points of sample sets (`_checked_pair`), or an overlap pair cut from
+    checked records. Nothing here checks them again.
     """
 
-    def __init__(self, x, y):
-        x, y = as_sample_set(x), as_sample_set(y)
-        self.pooled = _pooled(x, y)
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.pooled = np.concatenate((x, y))
         self.sq = _cdist()(self.pooled, self.pooled, "sqeuclidean")
-        self.n = {"x": x.n, "y": y.n}
-        self.dim = x.dim
-        self._half = {"x": slice(None, x.n), "y": slice(x.n, None)}
+        self.n = {"x": x.shape[0], "y": y.shape[0]}
+        self.dim = x.shape[1]
+        self._half = {"x": slice(None, x.shape[0]), "y": slice(x.shape[0], None)}
 
     def _negated_block(self, rows: str, cols: str, scale: float) -> np.ndarray:
         """`rows` by `cols` block (each "x" or "y") over -`scale`, as a fresh contiguous array."""
@@ -163,12 +170,12 @@ def median_heuristic(x, y) -> float:
     pooled squared-distance matrix. Falls back to 1e-8 when the median is
     zero (e.g. a constant-output policy), so downstream kernels stay finite.
     """
-    return _PooledDistances(x, y).median_heuristic()
+    return _PooledDistances(*_checked_pair(x, y)).median_heuristic()
 
 
 def kde_bandwidth_max_eig(x, y) -> float:
     """Square root of the largest eigenvalue of the pooled sample covariance."""
-    return _max_eig_bandwidth(_pooled(as_sample_set(x), as_sample_set(y)))
+    return _max_eig_bandwidth(np.concatenate(_checked_pair(x, y)))
 
 
 def _max_eig_bandwidth(pooled: np.ndarray) -> float:
@@ -187,7 +194,7 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     (diagonal terms included), which keeps the estimate nonnegative; the
     result is additionally clamped at 0 against floating-point dust.
     """
-    return _PooledDistances(x, y).mmd_rbf(bandwidth)
+    return _PooledDistances(*_checked_pair(x, y)).mmd_rbf(bandwidth)
 
 
 def logsumexp_rows(a: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -220,7 +227,7 @@ def kde_log_density(fit, queries, bandwidth: float) -> np.ndarray:
     log-sum-exp, so extremely distant queries underflow gracefully to very
     negative (still finite) values.
     """
-    return _PooledDistances(fit, queries).kde_log_density("x", "y", bandwidth)
+    return _PooledDistances(*_checked_pair(fit, queries)).kde_log_density("x", "y", bandwidth)
 
 
 def kl_forward(prev, curr, bandwidth: float) -> float:
@@ -229,7 +236,7 @@ def kl_forward(prev, curr, bandwidth: float) -> float:
     Self terms are included on both sides; the raw estimate can dip below
     zero, so it is clamped at 0 to keep cumulative scores monotone.
     """
-    return _PooledDistances(prev, curr).kl_forward(bandwidth)
+    return _PooledDistances(*_checked_pair(prev, curr)).kl_forward(bandwidth)
 
 
 def kl_reverse(prev, curr, bandwidth: float) -> float:

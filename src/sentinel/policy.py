@@ -19,7 +19,7 @@ import numpy as np
 
 from .distances import logsumexp_rows
 from .rollout import (InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog,
-                      _check_scalar_fields, _json_fields)
+                      _check_scalar_fields, _json_fields, _scalar)
 
 BEHAVIORS = ("consistent", "mode_resample", "constant_stall", "drift")
 
@@ -334,13 +334,13 @@ class ScenarioConfig:
     step_duration: float = 0.25
     batch_size: int = 32
     attractors: tuple = ((2.5, 1.5), (2.5, -1.5))
-    mode_weights: Optional[tuple] = None  # None = uniform
+    mode_weights: Optional[tuple[float, ...]] = None  # None = uniform
     gain: float = 0.05
     noise_std: float = 0.01
     dominance: float = 0.9
     stall_noise: float = 1e-4
-    drift_step: tuple = (-0.03, 0.03)
-    start: tuple = (0.0, 0.0)
+    drift_step: tuple[float, ...] = (-0.03, 0.03)
+    start: tuple[float, ...] = (0.0, 0.0)
     start_jitter: float = 0.05
     goal_radius: float = 0.3
     action_mask: Optional[tuple] = None  # None = all dimensions included
@@ -354,7 +354,9 @@ class ScenarioConfig:
         _check_scalar_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        self.attractors = tuple(tuple(float(v) for v in a) for a in self.attractors)
+        self.attractors = tuple(tuple(_scalar(v, "float", f"attractors[{i}][{j}]")
+                                      for j, v in enumerate(a))
+                                for i, a in enumerate(self.attractors))
         if not self.attractors:
             raise ValueError("need at least one attractor")
         for a in self.attractors:
@@ -362,12 +364,8 @@ class ScenarioConfig:
                 raise ValueError("attractor dimension != action_dim")
         if self.mode_weights is None:
             self.mode_weights = tuple([1.0 / len(self.attractors)] * len(self.attractors))
-        else:
-            self.mode_weights = tuple(float(w) for w in self.mode_weights)
         if len(self.mode_weights) != len(self.attractors):
             raise ValueError("mode_weights length != number of attractors")
-        self.drift_step = tuple(self.drift_step)
-        self.start = tuple(self.start)
         if len(self.start) != self.action_dim:
             raise ValueError(f"start length {len(self.start)} != action_dim {self.action_dim}")
         if self.action_mask is not None:

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,10 +49,11 @@ _SCALAR_KINDS = {
 }
 
 
-def _scalar(value, kind: str, name: str):
+def _scalar(value, kind: str, name: str, error: type = ValueError):
     """`value` as the Python type `kind` names ("int", "float", "bool" or "str"), refused
-    as `name` unless it is one. A bool is no number, a number must fit a float, and a
-    numpy scalar is stored as the Python type."""
+    as `name` with `error` unless it is one. A bool is no number, a number must fit a
+    float, and a numpy scalar is stored as the Python type. Only the log's own
+    dataclasses pass InvalidLogError; config, calibration and score input keep ValueError."""
     accepted, what, stored = _SCALAR_KINDS[kind]
     ok = isinstance(value, accepted) and (stored is bool or not isinstance(value, bool))
     if ok and stored in (int, float):
@@ -61,23 +62,26 @@ def _scalar(value, kind: str, name: str):
         except OverflowError:  # an int past the float range
             ok = False
     if not ok:
-        raise InvalidLogError(f"{name} must be {what}, got {value!r}")
+        raise error(f"{name} must be {what}, got {value!r}")
     return stored(value)
 
 
-def _check_scalar_fields(obj) -> None:
-    """Refuse or convert, by `_scalar`, each field of dataclass `obj` annotated int, float,
-    bool or str, ``Optional`` of one (which may hold None) or ``tuple[X, ...]`` of one
-    (each entry named by its index)."""
+def _check_scalar_fields(obj, error: type = ValueError) -> None:
+    """Refuse with `error` (`_scalar`) or convert each field of dataclass `obj` annotated
+    int, float, bool or str, ``tuple[X, ...]`` of one (each entry named by its index),
+    or ``Optional`` of either, which may hold None."""
     for f in fields(obj):  # annotations are postponed, so `f.type` is a string
         optional = f.type.startswith("Optional[")
         kind = f.type[len("Optional["):-1] if optional else f.type
         entry_kind = kind[len("tuple["):-len(", ...]")] if kind.startswith("tuple[") else None
         value = getattr(obj, f.name)
-        if kind in _SCALAR_KINDS and not (optional and value is None):
-            object.__setattr__(obj, f.name, _scalar(value, kind, f.name))  # some are frozen
+        if optional and value is None:
+            continue
+        if kind in _SCALAR_KINDS:
+            object.__setattr__(obj, f.name, _scalar(value, kind, f.name, error))  # some are frozen
         elif entry_kind in _SCALAR_KINDS:
-            entries = tuple(_scalar(v, entry_kind, f"{f.name}[{i}]") for i, v in enumerate(value))
+            entries = tuple(_scalar(v, entry_kind, f"{f.name}[{i}]", error)
+                            for i, v in enumerate(value))
             object.__setattr__(obj, f.name, entries)
 
 
@@ -132,6 +136,10 @@ class RolloutHeader:
     chunk lengths, ``episode_limit`` (H) the environment-step budget, and
     ``action_mask`` selects the dimensions used in distance computations
     (binary gripper-style dimensions are typically excluded).
+
+    Construction also sets ``mask``, not a field: ``action_mask`` as a read-only
+    boolean array, which the scoring step indexes chunks with. It is built once
+    the mask is known to fit ``action_dim`` and to select a dimension.
     """
 
     action_dim: int
@@ -147,7 +155,7 @@ class RolloutHeader:
     def __post_init__(self):
         _check(self.format_version in (1, FORMAT_VERSION),
                f"unsupported format_version {self.format_version!r} (supported: 1, 2)")
-        _check_scalar_fields(self)
+        _check_scalar_fields(self, InvalidLogError)
         self.format_version = FORMAT_VERSION  # a log read is written back in this format
         _check(self.action_dim >= 1, "action_dim must be >= 1")
         _check(0 < self.execution_horizon, "execution_horizon must be > 0")
@@ -160,6 +168,8 @@ class RolloutHeader:
         _check(len(self.action_mask) == self.action_dim,
                "action_mask length must equal action_dim")
         _check(any(self.action_mask), "action_mask needs at least one true entry")
+        self.mask = np.array(self.action_mask, dtype=bool)
+        self.mask.flags.writeable = False
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)
@@ -182,7 +192,7 @@ class InferenceRecord:
     frame_ref: Optional[str] = None
 
     def __post_init__(self):
-        _check_scalar_fields(self)
+        _check_scalar_fields(self, InvalidLogError)
         _check(self.timestep >= 0, "timestep must be >= 0")
         chunks = _numeric_array(self.chunk_samples, "chunk_samples")
         _check(chunks.ndim == 3, f"chunk_samples must be B x h x action_dim, got shape {chunks.shape}")
@@ -226,7 +236,7 @@ class RolloutLabel:
     return_threshold: float
 
     def __post_init__(self):
-        _check_scalar_fields(self)
+        _check_scalar_fields(self, InvalidLogError)
         _check(self.outcome in ("success", "failure"),
                f"label must be 'success' or 'failure', got {self.outcome!r}")
         _check(np.isfinite(self.return_value) and np.isfinite(self.return_threshold),
@@ -302,33 +312,6 @@ class RolloutLog:
 
     def timesteps(self) -> list[int]:
         return [r.timestep for r in self.records]
-
-
-def mask_array(mask: Sequence[bool]) -> np.ndarray:
-    """An action mask as a boolean array, built once and passed to `apply_mask`."""
-    return np.asarray([bool(b) for b in mask], dtype=bool)
-
-
-def apply_mask(record: InferenceRecord, mask: Sequence[bool]) -> np.ndarray:
-    """Restrict a record's chunk batch to the masked action dimensions.
-
-    `mask` is a sequence of bools or a boolean array from `mask_array`.
-    Returns a (B, h, d') array where d' counts the true mask entries; the
-    retained dimensions keep their original order.
-    """
-    return record.chunk_samples[:, :, checked_mask(mask, record)]
-
-
-def checked_mask(mask: Sequence[bool], record: InferenceRecord) -> np.ndarray:
-    """`mask` as a boolean array, refused unless it fits `record`'s action dim and selects one."""
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-        mask = mask_array(mask)
-    if mask.shape[0] != record.chunk_samples.shape[2]:
-        raise InvalidLogError(
-            f"mask length {mask.shape[0]} != action_dim {record.chunk_samples.shape[2]}")
-    if not mask.any():
-        raise InvalidLogError("mask selects no dimensions")
-    return mask
 
 
 def _json_line(obj: dict) -> str:

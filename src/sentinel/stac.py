@@ -17,8 +17,8 @@ import numpy as np
 
 # mmd_rbf is also bound here: perfbench's tests check that its tracer wraps a
 # function under every name it is bound to, sentinel.stac.mmd_rbf included.
-from .distances import SampleSet, mmd_rbf  # noqa: F401
-from .rollout import InferenceRecord, RolloutHeader, checked_mask
+from .distances import mmd_rbf  # noqa: F401
+from .rollout import InferenceRecord, RolloutHeader
 
 # The temporal-consistency family of the detector registry, by registry name.
 STAC_DETECTORS = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
@@ -29,12 +29,14 @@ class OverlapPair:
     """The two sampled marginals covering environment steps [t+k, t+h-1].
 
     `prev` holds chunk indices [k, h-1] of every chunk sampled at t, `curr`
-    chunk indices [0, h-k-1] of every chunk sampled at t+k; both flattened
-    time-major then action-dimension.
+    chunk indices [0, h-k-1] of every chunk sampled at t+k; both are
+    (B, (h-k) * d') float64 arrays over the d' masked dimensions, flattened
+    time-major then action-dimension. They are cut from checked records, so
+    they are finite and non-empty, and nothing checks them again.
     """
 
-    prev: SampleSet
-    curr: SampleSet
+    prev: np.ndarray
+    curr: np.ndarray
 
 
 @dataclass
@@ -72,19 +74,20 @@ def _flatten_overlap(chunks: np.ndarray) -> np.ndarray:
     return chunks.reshape(chunks.shape[0], -1)
 
 
-def extract_overlap(prev: InferenceRecord, curr: InferenceRecord, header: RolloutHeader,
-                    mask: np.ndarray) -> OverlapPair:
-    """Slice two adjacent records down to their shared h-k overlap steps.
+def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
+                    header: RolloutHeader) -> OverlapPair:
+    """Slice two adjacent records down to their shared h-k overlap steps,
+    under the header's `mask`.
 
-    `mask` is required: the header's action mask as a `mask_array`, built
-    once by the caller.
+    `curr` may follow `prev` in a log with this header (`rollout.check_next`),
+    so both records' action dims fit the mask.
     """
     k = header.execution_horizon
     h = header.prediction_horizon
     # Slicing the steps before masking leaves the mask only the overlap steps to copy.
     return OverlapPair(
-        prev=SampleSet(_flatten_overlap(prev.chunk_samples[:, k:h, checked_mask(mask, prev)])),
-        curr=SampleSet(_flatten_overlap(curr.chunk_samples[:, 0:h - k, checked_mask(mask, curr)])),
+        prev=_flatten_overlap(prev.chunk_samples[:, k:h, header.mask]),
+        curr=_flatten_overlap(curr.chunk_samples[:, 0:h - k, header.mask]),
     )
 
 

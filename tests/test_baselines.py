@@ -482,12 +482,11 @@ class TestOnlineScorer:
                         _stitched_chunks(prev, record), prev.embedding, policy, param, seed)
 
     def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
-        """One cdist and one KDE bandwidth per step for the whole STAC roster,
-        and one action-mask array per scorer. The bandwidth reads the pooled
-        set the distance matrix was built from, and a step without a KDE-KL
-        detector computes none."""
+        """One cdist and one KDE bandwidth per step for the whole STAC roster.
+        The bandwidth reads the pooled set the distance matrix was built from,
+        and a step without a KDE-KL detector computes none."""
         _, log = TestStackedReconstruction._scenario_log("mode_resample")
-        calls = {"cdist": 0, "_max_eig_bandwidth": 0, "_pooled": 0, "mask_array": 0}
+        calls = {"cdist": 0, "_max_eig_bandwidth": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -495,26 +494,38 @@ class TestOnlineScorer:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("_max_eig_bandwidth", "_pooled"):
-            monkeypatch.setattr(distances, name, counting(name, getattr(distances, name)))
+        monkeypatch.setattr(distances, "_max_eig_bandwidth",
+                            counting("_max_eig_bandwidth", distances._max_eig_bandwidth))
         counted_cdist = counting("cdist", distances._cdist())
         monkeypatch.setattr(distances, "_cdist", lambda: counted_cdist)
-        wrapped_mask_array = counting("mask_array", rollout.mask_array)
-        for module in (rollout, baselines):
-            monkeypatch.setattr(module, "mask_array", wrapped_mask_array)
         scorer = OnlineScorer(STAC_DETECTORS + ("outvar",), log.header)
         mmd_only = OnlineScorer(("stac-mmd",), log.header)
-        assert calls["mask_array"] == 2
         scorer.push(log.records[0])
         mmd_only.push(log.records[0])
         for record in log.records[1:]:
-            calls.update(cdist=0, _max_eig_bandwidth=0, _pooled=0)
+            calls.update(cdist=0, _max_eig_bandwidth=0)
             scorer.push(record)
-            assert calls["cdist"] == calls["_max_eig_bandwidth"] == calls["_pooled"] == 1
-            calls.update(cdist=0, _max_eig_bandwidth=0, _pooled=0)
+            assert calls["cdist"] == calls["_max_eig_bandwidth"] == 1
+            calls.update(cdist=0, _max_eig_bandwidth=0)
             mmd_only.push(record)
-            assert (calls["cdist"], calls["_max_eig_bandwidth"], calls["_pooled"]) == (1, 0, 1)
-        assert calls["mask_array"] == 2
+            assert (calls["cdist"], calls["_max_eig_bandwidth"]) == (1, 0)
+
+    def test_push_checks_each_record_once(self, monkeypatch):
+        """A live record meets the log's rules once, as it is pushed."""
+        _, log = TestStackedReconstruction._scenario_log("consistent")
+        checked = []
+        check = baselines.check_next
+
+        def counting(header, first, prev, record):
+            checked.append(record)
+            check(header, first, prev, record)
+
+        monkeypatch.setattr(baselines, "check_next", counting)
+        monkeypatch.setattr(rollout, "check_next", counting)
+        scorer = OnlineScorer(STAC_DETECTORS + ("outvar",), log.header)
+        for j, record in enumerate(log.records):
+            scorer.push(record)
+            assert checked[j:] == [record]
 
     def test_scorer_keeps_order_and_drops_repeats(self, rng):
         header = make_header()
@@ -605,30 +616,50 @@ class TestScoreLogs:
         assert refused.value.log_index == 1
         bad = logs[2].records[1]
         scored = baselines.output_variance_score
-        monkeypatch.setattr(baselines, "output_variance_score", lambda record, mask: (
-            float("nan") if record is bad else scored(record, mask)))
+        monkeypatch.setattr(baselines, "output_variance_score", lambda record, header: (
+            float("nan") if record is bad else scored(record, header)))
         with pytest.raises(ValueError, match="^outvar: step score at index 1 must be finite"
                            ) as refused:
             score_logs(("stac-mmd", "outvar"), logs, ctxs)
         assert refused.value.log_index == 2
 
     @pytest.mark.parametrize("target", [1, 3])
-    def test_refused_record_names_its_log(self, target, monkeypatch):
+    def test_refused_record_names_its_log(self, target):
         """A record refused in a step carries its own log's index: log 3
-        after the shortest log has ended, log 1 when it runs on alone."""
+        after the shortest log has ended, log 1 when it runs on alone. Here
+        the last record has no embedding for mahalanobis to read."""
         logs, ctxs = self._battery()
-        bad = logs[target].records[-1]
-        check = baselines.check_next
-
-        def refuse(header, first, prev, record):
-            if record is bad:
-                raise InvalidLogError("refused")
-            check(header, first, prev, record)
-
-        monkeypatch.setattr(baselines, "check_next", refuse)
-        with pytest.raises(InvalidLogError, match="^refused$") as refused:
-            score_logs(("stac-mmd", "outvar"), logs, ctxs)
+        log = logs[target]
+        last = log.records[-1]
+        lost = make_record(last.timestep, last.chunk_samples, last.executed_index)
+        logs[target] = RolloutLog(header=log.header, records=log.records[:-1] + [lost])
+        with pytest.raises(ValueError, match=rf"^record at t={last.timestep} has no embedding$"
+                           ) as refused:
+            score_logs(("stac-mmd", "mahalanobis"), logs, ctxs)
         assert refused.value.log_index == target
+
+    def test_scoring_checks_no_record_or_sample_set_again(self, monkeypatch):
+        """Each `RolloutLog` checked its records when it was built, and an
+        overlap pair is cut from checked records: scoring a battery with the
+        pooled-distance detectors and `outvar` runs neither check again."""
+        logs, ctxs = self._battery()
+        calls = {"check_next": 0, "SampleSet": 0}
+        check, build = baselines.check_next, distances.SampleSet.__post_init__
+
+        def counted_check(*args):
+            calls["check_next"] += 1
+            check(*args)
+
+        def counted_build(sample_set):
+            calls["SampleSet"] += 1
+            build(sample_set)
+
+        monkeypatch.setattr(baselines, "check_next", counted_check)
+        monkeypatch.setattr(rollout, "check_next", counted_check)
+        monkeypatch.setattr(distances.SampleSet, "__post_init__", counted_build)
+        battery = score_logs(STAC_DETECTORS[:3] + ("outvar",), logs, ctxs)
+        assert len(battery) == len(logs)
+        assert calls == {"check_next": 0, "SampleSet": 0}
 
     def test_benchmark_names_the_seed_of_a_refused_test_log(self, monkeypatch):
         """A test log's refused series names that log's trajectory seed,
@@ -657,25 +688,26 @@ class TestOutputVariance:
         # two chunks at +1 and -1 in every dimension: population variance 1
         chunks = np.stack([np.ones((3, 2)), -np.ones((3, 2))])
         record = make_record(0, chunks)
-        assert output_variance_score(record, (True, True)) == pytest.approx(1.0)
+        assert output_variance_score(record, make_header()) == pytest.approx(1.0)
 
     def test_identical_chunks_give_zero(self):
         chunks = np.tile(np.arange(6.0).reshape(1, 3, 2), (5, 1, 1))
         record = make_record(0, chunks)
-        assert output_variance_score(record, (True, True)) == 0.0
+        assert output_variance_score(record, make_header()) == 0.0
 
     def test_mask_restricts_dimensions(self):
         chunks = np.zeros((2, 3, 2))
         chunks[0, :, 1] = 1.0
         chunks[1, :, 1] = -1.0
         record = make_record(0, chunks)
-        assert output_variance_score(record, action_mask=(True, False)) == 0.0
-        assert output_variance_score(record, action_mask=(False, True)) == pytest.approx(1.0)
+        assert output_variance_score(record, make_header(action_mask=(True, False))) == 0.0
+        assert output_variance_score(
+            record, make_header(action_mask=(False, True))) == pytest.approx(1.0)
 
     def test_needs_two_chunks(self):
         record = make_record(0, np.zeros((1, 3, 2)))
         with pytest.raises(ValueError):
-            output_variance_score(record, (True, True))
+            output_variance_score(record, make_header())
 
 
 class TestScoreFunctionRegistry:

@@ -58,6 +58,7 @@ class TestConformalThreshold:
     def test_score_of_wrong_type_is_refused_not_coerced(self, scores, message):
         with pytest.raises(ValueError) as refused:
             conformal_threshold(scores, delta=0.4)
+        assert type(refused.value) is ValueError  # scores are no log
         assert str(refused.value) == message
 
     def test_int_and_numpy_scores_are_accepted(self):

@@ -765,7 +765,7 @@ class TestErrorContract:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "config"
         assert str(cal) in error["message"]
-        assert message in error["message"]
+        assert f"malformed calibration file: ValueError: {message}" in error["message"]
 
     @pytest.mark.parametrize("command, text", [
         ("eval", "{bad"),
@@ -827,6 +827,7 @@ class TestErrorContract:
         ("batch_size", "x"), ("batch_size", 0), ("episode_limit", 1.5),
         ("n_denoise_steps", "100"), ("step_duration", True), ("gain", "0.2"),
         ("record_frames", "no"), ("task_description", 5), ("step_duration", 10 ** 400),
+        ("start", ["0.1", 0]),
     ])
     def test_scenario_field_of_wrong_type_is_config_error(self, capsys, tmp_path, command,
                                                           field, value):

@@ -41,7 +41,7 @@ def brute_mmd(x, y, bandwidth):
 
 def brute_kde_log_density(queries, support, bandwidth):
     d = support.dim
-    log_norm = math.log(support.n) + 0.5 * d * math.log(2 * math.pi * bandwidth ** 2)
+    log_norm = math.log(len(support.points)) + 0.5 * d * math.log(2 * math.pi * bandwidth ** 2)
     out = []
     for q in queries:
         exponents = [-float(np.sum((q - p) ** 2)) / (2 * bandwidth ** 2)
@@ -139,7 +139,7 @@ def test_kde_log_density_is_the_scipy_logsumexp_form_exactly():
         x, y = _sets(rng, n_max=40)
         bandwidth = 10.0 ** rng.uniform(-1, 1)
         sq = cdist(y.points, x.points, "sqeuclidean")
-        log_norm = math.log(x.n) + 0.5 * x.dim * math.log(2.0 * math.pi * bandwidth ** 2)
+        log_norm = math.log(len(x.points)) + 0.5 * x.dim * math.log(2.0 * math.pi * bandwidth ** 2)
         want = logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
         assert np.array_equal(kde_log_density(x, y.points, bandwidth), want)
 
@@ -184,7 +184,7 @@ def _assert_matches_parent(x, y, kde_bandwidth):
     px, py = SampleSet(x).points, SampleSet(y).points
     bandwidth = _parent_kde_bandwidth_max_eig(px, py)
     assert kde_bandwidth_max_eig(x, y) == bandwidth
-    assert _PooledDistances(x, y).kde_bandwidth_max_eig() == bandwidth
+    assert _PooledDistances(px, py).kde_bandwidth_max_eig() == bandwidth
     median = median_heuristic(x, y)
     assert median == _parent_median_heuristic(px, py)
     for bandwidth in (median, kde_bandwidth):
@@ -197,7 +197,7 @@ def _assert_matches_parent(x, y, kde_bandwidth):
     # The scorer's reverse direction reads the pooled matrix of (x, y) as it is.
     reverse = _parent_kl_forward(py, px, kde_bandwidth)
     assert kl_reverse(x, y, kde_bandwidth) == reverse
-    assert _PooledDistances(x, y).kl_reverse(kde_bandwidth) == reverse
+    assert _PooledDistances(px, py).kl_reverse(kde_bandwidth) == reverse
 
 
 @st.composite

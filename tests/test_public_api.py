@@ -12,10 +12,12 @@ is used. Methods are matched by name alone: one that shares its name with
 an attribute some program reads counts as used.
 
 README's inline call forms of the scoring entry points are checked against
-their signatures too, so the documented parameters cannot drift from the code.
+their signatures too, so the documented parameters cannot drift from the code,
+and each `sentinel.<module>.<name>` or `<module>.<name>` it names must resolve.
 """
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -116,3 +118,26 @@ def test_readme_call_forms_name_the_entry_points_parameters():
     for name, params in forms:
         signature = list(inspect.signature(getattr(baselines, name)).parameters)
         assert params == signature[:len(params)], (name, params, signature)
+
+
+def _readme_references():
+    """(module, dotted name) of each inline code span of README, outside fenced
+    code blocks, that is `sentinel.<module>.<name>` or `<module>.<name>` for a
+    module of the package."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                  flags=re.S | re.M)
+    modules = "|".join(path.stem for path in sorted(PACKAGE.glob("*.py")))
+    return re.findall(rf"`(?:sentinel\.)?({modules})\.([A-Za-z_][\w.]*)`", text)
+
+
+def test_readme_api_references_resolve():
+    references = _readme_references()
+    assert ("rollout", "check_next") in references
+    missing = []
+    for module, dotted in references:
+        target = importlib.import_module(f"sentinel.{module}")
+        for part in dotted.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(f"{module}.{dotted}")
+    assert missing == [], f"README names what the package does not define: {missing}"

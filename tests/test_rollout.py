@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentinel.rollout import (InferenceRecord, InvalidLogError, LogParseError,
-                              RolloutHeader, RolloutLabel, RolloutLog, apply_mask,
-                              mask_array, read_log, write_log)
+                              RolloutHeader, RolloutLabel, RolloutLog, read_log, write_log)
 
 from conftest import (failure_label, make_header, make_log, make_record, records_equal,
                       same_bits, success_label, v1_text)
@@ -28,6 +27,13 @@ def test_header_invariants():
         make_header(action_mask=(True,))  # length mismatch
     with pytest.raises(ValueError):
         make_header(step_duration=0.0)
+    # The mask the scoring step reads: read-only, in the order of action_mask, and
+    # no field, so it reaches neither the log bytes nor equality.
+    header = make_header(action_mask=(False, True))
+    assert header.mask.dtype == bool and header.mask.tolist() == [False, True]
+    assert not header.mask.flags.writeable
+    assert "mask" not in header.to_json_obj()
+    assert header == make_header(action_mask=(False, True)) != make_header()
 
 
 def test_record_invariants():
@@ -342,42 +348,6 @@ def test_read_rejects_unknown_keys(tmp_path):
 def test_write_refuses_invalid(tmp_path):
     with pytest.raises(InvalidLogError):
         write_log(object(), tmp_path / "bad.sentinel.jsonl")
-
-
-def test_apply_mask_identity_and_selection():
-    record = make_record(0, np.arange(8.0).reshape(1, 4, 2))
-    np.testing.assert_array_equal(apply_mask(record, (True, True)),
-                                  record.chunk_samples)
-    first_only = apply_mask(record, (True, False))
-    assert first_only.shape == (1, 4, 1)
-    np.testing.assert_array_equal(first_only[0, :, 0], [0.0, 2.0, 4.0, 6.0])
-    with pytest.raises(ValueError):
-        apply_mask(record, (False, False))
-    with pytest.raises(ValueError):
-        apply_mask(record, (True,))
-
-
-def test_apply_mask_takes_a_prebuilt_array_with_the_same_refusals():
-    record = make_record(0, np.arange(8.0).reshape(1, 4, 2))
-    for mask in ((True, True), (True, False), (False, True)):
-        np.testing.assert_array_equal(apply_mask(record, mask_array(mask)),
-                                      apply_mask(record, mask))
-    with pytest.raises(InvalidLogError, match="^mask selects no dimensions$"):
-        apply_mask(record, mask_array((False, False)))
-    with pytest.raises(InvalidLogError, match="^mask length 1 != action_dim 2$"):
-        apply_mask(record, mask_array((True,)))
-
-
-def test_apply_mask_many_dims():
-    # 14 action dims with two masked out keeps order of the remaining 12.
-    chunks = np.arange(14.0).reshape(1, 1, 14)
-    record = make_record(0, chunks)
-    mask = [True] * 14
-    mask[6] = mask[13] = False
-    out = apply_mask(record, mask)
-    assert out.shape == (1, 1, 12)
-    expected = [v for i, v in enumerate(range(14)) if i not in (6, 13)]
-    np.testing.assert_array_equal(out[0, 0], expected)
 
 
 @st.composite

@@ -2,7 +2,8 @@
 calibration dataclasses, and for each entry of a ``tuple[X, ...]`` field, read from
 each field's annotation: a bool is no number, a number must fit a float, a numpy
 scalar is stored as the annotated Python type, and a refusal names the field (and
-the entry's index)."""
+the entry's index). A log's own classes refuse with InvalidLogError, the config and
+calibration classes with a plain ValueError."""
 
 import dataclasses
 import re
@@ -27,6 +28,10 @@ VALID = {
     BenchmarkConfig: BenchmarkConfig,
     CalibrationResult: lambda: conformal_threshold([0.1, 0.2, 0.3], delta=0.4),
 }
+
+# The class each dataclass refuses with: only a log's own classes blame the log.
+ERROR = {cls: InvalidLogError if cls in (RolloutHeader, InferenceRecord, RolloutLabel)
+         else ValueError for cls in VALID}
 
 # Annotation -> (stored type, the noun a refusal uses, a numpy scalar of a value).
 KINDS = {
@@ -69,8 +74,9 @@ def test_wrong_type_is_refused_naming_the_field(cls, name, kind):
     wrong = {"int": float, "float": str, "bool": int, "str": len}[kind](base)
     bad_values = [wrong] + ([True] if kind in ("int", "float") else [])
     for bad in bad_values:
-        with pytest.raises(InvalidLogError, match=_refusal(name, kind, bad)):
+        with pytest.raises(ValueError, match=_refusal(name, kind, bad)) as refused:
             _built(cls, name, bad)
+        assert type(refused.value) is ERROR[cls]
 
 
 @pytest.mark.parametrize("cls, name, kind", SCALAR_FIELDS)
@@ -90,7 +96,7 @@ def test_int_past_the_float_range_is_a_located_refusal(cls, name, kind):
         with pytest.raises(InvalidLogError, match="^unsupported format_version"):
             _built(cls, name, 10 ** 400)
         return
-    with pytest.raises(InvalidLogError, match=_refusal(name, kind, 10 ** 400)):
+    with pytest.raises(ERROR[cls], match=_refusal(name, kind, 10 ** 400)):
         _built(cls, name, 10 ** 400)
 
 
@@ -99,12 +105,31 @@ def test_int_past_the_float_range_is_a_located_refusal(cls, name, kind):
     (RolloutHeader, "action_mask", "bool", "x"),
     (CalibrationResult, "terminal_scores", "float", "0.2"),
     (CalibrationResult, "terminal_scores", "float", False),
-], ids=["mask-int", "mask-str", "score-str", "score-bool"])
+    (ScenarioConfig, "start", "float", "0.1"),
+    (ScenarioConfig, "drift_step", "float", True),
+    (ScenarioConfig, "mode_weights", "float", "0.5"),
+], ids=["mask-int", "mask-str", "score-str", "score-bool", "start-str", "drift-step-bool",
+        "mode-weights-str"])
 def test_tuple_entry_of_wrong_type_is_refused_naming_its_index(cls, name, kind, bad):
     good = getattr(VALID[cls](), name)
-    with pytest.raises(InvalidLogError, match=_refusal(rf"{name}\[1\]", kind, bad)):
+    with pytest.raises(ValueError, match=_refusal(rf"{name}\[1\]", kind, bad)) as refused:
         _built(cls, name, (good[0], bad) + good[2:])
+    assert type(refused.value) is ERROR[cls]
     numpy_values = [KINDS[kind][2](v) for v in good]  # a list, with numpy entries
     held = getattr(_built(cls, name, numpy_values), name)
     assert type(held) is tuple and held == tuple(v.item() for v in numpy_values)
     assert all(type(v) is KINDS[kind][0] for v in held)
+
+
+@pytest.mark.parametrize("bad, where, value", [
+    (("2.5", 1.5), "[1][0]", "2.5"),
+    ((2.5, True), "[1][1]", True),
+])
+def test_attractor_entry_of_wrong_type_is_refused_naming_its_indexes(bad, where, value):
+    with pytest.raises(ValueError, match=_refusal(re.escape(f"attractors{where}"), "float",
+                                                  value)) as refused:
+        ScenarioConfig(attractors=((2.5, 1.5), bad))
+    assert type(refused.value) is ValueError
+    held = ScenarioConfig(attractors=[[np.float32(2.5), 1], (np.int64(3), -1.5)]).attractors
+    assert held == ((2.5, 1.0), (3.0, -1.5))
+    assert all(type(v) is float for a in held for v in a)

@@ -5,7 +5,7 @@ from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors
 from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, median_heuristic,
                                 min_l2, mmd_rbf)
 from sentinel.policy import ScenarioConfig, generate_rollout
-from sentinel.rollout import InvalidLogError, mask_array
+from sentinel.rollout import InvalidLogError
 from sentinel.stac import STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap
 
 from conftest import make_header, make_log, make_record
@@ -22,21 +22,27 @@ def test_overlap_indices_match_hand_slices(rng):
     header = make_header()  # h=4, k=2, d=2
     log = make_log(header=header, n_records=2, batch_size=3, rng=rng)
     prev, curr = log.records
-    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
+    pair = extract_overlap(prev, curr, header)
     k, h = header.execution_horizon, header.prediction_horizon
     expected_prev = prev.chunk_samples[:, k:h, :].reshape(3, -1)
     expected_curr = curr.chunk_samples[:, :h - k, :].reshape(3, -1)
-    np.testing.assert_array_equal(pair.prev.points, expected_prev)
-    np.testing.assert_array_equal(pair.curr.points, expected_curr)
-    assert pair.prev.dim == (h - k) * header.action_dim
+    np.testing.assert_array_equal(pair.prev, expected_prev)
+    np.testing.assert_array_equal(pair.curr, expected_curr)
+    assert pair.prev.shape == (3, (h - k) * header.action_dim)
 
 
 def test_overlap_respects_mask(rng):
     header = make_header(action_mask=(True, False))
     log = make_log(header=header, n_records=2, batch_size=2, rng=rng)
     prev, curr = log.records
-    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
-    assert pair.prev.dim == header.prediction_horizon - header.execution_horizon
+    pair = extract_overlap(prev, curr, header)
+    assert pair.prev.shape == (2, header.prediction_horizon - header.execution_horizon)
+    # 14 action dims with two masked out keep the order of the other 12.
+    header = make_header(action_dim=14, action_mask=tuple(i not in (6, 13) for i in range(14)))
+    chunks = np.arange(4 * 14.0).reshape(1, 4, 14)
+    pair = extract_overlap(make_record(0, chunks), make_record(2, chunks), header)
+    np.testing.assert_array_equal(
+        pair.curr[0], [v for v in chunks[0, :2].ravel() if v % 14 not in (6, 13)])
 
 
 def test_overlap_requires_adjacent_records(rng):
@@ -57,9 +63,9 @@ def test_flattening_is_time_major():
     header = make_header()
     prev = make_record(0, np.arange(8.0).reshape(1, 4, 2))
     curr = make_record(2, np.arange(8.0).reshape(1, 4, 2) + 100)
-    pair = extract_overlap(prev, curr, header, mask_array(header.action_mask))
-    np.testing.assert_array_equal(pair.prev.points[0], [4.0, 5.0, 6.0, 7.0])
-    np.testing.assert_array_equal(pair.curr.points[0], [100.0, 101.0, 102.0, 103.0])
+    pair = extract_overlap(prev, curr, header)
+    np.testing.assert_array_equal(pair.prev[0], [4.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(pair.curr[0], [100.0, 101.0, 102.0, 103.0])
 
 
 class TestScoreSeries:
@@ -90,17 +96,6 @@ def test_first_step_scores_zero(rng):
     assert series.timesteps[0] == 0
 
 
-@pytest.mark.parametrize("mask, message", [
-    ((True,), "^mask length 1 != action_dim 2$"),
-    ((False, False), "^mask selects no dimensions$"),
-])
-def test_extract_overlap_refuses_a_mask_that_selects_nothing_or_misfits(rng, mask, message):
-    header = make_header()  # d=2
-    prev, curr = make_log(header=header, n_records=2, batch_size=3, rng=rng).records
-    with pytest.raises(InvalidLogError, match=message):
-        extract_overlap(prev, curr, header, mask_array(mask))
-
-
 def test_cumulative_is_running_sum(rng):
     log = make_log(n_records=5, rng=rng)
     series = score_log("stac-mmd", log)
@@ -128,8 +123,7 @@ def test_mmd_step_matches_manual_computation(rng):
     header = make_header()
     log = make_log(header=header, n_records=2, batch_size=4, rng=rng)
     series = score_log("stac-mmd", log)
-    pair = extract_overlap(log.records[0], log.records[1], header,
-                           mask_array(header.action_mask))
+    pair = extract_overlap(log.records[0], log.records[1], header)
     bandwidth = median_heuristic(pair.prev, pair.curr)
     assert series.step_scores[1] == mmd_rbf(pair.prev, pair.curr, bandwidth)
 
@@ -213,7 +207,7 @@ def test_bandwidth_rule_reaches_every_step(rng):
     series = score_detectors(("stac-mmd", "stac-klf", "stac-klr"), log)
     expected = {"stac-mmd": [0.0], "stac-klf": [0.0], "stac-klr": [0.0]}
     for prev, curr in zip(log.records, log.records[1:]):
-        pair = extract_overlap(prev, curr, log.header, mask_array(log.header.action_mask))
+        pair = extract_overlap(prev, curr, log.header)
         b1 = median_heuristic(pair.prev, pair.curr)
         b2 = kde_bandwidth_max_eig(pair.prev, pair.curr)
         expected["stac-mmd"].append(mmd_rbf(pair.prev, pair.curr, b1))
