@@ -113,6 +113,7 @@ def _oracle(name: str, scenario: ScenarioConfig):
 
 
 def cmd_synth(args) -> int:
+    """Write `--n` logs from one policy, which `generate_rollout` reseeds for each log."""
     if args.n < 1:
         raise CliError("--n must be >= 1", kind="usage", code=2)
     behavior = SCENARIO_BEHAVIORS[args.scenario]
@@ -123,10 +124,10 @@ def cmd_synth(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot create {out_dir}: {exc}", kind="io") from exc
 
+    policy = scenario.build_policy(behavior)
     rows = []
     for i in range(args.n):
         seed = args.seed * 1_000_000 + i
-        policy = scenario.build_policy(behavior, seed)
         log = generate_rollout(policy, scenario, label_rule=default_goal_label, seed=seed)
         name = f"{args.scenario}_{i:04d}{LOG_SUFFIX}"
         write_log(log, out_dir / name)

@@ -116,12 +116,15 @@ class GmmMode:
 def _sharpened(weights: np.ndarray, preferred: int, dominance: float) -> np.ndarray:
     if weights.shape[0] == 1:
         return weights.copy()
-    out = np.empty_like(weights)
-    others = np.delete(weights, preferred)
+    out = (1.0 - dominance) * weights / np.delete(weights, preferred).sum()
     out[preferred] = dominance
-    rest = np.delete(np.arange(weights.shape[0]), preferred)
-    out[rest] = (1.0 - dominance) * others / others.sum()
     return out
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size=None):
+    """`rng.choice(len(p), p=p, size=size)` given the `cdf` it builds from `p`: the same
+    arithmetic on the same one `random` call, so `rng` ends in the same state."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 class SyntheticGmmPolicy(PolicyOracle):
@@ -133,9 +136,9 @@ class SyntheticGmmPolicy(PolicyOracle):
     offset chunk. The noise-prediction oracle ignores the behavior and
     answers for the nominal mixture.
 
-    The modes and the schedule are fixed once the policy is built: the
-    oracle's per-step constants are computed here, and the mode means of the
-    states it was last asked about are kept for the next call.
+    The modes and the schedule are fixed once the policy is built: the sampler's
+    weights, mode-draw CDFs and mode-mean factors and the oracle's per-step constants
+    are computed here, and the oracle keeps its last states' mode means for the next call.
     """
 
     def __init__(self, modes: Sequence[GmmMode], horizon: int, action_dim: int,
@@ -167,26 +170,33 @@ class SyntheticGmmPolicy(PolicyOracle):
         self.schedule = schedule or NoiseSchedule.default_linear()
         self.base_weights = np.array([m.weight for m in self.modes])
         self._stddevs = np.array([m.stddev for m in self.modes])
+        self._sharpened = [_sharpened(self.base_weights, m, self.dominance)
+                           for m in range(len(self.modes))]  # by preferred mode
+        cdfs = [p.cumsum() for p in (self.base_weights, *self._sharpened)]  # as `choice`
+        self._base_cdf, *self._sharpened_cdfs = (cdf / cdf[-1] for cdf in cdfs)
+        steps = np.arange(self.horizon)  # `chunk_mean`'s decays and attractors:
+        self._decays = np.stack([m.gain * (1.0 - m.gain) ** steps for m in self.modes])[..., None]
+        self._attractors = np.stack([m.attractor for m in self.modes])[:, None, :]
         self._oracle_constants = _gmm_step_constants(self)
         # (stack shape and bytes, its (M, G, V) mode means, {state bytes: (M, V) means})
         self._means_memo = (None, None, {})
-        self.preferred_mode = 0
         self.reset(np.random.default_rng(seed))
 
     def reset(self, rng: np.random.Generator) -> None:
         """Start a new episode: take ownership of `rng`, draw the preference."""
         self._rng = rng
-        self.preferred_mode = int(self._rng.choice(len(self.modes), p=self.base_weights))
+        self.preferred_mode = int(_draw(self._rng, self._base_cdf))
 
     def _current_weights(self) -> np.ndarray:
         if self.behavior == "mode_resample":
-            self.preferred_mode = int(self._rng.choice(len(self.modes), p=self.base_weights))
-        return _sharpened(self.base_weights, self.preferred_mode, self.dominance)
+            self.preferred_mode = int(_draw(self._rng, self._base_cdf))
+        return self._sharpened[self.preferred_mode]
 
     def sample_with_modes(self, state, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw batch_size chunks of shape (B, h, action_dim) and their mode assignments.
 
-        A chunk that follows no mode (stall or drift) is assigned -1.
+        A chunk that follows no mode (stall or drift) is assigned -1. Modes are drawn as
+        `Generator.choice` draws them, and the mode means are one broadcast.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -198,9 +208,9 @@ class SyntheticGmmPolicy(PolicyOracle):
         if self.behavior == "drift":
             mean = np.tile(self.drift_step, (h, 1))
             return mean[None] + noise * self.stall_noise, np.full(batch_size, -1)
-        weights = self._current_weights()
-        assignments = self._rng.choice(len(self.modes), p=weights, size=batch_size)
-        means = np.stack([mode.chunk_mean(state, h) for mode in self.modes])
+        self._current_weights()  # redraws the preference under mode_resample
+        assignments = _draw(self._rng, self._sharpened_cdfs[self.preferred_mode], batch_size)
+        means = self._decays * (self._attractors - state)  # as `chunk_mean`, (M, h, d)
         chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]
         return chunks, assignments
 
@@ -432,7 +442,8 @@ def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
     At each inference step the policy samples a chunk batch; the executed
     chunk is the first batch row from the currently preferred mode (row 0
     for stall/drift), and the state advances by each executed action in
-    turn. Fully reproducible from `seed`.
+    turn (one `cumsum`, which adds them in order). Fully reproducible from
+    `seed`, which reseeds `policy`, so one policy serves any number of episodes.
     """
     ss = np.random.SeedSequence(seed)
     env_rng, policy_rng = (np.random.default_rng(c) for c in ss.spawn(2))
@@ -445,14 +456,10 @@ def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
         env_rng.standard_normal(params.action_dim) * params.start_jitter
     states = [state.copy()]
     records = []
-    t = 0
-    while t < big_h:
+    for t in range(0, big_h, k):
         chunks, assignments = policy.sample_with_modes(state, params.batch_size)
-        executed_index = 0
-        if policy.behavior in ("consistent", "mode_resample"):
-            hits = np.nonzero(assignments == policy.preferred_mode)[0]
-            if hits.size:
-                executed_index = int(hits[0])
+        hits = np.flatnonzero(assignments == policy.preferred_mode)  # none for stall/drift
+        executed_index = int(hits[0]) if hits.size else 0
         records.append(InferenceRecord(
             timestep=t,
             chunk_samples=chunks,
@@ -460,8 +467,8 @@ def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
             embedding=policy.encode(state) if params.record_embeddings else None,
             frame_ref=f"frames/ep{seed:05d}/t{t:04d}.png" if params.record_frames else None,
         ))
-        for step in range(min(k, big_h - t)):
-            state = state + chunks[executed_index][step]
-            states.append(state.copy())
-        t += k
+        executed = chunks[executed_index][:min(k, big_h - t)]
+        path = np.cumsum(np.concatenate([state[None], executed]), axis=0)
+        states.extend(path[1:])
+        state = path[-1]
     return RolloutLog(header=header, records=records, label=label_rule(states, params))

@@ -9,6 +9,7 @@ the episode return.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import numbers
@@ -66,23 +67,32 @@ def _scalar(value, kind: str, name: str, error: type = ValueError):
     return stored(value)
 
 
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """(name, optional, kind, entry kind) of each field of dataclass `cls`, read once."""
+    rules = []
+    for f in fields(cls):  # annotations are postponed, so `f.type` is a string
+        optional = f.type.startswith("Optional[")
+        kind = f.type[len("Optional["):-1] if optional else f.type
+        entry_kind = kind[len("tuple["):-len(", ...]")] if kind.startswith("tuple[") else None
+        rules.append((f.name, optional, kind, entry_kind))
+    return tuple(rules)
+
+
 def _check_scalar_fields(obj, error: type = ValueError) -> None:
     """Refuse with `error` (`_scalar`) or convert each field of dataclass `obj` annotated
     int, float, bool or str, ``tuple[X, ...]`` of one (each entry named by its index),
     or ``Optional`` of either, which may hold None."""
-    for f in fields(obj):  # annotations are postponed, so `f.type` is a string
-        optional = f.type.startswith("Optional[")
-        kind = f.type[len("Optional["):-1] if optional else f.type
-        entry_kind = kind[len("tuple["):-len(", ...]")] if kind.startswith("tuple[") else None
-        value = getattr(obj, f.name)
+    for name, optional, kind, entry_kind in _field_rules(type(obj)):
+        value = getattr(obj, name)
         if optional and value is None:
             continue
         if kind in _SCALAR_KINDS:
-            object.__setattr__(obj, f.name, _scalar(value, kind, f.name, error))  # some are frozen
+            object.__setattr__(obj, name, _scalar(value, kind, name, error))  # some are frozen
         elif entry_kind in _SCALAR_KINDS:
-            entries = tuple(_scalar(v, entry_kind, f"{f.name}[{i}]", error)
+            entries = tuple(_scalar(v, entry_kind, f"{name}[{i}]", error)
                             for i, v in enumerate(value))
-            object.__setattr__(obj, f.name, entries)
+            object.__setattr__(obj, name, entries)
 
 
 def _json_fields(cls, obj, what: str) -> dict:
@@ -195,7 +205,8 @@ class InferenceRecord:
         _check_scalar_fields(self, InvalidLogError)
         _check(self.timestep >= 0, "timestep must be >= 0")
         chunks = _numeric_array(self.chunk_samples, "chunk_samples")
-        _check(chunks.ndim == 3, f"chunk_samples must be B x h x action_dim, got shape {chunks.shape}")
+        if chunks.ndim != 3:  # not `_check`, which would format the shape on every record
+            raise InvalidLogError(f"chunk_samples must be B x h x action_dim, got shape {chunks.shape}")
         _check(chunks.shape[0] >= 1, "need at least one sampled chunk")
         _check(bool(np.isfinite(chunks).all()), "chunk_samples must be finite")
         self.chunk_samples = chunks
@@ -328,10 +339,11 @@ def write_log(log: RolloutLog, destination) -> None:
     """
     if not isinstance(log, RolloutLog):
         raise InvalidLogError("write_log expects a RolloutLog")
-    # Revalidate: dataclasses are mutable, so a log edited after construction
-    # could have drifted from its invariants.
-    RolloutLog(header=log.header, records=log.records, label=log.label)
-    lines = [_json_line(log.header.to_json_obj())]
+    # Revalidate, the header by rebuilding it: dataclasses are mutable, so a log
+    # edited after construction could have drifted from its invariants.
+    header = RolloutHeader(**{name: getattr(log.header, name) for name in _HEADER_KEYS})
+    RolloutLog(header=header, records=log.records, label=log.label)
+    lines = [_json_line(header.to_json_obj())]
     lines.extend(_json_line(r.to_json_obj()) for r in log.records)
     if log.label is not None:
         lines.append(_json_line(log.label.to_json_obj()))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentinel.distances import logsumexp_rows
 from sentinel.policy import (BEHAVIORS, GmmMode, NoiseSchedule, ScenarioConfig,
-                             SyntheticGmmPolicy, default_goal_label,
+                             SyntheticGmmPolicy, _draw, default_goal_label,
                              generate_rollout, gmm_exact_eps)
 
 
@@ -152,6 +152,35 @@ class TestSampling:
             counts[policy.preferred_mode] += 1
         frac = counts[1] / counts.sum()
         assert 0.68 < frac < 0.82
+
+
+class TestModeDraws:
+    """The sampler's mode draws against the live `Generator.choice` they replicate,
+    so a numpy whose `choice` draws otherwise fails here."""
+
+    POLICIES = {
+        "one_mode": lambda: SyntheticGmmPolicy(
+            [GmmMode(weight=1.0, stddev=0.1, attractor=np.zeros(2))], horizon=4, action_dim=2),
+        "two_mode": lambda: SyntheticGmmPolicy(
+            [GmmMode(weight=0.25, stddev=0.1, attractor=np.array([1.0, 0.0])),
+             GmmMode(weight=0.75, stddev=0.1, attractor=np.array([-1.0, 0.0]))],
+            horizon=4, action_dim=2),
+        "three_mode": lambda: _three_mode_policy(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_draws_equal_generator_choice(self, kind):
+        policy = self.POLICIES[kind]()
+        cdfs = [policy._base_cdf, *policy._sharpened_cdfs]
+        for p, cdf in zip([policy.base_weights, *policy._sharpened], cdfs, strict=True):
+            for size in (None, 1, 7, 32):
+                for seed in range(50):
+                    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = _draw(rng, cdf, size)
+                    want = reference.choice(len(p), p=p, size=size)
+                    assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+                    assert np.asarray(got).dtype == np.asarray(want).dtype
+                    assert rng.random() == reference.random()
 
 
 class TestExactNoiseOracle:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentinel import rollout
 from sentinel.rollout import (InferenceRecord, InvalidLogError, LogParseError,
                               RolloutHeader, RolloutLabel, RolloutLog, read_log, write_log)
 
@@ -274,6 +275,26 @@ def test_write_refuses_a_non_finite_array_value_before_opening_the_file(tmp_path
     with pytest.raises(InvalidLogError, match=rf"^record at t=2: {field} must be finite$"):
         write_log(log, path)
     assert not path.exists()
+
+
+def test_write_refuses_a_header_edited_after_construction_before_opening_the_file(tmp_path):
+    log = make_log()
+    log.header.action_mask = (False,) * log.header.action_dim
+    path = tmp_path / "edited.sentinel.jsonl"
+    with pytest.raises(InvalidLogError, match="^action_mask needs at least one true entry$"):
+        write_log(log, path)
+    assert not path.exists()
+
+
+def test_field_rules_are_read_once_per_class(monkeypatch):
+    """Records resolve their field annotations once, not once per construction."""
+    calls = []
+    real_fields = rollout.fields
+    monkeypatch.setattr(rollout, "fields", lambda cls: calls.append(cls) or real_fields(cls))
+    rollout._field_rules.cache_clear()
+    for t in range(100):
+        InferenceRecord(timestep=t, chunk_samples=np.zeros((2, 4, 2)), frame_ref="f.png")
+    assert calls == [InferenceRecord]
 
 
 def test_round_trip_keeps_every_bit(tmp_path):
