@@ -174,7 +174,7 @@ class SyntheticGmmPolicy(PolicyOracle):
                            for m in range(len(self.modes))]  # by preferred mode
         cdfs = [p.cumsum() for p in (self.base_weights, *self._sharpened)]  # as `choice`
         self._base_cdf, *self._sharpened_cdfs = (cdf / cdf[-1] for cdf in cdfs)
-        steps = np.arange(self.horizon)  # `chunk_mean`'s decays and attractors:
+        steps = np.arange(self.horizon)  # `chunk_mean`'s factors, stacked by mode:
         self._decays = np.stack([m.gain * (1.0 - m.gain) ** steps for m in self.modes])[..., None]
         self._attractors = np.stack([m.attractor for m in self.modes])[:, None, :]
         self._oracle_constants = _gmm_step_constants(self)
