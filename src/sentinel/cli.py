@@ -11,6 +11,7 @@ online thresholding.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globlib
 import json
 import sys
@@ -359,7 +360,10 @@ def cmd_vlm(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one description of the command tree, built on first use and shared by every later
+    call in the process, so callers must not mutate it. It names each command's function."""
     parser = _Parser(prog="sentinel", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--config", default=None, help="scenario config JSON overlay")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func="cmd_synth")
 
     p_cal = sub.add_parser("calibrate", help="fit a conformal threshold on nominal logs", parents=[common])
     p_cal.add_argument("--detector", choices=DETECTOR_NAMES, required=True)
@@ -382,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", required=True)
     p_cal.add_argument("--config", default=None)
     p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.set_defaults(func=cmd_calibrate)
+    p_cal.set_defaults(func="cmd_calibrate")
 
     p_det = sub.add_parser("detect", help="score one log and report the online verdict", parents=[common])
     p_det.add_argument("--detector", choices=DETECTOR_NAMES, required=True)
@@ -391,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--emit-series", default=None, help="write the score series CSV here")
     p_det.add_argument("--config", default=None)
     p_det.add_argument("--seed", type=int, default=0)
-    p_det.set_defaults(func=cmd_detect)
+    p_det.set_defaults(func="cmd_detect")
 
     p_eval = sub.add_parser("eval", help="run a benchmark battery", parents=[common])
     p_eval.add_argument("--config", required=True,
                         help="benchmark config path or bundled name (erratic, stall, drift)")
     p_eval.add_argument("--out", required=True)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func="cmd_eval")
 
     p_vlm = sub.add_parser("vlm", help="query the task-progression monitor on a log", parents=[common])
     p_vlm.add_argument("--log", required=True)
@@ -412,24 +416,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_vlm.add_argument("--model", default=None)
     p_vlm.add_argument("--timeout", type=float, default=60.0)
     p_vlm.add_argument("--nu", type=int, default=1)
-    p_vlm.set_defaults(func=cmd_vlm)
+    p_vlm.set_defaults(func="cmd_vlm")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # synth, calibrate and detect take --seed
             raise CliError(f"--seed must be >= 0, got {args.seed}", kind="usage", code=2)
-        return args.func(args)
+        return globals()[args.func](args)  # looked up now: a `cmd_*` patched later runs
     except CliError as exc:
         _fail(exc.kind, str(exc), exc.code)
     except MonitorError as exc:
         _fail("monitor", str(exc))
     except (ValueError, OSError) as exc:
         _fail(type(exc).__name__, str(exc))
-    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
                         score_logs)
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
-from .policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
+from .policy import BEHAVIORS, ScenarioConfig, generate_rollout
 from .rollout import RolloutLog, _check_scalar_fields, _json_fields
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 from .vlm import MockTransport, monitor_log
@@ -278,21 +278,17 @@ def _trajectory_seed(master_seed: int, index: int, test: bool) -> int:
     return master_seed * _SEED_BLOCK + (_TEST_OFFSET if test else 0) + index
 
 
-def _generate(config: BenchmarkConfig, behavior: str, seed: int) -> RolloutLog:
-    policy = config.scenario.build_policy(behavior, seed)
-    return generate_rollout(policy, config.scenario, label_rule=default_goal_label, seed=seed)
-
-
 def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     """Calibrate every detector on nominal rollouts, score a mixed test set,
     union the designated detector with the scripted monitor, and write
     deterministic report artifacts. Returns the report dict."""
     scenario = config.scenario
     oracle = scenario.build_policy("consistent", seed=0)
+    policies = {b: scenario.build_policy(b) for b in ("consistent", *config.test_counts)}
 
     cal_seeds = [_trajectory_seed(config.master_seed, i, test=False)
                  for i in range(config.n_calibration)]
-    cal_logs = [_generate(config, "consistent", seed) for seed in cal_seeds]
+    cal_logs = [generate_rollout(policies["consistent"], scenario, seed=seed) for seed in cal_seeds]
     kept = [(seed, log) for seed, log in zip(cal_seeds, cal_logs)
             if log.label is not None and not log.label.is_failure]
     if len(kept) < 2:
@@ -304,7 +300,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     behaviors = [behavior for behavior, count in config.test_counts.items() for _ in range(count)]
     test_plan = [(behavior, _trajectory_seed(config.master_seed, j, test=True))
                  for j, behavior in enumerate(behaviors)]  # (behavior, seed)
-    test_logs = [_generate(config, behavior, seed) for behavior, seed in test_plan]
+    test_logs = [generate_rollout(policies[b], scenario, seed=seed) for b, seed in test_plan]
 
     # Mahalanobis stats: leave-one-out per calibration log, pooled for tests.
     # Every other detector ignores them.

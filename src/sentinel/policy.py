@@ -353,7 +353,7 @@ class ScenarioConfig:
     start: tuple[float, ...] = (0.0, 0.0)
     start_jitter: float = 0.05
     goal_radius: float = 0.3
-    action_mask: Optional[tuple] = None  # None = all dimensions included
+    action_mask: Optional[tuple[bool, ...]] = None  # None = all dimensions included
     task_description: str = DEFAULT_TASK_DESCRIPTION
     task_time_limit: Optional[float] = None  # None = episode_limit * step_duration
     n_denoise_steps: int = 100
@@ -378,10 +378,14 @@ class ScenarioConfig:
             raise ValueError("mode_weights length != number of attractors")
         if len(self.start) != self.action_dim:
             raise ValueError(f"start length {len(self.start)} != action_dim {self.action_dim}")
-        if self.action_mask is not None:
-            self.action_mask = tuple(self.action_mask)
         if self.task_time_limit is None:
             self.task_time_limit = self.episode_limit * self.step_duration
+        named = list(asdict(self).items())  # each inf or NaN float is refused by its name
+        for name, value in named:  # a tuple's entries are appended, so visited too
+            if isinstance(value, tuple):
+                named += [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # Build what a run builds once, so that geometry no rollout could
         # follow is refused here, by the rules of the header and the policy.
         self.header()
@@ -436,7 +440,7 @@ def default_goal_label(states: Sequence[np.ndarray], config: ScenarioConfig) -> 
 
 
 def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
-                     label_rule: Optional[Callable] = None, seed: int = 0) -> RolloutLog:
+                     label_rule: Callable = default_goal_label, seed: int = 0) -> RolloutLog:
     """Run one closed-loop episode on the integrator environment.
 
     At each inference step the policy samples a chunk batch; the executed
@@ -448,7 +452,6 @@ def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
     ss = np.random.SeedSequence(seed)
     env_rng, policy_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     policy.reset(policy_rng)
-    label_rule = label_rule or default_goal_label
 
     header = params.header()
     h, k, big_h = params.prediction_horizon, params.execution_horizon, params.episode_limit

@@ -173,8 +173,8 @@ class RolloutHeader:
                "execution_horizon must be < prediction_horizon")
         _check(self.prediction_horizon <= self.episode_limit,
                "prediction_horizon must be <= episode_limit")
-        _check(self.step_duration > 0, "step_duration must be > 0")
-        _check(self.task_time_limit > 0, "task_time_limit must be > 0")
+        _check(0 < self.step_duration < math.inf, "step_duration must be finite and > 0")
+        _check(0 < self.task_time_limit < math.inf, "task_time_limit must be finite and > 0")
         _check(len(self.action_mask) == self.action_dim,
                "action_mask length must equal action_dim")
         _check(any(self.action_mask), "action_mask needs at least one true entry")
@@ -325,10 +325,14 @@ class RolloutLog:
         return [r.timestep for r in self.records]
 
 
-def _json_line(obj: dict) -> str:
-    # allow_nan=False refuses a NaN or inf scalar; arrays are base64 text by now, checked
-    # finite by `_array_json`.
-    return json.dumps(obj, allow_nan=False, separators=(",", ":"))
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite JSON token {token!r} not allowed")
+
+
+# What `json.loads`/`json.dumps` build on each call from these arguments, built once. The
+# encoder refuses a NaN or inf scalar; arrays are base64 text by then (`_array_json`).
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
 
 
 def write_log(log: RolloutLog, destination) -> None:
@@ -343,22 +347,20 @@ def write_log(log: RolloutLog, destination) -> None:
     # edited after construction could have drifted from its invariants.
     header = RolloutHeader(**{name: getattr(log.header, name) for name in _HEADER_KEYS})
     RolloutLog(header=header, records=log.records, label=log.label)
-    lines = [_json_line(header.to_json_obj())]
-    lines.extend(_json_line(r.to_json_obj()) for r in log.records)
+    lines = [_ENCODER.encode(header.to_json_obj())]
+    lines.extend(_ENCODER.encode(r.to_json_obj()) for r in log.records)
     if log.label is not None:
-        lines.append(_json_line(log.label.to_json_obj()))
+        lines.append(_ENCODER.encode(log.label.to_json_obj()))
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite JSON token {token!r} not allowed")
-
-
 def _load_line(text: str, line_no: int) -> dict:
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # refused with the message `json.loads` gives
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except ValueError as exc:
         raise LogParseError(str(exc), line_no) from exc
     if not isinstance(obj, dict):

@@ -669,15 +669,15 @@ class TestScoreLogs:
             detectors=("stac-mmd", "mahalanobis"), n_calibration=4,
             test_counts={"consistent": 2, "mode_resample": 2}, delta=0.4, master_seed=5)
         test_seed = evaluation._trajectory_seed(config.master_seed, 2, test=True)
-        generate = evaluation._generate
+        generate = evaluation.generate_rollout
 
-        def generate_lost_embedding(config, behavior, seed):
-            log = generate(config, behavior, seed)
+        def generate_lost_embedding(policy, params, seed):
+            log = generate(policy, params, seed=seed)
             if seed == test_seed:
                 log.records[2].embedding = np.full_like(log.records[2].embedding, np.nan)
             return log
 
-        monkeypatch.setattr(evaluation, "_generate", generate_lost_embedding)
+        monkeypatch.setattr(evaluation, "generate_rollout", generate_lost_embedding)
         with pytest.raises(ValueError, match=rf"^trajectory seed {test_seed}: mahalanobis: "
                                              r"step score at index 2 must be finite"):
             run_benchmark(config)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sentinel import cli
 from sentinel.baselines import DetectorContext, EmbeddingStats, embedding_matrix, score_log
 from sentinel.cli import _bundled_config, main
 from sentinel.evaluation import detector_source, verdict_from_series
@@ -359,6 +361,36 @@ class TestDetect:
             assert float(ss) == s  # repr round-trip is exact
             assert float(cs) == c
 
+    def test_emit_series_of_one_call_does_not_reach_the_next(self, capsys, tmp_path,
+                                                             calibrated):
+        """The parser is shared by every call in the process, its defaults are not."""
+        logs_dir, config, cal = calibrated
+        argv = ["detect", "--detector", "stac-mmd", "--calibration", cal,
+                "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config]
+        series_csv = tmp_path / "series.csv"
+        assert run_cli(argv + ["--emit-series", series_csv]) == 0
+        series_csv.unlink()
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert not series_csv.exists()
+        assert list(tmp_path.iterdir()) == [cal]
+
+    def test_infinite_header_float_is_a_log_error(self, capsys, tmp_path, calibrated):
+        """1e999 reads as inf: refused at line 1, not carried into `detection_seconds`."""
+        logs_dir, config, cal = calibrated
+        log_path = tmp_path / "inf.sentinel.jsonl"
+        text = sorted(logs_dir.glob("*.jsonl"))[0].read_text(encoding="utf-8")
+        log_path.write_text(text.replace('"step_duration":0.25', '"step_duration":1e999', 1),
+                            encoding="utf-8")
+        code = run_cli(["detect", "--detector", "stac-mmd", "--calibration", cal,
+                        "--log", log_path, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "log", "message": f"{log_path}: line 1: step_duration must "
+                                                   "be finite and > 0"}
+
     @pytest.mark.parametrize("delta", ["0.4", "0.05"], ids=["finite", "infinite"])
     def test_file_calibrate_wrote_loads(self, capsys, tmp_path, synth_nominal, delta):
         logs_dir, config = synth_nominal
@@ -584,6 +616,17 @@ class TestVlm:
         assert all(len(c["votes"]) == 3 for c in verdict["checkpoints"])
         assert verdict["decision"] == "failure"
 
+    def test_aux_frames_of_one_call_do_not_reach_the_next(self, capsys, synth_nominal):
+        logs_dir, config = synth_nominal
+        argv = ["vlm", "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--transport", "mock",
+                "--fixtures", FIXTURES / "mock_vlm_ok", "--template", "video_qa_goal_images"]
+        assert run_cli(argv + ["--aux-frames", "ref0.png", "ref1.png"]) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "usage"
+        assert "--aux-frames" in error["message"]
+
     @pytest.mark.parametrize("index", [["reply.txt"], {"_default": 5}],
                              ids=["list", "non-string-name"])
     def test_malformed_fixture_index_is_io_error(self, capsys, tmp_path, synth_nominal, index):
@@ -646,6 +689,55 @@ class TestVlm:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "usage"
         assert flag in error["message"]
+
+
+class TestParserBuiltOnce:
+    """`build_parser` builds the command tree on the first `main` call of a process and
+    every later call parses with it; nothing one call parses reaches the next."""
+
+    def _synth(self, out, config) -> list:
+        return ["synth", "--scenario", "nominal", "--n", "1", "--out", out, "--config", config]
+
+    def test_parser_is_constructed_once_for_many_calls(self, capsys, tmp_path, fast_config,
+                                                       monkeypatch):
+        progs = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                progs.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli.build_parser.cache_clear()
+        try:
+            assert run_cli(self._synth(tmp_path / "a", fast_config)) == 0
+            built = len(progs)
+            assert run_cli(["synth", "--no-such-flag"]) == 2
+            assert run_cli(self._synth(tmp_path / "b", fast_config)) == 0
+            assert run_cli(["detect"]) == 2
+        finally:
+            cli.build_parser.cache_clear()  # the next call builds from the real class
+        capsys.readouterr()
+        assert progs.count("sentinel") == 1
+        assert len(progs) == built  # the root and one parser per subcommand, once
+
+    def test_usage_error_then_good_call_exit_2_then_0(self, capsys, tmp_path, fast_config):
+        assert run_cli(["synth", "--scenario", "nominal", "--n", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+        assert run_cli(self._synth(tmp_path / "logs", fast_config)) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1
+
+    def test_command_patched_after_the_first_build_is_the_one_that_runs(
+            self, capsys, tmp_path, fast_config, monkeypatch):
+        """`main` looks each command up by name when it runs, so a wrapper put in its
+        place (as a tracer does) is called, though the parser was built before."""
+        assert run_cli(self._synth(tmp_path / "a", fast_config)) == 0
+        calls = []
+        real = cli.cmd_synth
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: calls.append(args.out) or real(args))
+        assert run_cli(self._synth(tmp_path / "b", fast_config)) == 0
+        capsys.readouterr()
+        assert calls == [str(tmp_path / "b")]
 
 
 def _scenario_config_error(capsys, tmp_path, command, field, value) -> str:
@@ -849,6 +941,35 @@ class TestErrorContract:
         """Well-typed values that no rollout could follow are refused when the
         scenario is built, by the rules of the header and the policy."""
         assert text in _scenario_config_error(capsys, tmp_path, command, field, value)
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("field, value, name", [
+        ("step_duration", math.inf, "step_duration"), ("noise_std", math.inf, "noise_std"),
+        ("start_jitter", math.inf, "start_jitter"), ("goal_radius", math.inf, "goal_radius"),
+        ("task_time_limit", math.nan, "task_time_limit"), ("gain", -math.inf, "gain"),
+        ("start", [math.inf, 0], "start[0]"), ("drift_step", [0.1, math.nan], "drift_step[1]"),
+        ("mode_weights", [0.5, math.inf], "mode_weights[1]"),
+        ("attractors", [[2.5, 1.5], [2.5, -math.inf]], "attractors[1][1]"),
+    ])
+    def test_non_finite_scenario_value_is_named_config_error(self, capsys, tmp_path, command,
+                                                             field, value, name):
+        """Refused by its name when the scenario is built, before any rollout exists."""
+        message = _scenario_config_error(capsys, tmp_path, command, field, value)
+        bad = [float(v) for v in np.ravel(value) if not math.isfinite(v)][0]
+        assert message.endswith(f"{name} must be finite, got {bad!r}")
+
+    def test_overflowing_scenario_float_is_config_error(self, capsys, tmp_path):
+        """1e999 in a config file parses as inf: refused before any file is written."""
+        path = tmp_path / "config.json"
+        path.write_text('{"step_duration": 1e999}', encoding="utf-8")
+        code = run_cli(["synth", "--scenario", "nominal", "--n", "1", "--out", tmp_path / "out",
+                        "--config", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err)["error"] == {
+            "type": "config",
+            "message": "invalid scenario config: step_duration must be finite, got inf"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, field, value", [
         ("header", "action_mask", 5),

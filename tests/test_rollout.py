@@ -136,6 +136,68 @@ def test_header_int_past_the_float_range_is_located(tmp_path):
     assert str(err.value) == "line 1: step_duration must be a real number, got 1" + "0" * 400
 
 
+def _edited_log(tmp_path, line_no: int, old: str, new: str):
+    """A written format-2 log with `old` replaced by `new` on line `line_no` (1-based)."""
+    path = tmp_path / "edited.sentinel.jsonl"
+    write_log(make_log(label=failure_label()), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert old in lines[line_no - 1]
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("line_no, old", [(1, '"step_duration":0.5'),
+                                          (5, '"return_value":0.0')])
+def test_the_shared_decoder_refuses_each_non_finite_token(tmp_path, token, line_no, old):
+    """The decoder built once per process refuses what `json.loads` refused, per line."""
+    key = old.split(":")[0]
+    path = _edited_log(tmp_path, line_no, old, f"{key}:{token}")
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert err.value.line == line_no
+    assert str(err.value) == f"line {line_no}: non-finite JSON token {token!r} not allowed"
+
+
+@pytest.mark.parametrize("key", ["step_duration", "task_time_limit"])
+def test_header_float_past_the_float_range_is_located(tmp_path, key):
+    """1e999 parses as inf, which no header may hold: refused at line 1."""
+    old = {"step_duration": '"step_duration":0.5', "task_time_limit": '"task_time_limit":8.0'}
+    path = _edited_log(tmp_path, 1, old[key], f'"{key}":1e999')
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert str(err.value) == f"line 1: {key} must be finite and > 0"
+
+
+def test_byte_order_mark_is_refused_as_json_loads_refuses_it(tmp_path):
+    path = _edited_log(tmp_path, 1, "{", "\ufeff{")
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert str(err.value) == ("line 1: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                              "line 1 column 1 (char 0)")
+
+
+def test_shared_codecs_match_the_per_call_ones(tmp_path):
+    """Each written line is what `json.dumps` with the same arguments gives, and a
+    line that is no JSON gets the message `json.loads` gives."""
+    log = make_log(label=failure_label())
+    path = tmp_path / "log.sentinel.jsonl"
+    write_log(log, path)
+    objs = [log.header.to_json_obj(), *(r.to_json_obj() for r in log.records),
+            log.label.to_json_obj()]
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(obj, allow_nan=False, separators=(",", ":")) + "\n" for obj in objs)
+    for text in ("{", '{"a": 1} x', "", "[1, NaN"):
+        with pytest.raises(ValueError) as want:
+            json.loads(text, parse_constant=rollout._reject_constant)
+        with pytest.raises(LogParseError) as got:
+            rollout._load_line(text, 3)
+        assert str(got.value) == f"line 3: {want.value}"
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        rollout._ENCODER.encode({"return_value": float("nan")})
+
+
 def test_record_without_chunk_samples_is_located(tmp_path):
     log = make_log()
     path = tmp_path / "missing.sentinel.jsonl"
