@@ -284,7 +284,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     deterministic report artifacts. Returns the report dict."""
     scenario = config.scenario
     oracle = scenario.build_policy("consistent", seed=0)
-    policies = {b: scenario.build_policy(b) for b in ("consistent", *config.test_counts)}
+    policies = {b: scenario.build_policy(b) for b in {"consistent", *config.test_counts}}
 
     cal_seeds = [_trajectory_seed(config.master_seed, i, test=False)
                  for i in range(config.n_calibration)]

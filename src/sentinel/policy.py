@@ -380,7 +380,7 @@ class ScenarioConfig:
             raise ValueError(f"start length {len(self.start)} != action_dim {self.action_dim}")
         if self.task_time_limit is None:
             self.task_time_limit = self.episode_limit * self.step_duration
-        named = list(asdict(self).items())  # each inf or NaN float is refused by its name
+        named = list(vars(self).items())  # each inf or NaN float is refused by its name
         for name, value in named:  # a tuple's entries are appended, so visited too
             if isinstance(value, tuple):
                 named += [(f"{name}[{i}]", v) for i, v in enumerate(value)]
