@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import _PooledDistances, _cdist, min_l2
+from .distances import PooledDistances, _cdist, _min_l2
 from .policy import PolicyOracle
 from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, check_next
 from .stac import STAC_DETECTORS, OverlapPair, ScoreSeries, extract_overlap
@@ -221,10 +221,10 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair,
     """
     steps = {}
     if "min-l2" in names:
-        steps["min-l2"] = min_l2(pair.prev[executed_index], pair.curr)
+        steps["min-l2"] = _min_l2(pair.prev[executed_index], pair.curr)
     if len(steps) == len(names):
         return steps
-    dists = _PooledDistances(pair.prev, pair.curr)
+    dists = PooledDistances(pair.prev, pair.curr)
     if "stac-mmd" in names:
         steps["stac-mmd"] = dists.mmd_rbf(dists.median_heuristic())
     if "stac-klf" in names or "stac-klr" in names:

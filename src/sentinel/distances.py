@@ -13,18 +13,18 @@ on first use (`_cdist`): the median of its strict upper triangle (`pdist`'s
 values) comes from one in-place partition, and each kernel reads its x-x, y-y
 or x-y block through one division into a fresh contiguous array.
 
-The module-level functions are the checked boundary for outside input: each
-refuses, through `as_sample_set`, an empty, ragged or non-finite set, and two
-sets of different dimension. The scoring step builds `_PooledDistances` from
-an overlap pair cut from checked records, and checks nothing again.
+`PooledDistances` is the one distance surface: the STAC scoring step builds
+it from an overlap pair cut from checked records, and checks nothing again.
+The five module-level functions are the checked boundary for outside input,
+kept as functions so that a tracer can wrap each by name: each refuses,
+through `_checked`, an empty, ragged or non-finite set, and two sets of
+different dimension, and then runs the arithmetic the scoring step runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -38,14 +38,13 @@ def _cdist():
     return cdist
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """A validated n x d set of flattened action-sequence samples."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+def _checked(*sets) -> list[np.ndarray]:
+    """Each of `sets` as an (n, d) float64 array, a 1-D set as n points of one
+    dimension; refused unless each has a point and no non-finite value, and
+    all have one d."""
+    checked = []
+    for points in sets:
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
@@ -54,24 +53,10 @@ class SampleSet:
             raise ValueError("sample set needs at least one point")
         if not np.isfinite(pts).all():
             raise ValueError("sample set contains non-finite values")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def as_sample_set(x: Union[SampleSet, np.ndarray, list]) -> SampleSet:
-    return x if isinstance(x, SampleSet) else SampleSet(np.asarray(x))
-
-
-def _checked_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The points of `x` and `y`, refused unless each is a sample set
-    (`as_sample_set`) and the two have one dimension."""
-    x, y = as_sample_set(x), as_sample_set(y)
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return x.points, y.points
+        if checked and pts.shape[1] != checked[0].shape[1]:
+            raise ValueError(f"dimension mismatch: {checked[0].shape[1]} vs {pts.shape[1]}")
+        checked.append(pts)
+    return checked
 
 
 def _check_bandwidth(bandwidth: float) -> None:
@@ -90,7 +75,7 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
-class _PooledDistances:
+class PooledDistances:
     """Squared Euclidean distances over [x; y], from one `cdist`, which `_cdist` loads once.
 
     `cdist` gives a pair of points the same float wherever the pair sits, so
@@ -99,9 +84,9 @@ class _PooledDistances:
     divides a block by -s into a fresh contiguous array, which is -d / s
     exactly, so every later pass and sum runs as on a `cdist` of its own.
 
-    `x` and `y` are (n, d) float64 arrays that are already checked: the
-    points of sample sets (`_checked_pair`), or an overlap pair cut from
-    checked records. Nothing here checks them again.
+    `x` and `y` are (n, d) float64 arrays that are already checked: by
+    `_checked`, or as an overlap pair cut from checked records. Nothing here
+    checks them again.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -151,13 +136,14 @@ class _PooledDistances:
         return logsumexp_rows(scaled)[:, 0] - log_norm
 
     def kl_forward(self, bandwidth: float) -> float:
-        """KL(y || x) averaged over y's points, clamped at 0."""
+        """Plug-in KDE estimate of KL(y || x) averaged over y's points, self terms included;
+        the raw estimate can dip below 0, so it is clamped there to keep scores monotone."""
         log_p = self.kde_log_density("y", "y", bandwidth)
         log_q = self.kde_log_density("x", "y", bandwidth)
         return max(float(np.mean(log_p - log_q)), 0.0)
 
     def kl_reverse(self, bandwidth: float) -> float:
-        """KL(x || y) averaged over x's points, clamped at 0."""
+        """KL(x || y) averaged over x's points, clamped at 0: `kl_forward` with the roles swapped."""
         log_p = self.kde_log_density("x", "x", bandwidth)
         log_q = self.kde_log_density("y", "x", bandwidth)
         return max(float(np.mean(log_p - log_q)), 0.0)
@@ -170,12 +156,12 @@ def median_heuristic(x, y) -> float:
     pooled squared-distance matrix. Falls back to 1e-8 when the median is
     zero (e.g. a constant-output policy), so downstream kernels stay finite.
     """
-    return _PooledDistances(*_checked_pair(x, y)).median_heuristic()
+    return PooledDistances(*_checked(x, y)).median_heuristic()
 
 
 def kde_bandwidth_max_eig(x, y) -> float:
     """Square root of the largest eigenvalue of the pooled sample covariance."""
-    return _max_eig_bandwidth(np.concatenate(_checked_pair(x, y)))
+    return _max_eig_bandwidth(np.concatenate(_checked(x, y)))
 
 
 def _max_eig_bandwidth(pooled: np.ndarray) -> float:
@@ -194,7 +180,7 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     (diagonal terms included), which keeps the estimate nonnegative; the
     result is additionally clamped at 0 against floating-point dust.
     """
-    return _PooledDistances(*_checked_pair(x, y)).mmd_rbf(bandwidth)
+    return PooledDistances(*_checked(x, y)).mmd_rbf(bandwidth)
 
 
 def logsumexp_rows(a: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -227,33 +213,20 @@ def kde_log_density(fit, queries, bandwidth: float) -> np.ndarray:
     log-sum-exp, so extremely distant queries underflow gracefully to very
     negative (still finite) values.
     """
-    return _PooledDistances(*_checked_pair(fit, queries)).kde_log_density("x", "y", bandwidth)
-
-
-def kl_forward(prev, curr, bandwidth: float) -> float:
-    """Plug-in KDE estimate of KL(curr || prev), averaged over curr's points.
-
-    Self terms are included on both sides; the raw estimate can dip below
-    zero, so it is clamped at 0 to keep cumulative scores monotone.
-    """
-    return _PooledDistances(*_checked_pair(prev, curr)).kl_forward(bandwidth)
-
-
-def kl_reverse(prev, curr, bandwidth: float) -> float:
-    """Plug-in KDE estimate of KL(prev || curr), averaged over prev's points.
-
-    Identical to kl_forward with the two roles swapped, and implemented that
-    way so the identity holds exactly.
-    """
-    return kl_forward(curr, prev, bandwidth)
+    return PooledDistances(*_checked(fit, queries)).kde_log_density("x", "y", bandwidth)
 
 
 def min_l2(executed_overlap, curr) -> float:
     """Minimum Euclidean distance from the executed overlap to any sampled row."""
     executed = np.asarray(executed_overlap, dtype=np.float64).ravel()
-    curr = as_sample_set(curr)
-    if executed.shape[0] != curr.dim:
-        raise ValueError(f"dimension mismatch: {executed.shape[0]} vs {curr.dim}")
+    (points,) = _checked(curr)
+    if executed.shape[0] != points.shape[1]:
+        raise ValueError(f"dimension mismatch: {executed.shape[0]} vs {points.shape[1]}")
     if not np.isfinite(executed).all():
         raise ValueError("executed overlap contains non-finite values")
-    return float(np.min(np.linalg.norm(curr.points - executed, axis=1)))
+    return _min_l2(executed, points)
+
+
+def _min_l2(executed: np.ndarray, points: np.ndarray) -> float:
+    """`min_l2` of an executed overlap (d,) and checked (n, d) points, which nothing checks again."""
+    return float(np.min(np.linalg.norm(points - executed, axis=1)))

@@ -283,7 +283,6 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     union the designated detector with the scripted monitor, and write
     deterministic report artifacts. Returns the report dict."""
     scenario = config.scenario
-    oracle = scenario.build_policy("consistent", seed=0)
     policies = {b: scenario.build_policy(b) for b in {"consistent", *config.test_counts}}
 
     cal_seeds = [_trajectory_seed(config.master_seed, i, test=False)
@@ -316,7 +315,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     ctxs = [DetectorContext(embedding_stats=stats, seed=seed)
             for seed, stats in zip(seeds, lto_stats + [pooled] * len(test_logs))]
     try:
-        battery = score_logs(config.detectors, cal_logs + test_logs, ctxs, oracle)
+        # The oracle reads the modes and the schedule alone, not the behaviour or the generator.
+        battery = score_logs(config.detectors, cal_logs + test_logs, ctxs, policies["consistent"])
     except ValueError as exc:
         if not hasattr(exc, "log_index"):
             raise

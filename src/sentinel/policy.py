@@ -107,10 +107,12 @@ class GmmMode:
         # Open-loop plan of an exponential approach: following the plan from
         # `state` makes step j of the next plan coincide with step j+k of
         # this one, which is what keeps nominal rollouts temporally
-        # consistent under re-planning.
-        delta = self.attractor - np.asarray(state, dtype=np.float64).ravel()
+        # consistent under re-planning. A (G, d) stack of states gives a
+        # (G, h, d) stack of plans, each row the bits of a call of its own.
+        state = np.asarray(state, dtype=np.float64)
+        delta = self.attractor - (state if state.ndim == 2 else state.ravel())
         decay = self.gain * (1.0 - self.gain) ** np.arange(horizon)
-        return decay[:, None] * delta[None, :]
+        return decay[:, None] * delta[..., None, :]
 
 
 def _sharpened(weights: np.ndarray, preferred: int, dominance: float) -> np.ndarray:
@@ -138,7 +140,7 @@ class SyntheticGmmPolicy(PolicyOracle):
 
     The modes and the schedule are fixed once the policy is built: the sampler's
     weights, mode-draw CDFs and mode-mean factors and the oracle's per-step constants
-    are computed here, and the oracle keeps its last states' mode means for the next call.
+    are computed here.
     """
 
     def __init__(self, modes: Sequence[GmmMode], horizon: int, action_dim: int,
@@ -178,8 +180,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         self._decays = np.stack([m.gain * (1.0 - m.gain) ** steps for m in self.modes])[..., None]
         self._attractors = np.stack([m.attractor for m in self.modes])[:, None, :]
         self._oracle_constants = _gmm_step_constants(self)
-        # (stack shape and bytes, its (M, G, V) mode means, {state bytes: (M, V) means})
-        self._means_memo = (None, None, {})
         self.reset(np.random.default_rng(seed))
 
     def reset(self, rng: np.random.Generator) -> None:
@@ -242,26 +242,10 @@ def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
 
 
 def _gmm_mode_means(policy: SyntheticGmmPolicy, states: np.ndarray) -> np.ndarray:
-    """(M, G, V) flattened mode means of each of the G states, mode-major.
-
-    The means of the last call's states are kept: every step of a reverse
-    pass asks for the same stack again, and the oracle calls of one inference
-    step ask for the same states in other stacks. A state that a stack
-    repeats, as the stacked ddpm draws do, is computed once.
-    """
-    key = (states.shape, states.tobytes())
-    last_key, means, by_state = policy._means_memo
-    if key != last_key:
-        h = policy.horizon
-        rows = [state.tobytes() for state in states]
-        kept = {}
-        for row, state in zip(rows, states):
-            if row not in kept:
-                kept[row] = by_state[row] if row in by_state else np.stack(
-                    [m.chunk_mean(state, h).ravel() for m in policy.modes])
-        means = np.stack([kept[row] for row in rows], axis=1)
-        policy._means_memo = (key, means, kept)
-    return means
+    """(M, G, V) flattened mode means of each of the G states, mode-major:
+    one `chunk_mean` broadcast over the stack per mode."""
+    return np.stack([m.chunk_mean(states, policy.horizon).reshape(states.shape[0], -1)
+                     for m in policy.modes])
 
 
 def _denoise_steps(i, n_steps: int) -> tuple[np.ndarray, bool]:

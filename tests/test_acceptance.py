@@ -20,8 +20,7 @@ import sentinel
 from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, _ddpm_loss,
                                 score_log)
 from sentinel.calibration import conformal_threshold
-from sentinel.distances import (kde_log_density, kl_forward, kl_reverse,
-                                min_l2, mmd_rbf)
+from sentinel.distances import PooledDistances, kde_log_density, min_l2, mmd_rbf
 from sentinel.evaluation import (BenchmarkConfig, compute_metrics,
                                  failure_verdict, ok_verdict, run_benchmark)
 from sentinel.policy import (GmmMode, ScenarioConfig, SyntheticGmmPolicy,
@@ -59,8 +58,8 @@ def test_c01_estimator_identities():
     for _ in range(20):
         x = rng.standard_normal((rng.integers(2, 30), rng.integers(1, 5)))
         worst_mmd = max(worst_mmd, mmd_rbf(x, x, bandwidth=1.3))
-        worst_kl = max(worst_kl, kl_forward(x, x, bandwidth=0.7),
-                       kl_reverse(x, x, bandwidth=0.7))
+        worst_kl = max(worst_kl, PooledDistances(x, x).kl_forward(0.7),
+                       PooledDistances(x, x).kl_reverse(0.7))
         member = x[rng.integers(0, x.shape[0])]
         assert min_l2(member, x) == 0.0
     elapsed = time.monotonic() - start
@@ -119,7 +118,7 @@ def test_c03_closed_form_kl():
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
         for beta in (0.5, 1.0):
-            got = kl_forward([[0.0]], [[m]], bandwidth=beta)
+            got = PooledDistances(np.array([[0.0]]), np.array([[m]])).kl_forward(beta)
             worst = max(worst, abs(got - m ** 2 / (2.0 * beta ** 2)))
     _verdict_line("c03 closed-form-kl", worst <= 1e-9,
                   f"6 (m, beta) pairs, max |kl - m^2/(2 beta^2)| = {worst:.2e}")

@@ -641,25 +641,25 @@ class TestScoreLogs:
     def test_scoring_checks_no_record_or_sample_set_again(self, monkeypatch):
         """Each `RolloutLog` checked its records when it was built, and an
         overlap pair is cut from checked records: scoring a battery with the
-        pooled-distance detectors and `outvar` runs neither check again."""
+        four STAC detectors and `outvar` runs neither check again."""
         logs, ctxs = self._battery()
-        calls = {"check_next": 0, "SampleSet": 0}
-        check, build = baselines.check_next, distances.SampleSet.__post_init__
+        calls = {"check_next": 0, "_checked": 0}
+        check, check_sets = baselines.check_next, distances._checked
 
         def counted_check(*args):
             calls["check_next"] += 1
             check(*args)
 
-        def counted_build(sample_set):
-            calls["SampleSet"] += 1
-            build(sample_set)
+        def counted_check_sets(*sets):
+            calls["_checked"] += 1
+            return check_sets(*sets)
 
         monkeypatch.setattr(baselines, "check_next", counted_check)
         monkeypatch.setattr(rollout, "check_next", counted_check)
-        monkeypatch.setattr(distances.SampleSet, "__post_init__", counted_build)
-        battery = score_logs(STAC_DETECTORS[:3] + ("outvar",), logs, ctxs)
+        monkeypatch.setattr(distances, "_checked", counted_check_sets)
+        battery = score_logs(STAC_DETECTORS + ("outvar",), logs, ctxs)
         assert len(battery) == len(logs)
-        assert calls == {"check_next": 0, "SampleSet": 0}
+        assert calls == {"check_next": 0, "_checked": 0}
 
     def test_benchmark_names_the_seed_of_a_refused_test_log(self, monkeypatch):
         """A test log's refused series names that log's trajectory seed,
@@ -849,6 +849,6 @@ class TestScoreFunctionRegistry:
             assert series.cumulative == full.cumulative[:n]
 
     def test_nonfinite_step_score_is_refused(self, rng, monkeypatch):
-        monkeypatch.setattr(distances._PooledDistances, "mmd_rbf", lambda self, bw: float("nan"))
+        monkeypatch.setattr(distances.PooledDistances, "mmd_rbf", lambda self, bw: float("nan"))
         with pytest.raises(ValueError, match="index 1 must be finite"):
             score_log("stac-mmd", make_log(rng=rng))

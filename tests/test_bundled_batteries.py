@@ -1,18 +1,26 @@
-"""The fast bundled batteries, and a small battery of every detector, against
+"""The bundled batteries, and a small battery of every detector, against
 their recorded reports.
+
+`fixtures/bundled_batteries/sha256.json` holds the sha256 of the three
+artifacts (`report.json`, `verdicts.csv`, `scores.svg`) that `sentinel eval
+--config <name>` writes for each bundled battery: the behaviour contract a
+refactor keeps byte for byte. Each battery runs once per session, and the
+stall and drift runs are also checked against their recorded reports.
 
 `fixtures/bundled_batteries/<name>/` holds the `report.json` and
 `verdicts.csv` that `sentinel eval --config <name>` wrote when scoring still
 went through `scipy.special.logsumexp`. `drift` scores `stac-klf`, so it
 exercises the KDE log-sum-exp. `all-detectors/` holds the same two files for
 `ALL_DETECTORS` below, recorded while every detector was still scored by its
-own walk over each log; it is the one pin of the four diffusion-oracle
-detectors. The rule is the perfbench one: verdicts, metrics and conformal
-ranks exact; gammas and terminal scores within rel 1e-12. Re-record with
-`sentinel eval --config <name> --out <fixture dir>` (and delete the
-`scores.svg` it also writes) only for an intended change.
+own walk over each log; with erratic's sha256 it pins the four
+diffusion-oracle detectors. The rule is the perfbench one: verdicts, metrics
+and conformal ranks exact; gammas and terminal scores within rel 1e-12.
+Re-record with `sentinel eval --config <name> --out <fixture dir>` (and
+delete the `scores.svg` it also writes), and the sha256 values with it, only
+for an intended change.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +32,7 @@ from sentinel.evaluation import BenchmarkConfig, run_benchmark
 
 FIXTURES = Path(__file__).parent / "fixtures" / "bundled_batteries"
 REL_TOL = 1e-12
+SHA256 = json.loads((FIXTURES / "sha256.json").read_text(encoding="utf-8"))
 
 # The oracle-battery smoke size: 4 records per log, 3 calibration logs.
 ALL_DETECTORS = {
@@ -51,8 +60,22 @@ def _split_scores(report: dict) -> tuple[dict, dict]:
     return report, floats
 
 
-def _assert_matches_recorded(config_obj: dict, out_dir: Path, want_dir: Path):
-    run_benchmark(BenchmarkConfig.from_json_obj(config_obj), out_dir=out_dir)
+@pytest.fixture(scope="session")
+def bundled_run(tmp_path_factory):
+    """`bundled_run(name)`: the output directory of `sentinel eval --config <name>`,
+    run on the first request of the session."""
+    out_dirs = {}
+
+    def run(name: str) -> Path:
+        if name not in out_dirs:
+            out_dir = tmp_path_factory.mktemp(name)
+            run_benchmark(BenchmarkConfig.from_json_obj(_bundled_config(name)), out_dir=out_dir)
+            out_dirs[name] = out_dir
+        return out_dirs[name]
+    return run
+
+
+def _assert_matches_recorded(out_dir: Path, want_dir: Path):
     assert ((out_dir / "verdicts.csv").read_text(encoding="utf-8")
             == (want_dir / "verdicts.csv").read_text(encoding="utf-8"))
     got, got_floats = _split_scores(json.loads((out_dir / "report.json").read_text()))
@@ -64,10 +87,19 @@ def _assert_matches_recorded(config_obj: dict, out_dir: Path, want_dir: Path):
         assert all(_close(a, b) for a, b in zip(got_floats[detector], values)), detector
 
 
+@pytest.mark.parametrize("name", sorted(SHA256))
+def test_bundled_battery_artifacts_keep_their_sha256(bundled_run, name):
+    out_dir = bundled_run(name)
+    got = {artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+           for artifact in SHA256[name]}
+    assert got == SHA256[name]
+
+
 @pytest.mark.parametrize("name", ["stall", "drift"])
-def test_battery_matches_recorded_report(tmp_path, name):
-    _assert_matches_recorded(_bundled_config(name), tmp_path, FIXTURES / name)
+def test_battery_matches_recorded_report(bundled_run, name):
+    _assert_matches_recorded(bundled_run(name), FIXTURES / name)
 
 
 def test_all_detectors_match_recorded_report(tmp_path):
-    _assert_matches_recorded(ALL_DETECTORS, tmp_path, FIXTURES / "all-detectors")
+    run_benchmark(BenchmarkConfig.from_json_obj(ALL_DETECTORS), out_dir=tmp_path)
+    _assert_matches_recorded(tmp_path, FIXTURES / "all-detectors")

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from sentinel.distances import (BANDWIDTH_FALLBACK, SampleSet,
-                                _PooledDistances, kde_bandwidth_max_eig, kde_log_density,
-                                kl_forward, kl_reverse, logsumexp_rows, median_heuristic,
-                                min_l2, mmd_rbf)
+from sentinel.distances import (BANDWIDTH_FALLBACK, PooledDistances, _checked,
+                                kde_bandwidth_max_eig, kde_log_density, logsumexp_rows,
+                                median_heuristic, min_l2, mmd_rbf)
 
 
 def _sets(rng, n_max=50, d_max=4):
@@ -20,7 +19,7 @@ def _sets(rng, n_max=50, d_max=4):
     scale = 10.0 ** rng.uniform(-1, 1)
     x = rng.standard_normal((n1, d)) * scale
     y = rng.standard_normal((n2, d)) * scale + rng.uniform(-1, 1)
-    return SampleSet(x), SampleSet(y)
+    return x, y
 
 
 def brute_mmd(x, y, bandwidth):
@@ -35,75 +34,102 @@ def brute_mmd(x, y, bandwidth):
                 total += kernel(a, b)
         return total / (len(pts_a) * len(pts_b))
 
-    value = block(x.points, x.points) + block(y.points, y.points) - 2 * block(x.points, y.points)
+    value = block(x, x) + block(y, y) - 2 * block(x, y)
     return max(value, 0.0)
 
 
 def brute_kde_log_density(queries, support, bandwidth):
-    d = support.dim
-    log_norm = math.log(len(support.points)) + 0.5 * d * math.log(2 * math.pi * bandwidth ** 2)
+    d = support.shape[1]
+    log_norm = math.log(len(support)) + 0.5 * d * math.log(2 * math.pi * bandwidth ** 2)
     out = []
     for q in queries:
         exponents = [-float(np.sum((q - p) ** 2)) / (2 * bandwidth ** 2)
-                     for p in support.points]
+                     for p in support]
         peak = max(exponents)
         total = sum(math.exp(e - peak) for e in exponents)
         out.append(peak + math.log(total) - log_norm)
     return np.array(out)
 
 
-class TestSampleSet:
-    def test_coerces_one_dim(self):
-        s = SampleSet(np.array([1.0, 2.0, 3.0]))
-        assert s.points.shape == (3, 1)
+# Each module function with a good one-dimensional set beside the set under test.
+_GOOD = np.zeros((2, 1))
+_CHECKED_CALLS = {
+    "median_heuristic": lambda s: median_heuristic(_GOOD, s),
+    "kde_bandwidth_max_eig": lambda s: kde_bandwidth_max_eig(_GOOD, s),
+    "mmd_rbf": lambda s: mmd_rbf(_GOOD, s, 1.0),
+    "kde_log_density": lambda s: kde_log_density(_GOOD, s, 1.0),
+    "min_l2": lambda s: min_l2(np.zeros(1), s),
+}
 
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            SampleSet(np.array([[np.inf]]))
+
+class TestCheckedSets:
+    def test_coerces_one_dim(self):
+        assert _checked(np.array([1.0, 2.0, 3.0]))[0].shape == (3, 1)
+        assert median_heuristic(np.array([1.0, 2.0]), np.array([[4.0]])) == 4.0
+        assert min_l2(np.array([2.5]), np.array([1.0, 2.0, 3.0])) == 0.5
+
+    @pytest.mark.parametrize("call", sorted(_CHECKED_CALLS))
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((0, 1)), "^sample set needs at least one point$"),
+        (np.array([[np.inf]]), "^sample set contains non-finite values$"),
+        (np.array([[0.0], [np.nan]]), "^sample set contains non-finite values$"),
+        (np.zeros((2, 1, 1)), r"^sample set must be 2-D \(n x d\), got shape \(2, 1, 1\)$"),
+        (np.zeros((2, 3)), "^dimension mismatch: 1 vs 3$"),
+    ])
+    def test_every_function_refuses_a_bad_set(self, call, bad, message):
+        with pytest.raises(ValueError, match=message):
+            _CHECKED_CALLS[call](bad)
+
+    def test_either_set_of_a_pair_is_checked(self):
+        with pytest.raises(ValueError, match="^sample set contains non-finite values$"):
+            mmd_rbf(np.array([[np.inf]]), _GOOD, 1.0)
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 1$"):
+            kde_log_density(np.zeros((2, 3)), _GOOD, 1.0)
+
+    def test_min_l2_refuses_a_non_finite_executed_overlap(self):
+        with pytest.raises(ValueError, match="^executed overlap contains non-finite values$"):
+            min_l2(np.array([np.nan, 0.0]), np.zeros((3, 2)))
 
 
 def test_median_heuristic_single_pair():
-    assert median_heuristic(SampleSet(np.array([[0.0]])),
-                            SampleSet(np.array([[2.0]]))) == 4.0
+    assert median_heuristic(np.array([[0.0]]), np.array([[2.0]])) == 4.0
 
 
 def test_median_heuristic_three_pairs():
     # pooled {0, 1, 3}: squared gaps {1, 9, 4}, median 4
-    x = SampleSet(np.array([[0.0], [1.0]]))
-    y = SampleSet(np.array([[3.0]]))
+    x = np.array([[0.0], [1.0]])
+    y = np.array([[3.0]])
     assert median_heuristic(x, y) == 4.0
 
 
 def test_median_heuristic_degenerate_fallback():
-    s = SampleSet(np.array([[0.0], [0.0]]))
+    s = np.array([[0.0], [0.0]])
     assert median_heuristic(s, s) == BANDWIDTH_FALLBACK
 
 
 def test_kde_bandwidth_is_sqrt_max_eigenvalue():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((40, 3)) @ np.diag([3.0, 1.0, 0.2])
-    x = SampleSet(pts[:25])
-    y = SampleSet(pts[25:])
+    x = pts[:25]
+    y = pts[25:]
     expected = math.sqrt(np.linalg.eigvalsh(np.cov(pts.T, ddof=1)).max())
     assert kde_bandwidth_max_eig(x, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kde_bandwidth_degenerate_fallback():
-    s = SampleSet(np.zeros((3, 2)))
+    s = np.zeros((3, 2))
     assert kde_bandwidth_max_eig(s, s) == BANDWIDTH_FALLBACK
 
 
 def test_mmd_identical_sets_zero():
     rng = np.random.default_rng(3)
-    x = SampleSet(rng.standard_normal((20, 3)))
+    x = rng.standard_normal((20, 3))
     assert abs(mmd_rbf(x, x, 2.0)) < 1e-12
 
 
 def test_mmd_two_singletons_closed_form():
-    x = SampleSet(np.array([[0.0]]))
-    y = SampleSet(np.array([[1.0]]))
+    x = np.array([[0.0]])
+    y = np.array([[1.0]])
     assert mmd_rbf(x, y, 1.0) == pytest.approx(2 - 2 * math.exp(-1), abs=1e-12)
 
 
@@ -118,7 +144,7 @@ def test_mmd_matches_brute_force():
 
 def test_kde_log_density_single_point():
     # density of N(0, 1) at its center: 1/sqrt(2*pi)
-    support = SampleSet(np.array([[0.0]]))
+    support = np.array([[0.0]])
     value = kde_log_density(np.array([[0.0]]), support, 1.0)
     assert value[0] == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)), abs=1e-12)
 
@@ -128,8 +154,8 @@ def test_kde_log_density_matches_brute_force():
     for _ in range(200):
         x, y = _sets(rng, n_max=30)
         bandwidth = 10.0 ** rng.uniform(-0.5, 0.5)
-        got = kde_log_density(y, x.points, bandwidth)
-        want = brute_kde_log_density(x.points, y, bandwidth)
+        got = kde_log_density(y, x, bandwidth)
+        want = brute_kde_log_density(x, y, bandwidth)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
 
 
@@ -138,10 +164,10 @@ def test_kde_log_density_is_the_scipy_logsumexp_form_exactly():
     for _ in range(100):
         x, y = _sets(rng, n_max=40)
         bandwidth = 10.0 ** rng.uniform(-1, 1)
-        sq = cdist(y.points, x.points, "sqeuclidean")
-        log_norm = math.log(len(x.points)) + 0.5 * x.dim * math.log(2.0 * math.pi * bandwidth ** 2)
+        sq = cdist(y, x, "sqeuclidean")
+        log_norm = math.log(len(x)) + 0.5 * x.shape[1] * math.log(2.0 * math.pi * bandwidth ** 2)
         want = logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
-        assert np.array_equal(kde_log_density(x, y.points, bandwidth), want)
+        assert np.array_equal(kde_log_density(x, y, bandwidth), want)
 
 
 def _parent_median_heuristic(x, y):
@@ -181,10 +207,11 @@ def _parent_kde_bandwidth_max_eig(x, y):
 
 def _assert_matches_parent(x, y, kde_bandwidth):
     """Every pooled-matrix estimator == its per-block form, bit for bit."""
-    px, py = SampleSet(x).points, SampleSet(y).points
+    px, py = _checked(x, y)
+    pooled = PooledDistances(px, py)
     bandwidth = _parent_kde_bandwidth_max_eig(px, py)
     assert kde_bandwidth_max_eig(x, y) == bandwidth
-    assert _PooledDistances(px, py).kde_bandwidth_max_eig() == bandwidth
+    assert pooled.kde_bandwidth_max_eig() == bandwidth
     median = median_heuristic(x, y)
     assert median == _parent_median_heuristic(px, py)
     for bandwidth in (median, kde_bandwidth):
@@ -193,11 +220,9 @@ def _assert_matches_parent(x, y, kde_bandwidth):
                           _parent_kde_log_density(px, py, kde_bandwidth))
     assert np.array_equal(kde_log_density(y, x, kde_bandwidth),
                           _parent_kde_log_density(py, px, kde_bandwidth))
-    assert kl_forward(x, y, kde_bandwidth) == _parent_kl_forward(px, py, kde_bandwidth)
-    # The scorer's reverse direction reads the pooled matrix of (x, y) as it is.
-    reverse = _parent_kl_forward(py, px, kde_bandwidth)
-    assert kl_reverse(x, y, kde_bandwidth) == reverse
-    assert _PooledDistances(px, py).kl_reverse(kde_bandwidth) == reverse
+    assert pooled.kl_forward(kde_bandwidth) == _parent_kl_forward(px, py, kde_bandwidth)
+    # The reverse direction reads the pooled matrix of (x, y) as it is.
+    assert pooled.kl_reverse(kde_bandwidth) == _parent_kl_forward(py, px, kde_bandwidth)
 
 
 @st.composite
@@ -300,39 +325,39 @@ def test_logsumexp_rows_non_finite_rows_match_scipy():
 
 def test_kl_identical_sets_zero():
     rng = np.random.default_rng(5)
-    x = SampleSet(rng.standard_normal((15, 2)))
-    assert abs(kl_forward(x, x, 0.7)) < 1e-9
-    assert abs(kl_reverse(x, x, 0.7)) < 1e-9
+    x = rng.standard_normal((15, 2))
+    assert abs(PooledDistances(x, x).kl_forward(0.7)) < 1e-9
+    assert abs(PooledDistances(x, x).kl_reverse(0.7)) < 1e-9
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("beta", [0.5, 1.0])
 def test_kl_single_samples_closed_form(m, beta):
     # two unit-mass KDEs a distance m apart: KL = m^2 / (2 beta^2)
-    prev = SampleSet(np.array([[0.0]]))
-    curr = SampleSet(np.array([[m]]))
+    prev = np.array([[0.0]])
+    curr = np.array([[m]])
     expected = m ** 2 / (2 * beta ** 2)
-    assert kl_forward(prev, curr, beta) == pytest.approx(expected, abs=1e-9)
-    assert kl_reverse(prev, curr, beta) == pytest.approx(expected, abs=1e-9)
+    assert PooledDistances(prev, curr).kl_forward(beta) == pytest.approx(expected, abs=1e-9)
+    assert PooledDistances(prev, curr).kl_reverse(beta) == pytest.approx(expected, abs=1e-9)
 
 
 def test_kl_reverse_is_swapped_forward():
     rng = np.random.default_rng(11)
-    x = SampleSet(rng.standard_normal((10, 2)))
-    y = SampleSet(rng.standard_normal((12, 2)) + 0.5)
-    assert kl_reverse(x, y, 0.9) == kl_forward(y, x, 0.9)
+    x = rng.standard_normal((10, 2))
+    y = rng.standard_normal((12, 2)) + 0.5
+    assert PooledDistances(x, y).kl_reverse(0.9) == PooledDistances(y, x).kl_forward(0.9)
 
 
 def test_separation_monotonicity_fixed_bandwidth():
     # pushing one cloud away must not shrink either distance
     rng = np.random.default_rng(2)
     base = rng.standard_normal((25, 2))
-    x = SampleSet(base)
+    x = base
     prev_mmd = prev_kl = -1.0
     for shift in (0.0, 0.5, 1.0, 2.0, 4.0):
-        y = SampleSet(base + shift)
+        y = base + shift
         d_mmd = mmd_rbf(x, y, 4.0)
-        d_kl = kl_forward(x, y, 1.0)
+        d_kl = PooledDistances(x, y).kl_forward(1.0)
         assert d_mmd >= prev_mmd - 1e-12
         assert d_kl >= prev_kl - 1e-9
         prev_mmd, prev_kl = d_mmd, d_kl
@@ -354,8 +379,8 @@ def test_min_l2_dimension_mismatch():
        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
        st.floats(1e-3, 1e3))
 def test_mmd_nonnegative_and_symmetric(xs, ys, bandwidth):
-    x = SampleSet(np.array(xs))
-    y = SampleSet(np.array(ys))
+    x = np.array(xs)
+    y = np.array(ys)
     d = mmd_rbf(x, y, bandwidth)
     assert d >= 0.0
     assert d == pytest.approx(mmd_rbf(y, x, bandwidth), abs=1e-9)
@@ -366,6 +391,5 @@ def test_mmd_nonnegative_and_symmetric(xs, ys, bandwidth):
        st.lists(st.floats(-100, 100), min_size=1, max_size=6),
        st.floats(0.05, 50))
 def test_kl_nonnegative(xs, ys, bandwidth):
-    prev = SampleSet(np.array(xs))
-    curr = SampleSet(np.array(ys))
-    assert kl_forward(prev, curr, bandwidth) >= 0.0
+    prev, curr = _checked(xs, ys)
+    assert PooledDistances(prev, curr).kl_forward(bandwidth) >= 0.0

@@ -386,7 +386,7 @@ class TestRunBenchmark:
     def test_nonfinite_step_names_detector_and_seed(self, result, monkeypatch):
         _, report, _ = result
         first_seed = report["seeds"]["calibration"][0]
-        monkeypatch.setattr(distances._PooledDistances, "kl_forward",
+        monkeypatch.setattr(distances.PooledDistances, "kl_forward",
                             lambda self, bandwidth: float("nan"))
         config = _small_benchmark_config(detectors=("stac-mmd", "stac-klf", "min-l2"))
         with pytest.raises(ValueError, match=rf"^trajectory seed {first_seed}: stac-klf: "

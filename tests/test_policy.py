@@ -10,6 +10,8 @@ from sentinel.policy import (BEHAVIORS, GmmMode, NoiseSchedule, ScenarioConfig,
                              SyntheticGmmPolicy, _draw, default_goal_label,
                              generate_rollout, gmm_exact_eps)
 
+from conftest import same_bits
+
 
 def _two_mode_policy(behavior="consistent", seed=0, stddev=0.3, horizon=4):
     modes = [
@@ -51,6 +53,18 @@ class TestGmmMode:
         # steps shrink geometrically: g*delta, g(1-g)*delta, g(1-g)^2*delta
         np.testing.assert_allclose(mean[:, 0], [0.5, 0.25, 0.125])
         np.testing.assert_allclose(mean[:, 1], 0.0)
+
+    def test_chunk_mean_of_a_stack_is_each_row_bit_for_bit(self):
+        """A (G, d) stack of states gives (G, h, d) plans, each the one-state formula's bits."""
+        mode = GmmMode(weight=1.0, stddev=0.1, attractor=np.array([3.0, -1.0]), gain=0.07)
+        states = np.random.default_rng(3).standard_normal((5, 2)) * 10.0
+        decay = mode.gain * (1.0 - mode.gain) ** np.arange(6)
+        plans = mode.chunk_mean(states, 6)
+        assert plans.shape == (5, 6, 2)
+        for state, plan in zip(states, plans):
+            want = decay[:, None] * (mode.attractor - state)[None, :]
+            assert same_bits(plan, want)
+            assert same_bits(mode.chunk_mean(state, 6), want)
 
     def test_plan_is_replanning_consistent(self):
         """Executing k steps of the plan then re-planning reproduces the tail."""
@@ -305,8 +319,8 @@ def _reference_sample_with_modes(policy, state, batch_size):
 
 
 class TestOracleAgainstReference:
-    """gmm_exact_eps with its constants built once and its mode means kept per
-    state, against the same arithmetic rebuilt on every call."""
+    """gmm_exact_eps with its constants built once and its mode means broadcast
+    over a stack of states, against the same arithmetic rebuilt on every call."""
 
     POLICIES = {"attractor": lambda: _two_mode_policy(horizon=4), "three_mode": _three_mode_policy}
 
@@ -387,26 +401,16 @@ class TestOracleAgainstReference:
             np.testing.assert_allclose(gmm_exact_eps(policy, x, state, i), want,
                                        rtol=0.0, atol=1e-9 * np.abs(want).max())
 
-    def test_mode_means_once_per_distinct_state(self, monkeypatch):
+    def test_a_stack_that_repeats_its_states_matches_the_reference(self):
         """A stack that repeats its states, as the stacked ddpm draws do,
-        builds each state's mode means once; the next call of the same step
-        that asks for those states in another stack builds none."""
+        gives each group the bits of a call of its own."""
         policy = _three_mode_policy()
-        calls = []
-        chunk_mean = GmmMode.chunk_mean
-        monkeypatch.setattr(GmmMode, "chunk_mean",
-                            lambda mode, state, h: calls.append(1) or chunk_mean(mode, state, h))
         rng = np.random.default_rng(15)
         curr, prev = rng.standard_normal(2), rng.standard_normal(2)
         stack = np.repeat(np.stack([curr, prev]), 10, axis=0)
         x = rng.standard_normal((20, 3, 4, 2))
         steps = rng.integers(0, 100, size=20)
         got = gmm_exact_eps(policy, x, stack, steps)
-        assert len(calls) == 2 * len(policy.modes)
-        gmm_exact_eps(policy, x[:2], np.stack([curr, prev]), 7)
-        assert len(calls) == 2 * len(policy.modes)
-        gmm_exact_eps(policy, x[:2], np.stack([prev, rng.standard_normal(2)]), 7)
-        assert len(calls) == 3 * len(policy.modes)
         for g in range(20):
             assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], stack[g], steps[g]))
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors, score_log
-from sentinel.distances import (kde_bandwidth_max_eig, kl_forward, kl_reverse, median_heuristic,
-                                min_l2, mmd_rbf)
+from sentinel.distances import (PooledDistances, kde_bandwidth_max_eig, median_heuristic, min_l2,
+                                mmd_rbf)
 from sentinel.policy import ScenarioConfig, generate_rollout
 from sentinel.rollout import InvalidLogError
 from sentinel.stac import STAC_DETECTORS, ScoreSeries, detect_online, extract_overlap
@@ -211,8 +211,8 @@ def test_bandwidth_rule_reaches_every_step(rng):
         b1 = median_heuristic(pair.prev, pair.curr)
         b2 = kde_bandwidth_max_eig(pair.prev, pair.curr)
         expected["stac-mmd"].append(mmd_rbf(pair.prev, pair.curr, b1))
-        expected["stac-klf"].append(kl_forward(pair.prev, pair.curr, b2))
-        expected["stac-klr"].append(kl_reverse(pair.prev, pair.curr, b2))
+        expected["stac-klf"].append(PooledDistances(pair.prev, pair.curr).kl_forward(b2))
+        expected["stac-klr"].append(PooledDistances(pair.prev, pair.curr).kl_reverse(b2))
     assert {name: s.step_scores for name, s in series.items()} == expected
 
 
@@ -241,8 +241,8 @@ def test_every_step_equals_the_public_functions_on_overlaps_cut_by_hand(behavior
         y = chunks[:, :h - k, keep].reshape(batch, -1)
         expected["stac-mmd"].append(mmd_rbf(x, y, median_heuristic(x, y)))
         bandwidth = kde_bandwidth_max_eig(x, y)
-        expected["stac-klf"].append(kl_forward(x, y, bandwidth))
-        expected["stac-klr"].append(kl_reverse(x, y, bandwidth))
+        expected["stac-klf"].append(PooledDistances(x, y).kl_forward(bandwidth))
+        expected["stac-klr"].append(PooledDistances(x, y).kl_reverse(bandwidth))
         expected["min-l2"].append(min_l2(x[prev.executed_index], y))
     assert log.n_records == 6
     assert {name: s.step_scores for name, s in series.items()} == expected
