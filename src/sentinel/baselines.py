@@ -125,20 +125,20 @@ def _stitched_chunks(prev_record: InferenceRecord, curr_record: InferenceRecord)
     return np.concatenate([np.broadcast_to(prefix, (batch, k, prefix.shape[1])), suffix], axis=1)
 
 
-def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
+def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, states,
                      depths: Sequence[int]) -> np.ndarray:
     """Reverse-diffuse each noised[g, r] from schedule step depths[r] in one pass.
 
-    `noised` is (G, D, B, h, d) and is not written into; `state` is one
-    state for every group or a (G, sd) stack of one per group. The updates
-    are deterministic and act on every chunk independently, so the stack
-    runs the steps from max(depths) down to 0 once, and step j updates in
-    place the rows whose depth is at least j. Held depth-major, deepest
-    first, in one contiguous (D, G, B, h, d) copy, those are a leading
-    block, one (live depths * G, B, h, d) oracle call under the state stack
-    repeated per live depth. Lockstep scoring (`score_logs`) puts every log
-    of a battery in each call. The rows come back as (G, D, B, h, d) in the
-    order of `depths`.
+    `noised` is (G, D, B, h, d) and is not written into; `states` is a
+    (G, sd) stack of one state per group. The updates are deterministic and
+    act on every chunk independently, so the stack runs the steps from
+    max(depths) down to 0 once, and step j updates in place the rows whose
+    depth is at least j. Held depth-major, deepest first, in one contiguous
+    (D, G, B, h, d) copy, those are a leading block, one
+    (live depths * G, B, h, d) oracle call under the state stack repeated
+    per live depth. Lockstep scoring (`score_logs`) puts every log of a
+    battery in each call. The rows come back as (G, D, B, h, d) in the order
+    of `depths`.
     """
     alpha_bar = oracle.schedule.alpha_bar
     order = sorted(range(len(depths)), key=lambda r: -depths[r])
@@ -148,12 +148,12 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, state,
     for j in range(deepest_first[0], -1, -1):
         while n_live < len(order) and deepest_first[n_live] >= j:
             n_live += 1
-            live_state = state if np.ndim(state) == 1 else np.tile(state, (n_live, 1))
+            live_states = np.tile(states, (n_live, 1))
         ab_j = alpha_bar[j]
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
         x_live = x[:n_live].reshape((-1,) + x.shape[2:])
-        x_live -= (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * oracle.eps(x_live, live_state, j)
+        x_live -= (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * oracle.eps(x_live, live_states, j)
         x_live /= math.sqrt(alpha_j)
     return x.swapaxes(0, 1)[:, np.argsort(order)]
 

@@ -249,8 +249,13 @@ class BenchmarkConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         self.test_counts = {b: int(count) for b, count in self.test_counts.items()}
-        if self.monitor is not None and not self.scenario.record_frames:
+        scenario, monitor = self.scenario, self.monitor
+        if monitor is not None and not scenario.record_frames:
             raise ValueError("a monitor reads frame references: it needs scenario.record_frames")
+        if monitor is not None and not (scenario.execution_horizon * scenario.step_duration
+                                        <= monitor.checkpoint_fraction * scenario.task_time_limit):
+            raise ValueError(f"monitor.checkpoint_fraction {monitor.checkpoint_fraction!r} puts the "
+                             "checkpoint on record 0, at t = 0, where no prompt can be made")
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)

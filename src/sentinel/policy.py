@@ -61,16 +61,15 @@ class PolicyOracle(abc.ABC):
     schedule: NoiseSchedule
 
     @abc.abstractmethod
-    def eps(self, noised_chunk: np.ndarray, state: np.ndarray, i) -> np.ndarray:
+    def eps(self, noised_chunk: np.ndarray, states: np.ndarray, i) -> np.ndarray:
         """Predict the noise inside chunks re-noised to schedule step i.
 
-        `noised_chunk` has shape (..., h, action_dim) with any leading batch
-        dims; each chunk's prediction must not depend on the other rows, and
-        the array must not be written into. `state` is one state of shape
-        (sd,) for every chunk, or a (G, sd) stack of G states, one per leading
-        group: chunk noised_chunk[g, ...] is conditioned on state[g]. Likewise
-        `i` is one integer step for every chunk, or a (G,) integer array of
-        one step per leading group. Returns an array of the same shape, which
+        `noised_chunk` has shape (G, B, h, action_dim): G groups of B chunks
+        each, and each chunk's prediction must not depend on the other rows;
+        the array must not be written into. `states` is a (G, sd) stack of G
+        states, one per group: chunk noised_chunk[g, b] is conditioned on
+        states[g]. `i` is one integer step for every group, or a (G,) integer
+        array of one step per group. Returns an array of the same shape, which
         callers never write into, so it may be read-only or kept by the
         oracle. A policy's modes and schedule are fixed once it is built, so
         an implementation may compute what depends only on them, or on the
@@ -102,17 +101,6 @@ class GmmMode:
         if not 0.0 < self.gain <= 1.0:
             raise ValueError("gain must be in (0, 1]")
         self.attractor = np.asarray(self.attractor, dtype=np.float64).ravel()
-
-    def chunk_mean(self, state: np.ndarray, horizon: int) -> np.ndarray:
-        # Open-loop plan of an exponential approach: following the plan from
-        # `state` makes step j of the next plan coincide with step j+k of
-        # this one, which is what keeps nominal rollouts temporally
-        # consistent under re-planning. A (G, d) stack of states gives a
-        # (G, h, d) stack of plans, each row the bits of a call of its own.
-        state = np.asarray(state, dtype=np.float64)
-        delta = self.attractor - (state if state.ndim == 2 else state.ravel())
-        decay = self.gain * (1.0 - self.gain) ** np.arange(horizon)
-        return decay[:, None] * delta[..., None, :]
 
 
 def _sharpened(weights: np.ndarray, preferred: int, dominance: float) -> np.ndarray:
@@ -176,7 +164,7 @@ class SyntheticGmmPolicy(PolicyOracle):
                            for m in range(len(self.modes))]  # by preferred mode
         cdfs = [p.cumsum() for p in (self.base_weights, *self._sharpened)]  # as `choice`
         self._base_cdf, *self._sharpened_cdfs = (cdf / cdf[-1] for cdf in cdfs)
-        steps = np.arange(self.horizon)  # `chunk_mean`'s factors, stacked by mode:
+        steps = np.arange(self.horizon)  # `_mode_means`'s factors, stacked by mode:
         self._decays = np.stack([m.gain * (1.0 - m.gain) ** steps for m in self.modes])[..., None]
         self._attractors = np.stack([m.attractor for m in self.modes])[:, None, :]
         self._oracle_constants = _gmm_step_constants(self)
@@ -210,12 +198,21 @@ class SyntheticGmmPolicy(PolicyOracle):
             return mean[None] + noise * self.stall_noise, np.full(batch_size, -1)
         self._current_weights()  # redraws the preference under mode_resample
         assignments = _draw(self._rng, self._sharpened_cdfs[self.preferred_mode], batch_size)
-        means = self._decays * (self._attractors - state)  # as `chunk_mean`, (M, h, d)
+        means = self._mode_means(state[None])[:, 0]  # (M, h, d)
         chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]
         return chunks, assignments
 
-    def eps(self, noised_chunk, state, i) -> np.ndarray:
-        return gmm_exact_eps(self, noised_chunk, state, i)
+    def _mode_means(self, states: np.ndarray) -> np.ndarray:
+        """(M, G, h, d) mean chunk of each mode from each of a (G, sd) stack of states,
+        an open-loop plan of exponential approach: gain * (1 - gain) ** j * (attractor -
+        state) at step j. Following it k steps and re-planning gives its tail, which is
+        what keeps nominal rollouts temporally consistent under re-planning."""
+        if states.ndim != 2:
+            raise ValueError(f"states must be a (G, sd) stack, got shape {states.shape}")
+        return self._decays[:, None] * (self._attractors[:, None] - states[:, None, :])
+
+    def eps(self, noised_chunk, states, i) -> np.ndarray:
+        return gmm_exact_eps(self, noised_chunk, states, i)
 
     def encode(self, observation) -> np.ndarray:
         return np.asarray(observation, dtype=np.float64).ravel().copy()
@@ -241,28 +238,21 @@ def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
             np.stack([s2.T, log_norm.T, shrink.T])[..., None])
 
 
-def _gmm_mode_means(policy: SyntheticGmmPolicy, states: np.ndarray) -> np.ndarray:
-    """(M, G, V) flattened mode means of each of the G states, mode-major:
-    one `chunk_mean` broadcast over the stack per mode."""
-    return np.stack([m.chunk_mean(states, policy.horizon).reshape(states.shape[0], -1)
-                     for m in policy.modes])
-
-
-def _denoise_steps(i, n_steps: int) -> tuple[np.ndarray, bool]:
-    """Schedule step `i` as a (1,) array, or a 1-D step array as itself, and
-    whether `i` was an array of one step per group."""
+def _denoise_steps(i, n_steps: int, n_groups: int) -> np.ndarray:
+    """Schedule step `i`, one integer for every group or a (G,) integer array
+    of one step per group, as a (1,) or (G,) array."""
     steps = np.asarray(i)
     if steps.dtype.kind not in "iu" or steps.ndim > 1 or steps.size == 0:
         raise ValueError(f"denoise step {i!r} is not an integer or a 1-D integer array")
-    per_group = steps.ndim == 1
-    steps = steps.reshape(-1)
-    lo, hi = (steps.min(), steps.max()) if per_group else (steps[0], steps[0])
+    if steps.ndim == 1 and steps.size != n_groups:
+        raise ValueError(f"{steps.size} steps for {n_groups} states")
+    lo, hi = (steps.min(), steps.max()) if steps.ndim == 1 else (steps, steps)
     if lo < 0 or hi >= n_steps:
         raise ValueError(f"denoise step {lo if lo < 0 else hi} outside [0, {n_steps})")
-    return steps, per_group
+    return steps.reshape(-1)
 
 
-def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndarray:
+def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, states, i) -> np.ndarray:
     """Bayes-optimal noise prediction for the nominal mixture.
 
     Re-noising a GMM draw to schedule step i yields another GMM (means
@@ -271,36 +261,30 @@ def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, state, i) -> np.ndar
     blend of per-mode linear estimates, and the predicted noise follows as
     eps_hat = (x - sqrt(abar) * E[a0 | x]) / sqrt(1 - abar).
 
-    `state` is one state (sd,) or a (G, sd) stack of states, and `i` one
-    step or a (G,) array of steps, one per leading group of `noised_chunk`.
-    Each group gathers its step's constants and runs the scalar arithmetic
-    of a call of its own. The squared distances and responsibilities are
-    laid out mode-major, (M, n), and reduced over the leading mode axis.
-    Below 8 modes numpy sums that axis in the order it sums a row of the
-    (n, M) layout, so both give the same bits; from 8 modes on it sums a
-    row pairwise, and the two differ in the last bits. The per-mode posterior
-    means are built in the buffer of the differences, and the prediction in
-    the blend's: nothing is written into `noised_chunk`.
+    The arguments are those of `PolicyOracle.eps`. Each group gathers its
+    step's constants and runs the scalar arithmetic of a call of its own.
+    The squared distances and responsibilities are laid out mode-major,
+    (M, n), and reduced over the leading mode axis. Below 8 modes numpy sums
+    that axis in the order it sums a row of the (n, M) layout, so both give
+    the same bits; from 8 modes on it sums a row pairwise, and the two differ
+    in the last bits. The per-mode posterior means are built in the buffer of
+    the differences, and the prediction in the blend's: nothing is written
+    into `noised_chunk`.
     """
-    steps, per_group_step = _denoise_steps(i, policy.schedule.n_steps)
     log_weights, step_scalars, step_modes = policy._oracle_constants
     h, d = policy.horizon, policy.action_dim
     x = np.asarray(noised_chunk, dtype=np.float64)
     if x.shape[-2:] != (h, d):
         raise ValueError(f"noised chunk must end in shape ({h}, {d}), got {x.shape}")
-    state = np.asarray(state, dtype=np.float64)
-    states = state if state.ndim == 2 else state.ravel()[None]
-    n_groups = states.shape[0] if state.ndim == 2 else steps.size
-    if per_group_step and steps.size != n_groups:
-        raise ValueError(f"{steps.size} steps for {n_groups} states")
-    if (state.ndim == 2 or per_group_step) and (x.ndim < 3 or x.shape[0] != n_groups):
-        what = "states" if state.ndim == 2 else "steps"
-        raise ValueError(f"{n_groups} {what} need noised chunks of shape "
+    mu = policy._mode_means(np.asarray(states, dtype=np.float64))  # (M, G, h, d)
+    n_modes, n_groups = mu.shape[:2]
+    if x.ndim < 3 or x.shape[0] != n_groups:
+        raise ValueError(f"{n_groups} states need noised chunks of shape "
                          f"({n_groups}, ..., {h}, {d}), got {x.shape}")
-    lead = x.shape[:-2]
-    groups = x.reshape(n_groups, -1, h * d)  # (G, n/G, V)
-    mu = _gmm_mode_means(policy, states)[:, :, None, :]  # (M, G, 1, V)
-    n_modes, v = mu.shape[0], mu.shape[-1]
+    steps = _denoise_steps(i, policy.schedule.n_steps, n_groups)
+    lead, v = x.shape[:-2], h * d
+    groups = x.reshape(n_groups, -1, v)  # (G, n/G, V)
+    mu = mu.reshape(n_modes, n_groups, 1, v)
     sqrt_abar, sqrt_one_minus_abar = step_scalars.take(steps, axis=1)  # (G, 1, 1)
     s2, log_norm, shrink = step_modes.take(steps, axis=2)  # (M, G, 1)
     diff = groups - sqrt_abar * mu  # (M, G, n/G, V)

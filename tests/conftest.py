@@ -72,6 +72,13 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
+def mode_plan(mode, state, horizon: int) -> np.ndarray:
+    """(h, d) mean chunk of one `GmmMode` from one (d,) state, written out as
+    the reference formula: step j is gain * (1 - gain) ** j * (attractor - state)."""
+    decay = mode.gain * (1.0 - mode.gain) ** np.arange(horizon)
+    return decay[:, None] * (mode.attractor - np.asarray(state, dtype=np.float64))[None, :]
+
+
 def records_equal(a: InferenceRecord, b: InferenceRecord) -> bool:
     """Whether two records hold the same fields, arrays compared bit for bit."""
     if a.timestep != b.timestep or a.executed_index != b.executed_index:

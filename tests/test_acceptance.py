@@ -30,7 +30,7 @@ from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, MonitorResponse,
                           ResponseParseError, build_prompt, ensemble_vote,
                           parse_response)
 
-from conftest import empirical_fpr, make_log, make_record
+from conftest import empirical_fpr, make_log, make_record, mode_plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -242,7 +242,7 @@ def test_c09_denoising_loss_oracle():
         [GmmMode(weight=1.0, stddev=1e-12, attractor=np.array([1.5, -0.5]), gain=0.1)],
         horizon=3, action_dim=2)
     state = np.array([0.3, 0.2])
-    clean = point.modes[0].chunk_mean(state, 3)
+    clean = mode_plan(point.modes[0], state, 3)
     record = make_record(0, np.tile(clean, (4, 1, 1)))
     exact = _ddpm_loss([record.chunk_samples], state[None], point, 5, [0])[0]
 

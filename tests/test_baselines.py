@@ -17,7 +17,7 @@ from sentinel.policy import GmmMode, ScenarioConfig, SyntheticGmmPolicy, generat
 from sentinel.rollout import InvalidLogError, LogParseError, RolloutLog, read_log
 from sentinel.stac import STAC_DETECTORS
 
-from conftest import make_header, make_log, make_record
+from conftest import make_header, make_log, make_record, mode_plan
 
 
 def _point_mass_policy(attractor=(1.5, -0.5), horizon=3):
@@ -62,14 +62,14 @@ class TestDdpmLoss:
         vanishes (up to float error)."""
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
-        clean = policy.modes[0].chunk_mean(state, 3)
+        clean = mode_plan(policy.modes[0], state, 3)
         chunks = np.tile(clean, (4, 1, 1))
         assert _ddpm_loss([chunks], state[None], policy, 5, [0])[0] < 1e-10
 
     def test_off_distribution_state_scores_higher(self):
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
-        clean = policy.modes[0].chunk_mean(state, 3)
+        clean = mode_plan(policy.modes[0], state, 3)
         chunks = np.tile(clean, (4, 1, 1))
         good = _ddpm_loss([chunks], state[None], policy, 5, [0])[0]
         bad = _ddpm_loss([chunks], state[None] + 3.0, policy, 5, [0])[0]
@@ -114,7 +114,7 @@ class TestStitchedChunks:
         plan from the previous state, the stitched loss is zero too."""
         policy = _point_mass_policy(horizon=4)
         state = np.array([0.1, -0.2])
-        plan = policy.modes[0].chunk_mean(state, 6)  # long plan, split in two
+        plan = mode_plan(policy.modes[0], state, 6)  # long plan, split in two
         prev_chunks = np.tile(plan[:4], (2, 1, 1))
         curr_chunks = np.tile(plan[2:6], (2, 1, 1))
         prev = make_record(0, prev_chunks)
@@ -129,7 +129,7 @@ class TestReverseReconstruction:
         inverts the forward noising step for step."""
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
-        clean = np.tile(policy.modes[0].chunk_mean(state, 3), (2, 1, 1))
+        clean = np.tile(mode_plan(policy.modes[0], state, 3), (2, 1, 1))
         rng = np.random.default_rng(4)
         depths = (1, 10, 50)
         noised = np.empty((1, len(depths)) + clean.shape)
@@ -137,13 +137,13 @@ class TestReverseReconstruction:
             abar = policy.schedule.alpha_bar[depth]
             eps = rng.standard_normal(clean.shape)
             noised[0, r] = math.sqrt(abar) * clean + math.sqrt(1 - abar) * eps
-        for recon in _reverse_stacked(policy, noised, state, depths)[0]:
+        for recon in _reverse_stacked(policy, noised, state[None], depths)[0]:
             np.testing.assert_allclose(recon, clean, atol=1e-8)
 
     def test_reconstruction_score_zero_for_exact_oracle(self):
         policy = _point_mass_policy()
         state = np.array([0.3, 0.2])
-        chunks = np.tile(policy.modes[0].chunk_mean(state, 3), (3, 1, 1))
+        chunks = np.tile(mode_plan(policy.modes[0], state, 3), (3, 1, 1))
         assert _reconstruction([chunks], state[None], policy, (5, 20), [0])[0] < 1e-10
 
     def test_temporal_reconstruction_runs(self):
@@ -165,21 +165,22 @@ class _CountingOracle:
         self.calls = 0
         self.rows = 0
 
-    def eps(self, noised_chunk, state, i):
+    def eps(self, noised_chunk, states, i):
         self.calls += 1
         self.rows += math.prod(noised_chunk.shape[:-2])
-        return self.policy.eps(noised_chunk, state, i)
+        return self.policy.eps(noised_chunk, states, i)
 
 
 def _reference_reverse(oracle, noised, state, depth):
-    """The reverse pass step by step, one (B, h, d) batch per oracle call."""
+    """The reverse pass step by step, one (B, h, d) batch under one state per
+    oracle call, made as a stack of one."""
     alpha_bar = oracle.schedule.alpha_bar
     x = np.asarray(noised, dtype=np.float64)
     for j in range(depth, -1, -1):
         ab_j = alpha_bar[j]
         ab_prev = alpha_bar[j - 1] if j > 0 else 1.0
         alpha_j = ab_j / ab_prev
-        pred = oracle.eps(x, state, j)
+        pred = oracle.eps(x[None], state[None], j)[0]
         x = (x - (1.0 - alpha_j) / math.sqrt(1.0 - ab_j) * pred) / math.sqrt(alpha_j)
     return x
 
@@ -218,12 +219,11 @@ class TestStackedReconstruction:
         states = np.stack([log.records[1].embedding, log.records[0].embedding])
         rng = np.random.default_rng(1)
         noised = chunks + 0.3 * rng.standard_normal((2, len(depths)) + chunks.shape)
-        for state in (states[0], states):
-            got = _reverse_stacked(policy, noised, state, depths)
+        for stack in (states[[0, 0]], states):  # one state for both groups, then one each
+            got = _reverse_stacked(policy, noised, stack, depths)
             for g in range(2):
-                group_state = state if state.ndim == 1 else state[g]
                 for r, depth in enumerate(depths):
-                    want = _reference_reverse(policy, noised[g, r], group_state, depth)
+                    want = _reference_reverse(policy, noised[g, r], stack[g], depth)
                     assert np.array_equal(got[g, r], want), (g, depth)
 
     @pytest.mark.parametrize("depths", DEPTHS)
@@ -284,7 +284,7 @@ def _reference_ddpm_loss(chunks, state, oracle, n_noise_draws, rng_seed):
         eps = rng.standard_normal(chunks.shape)
         abar = oracle.schedule.alpha_bar[i]
         noised = math.sqrt(abar) * chunks + math.sqrt(1.0 - abar) * eps
-        pred = oracle.eps(noised, state, int(i))
+        pred = oracle.eps(noised[None], state[None], int(i))[0]
         total += float(np.mean(np.sum((eps - pred) ** 2, axis=(1, 2))))
     return total / n_noise_draws
 
@@ -322,8 +322,8 @@ class _ReadOnlyOracle:
         self.policy = policy
         self.schedule = policy.schedule
 
-    def eps(self, noised_chunk, state, i):
-        pred = self.policy.eps(noised_chunk, state, i)
+    def eps(self, noised_chunk, states, i):
+        pred = self.policy.eps(noised_chunk, states, i)
         pred.flags.writeable = False
         return pred
 
@@ -351,11 +351,11 @@ class TestOracleContract:
         noised = chunks + 0.3 * np.random.default_rng(2).standard_normal((2, 3) + chunks.shape)
         before = noised.copy()
         noised.flags.writeable = False  # a write into it raises
-        for state in (states[0], states):
-            got = _reverse_stacked(_ReadOnlyOracle(policy), noised, state, (5, 1, 9))
+        for stack in (states[[0, 0]], states):
+            got = _reverse_stacked(_ReadOnlyOracle(policy), noised, stack, (5, 1, 9))
             assert np.array_equal(noised, before)
             assert not np.shares_memory(got, noised)
-            assert np.array_equal(got, _reverse_stacked(policy, before, state, (5, 1, 9)))
+            assert np.array_equal(got, _reverse_stacked(policy, before, stack, (5, 1, 9)))
 
 
 class TestOnlineScorer:

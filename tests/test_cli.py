@@ -553,6 +553,24 @@ class TestEval:
         assert "record_frames" in error["message"]
         assert not (tmp_path / "r").exists()
 
+    def test_checkpoint_at_t0_is_config_error(self, capsys, tmp_path, monkeypatch):
+        """A monitor checkpoint that falls on record 0 (t = 0) of the default scenario
+        is refused before any rollout is generated, not after the battery is scored."""
+        def no_rollouts(*args, **kwargs):
+            raise AssertionError("rollout generated before the config was checked")
+
+        monkeypatch.setattr("sentinel.evaluation.generate_rollout", no_rollouts)
+        config = self._benchmark_config(tmp_path, scenario={},
+                                        monitor={"checkpoint_fraction": 0.06})
+        code = run_cli(["eval", "--config", config, "--out", tmp_path / "r"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert "checkpoint_fraction" in error["message"]
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("delta", 1.5), ("delta", 0), ("delta", "x"), ("delta", True),
         ("master_seed", "a"), ("master_seed", -1), ("master_seed", 1.5),

@@ -318,6 +318,20 @@ class TestBenchmarkConfig:
             _small_benchmark_config(scenario=scenario)
         assert _small_benchmark_config(scenario=scenario, monitor=None).monitor is None
 
+    def test_monitor_checkpoint_must_reach_the_second_record(self):
+        """The checkpoint is the last record at or under its time. Under k * dt / T
+        of the time limit that is record 0, at t = 0, which makes no prompt."""
+        scenario = ScenarioConfig()  # k * dt / T = 4 * 0.25 / 16 = 0.0625
+        with pytest.raises(ValueError, match=r"^monitor\.checkpoint_fraction 0\.06 puts the "
+                                             r"checkpoint on record 0, at t = 0"):
+            BenchmarkConfig(scenario=scenario, monitor=ScriptedMonitor(checkpoint_fraction=0.06))
+        config = BenchmarkConfig(scenario=scenario,
+                                 monitor=ScriptedMonitor(checkpoint_fraction=0.0625))
+        log = generate_rollout(scenario.build_policy(), scenario, seed=0)
+        assert vlm.checkpoint_record_indices(log, (0.06,)) == [0]
+        assert vlm.checkpoint_record_indices(log, (config.monitor.checkpoint_fraction,)) == [1]
+        assert config.monitor.verdict(log, np.random.default_rng(0)).source == "vlm"
+
     def test_numpy_counts_are_stored_as_python_ints(self):
         config = _small_benchmark_config(n_calibration=np.int64(6), master_seed=np.uint8(5),
                                          test_counts={"consistent": np.int32(3)})

@@ -10,7 +10,7 @@ from sentinel.policy import (BEHAVIORS, GmmMode, NoiseSchedule, ScenarioConfig,
                              SyntheticGmmPolicy, _draw, default_goal_label,
                              generate_rollout, gmm_exact_eps)
 
-from conftest import same_bits
+from conftest import mode_plan, same_bits
 
 
 def _two_mode_policy(behavior="consistent", seed=0, stddev=0.3, horizon=4):
@@ -45,38 +45,57 @@ class TestNoiseSchedule:
             NoiseSchedule(())
 
 
-class TestGmmMode:
-    def test_chunk_mean_exponential_approach(self):
+class TestModeMeans:
+    """The policy's one mode-mean formula, shared by the sampler and the oracle."""
+
+    def test_mode_means_exponential_approach(self):
         mode = GmmMode(weight=1.0, stddev=0.1, attractor=np.array([1.0, 0.0]),
                        gain=0.5)
-        mean = mode.chunk_mean(np.zeros(2), 3)
+        policy = SyntheticGmmPolicy([mode], horizon=3, action_dim=2)
+        mean = policy._mode_means(np.zeros((1, 2)))[0, 0]
         # steps shrink geometrically: g*delta, g(1-g)*delta, g(1-g)^2*delta
         np.testing.assert_allclose(mean[:, 0], [0.5, 0.25, 0.125])
         np.testing.assert_allclose(mean[:, 1], 0.0)
 
-    def test_chunk_mean_of_a_stack_is_each_row_bit_for_bit(self):
-        """A (G, d) stack of states gives (G, h, d) plans, each the one-state formula's bits."""
-        mode = GmmMode(weight=1.0, stddev=0.1, attractor=np.array([3.0, -1.0]), gain=0.07)
-        states = np.random.default_rng(3).standard_normal((5, 2)) * 10.0
-        decay = mode.gain * (1.0 - mode.gain) ** np.arange(6)
-        plans = mode.chunk_mean(states, 6)
-        assert plans.shape == (5, 6, 2)
-        for state, plan in zip(states, plans):
-            want = decay[:, None] * (mode.attractor - state)[None, :]
-            assert same_bits(plan, want)
-            assert same_bits(mode.chunk_mean(state, 6), want)
+    @pytest.mark.parametrize("n_states", [1, 3, 3000])
+    def test_mode_means_of_a_stack_are_each_row_bit_for_bit(self, n_states):
+        """A (G, d) stack of states gives (M, G, h, d) plans, each the bits of the
+        reference formula for its mode and state, and of a stack of one."""
+        policy = _three_mode_policy()
+        h = policy.horizon
+        states = np.random.default_rng(3).standard_normal((n_states, 2)) * 10.0
+        plans = policy._mode_means(states)
+        assert plans.shape == (3, n_states, h, 2)
+        for m, mode in enumerate(policy.modes):
+            want = np.stack([mode_plan(mode, state, h) for state in states])
+            assert same_bits(plans[m], want)
+        for g in range(min(n_states, 3)):
+            assert same_bits(policy._mode_means(states[g:g + 1])[:, 0], plans[:, g])
 
     def test_plan_is_replanning_consistent(self):
         """Executing k steps of the plan then re-planning reproduces the tail."""
         mode = GmmMode(weight=1.0, stddev=0.1, attractor=np.array([3.0, -1.0]),
                        gain=0.07)
-        state = np.array([0.2, 0.4])
         h, k = 8, 3
-        plan = mode.chunk_mean(state, h)
+        policy = SyntheticGmmPolicy([mode], horizon=h, action_dim=2)
+        state = np.array([0.2, 0.4])
+        plan = policy._mode_means(state[None])[0, 0]
         new_state = state + plan[:k].sum(axis=0)
-        replanned = mode.chunk_mean(new_state, h)
+        replanned = policy._mode_means(new_state[None])[0, 0]
         np.testing.assert_allclose(replanned[:h - k], plan[k:], atol=1e-12)
 
+    def test_refuses_a_single_state(self):
+        """The oracle takes a (G, sd) stack only: one (sd,) state is refused by name."""
+        policy = _two_mode_policy()
+        x = np.zeros((1, 5, 4, 2))
+        for call in (lambda s: gmm_exact_eps(policy, x, s, 3), lambda s: policy.eps(x, s, 3),
+                     policy._mode_means):
+            with pytest.raises(ValueError, match=r"^states must be a \(G, sd\) stack, "
+                                                 r"got shape \(2,\)$"):
+                call(np.zeros(2))
+
+
+class TestGmmMode:
     def test_validation(self):
         with pytest.raises(ValueError):
             GmmMode(weight=0.0, stddev=0.1, attractor=np.zeros(2))
@@ -205,13 +224,13 @@ class TestExactNoiseOracle:
                        gain=0.1)
         policy = SyntheticGmmPolicy([mode], horizon=3, action_dim=2)
         state = np.array([0.3, 0.2])
-        clean = mode.chunk_mean(state, 3)
+        clean = mode_plan(mode, state, 3)
         rng = np.random.default_rng(7)
         eps = rng.standard_normal((3, 2))
         i = 40
         abar = policy.schedule.alpha_bar[i]
         noised = math.sqrt(abar) * clean + math.sqrt(1 - abar) * eps
-        pred = gmm_exact_eps(policy, noised, state, i)
+        pred = gmm_exact_eps(policy, noised[None, None], state[None], i)[0, 0]
         np.testing.assert_allclose(pred, eps, atol=1e-10)
 
     def test_oracle_matches_quadrature_single_dim(self):
@@ -242,7 +261,7 @@ class TestExactNoiseOracle:
         post_mean = trapezoid(grid * post) / trapezoid(post)
         expected_eps = (x[0, 0] - math.sqrt(abar) * post_mean) / math.sqrt(1 - abar)
 
-        pred = gmm_exact_eps(policy, x, state, i)
+        pred = gmm_exact_eps(policy, x[None, None], state[None], i)[0, 0]
         assert pred[0, 0] == pytest.approx(expected_eps, abs=1e-6)
 
     def test_oracle_ignores_behavior(self):
@@ -251,23 +270,23 @@ class TestExactNoiseOracle:
         preds = []
         for behavior in BEHAVIORS:
             policy = _two_mode_policy(behavior=behavior)
-            preds.append(policy.eps(x, state, 10))
+            preds.append(policy.eps(x[None, None], state[None], 10))
         for p in preds[1:]:
             np.testing.assert_array_equal(p, preds[0])
 
     def test_oracle_batch_shape(self):
         policy = _two_mode_policy()
         x = np.random.default_rng(1).standard_normal((5, 4, 2))
-        pred = gmm_exact_eps(policy, x, np.zeros(2), 3)
-        assert pred.shape == (5, 4, 2)
+        pred = gmm_exact_eps(policy, x[None], np.zeros((1, 2)), 3)
+        assert pred.shape == (1, 5, 4, 2)
 
     def test_oracle_rejects_bad_step(self):
         policy = _two_mode_policy()
-        x = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            gmm_exact_eps(policy, x, np.zeros(2), -1)
-        with pytest.raises(ValueError):
-            gmm_exact_eps(policy, x, np.zeros(2), policy.schedule.n_steps)
+        x = np.zeros((1, 1, 4, 2))
+        with pytest.raises(ValueError, match="denoise step -1 outside"):
+            gmm_exact_eps(policy, x, np.zeros((1, 2)), -1)
+        with pytest.raises(ValueError, match="denoise step 100 outside"):
+            gmm_exact_eps(policy, x, np.zeros((1, 2)), policy.schedule.n_steps)
 
 
 def _reference_gmm_eps(policy, noised_chunk, state, i):
@@ -280,7 +299,7 @@ def _reference_gmm_eps(policy, noised_chunk, state, i):
     lead = x.shape[:-2]
     flat = x.reshape(-1, h * d)
     state = np.asarray(state, dtype=np.float64).ravel()
-    mu = np.stack([m.chunk_mean(state, h).ravel() for m in policy.modes])
+    mu = np.stack([mode_plan(m, state, h).ravel() for m in policy.modes])
     sig2 = np.array([m.stddev ** 2 for m in policy.modes])
     s2 = abar * sig2 + (1.0 - abar)
     v = flat.shape[1]
@@ -312,7 +331,7 @@ def _reference_sample_with_modes(policy, state, batch_size):
     weights = policy._current_weights()
     assignments = policy._rng.choice(len(policy.modes), p=weights, size=batch_size)
     chunks = np.empty((batch_size, h, d))
-    means = [mode.chunk_mean(state, h) for mode in policy.modes]
+    means = [mode_plan(mode, state, h) for mode in policy.modes]
     for b, m in enumerate(assignments):
         chunks[b] = means[m] + noise[b] * policy.modes[m].stddev
     return chunks, assignments
@@ -320,7 +339,8 @@ def _reference_sample_with_modes(policy, state, batch_size):
 
 class TestOracleAgainstReference:
     """gmm_exact_eps with its constants built once and its mode means broadcast
-    over a stack of states, against the same arithmetic rebuilt on every call."""
+    over a stack of states, against the same arithmetic rebuilt on every call
+    for one state; a reference state is a stack of one to the oracle."""
 
     POLICIES = {"attractor": lambda: _two_mode_policy(horizon=4), "three_mode": _three_mode_policy}
 
@@ -332,7 +352,7 @@ class TestOracleAgainstReference:
             x = rng.standard_normal(lead + (4, 2)) * 2.0
             state = rng.standard_normal(2)
             for i in (0, 1, 37, policy.schedule.n_steps - 1):
-                assert np.array_equal(gmm_exact_eps(policy, x, state, i),
+                assert np.array_equal(gmm_exact_eps(policy, x[None], state[None], i)[0],
                                       _reference_gmm_eps(policy, x, state, i))
 
     @pytest.mark.parametrize("kind", sorted(POLICIES))
@@ -356,17 +376,17 @@ class TestOracleAgainstReference:
         a, b = rng.standard_normal(2), rng.standard_normal(2)
         stack = np.stack([a, b])
         for state in (a, b, a, stack, a, stack[::-1], b, b):
-            assert np.array_equal(gmm_exact_eps(policy, x[:2], state, 20),
+            states = np.broadcast_to(state, (2, 2))  # one state for both groups, or one each
+            assert np.array_equal(gmm_exact_eps(policy, x[:2], states, 20),
                                   np.stack([_reference_gmm_eps(policy, x[g], s, 20)
-                                            for g, s in enumerate(np.broadcast_to(
-                                                state, (2, 2)))]))
+                                            for g, s in enumerate(states)]))
         # The same array object, changed in place, is a new state.
-        state = a.copy()
-        before = gmm_exact_eps(policy, x, state, 5)
+        state = a[None].copy()
+        before = gmm_exact_eps(policy, x[None], state, 5)
         state += 1.0
-        assert np.array_equal(gmm_exact_eps(policy, x, state, 5),
-                              _reference_gmm_eps(policy, x, state, 5))
-        assert not np.array_equal(before, gmm_exact_eps(policy, x, state, 5))
+        assert np.array_equal(gmm_exact_eps(policy, x[None], state, 5)[0],
+                              _reference_gmm_eps(policy, x, state[0], 5))
+        assert not np.array_equal(before, gmm_exact_eps(policy, x[None], state, 5))
 
     @pytest.mark.parametrize("kind", sorted(POLICIES))
     def test_one_step_per_group(self, kind):
@@ -380,12 +400,12 @@ class TestOracleAgainstReference:
             steps = rng.integers(0, n, size=lead[0])
             steps[0] = n - 1
             states = rng.standard_normal((lead[0], 2))
-            for state in (states[0], states):
-                got = gmm_exact_eps(policy, x, state, steps)
+            for stack in (np.broadcast_to(states[0], states.shape), states):
+                got = gmm_exact_eps(policy, x, stack, steps)
                 assert got.shape == x.shape
                 for g in range(lead[0]):
-                    s = state if state.ndim == 1 else state[g]
-                    assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], s, steps[g]))
+                    assert np.array_equal(got[g], _reference_gmm_eps(policy, x[g], stack[g],
+                                                                     steps[g]))
 
     @pytest.mark.parametrize("n_modes", [8, 12])
     def test_eight_modes_or_more_agree_within_tolerance(self, n_modes):
@@ -398,7 +418,7 @@ class TestOracleAgainstReference:
         for i in (0, 10, 50, 99):
             x, state = rng.standard_normal((64, 4, 2)) * 2.0, rng.standard_normal(2)
             want = _reference_gmm_eps(policy, x, state, i)
-            np.testing.assert_allclose(gmm_exact_eps(policy, x, state, i), want,
+            np.testing.assert_allclose(gmm_exact_eps(policy, x[None], state[None], i)[0], want,
                                        rtol=0.0, atol=1e-9 * np.abs(want).max())
 
     def test_a_stack_that_repeats_its_states_matches_the_reference(self):
@@ -421,7 +441,7 @@ class TestOracleAgainstReference:
         policy = _two_mode_policy(horizon=4)
         x = np.zeros((2, 3, 4, 2))
         with pytest.raises(ValueError, match="(?s)denoise step .* not an integer"):
-            gmm_exact_eps(policy, x, np.zeros(2), bad)
+            gmm_exact_eps(policy, x[:1], np.zeros((1, 2)), bad)
         with pytest.raises(ValueError, match="(?s)denoise step .* not an integer"):
             gmm_exact_eps(policy, x, np.zeros((2, 2)), bad)
 
@@ -432,7 +452,7 @@ class TestOracleAgainstReference:
         for bad, named in [(np.array([0, -2, 3]), -2), (np.array([1, n, 2]), n),
                            (np.array([n + 4, 0, -1]), -1)]:
             with pytest.raises(ValueError, match=f"denoise step {named} outside"):
-                gmm_exact_eps(policy, x, np.zeros(2), bad)
+                gmm_exact_eps(policy, x, np.zeros((3, 2)), bad)
 
     def test_step_count_must_match_groups(self):
         policy = _two_mode_policy(horizon=4)
@@ -440,10 +460,10 @@ class TestOracleAgainstReference:
             gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((3, 2)), np.array([1, 2]))
         with pytest.raises(ValueError, match="1 steps for 3 states"):
             gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((3, 2)), np.array([1]))
-        with pytest.raises(ValueError, match="2 steps need noised chunks"):
-            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros(2), np.array([1, 2]))
-        with pytest.raises(ValueError, match="2 steps need noised chunks"):
-            gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros(2), np.array([1, 2]))
+        with pytest.raises(ValueError, match="2 states need noised chunks"):
+            gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((2, 2)), np.array([1, 2]))
+        with pytest.raises(ValueError, match="2 states need noised chunks"):
+            gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros((2, 2)), np.array([1, 2]))
 
     def test_group_count_must_match_states(self):
         policy = _two_mode_policy(horizon=4)
@@ -473,7 +493,7 @@ class TestOracleInputSafety:
             assert not x.flags.c_contiguous
             x.flags.writeable = False
             before = x.copy()
-            for state, i in [(rng.standard_normal(2), 37),
+            for state, i in [(np.broadcast_to(rng.standard_normal(2), (3, 2)), 37),
                              (rng.standard_normal((3, 2)), 0),
                              (rng.standard_normal((3, 2)), np.array([99, 5, 50]))]:
                 got = gmm_exact_eps(policy, x, state, i)

@@ -1,4 +1,4 @@
-"""Every public name of the package is used by a program, not only by tests.
+"""Every name the package defines is used by a program, not only by tests.
 
 An AST scan of `src/sentinel/*.py` lists each public module-level function
 and class and each public method of a public class, and of every Python file
@@ -9,7 +9,10 @@ counts as used when some other top-level statement names it; its own body
 and signature do not count. A method counts as used when any program names
 it, its own class included, so one called only by its class's other methods
 is used. Methods are matched by name alone: one that shares its name with
-an attribute some program reads counts as used.
+an attribute some program reads counts as used. The same rules hold for
+private names: each private module-level function and class, and each
+private method of any module-level class (dunder methods aside), so a helper
+left behind by a refactor is found.
 
 README's inline call forms of the scoring entry points are checked against
 their signatures too, so the documented parameters cannot drift from the code,
@@ -30,22 +33,30 @@ PROGRAM_DIRS = ("src", "demos", "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _public_definitions():
-    """(module, name) of every public module-level function and class."""
+def _is_public(name):
+    return not name.startswith("_")
+
+
+def _is_private(name):  # a dunder method is called by the language, not by name
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _definitions(kept):
+    """(module, name) of every module-level function and class whose name is `kept`."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            if isinstance(node, DEFINITIONS) and kept(node.name):
                 yield path.stem, node.name
 
 
-def _public_methods():
-    """(class, method) of every public method of a public module-level class."""
+def _methods(kept, of_class):
+    """(class, method) of every method whose name is `kept` of a module-level class
+    whose name is `of_class`."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef) and of_class(node.name):
                 for item in node.body:
-                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not item.name.startswith("_")):
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and kept(item.name):
                         yield node.name, item.name
 
 
@@ -75,27 +86,42 @@ def _uses():
     return uses
 
 
+def _unnamed(definitions, methods, uses):
+    """Each definition no other top-level statement of a program names, and each method
+    no program names."""
+    unused = [f"{module}.{name}" for module, name in definitions
+              if not uses.get(name, set()) - {(PACKAGE / f"{module}.py", name)}]
+    return unused + [f"{cls}.{name}" for cls, name in methods if name not in uses]
+
+
 def test_every_public_definition_is_named_by_a_program():
-    definitions = list(_public_definitions())
+    definitions = list(_definitions(_is_public))
     uses = _uses()
     # The scan reads the package and the demos, so an empty result means
     # what it says.
     assert ("baselines", "score_log") in definitions
     assert any(path.parent.name == "demos" for path, _ in uses["score_log"])
-    unused = []
-    for module, name in definitions:
-        own = PACKAGE / f"{module}.py"
-        if not {use for use in uses.get(name, ()) if use != (own, name)}:
-            unused.append(f"{module}.{name}")
+    unused = _unnamed(definitions, [], uses)
     assert unused == [], f"public but named by no program, only by tests: {unused}"
 
 
 def test_every_public_method_is_named_by_a_program():
-    methods = list(_public_methods())
-    uses = _uses()
+    methods = list(_methods(_is_public, of_class=_is_public))
     assert ("OnlineScorer", "push") in methods
-    unused = [f"{cls}.{name}" for cls, name in methods if name not in uses]
+    unused = _unnamed([], methods, _uses())
     assert unused == [], f"public methods named by no program, only by tests: {unused}"
+
+
+def test_every_private_definition_is_named_by_a_program():
+    """No private function, class or method is dead code that only tests call. The
+    scan reads the package's definitions only, not perfbench's own."""
+    definitions = list(_definitions(_is_private))
+    methods = list(_methods(_is_private, of_class=lambda name: True))
+    assert ("policy", "_gmm_step_constants") in definitions
+    assert ("SyntheticGmmPolicy", "_mode_means") in methods
+    assert ("OnlineScorer", "__init__") not in methods
+    unused = _unnamed(definitions, methods, _uses())
+    assert unused == [], f"private but named by no program, only by tests: {unused}"
 
 
 SCORING_ENTRY_POINTS = ("OnlineScorer", "score_logs", "score_detectors", "score_log")
