@@ -38,6 +38,10 @@ PAIRWISE_DETECTORS = STAC_DETECTORS + ("ddpm-temporal", "recon-temporal")
 NOISE_DRAWS = 10
 DEPTHS = (5, 10, 25, 50)
 
+# The most chunk rows one oracle call carries: a battery's chunk sets are scored
+# in slices of whole sets under it, and a set larger than it goes alone.
+ORACLE_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class EmbeddingStats:
@@ -100,7 +104,7 @@ def _mean_over_draws(errors: np.ndarray) -> list[float]:
 
 
 def _ddpm_loss(chunk_sets, states, oracle, n_noise_draws, rng_seeds) -> list[float]:
-    """Denoising loss of each (B, h, d) chunk set, all from one oracle call.
+    """Denoising loss of each (B, h, d) chunk set, from one oracle call.
 
     Each of the n_noise_draws (i, eps) pairs (`_renoised`) re-noises the
     whole set to schedule step i and measures the squared error of the
@@ -136,9 +140,9 @@ def _reverse_stacked(oracle: PolicyOracle, noised: np.ndarray, states,
     depth is at least j. Held depth-major, deepest first, in one contiguous
     (D, G, B, h, d) copy, those are a leading block, one
     (live depths * G, B, h, d) oracle call under the state stack repeated
-    per live depth. Lockstep scoring (`score_logs`) puts every log of a
-    battery in each call. The rows come back as (G, D, B, h, d) in the order
-    of `depths`.
+    per live depth; lockstep scoring (`_push_lockstep`) keeps it within
+    ORACLE_ROWS rows. The rows come back as (G, D, B, h, d) in the order of
+    `depths`.
     """
     alpha_bar = oracle.schedule.alpha_bar
     order = sorted(range(len(depths)), key=lambda r: -depths[r])
@@ -278,21 +282,21 @@ class OnlineScorer:
         if set(self._stac) - {"min-l2"}:  # import scipy here, not in a pushed step's budget
             _cdist()
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
-        # The oracle families the roster names: base detector, batched loss,
-        # oracle and the loss's per-step parameter, checked here once.
+        # The oracle families the roster names: base detector, batched loss, oracle,
+        # the loss's per-step parameter, checked here once, and oracle rows per chunk.
         oracle_names = [name for name in self.names if name in ORACLE_DETECTORS]
         if oracle_names and oracle is None:
             raise ValueError("a policy oracle (the oracle argument) is needed by "
                              + ", ".join(oracle_names))
         self._families = []
         if "ddpm" in self.names or "ddpm-temporal" in self.names:
-            self._families.append(("ddpm", _ddpm_loss, oracle, NOISE_DRAWS))
+            self._families.append(("ddpm", _ddpm_loss, oracle, NOISE_DRAWS, NOISE_DRAWS))
         if "recon" in self.names or "recon-temporal" in self.names:
             n_steps = oracle.schedule.n_steps
             for depth in DEPTHS:
                 if not 1 <= depth < n_steps:
                     raise ValueError(f"depth {depth} outside [1, {n_steps})")
-            self._families.append(("recon", _reconstruction, oracle, DEPTHS))
+            self._families.append(("recon", _reconstruction, oracle, DEPTHS, len(DEPTHS)))
         if "mahalanobis" in self.names and self.ctx.embedding_stats is None:
             raise ValueError("mahalanobis needs calibrated embedding stats")
         self._cumulative = dict.fromkeys(self.names, 0.0)
@@ -351,10 +355,13 @@ def _push_lockstep(pushes: dict) -> dict:
     """One inference step over many logs: push each {index: (scorer, record)}.
 
     Each log scores its own detectors, then each oracle family scores the
-    members of every log in one call per chunk-set shape. Returns {index:
-    what `push` returns}. A ValueError about one log's record carries its
-    index as `log_index`, and one from an oracle call the index of the
-    call's first log; no scorer moves on unless every log's step scores.
+    members of every log per chunk-set shape, in calls of as many whole sets
+    as ORACLE_ROWS holds (B rows per draw or depth; a larger set goes alone):
+    each call's draws and temporaries are freed before the next, and no bit
+    changes. Returns {index: what `push` returns}. A ValueError about one
+    log's record carries its index as `log_index`, and one from an oracle
+    call the index of the call's first log; no scorer moves on unless every
+    log's step scores.
     """
     steps, calls = {}, {}
     for index, (scorer, record) in pushes.items():
@@ -366,15 +373,17 @@ def _push_lockstep(pushes: dict) -> dict:
         for family, name, chunks, state, seed in members:
             calls.setdefault((family, chunks.shape), []).append(
                 (index, steps[index], name, chunks, state, seed))
-    for ((_, loss, oracle, param), _), members in calls.items():
-        indexes, outs, names, sets, states, seeds = zip(*members)
-        try:  # e.g. an oracle that refuses the call's chunk shape, for every log in it
-            values = loss(sets, np.stack(states), oracle, param, seeds)
-        except ValueError as exc:
-            exc.log_index = indexes[0]
-            raise
-        for out, name, value in zip(outs, names, values):
-            out[name] = value
+    for ((_, loss, oracle, param, draws), (batch, _, _)), members in calls.items():
+        per_call = max(1, ORACLE_ROWS // (batch * draws))
+        for start in range(0, len(members), per_call):
+            indexes, outs, names, sets, states, seeds = zip(*members[start:start + per_call])
+            try:  # e.g. an oracle that refuses the call's chunk shape, for every log in it
+                values = loss(sets, np.stack(states), oracle, param, seeds)
+            except ValueError as exc:
+                exc.log_index = indexes[0]
+                raise
+            for out, name, value in zip(outs, names, values):
+                out[name] = value
     return {index: scorer._advance(record, steps[index])
             for index, (scorer, record) in pushes.items()}
 

@@ -29,7 +29,7 @@ from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
 from .policy import ScenarioConfig, default_goal_label, generate_rollout
 from .rollout import LOG_SUFFIX, _scalar, read_log, write_log
 from .vlm import (TEMPLATE_IDS, VARIANT_TEMPLATES, HttpTransport, MockTransport,
-                  MonitorError, monitor_log)
+                  MonitorError, checkpoint_record_indices, monitor_log)
 
 # Scenario names map onto sampling behaviors; "nominal" is the calibration
 # distribution.
@@ -342,6 +342,10 @@ def cmd_vlm(args) -> int:
         raise CliError("--aux-frames is required for the comparison prompt variants",
                        kind="usage", code=2)
     log = _read_log_or_fail(args.log)
+    try:  # a checkpoint that makes no prompt is refused before any monitor request
+        checkpoint_record_indices(log)
+    except ValueError as exc:
+        raise CliError(f"{args.log}: {exc}", kind="log") from exc
     results, detection_timestep = monitor_log(log, transport, templates, nu=args.nu,
                                               auxiliary_frames=aux)
     final = "ok" if detection_timestep is None else "failure"

@@ -25,7 +25,7 @@ from .calibration import (DEFAULT_DELTA, conformal_threshold,
 from .policy import BEHAVIORS, ScenarioConfig, generate_rollout
 from .rollout import RolloutLog, _check_scalar_fields, _json_fields
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
-from .vlm import MockTransport, monitor_log
+from .vlm import MockTransport, checkpoint_budget, monitor_log
 
 
 def detector_source(name: str) -> str:
@@ -252,10 +252,11 @@ class BenchmarkConfig:
         scenario, monitor = self.scenario, self.monitor
         if monitor is not None and not scenario.record_frames:
             raise ValueError("a monitor reads frame references: it needs scenario.record_frames")
-        if monitor is not None and not (scenario.execution_horizon * scenario.step_duration
-                                        <= monitor.checkpoint_fraction * scenario.task_time_limit):
-            raise ValueError(f"monitor.checkpoint_fraction {monitor.checkpoint_fraction!r} puts the "
-                             "checkpoint on record 0, at t = 0, where no prompt can be made")
+        if monitor is not None:
+            try:
+                checkpoint_budget(monitor.checkpoint_fraction, scenario)
+            except ValueError as exc:
+                raise ValueError(f"monitor.{exc}") from None
 
     def to_json_obj(self) -> dict:
         obj = asdict(self)

@@ -135,18 +135,7 @@ class SyntheticGmmPolicy(PolicyOracle):
                  behavior: str = "consistent", seed: int = 0, dominance: float = 0.9,
                  stall_noise: float = 1e-4, drift_step: Optional[Sequence[float]] = None,
                  schedule: Optional[NoiseSchedule] = None):
-        if behavior not in BEHAVIORS:
-            raise ValueError(f"behavior must be one of {BEHAVIORS}")
-        if not modes:
-            raise ValueError("need at least one mode")
-        total = sum(m.weight for m in modes)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mode weights must sum to 1, got {total}")
-        if not 0.0 < dominance < 1.0:
-            raise ValueError("dominance must be in (0, 1)")
-        for mode in modes:
-            if mode.attractor.shape[0] != action_dim:
-                raise ValueError("mode attractor dimension != action_dim")
+        _check_policy_args(modes, action_dim, behavior, dominance, drift_step)
         self.modes = list(modes)
         self.horizon = int(horizon)
         self.action_dim = int(action_dim)
@@ -155,8 +144,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         self.stall_noise = float(stall_noise)
         self.drift_step = (np.zeros(action_dim) if drift_step is None
                            else np.asarray(drift_step, dtype=np.float64).ravel())
-        if self.drift_step.shape[0] != action_dim:
-            raise ValueError("drift_step dimension != action_dim")
         self.schedule = schedule or NoiseSchedule.default_linear()
         self.base_weights = np.array([m.weight for m in self.modes])
         self._stddevs = np.array([m.stddev for m in self.modes])
@@ -203,12 +190,12 @@ class SyntheticGmmPolicy(PolicyOracle):
         return chunks, assignments
 
     def _mode_means(self, states: np.ndarray) -> np.ndarray:
-        """(M, G, h, d) mean chunk of each mode from each of a (G, sd) stack of states,
+        """(M, G, h, d) mean chunk of each mode from each of a (G, d) stack of states,
         an open-loop plan of exponential approach: gain * (1 - gain) ** j * (attractor -
         state) at step j. Following it k steps and re-planning gives its tail, which is
         what keeps nominal rollouts temporally consistent under re-planning."""
-        if states.ndim != 2:
-            raise ValueError(f"states must be a (G, sd) stack, got shape {states.shape}")
+        if states.ndim != 2 or states.shape[1] != self.action_dim:
+            raise ValueError(f"states must be a (G, {self.action_dim}) stack, got shape {states.shape}")
         return self._decays[:, None] * (self._attractors[:, None] - states[:, None, :])
 
     def eps(self, noised_chunk, states, i) -> np.ndarray:
@@ -216,6 +203,24 @@ class SyntheticGmmPolicy(PolicyOracle):
 
     def encode(self, observation) -> np.ndarray:
         return np.asarray(observation, dtype=np.float64).ravel().copy()
+
+
+def _check_policy_args(modes, action_dim: int, behavior: str, dominance: float, drift_step):
+    """The rules of `SyntheticGmmPolicy`'s arguments, which a scenario runs too."""
+    if behavior not in BEHAVIORS:
+        raise ValueError(f"behavior must be one of {BEHAVIORS}")
+    if not modes:
+        raise ValueError("need at least one mode")
+    total = sum(m.weight for m in modes)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"mode weights must sum to 1, got {total}")
+    if not 0.0 < dominance < 1.0:
+        raise ValueError("dominance must be in (0, 1)")
+    for mode in modes:
+        if mode.attractor.shape[0] != action_dim:
+            raise ValueError("mode attractor dimension != action_dim")
+    if drift_step is not None and np.size(drift_step) != action_dim:
+        raise ValueError("drift_step dimension != action_dim")
 
 
 def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
@@ -354,10 +359,12 @@ class ScenarioConfig:
                 named += [(f"{name}[{i}]", v) for i, v in enumerate(value)]
             elif isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        # Build what a run builds once, so that geometry no rollout could
-        # follow is refused here, by the rules of the header and the policy.
+        # Refuse here geometry no rollout could follow, by the rules of what a run
+        # builds: the header, the modes, the policy and its schedule (no policy is built).
         self.header()
-        self.build_policy()
+        _check_policy_args(self._modes(), self.action_dim, "consistent", self.dominance,
+                           self.drift_step)
+        NoiseSchedule.default_linear(self.n_denoise_steps)
 
     def header(self) -> RolloutHeader:
         mask = self.action_mask if self.action_mask is not None else (True,) * self.action_dim
@@ -372,12 +379,13 @@ class ScenarioConfig:
             task_time_limit=self.task_time_limit,
         )
 
+    def _modes(self) -> list[GmmMode]:
+        return [GmmMode(weight=w, stddev=self.noise_std, attractor=np.array(a), gain=self.gain)
+                for w, a in zip(self.mode_weights, self.attractors)]
+
     def build_policy(self, behavior: str = "consistent", seed: int = 0) -> SyntheticGmmPolicy:
-        modes = [GmmMode(weight=w, stddev=self.noise_std,
-                         attractor=np.array(a), gain=self.gain)
-                 for w, a in zip(self.mode_weights, self.attractors)]
         return SyntheticGmmPolicy(
-            modes, horizon=self.prediction_horizon, action_dim=self.action_dim,
+            self._modes(), horizon=self.prediction_horizon, action_dim=self.action_dim,
             behavior=behavior, seed=seed, dominance=self.dominance,
             stall_noise=self.stall_noise, drift_step=self.drift_step,
             schedule=NoiseSchedule.default_linear(self.n_denoise_steps),

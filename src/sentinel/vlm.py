@@ -365,16 +365,27 @@ def ensemble_vote(responses: Sequence[MonitorResponse]) -> EnsembleVerdict:
     return EnsembleVerdict(votes=votes, decision=decision)
 
 
+def checkpoint_budget(fraction: float, geometry) -> float:
+    """Seconds a checkpoint at `fraction` of a log header's or scenario's time limit
+    reaches; refused under the first executed chunk's k * dt, where it meets t = 0."""
+    if not 0 < fraction <= 1:
+        raise ValueError("checkpoint fractions must be in (0, 1]")
+    limit, k_dt = geometry.task_time_limit, geometry.execution_horizon * geometry.step_duration
+    if not k_dt <= fraction * limit:
+        raise ValueError(f"checkpoint_fraction {fraction!r} puts the checkpoint on record 0, "
+                         f"at t = 0: {fraction!r} of the {limit!r} s time limit is under "
+                         f"k * dt = {k_dt!r} s")
+    return fraction * limit
+
+
 def checkpoint_record_indices(log: RolloutLog,
                               fractions: Sequence[float] = DEFAULT_CHECKPOINT_FRACTIONS) -> list:
     """Record indices whose elapsed time is the last at or under each fraction
-    of the task time limit. Deduplicated, ascending."""
+    of the task time limit (`checkpoint_budget`). Deduplicated, ascending."""
     header = log.header
     out = []
     for fraction in fractions:
-        if not 0 < fraction <= 1:
-            raise ValueError("checkpoint fractions must be in (0, 1]")
-        budget = fraction * header.task_time_limit
+        budget = checkpoint_budget(fraction, header)
         out.append(max((j for j, record in enumerate(log.records)
                         if record.timestep * header.step_duration <= budget), default=0))
     return sorted(set(out))

@@ -157,17 +157,21 @@ class TestReverseReconstruction:
 
 
 class _CountingOracle:
-    """A policy oracle that counts its eps calls and the chunks they predict."""
+    """A policy oracle that counts its eps calls and the chunks they predict,
+    and keeps the most chunks of one call."""
 
     def __init__(self, policy):
         self.policy = policy
         self.schedule = policy.schedule
         self.calls = 0
         self.rows = 0
+        self.largest = 0
 
     def eps(self, noised_chunk, states, i):
+        rows = math.prod(noised_chunk.shape[:-2])
         self.calls += 1
-        self.rows += math.prod(noised_chunk.shape[:-2])
+        self.rows += rows
+        self.largest = max(self.largest, rows)
         return self.policy.eps(noised_chunk, states, i)
 
 
@@ -681,6 +685,57 @@ class TestScoreLogs:
         with pytest.raises(ValueError, match=rf"^trajectory seed {test_seed}: mahalanobis: "
                                              r"step score at index 2 must be finite"):
             run_benchmark(config)
+
+
+class TestOracleRowCap:
+    """`ORACLE_ROWS` slices a battery's oracle calls into whole chunk sets:
+    here each set is B * 3 rows for both families (3 draws, 3 depths)."""
+
+    BATCH, DRAWS, DEPTHS, N_LOGS = 8, 3, (4, 1, 2), 5
+
+    @pytest.fixture(autouse=True)
+    def _short_oracle(self, oracle_settings):
+        oracle_settings(draws=self.DRAWS, depths=self.DEPTHS)
+
+    def _scored(self, monkeypatch, cap):
+        """Score the battery's oracle detectors with ORACLE_ROWS = cap, through a
+        counting oracle: (oracle, every step score)."""
+        monkeypatch.setattr(baselines, "ORACLE_ROWS", cap)
+        config = ScenarioConfig(episode_limit=12, batch_size=self.BATCH)
+        policy = config.build_policy("mode_resample", seed=0)
+        logs = [generate_rollout(policy, config, seed=i) for i in range(self.N_LOGS)]
+        ctxs = [DetectorContext(seed=10 + i) for i in range(self.N_LOGS)]
+        oracle = _CountingOracle(config.build_policy())
+        battery = score_logs(ORACLE_DETECTORS, logs, ctxs, oracle)
+        return oracle, [series[name].step_scores for series in battery for name in series]
+
+    def _calls(self, sets_per_call):
+        """eps calls over the 3 records: per family, N_LOGS base sets at each step and
+        as many -temporal sets after the first, in calls of sets_per_call sets."""
+        calls = 0
+        for sets in (self.N_LOGS, 2 * self.N_LOGS, 2 * self.N_LOGS):
+            slices = -(-sets // sets_per_call)
+            calls += slices + slices * (max(self.DEPTHS) + 1)
+        return calls
+
+    @pytest.mark.parametrize("sets_per_call", [1, 2, 3])
+    def test_sliced_calls_give_the_uncapped_bits(self, monkeypatch, sets_per_call):
+        set_rows = self.BATCH * self.DRAWS
+        whole, uncapped = self._scored(monkeypatch, 10 ** 9)
+        assert whole.calls == self._calls(2 * self.N_LOGS)
+        assert whole.largest == 2 * self.N_LOGS * set_rows
+        sliced, capped = self._scored(monkeypatch, sets_per_call * set_rows + set_rows - 1)
+        assert sliced.largest == sets_per_call * set_rows
+        assert sliced.calls == self._calls(sets_per_call)
+        assert sliced.rows == whole.rows
+        assert capped == uncapped
+
+    def test_a_set_over_the_cap_goes_alone(self, monkeypatch):
+        whole, uncapped = self._scored(monkeypatch, 10 ** 9)
+        alone, capped = self._scored(monkeypatch, 1)
+        assert alone.largest == self.BATCH * self.DRAWS
+        assert alone.calls == self._calls(1)
+        assert capped == uncapped
 
 
 class TestOutputVariance:

@@ -15,6 +15,7 @@ from sentinel.calibration import (CalibrationResult, conformal_threshold,
                                   leave_trajectory_out_stats)
 from sentinel.policy import ScenarioConfig, SyntheticGmmPolicy
 from sentinel.rollout import LogParseError, read_log, write_log
+from sentinel.vlm import MockTransport
 
 from conftest import make_log, v1_text
 
@@ -609,6 +610,32 @@ class TestVlm:
                          "--fixtures", FIXTURES / "mock_vlm_failure"])
         assert again == 0
         assert capsys.readouterr().out == captured.out
+
+    def test_checkpoint_at_t0_is_log_error(self, capsys, tmp_path, monkeypatch):
+        """Half of a 1.5 s time limit is under the first executed chunk's 4 * 0.25 s, so
+        the default 0.5 checkpoint would fall on record 0, at t = 0: the log is refused,
+        naming the fraction, k * dt and the limit, before any monitor request."""
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(
+            {"episode_limit": 8, "execution_horizon": 4, "task_time_limit": 1.5}))
+        assert run_cli(["synth", "--scenario", "nominal", "--n", "1",
+                        "--out", tmp_path / "logs", "--config", config]) == 0
+        capsys.readouterr()
+
+        def no_request(*args):
+            raise AssertionError("monitor queried before the log was checked")
+
+        monkeypatch.setattr(MockTransport, "_send", no_request)
+        log_path = next((tmp_path / "logs").glob("*.jsonl"))
+        code = run_cli(["vlm", "--log", log_path, "--transport", "mock",
+                        "--fixtures", FIXTURES / "mock_vlm_failure"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "log", "message": (
+            f"{log_path}: checkpoint_fraction 0.5 puts the checkpoint on record 0, at t = 0: "
+            "0.5 of the 1.5 s time limit is under k * dt = 1.0 s")}
 
     def test_mock_ok_fixture_passes(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal

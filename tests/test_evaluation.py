@@ -328,7 +328,9 @@ class TestBenchmarkConfig:
         config = BenchmarkConfig(scenario=scenario,
                                  monitor=ScriptedMonitor(checkpoint_fraction=0.0625))
         log = generate_rollout(scenario.build_policy(), scenario, seed=0)
-        assert vlm.checkpoint_record_indices(log, (0.06,)) == [0]
+        with pytest.raises(ValueError, match=r"^checkpoint_fraction 0\.06 puts the checkpoint "
+                                             r"on record 0, at t = 0"):
+            vlm.checkpoint_record_indices(log, (0.06,))
         assert vlm.checkpoint_record_indices(log, (config.monitor.checkpoint_fraction,)) == [1]
         assert config.monitor.verdict(log, np.random.default_rng(0)).source == "vlm"
 

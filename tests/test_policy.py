@@ -90,9 +90,21 @@ class TestModeMeans:
         x = np.zeros((1, 5, 4, 2))
         for call in (lambda s: gmm_exact_eps(policy, x, s, 3), lambda s: policy.eps(x, s, 3),
                      policy._mode_means):
-            with pytest.raises(ValueError, match=r"^states must be a \(G, sd\) stack, "
+            with pytest.raises(ValueError, match=r"^states must be a \(G, 2\) stack, "
                                                  r"got shape \(2,\)$"):
                 call(np.zeros(2))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_refuses_a_stack_of_the_wrong_width(self, width):
+        """A stack one column narrower than action_dim 2 is refused, not broadcast
+        over both dimensions, and one wider by the same form, not a numpy error."""
+        policy = _two_mode_policy()
+        x = np.zeros((1, 5, 4, 2))
+        for call in (lambda s: gmm_exact_eps(policy, x, s, 3), lambda s: policy.eps(x, s, 3),
+                     policy._mode_means):
+            with pytest.raises(ValueError, match=r"^states must be a \(G, 2\) stack, "
+                                                 rf"got shape \(1, {width}\)$"):
+                call(np.full((1, width), 0.4))
 
 
 class TestGmmMode:

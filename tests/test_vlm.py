@@ -375,6 +375,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             checkpoint_record_indices(log, (1.5,))
 
+    def test_refuses_a_checkpoint_before_the_first_executed_chunk(self, rng):
+        """At 0.25 of the 8 s limit, 2 s, the checkpoint is record 1, at t = k = 2
+        (k * dt = 1 s); under 1/8 of it, it would be record 0, at t = 0."""
+        log = make_log(header=make_header(episode_limit=16, task_time_limit=8.0),
+                       n_records=8, batch_size=2, rng=rng)
+        assert checkpoint_record_indices(log, (0.125, 0.25)) == [1, 2]
+        with pytest.raises(ValueError, match=r"^checkpoint_fraction 0\.1 puts the checkpoint on "
+                                             r"record 0, at t = 0: "
+                                             r"0\.1 of the 8\.0 s time limit is under "
+                                             r"k \* dt = 1\.0 s$"):
+            checkpoint_record_indices(log, (0.1, 1.0))
+
     def test_prompt_from_log(self, rng):
         header = make_header(episode_limit=16, task_time_limit=8.0)
         log = make_log(header=header, n_records=8, batch_size=2, rng=rng)
