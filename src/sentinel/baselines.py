@@ -38,8 +38,7 @@ PAIRWISE_DETECTORS = STAC_DETECTORS + ("ddpm-temporal", "recon-temporal")
 NOISE_DRAWS = 10
 DEPTHS = (5, 10, 25, 50)
 
-# The most chunk rows one oracle call carries: a battery's chunk sets are scored
-# in slices of whole sets under it, and a set larger than it goes alone.
+# The most chunk rows in one oracle call; 2048 is near the oracle's least time per row.
 ORACLE_ROWS = 2048
 
 
@@ -356,12 +355,11 @@ def _push_lockstep(pushes: dict) -> dict:
 
     Each log scores its own detectors, then each oracle family scores the
     members of every log per chunk-set shape, in calls of as many whole sets
-    as ORACLE_ROWS holds (B rows per draw or depth; a larger set goes alone):
-    each call's draws and temporaries are freed before the next, and no bit
-    changes. Returns {index: what `push` returns}. A ValueError about one
-    log's record carries its index as `log_index`, and one from an oracle
-    call the index of the call's first log; no scorer moves on unless every
-    log's step scores.
+    as ORACLE_ROWS holds (B rows per draw or depth; a larger set goes alone),
+    which changes no bit. Returns {index: what `push` returns}. A ValueError
+    about one log's record carries its index as `log_index`, and one from an
+    oracle call the index of the call's first log; no scorer moves on unless
+    every log's step scores.
     """
     steps, calls = {}, {}
     for index, (scorer, record) in pushes.items():

@@ -366,8 +366,8 @@ def ensemble_vote(responses: Sequence[MonitorResponse]) -> EnsembleVerdict:
 
 
 def checkpoint_budget(fraction: float, geometry) -> float:
-    """Seconds a checkpoint at `fraction` of a log header's or scenario's time limit
-    reaches; refused under the first executed chunk's k * dt, where it meets t = 0."""
+    """Seconds a checkpoint at `fraction` of the time limit reaches, for a log header or
+    a scenario; refused under k * dt, where the checkpoint would be record 0, at t = 0."""
     if not 0 < fraction <= 1:
         raise ValueError("checkpoint fractions must be in (0, 1]")
     limit, k_dt = geometry.task_time_limit, geometry.execution_horizon * geometry.step_duration
