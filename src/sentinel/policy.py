@@ -162,11 +162,6 @@ class SyntheticGmmPolicy(PolicyOracle):
         self._rng = rng
         self.preferred_mode = int(_draw(self._rng, self._base_cdf))
 
-    def _current_weights(self) -> np.ndarray:
-        if self.behavior == "mode_resample":
-            self.preferred_mode = int(_draw(self._rng, self._base_cdf))
-        return self._sharpened[self.preferred_mode]
-
     def sample_with_modes(self, state, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw batch_size chunks of shape (B, h, action_dim) and their mode assignments.
 
@@ -183,7 +178,8 @@ class SyntheticGmmPolicy(PolicyOracle):
         if self.behavior == "drift":
             mean = np.tile(self.drift_step, (h, 1))
             return mean[None] + noise * self.stall_noise, np.full(batch_size, -1)
-        self._current_weights()  # redraws the preference under mode_resample
+        if self.behavior == "mode_resample":  # a new preference at every inference step
+            self.preferred_mode = int(_draw(self._rng, self._base_cdf))
         assignments = _draw(self._rng, self._sharpened_cdfs[self.preferred_mode], batch_size)
         means = self._mode_means(state[None])[:, 0]  # (M, h, d)
         chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]

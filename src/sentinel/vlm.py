@@ -2,9 +2,9 @@
 
 Builds structured video-QA prompts from rollout frame references, sends them
 through a pluggable transport (scripted mock or HTTP chat endpoint), parses
-the bracketed response block, and majority-votes prompt ensembles. Monitor
-infrastructure problems (timeouts, transport failures, malformed responses)
-raise; they are never converted into ok/failure verdicts.
+each reply into its ok/failure vote, and majority-votes prompt ensembles.
+Monitor infrastructure problems (timeouts, transport failures, malformed
+responses) raise; they are never converted into ok/failure verdicts.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ DEFAULT_CHECKPOINT_FRACTIONS = (0.5, 1.0)
 _START_MARKER = "[start of output]"
 _END_MARKER = "[end of output]"
 _ASSESSMENT_RE = re.compile(r"^\s*overall assessment:(?P<token>.*)$", re.IGNORECASE)
+VOTES = ("ok", "failure")
 
 
 class MonitorError(Exception):
@@ -90,36 +91,6 @@ class MonitorPrompt:
             raise ValueError(f"{self.template_id} does not take auxiliary frames")
 
 
-@dataclass(frozen=True)
-class MonitorResponse:
-    raw_text: str
-    questions: str
-    answers: str
-    analysis: str
-    assessment: str
-
-    def __post_init__(self):
-        if self.assessment not in ("ok", "failure"):
-            raise ValueError("assessment must be 'ok' or 'failure'")
-
-
-@dataclass(frozen=True)
-class EnsembleVerdict:
-    votes: tuple
-    decision: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "votes", tuple(self.votes))
-        if len(self.votes) % 2 == 0 or not self.votes:
-            raise ValueError("ensemble needs an odd number of votes")
-        for vote in self.votes:
-            if vote not in ("ok", "failure"):
-                raise ValueError(f"invalid vote {vote!r}")
-        majority = "failure" if self.votes.count("failure") > len(self.votes) // 2 else "ok"
-        if self.decision != majority:
-            raise ValueError("decision must be the majority vote")
-
-
 def subsample_frames(frame_refs: Sequence, nu: int) -> list:
     """Frames at indices 0, nu, 2*nu, ... plus the final frame."""
     if not frame_refs:
@@ -157,29 +128,12 @@ def build_prompt(p: MonitorPrompt) -> str:
     return text
 
 
-def _section(block: str, label: str, stop_labels: Sequence[str]) -> str:
-    lines = block.splitlines()
-    start = None
-    for i, line in enumerate(lines):
-        if line.strip().lower().startswith(label.lower()):
-            start = i
-            break
-    if start is None:
-        return ""
-    collected = [lines[start].strip()[len(label):].lstrip()]
-    for line in lines[start + 1:]:
-        lowered = line.strip().lower()
-        if any(lowered.startswith(stop.lower()) for stop in stop_labels):
-            break
-        collected.append(line)
-    return "\n".join(collected).strip()
+def parse_response(raw: str) -> str:
+    """The monitor's vote, "ok" or "failure": the token on the last
+    'Overall assessment:' line of the bracketed output block.
 
-
-def parse_response(raw: str) -> MonitorResponse:
-    """Extract the bracketed block and the final overall-assessment verdict.
-
-    Anything other than a clean ok/failure token on the last assessment line
-    is a parse error; there is no silent default.
+    Anything other than a clean ok/failure token on that line is a parse
+    error; there is no silent default.
     """
     start = raw.find(_START_MARKER)
     if start < 0:
@@ -189,26 +143,14 @@ def parse_response(raw: str) -> MonitorResponse:
         raise ResponseParseError(f"missing {_END_MARKER!r} marker")
     block = raw[start + len(_START_MARKER):end]
 
-    assessment = None
     for line in reversed(block.splitlines()):
         match = _ASSESSMENT_RE.match(line)
         if match is not None:
-            token = match.group("token").strip().lower()
-            if token not in ("ok", "failure"):
-                raise ResponseParseError(f"unrecognized assessment token {match.group('token').strip()!r}")
-            assessment = token
-            break
-    if assessment is None:
-        raise ResponseParseError("no 'Overall assessment:' line in output block")
-
-    stops = ("Questions:", "Answers:", "Analysis:", "Overall assessment:")
-    return MonitorResponse(
-        raw_text=raw,
-        questions=_section(block, "Questions:", stops),
-        answers=_section(block, "Answers:", stops),
-        analysis=_section(block, "Analysis:", stops),
-        assessment=assessment,
-    )
+            token = match.group("token").strip()
+            if token.lower() not in VOTES:
+                raise ResponseParseError(f"unrecognized assessment token {token!r}")
+            return token.lower()
+    raise ResponseParseError("no 'Overall assessment:' line in output block")
 
 
 class MonitorTransport:
@@ -333,8 +275,8 @@ class HttpTransport(MonitorTransport):
         return content
 
 
-def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> MonitorResponse:
-    """Render, send (one retry on transient failure), and parse.
+def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> str:
+    """Render, send (one retry on transient failure), and parse the reply's vote.
 
     Timeouts and exhausted transports surface as MonitorUnavailableError so a
     combiner can degrade to statistical detection alone; parse errors
@@ -358,11 +300,14 @@ def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> MonitorRespo
     return parse_response(raw)
 
 
-def ensemble_vote(responses: Sequence[MonitorResponse]) -> EnsembleVerdict:
-    """Majority decision over an odd number of prompt responses."""
-    votes = tuple(r.assessment for r in responses)
-    decision = "failure" if votes.count("failure") > len(votes) // 2 else "ok"
-    return EnsembleVerdict(votes=votes, decision=decision)
+def ensemble_vote(votes: Sequence[str]) -> str:
+    """Majority decision over an odd number of "ok"/"failure" votes."""
+    if len(votes) % 2 == 0:
+        raise ValueError("ensemble needs an odd number of votes")
+    for vote in votes:
+        if vote not in VOTES:
+            raise ValueError(f"invalid vote {vote!r}")
+    return "failure" if votes.count("failure") > len(votes) // 2 else "ok"
 
 
 def checkpoint_budget(fraction: float, geometry) -> float:
@@ -381,8 +326,11 @@ def checkpoint_budget(fraction: float, geometry) -> float:
 def checkpoint_record_indices(log: RolloutLog,
                               fractions: Sequence[float] = DEFAULT_CHECKPOINT_FRACTIONS) -> list:
     """Record indices whose elapsed time is the last at or under each fraction
-    of the task time limit (`checkpoint_budget`). Deduplicated, ascending."""
+    of the task time limit (`checkpoint_budget`). Deduplicated, ascending. A log
+    with no record after t = 0 is refused: its every checkpoint would be at t = 0."""
     header = log.header
+    if log.records[-1].timestep == 0:
+        raise ValueError("the log has no record after t = 0: no checkpoint can make a prompt")
     out = []
     for fraction in fractions:
         budget = checkpoint_budget(fraction, header)
@@ -430,20 +378,20 @@ def monitor_log(log: RolloutLog, transport: MonitorTransport,
     rows = []
     detection_timestep = None
     for j in checkpoint_record_indices(log, fractions):
-        responses = []
+        votes = []
         for template_id in templates:
             aux = auxiliary_frames if template_id in VARIANT_TEMPLATES else None
             prompt = prompt_from_log(log, template_id, j, nu=nu, auxiliary_frames=aux)
-            responses.append(query_monitor(prompt, transport))
-        verdict = ensemble_vote(responses)
+            votes.append(query_monitor(prompt, transport))
+        decision = ensemble_vote(votes)
         timestep = log.records[j].timestep
         rows.append({
             "record_index": j,
             "timestep": timestep,
             "elapsed_seconds": timestep * log.header.step_duration,
-            "votes": list(verdict.votes),
-            "decision": verdict.decision,
+            "votes": votes,
+            "decision": decision,
         })
-        if verdict.decision == "failure" and detection_timestep is None:
+        if decision == "failure" and detection_timestep is None:
             detection_timestep = timestep
     return rows, detection_timestep

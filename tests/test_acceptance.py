@@ -26,9 +26,8 @@ from sentinel.evaluation import (BenchmarkConfig, compute_metrics,
 from sentinel.policy import (GmmMode, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
 from sentinel.stac import detect_online
-from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, MonitorResponse,
-                          ResponseParseError, build_prompt, ensemble_vote,
-                          parse_response)
+from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, ResponseParseError, build_prompt,
+                          ensemble_vote, parse_response)
 
 from conftest import empirical_fpr, make_log, make_record, mode_plan
 
@@ -288,8 +287,7 @@ def test_c10_monitor_pipeline():
     expected = json.loads((valid_dir / "expected.json").read_text())
     assert len(expected) == 20
     for name, verdict in expected.items():
-        response = parse_response((valid_dir / name).read_text(encoding="utf-8"))
-        assert response.assessment == verdict, name
+        assert parse_response((valid_dir / name).read_text(encoding="utf-8")) == verdict, name
 
     malformed = sorted((FIXTURES / "vlm_responses" / "malformed").glob("*.txt"))
     assert len(malformed) == 20
@@ -298,10 +296,8 @@ def test_c10_monitor_pipeline():
             parse_response(path.read_text(encoding="utf-8"))
 
     for votes in itertools.product(("ok", "failure"), repeat=3):
-        responses = [MonitorResponse(raw_text="", questions="", answers="",
-                                     analysis="", assessment=v) for v in votes]
         expected_decision = "failure" if votes.count("failure") >= 2 else "ok"
-        assert ensemble_vote(responses).decision == expected_decision, votes
+        assert ensemble_vote(votes) == expected_decision, votes
 
     _verdict_line("c10 monitor-pipeline", True,
                   f"{len(TEMPLATE_IDS)} templates byte-exact, 20 valid + "

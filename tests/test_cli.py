@@ -637,6 +637,24 @@ class TestVlm:
             f"{log_path}: checkpoint_fraction 0.5 puts the checkpoint on record 0, at t = 0: "
             "0.5 of the 1.5 s time limit is under k * dt = 1.0 s")}
 
+    def test_log_with_no_record_after_t0_is_log_error(self, capsys, tmp_path, monkeypatch):
+        """A one-record log (a truncated episode) ends at t = 0, where no checkpoint can
+        make a prompt: it is refused as a log error before any monitor request."""
+        log_path = tmp_path / "one.sentinel.jsonl"
+        write_log(make_log(n_records=1), log_path)
+
+        def no_request(*args):
+            raise AssertionError("monitor queried before the log was checked")
+
+        monkeypatch.setattr(MockTransport, "_send", no_request)
+        code = run_cli(["vlm", "--log", log_path, "--transport", "mock",
+                        "--fixtures", FIXTURES / "mock_vlm_failure"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"type": "log", "message": (
+            f"{log_path}: the log has no record after t = 0: no checkpoint can make a prompt")}
+
     def test_mock_ok_fixture_passes(self, capsys, synth_nominal):
         logs_dir, config = synth_nominal
         log_path = sorted(logs_dir.glob("*.jsonl"))[0]

@@ -340,7 +340,9 @@ def _reference_sample_with_modes(policy, state, batch_size):
     """The sampler as a loop over rows, on the generator draws it makes."""
     h, d = policy.horizon, policy.action_dim
     noise = policy._rng.standard_normal((batch_size, h, d))
-    weights = policy._current_weights()
+    if policy.behavior == "mode_resample":
+        policy.preferred_mode = int(policy._rng.choice(len(policy.modes), p=policy.base_weights))
+    weights = policy._sharpened[policy.preferred_mode]
     assignments = policy._rng.choice(len(policy.modes), p=weights, size=batch_size)
     chunks = np.empty((batch_size, h, d))
     means = [mode_plan(mode, state, h) for mode in policy.modes]

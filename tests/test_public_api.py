@@ -14,6 +14,10 @@ private names: each private module-level function and class, and each
 private method of any module-level class (dunder methods aside), so a helper
 left behind by a refactor is found.
 
+Every annotated field of a dataclass in the package must be read by a
+program too: as an attribute, or by a string that is exactly its name. A
+field that programs only write, and tests alone read, is found.
+
 README's inline call forms of the scoring entry points are checked against
 their signatures too, so the documented parameters cannot drift from the code,
 and each `sentinel.<module>.<name>` or `<module>.<name>` it names must resolve.
@@ -74,15 +78,21 @@ def _named(node):
                 yield child.value
 
 
+def _programs():
+    """(path, parsed module) of every Python file under `src/`, `demos/` and `perfbench/`."""
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _uses():
     """{identifier: set of (file, top-level definition or None) naming it}."""
     uses = {}
-    for directory in PROGRAM_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                owner = top.name if isinstance(top, DEFINITIONS) else None
-                for name in _named(top):
-                    uses.setdefault(name, set()).add((path, owner))
+    for path, module in _programs():
+        for top in module.body:
+            owner = top.name if isinstance(top, DEFINITIONS) else None
+            for name in _named(top):
+                uses.setdefault(name, set()).add((path, owner))
     return uses
 
 
@@ -122,6 +132,46 @@ def test_every_private_definition_is_named_by_a_program():
     assert ("OnlineScorer", "__init__") not in methods
     unused = _unnamed(definitions, methods, _uses())
     assert unused == [], f"private but named by no program, only by tests: {unused}"
+
+
+def _is_dataclass(node):
+    """`node` is a class decorated `@dataclass` or `@dataclass(...)`."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields():
+    """(class, field) of every annotated field of a dataclass in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield node.name, item.target.id
+
+
+def _unread_fields():
+    """Each dataclass field that no program reads as an attribute or names in a string
+    that is exactly the field's name (`getattr`, a JSON key, a tracer target)."""
+    read = set()
+    for _, module in _programs():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{cls}.{name}" for cls, name in _dataclass_fields() if name not in read]
+
+
+def test_every_dataclass_field_is_read_by_a_program():
+    """A field that programs only write is data no one uses, checked by tests alone."""
+    fields = list(_dataclass_fields())
+    assert ("MonitorPrompt", "frames") in fields and ("RolloutLog", "records") in fields
+    unread = _unread_fields()
+    assert unread == [], f"dataclass fields no program reads, only writes: {unread}"
 
 
 SCORING_ENTRY_POINTS = ("OnlineScorer", "score_logs", "score_detectors", "score_log")

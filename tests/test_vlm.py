@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from sentinel.vlm import (DEFAULT_CHECKPOINT_FRACTIONS, MAX_FRAMES_PER_REQUEST,
-                          TEMPLATE_IDS, EnsembleVerdict, HttpTransport, MockTransport,
-                          MonitorPrompt, MonitorResponse,
+                          TEMPLATE_IDS, HttpTransport, MockTransport, MonitorPrompt,
                           MonitorUnavailableError, ResponseParseError,
                           TransportError, TransportTimeout, build_prompt,
                           cap_frames, checkpoint_record_indices, ensemble_vote,
@@ -92,9 +91,7 @@ class TestParseResponse:
         (FIXTURES / "vlm_responses" / "valid" / "expected.json").read_text()).items()))
     def test_valid_fixture(self, name, expected):
         raw = (FIXTURES / "vlm_responses" / "valid" / name).read_text(encoding="utf-8")
-        response = parse_response(raw)
-        assert response.assessment == expected
-        assert response.raw_text == raw
+        assert parse_response(raw) == expected
 
     @pytest.mark.parametrize("name", sorted(
         p.name for p in (FIXTURES / "vlm_responses" / "malformed").glob("*.txt")))
@@ -109,28 +106,14 @@ class TestParseResponse:
         assert len(valid) == 20
         assert len(malformed) == 20
 
-    def test_sections_extracted(self):
-        raw = (FIXTURES / "vlm_responses" / "valid" / "ok_basic.txt").read_text()
-        response = parse_response(raw)
-        assert response.questions.startswith("1. Where is the cart now?")
-        assert "midway" in response.answers
-        assert "steady contact" in response.analysis
-
-    def test_missing_sections_default_empty(self):
-        raw = (FIXTURES / "vlm_responses" / "valid" / "ok_minimal.txt").read_text()
-        response = parse_response(raw)
-        assert response.questions == ""
-        assert response.answers == ""
-        assert response.analysis == ""
-
     @given(st.text(max_size=400))
     def test_random_text_never_yields_silent_verdict(self, raw):
         """Arbitrary text either parses to an explicit ok/failure or raises."""
         try:
-            response = parse_response(raw)
+            vote = parse_response(raw)
         except ResponseParseError:
             return
-        assert response.assessment in ("ok", "failure")
+        assert vote in ("ok", "failure")
         # reaching a verdict requires the real structure, not a lucky default
         assert "[start of output]" in raw
         assume(True)
@@ -178,28 +161,18 @@ class TestFrameSelection:
 class TestEnsembleVote:
     @pytest.mark.parametrize("votes", list(itertools.product(("ok", "failure"), repeat=3)))
     def test_all_three_vote_combinations(self, votes):
-        responses = [MonitorResponse(raw_text="", questions="", answers="",
-                                     analysis="", assessment=v) for v in votes]
-        verdict = ensemble_vote(responses)
         expected = "failure" if votes.count("failure") >= 2 else "ok"
-        assert verdict.decision == expected
-        assert verdict.votes == votes
+        assert ensemble_vote(votes) == expected
 
-    def test_rejects_even_counts(self):
-        ok = MonitorResponse(raw_text="", questions="", answers="", analysis="",
-                             assessment="ok")
-        with pytest.raises(ValueError):
-            ensemble_vote([ok, ok])
-        with pytest.raises(ValueError):
-            ensemble_vote([])
+    @pytest.mark.parametrize("votes", [("ok", "ok"), ("ok", "failure"), ()])
+    def test_rejects_even_counts(self, votes):
+        with pytest.raises(ValueError, match="^ensemble needs an odd number of votes$"):
+            ensemble_vote(votes)
 
-    def test_verdict_invariants(self):
-        with pytest.raises(ValueError):
-            EnsembleVerdict(votes=("ok", "failure"), decision="ok")
-        with pytest.raises(ValueError):
-            EnsembleVerdict(votes=("ok", "ok", "ok"), decision="failure")
-        with pytest.raises(ValueError):
-            EnsembleVerdict(votes=("ok", "yes", "ok"), decision="ok")
+    @pytest.mark.parametrize("votes", [("ok", "yes", "ok"), ("OK",), ("failure", None, "ok")])
+    def test_rejects_a_vote_that_is_not_ok_or_failure(self, votes):
+        with pytest.raises(ValueError, match="^invalid vote "):
+            ensemble_vote(votes)
 
 
 class _ScriptedFaults(MockTransport):
@@ -223,15 +196,13 @@ OK_REPLY = "[start of output]\nOverall assessment: ok\n[end of output]"
 class TestQueryMonitor:
     def test_happy_path(self):
         transport = MockTransport(default=OK_REPLY)
-        response = query_monitor(_prompt(), transport)
-        assert response.assessment == "ok"
+        assert query_monitor(_prompt(), transport) == "ok"
         assert transport.mean_latency_seconds is not None
 
     def test_transient_error_retried_once(self):
         transport = _ScriptedFaults([TransportError("blip", transient=True)],
                                     default=OK_REPLY)
-        response = query_monitor(_prompt(), transport)
-        assert response.assessment == "ok"
+        assert query_monitor(_prompt(), transport) == "ok"
         assert transport.calls == 2
 
     def test_two_transient_errors_exhaust(self):
@@ -386,6 +357,14 @@ class TestCheckpoints:
                                              r"0\.1 of the 8\.0 s time limit is under "
                                              r"k \* dt = 1\.0 s$"):
             checkpoint_record_indices(log, (0.1, 1.0))
+
+    def test_refuses_a_log_with_no_record_after_t0(self, rng):
+        """A one-record log ends at t = 0, so every checkpoint would fall there."""
+        log = make_log(n_records=1, rng=rng)
+        with pytest.raises(ValueError, match=r"^the log has no record after t = 0: "
+                                             r"no checkpoint can make a prompt$"):
+            checkpoint_record_indices(log)
+        assert checkpoint_record_indices(make_log(n_records=2, rng=rng)) == [1]
 
     def test_prompt_from_log(self, rng):
         header = make_header(episode_limit=16, task_time_limit=8.0)
