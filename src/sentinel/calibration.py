@@ -9,6 +9,7 @@ detector never fires; callers should surface that as a warning.
 
 from __future__ import annotations
 
+import fractions
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,7 +77,8 @@ def conformal_threshold(terminal_scores: Sequence[float],
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     m = len(ordered)
-    quantile_index = math.ceil((m + 1) * (1.0 - delta))
+    # Exact in delta's shortest decimal: in float, (m + 1) * (1 - 0.7) is 3.0000000000000004.
+    quantile_index = math.ceil((m + 1) * (1 - fractions.Fraction(repr(float(delta)))))
     gamma = ordered[quantile_index - 1] if quantile_index <= m else math.inf
     return CalibrationResult(
         gamma=gamma,

@@ -399,15 +399,14 @@ def _verdicts_csv(test_plan, labels, verdicts_by_source: dict) -> str:
 
 
 def score_chart_svg(series_list: Sequence[ScoreSeries], is_failure: Sequence[bool],
-                    gamma: float, title: str = "", max_curves: int = 20,
-                    width: int = 640, height: int = 360) -> str:
-    """Cumulative-score curves with the threshold line, as a standalone SVG.
+                    gamma: float, title: str = "") -> str:
+    """The first 20 cumulative-score curves and the threshold line, as a 640 x 360 SVG.
 
     Hand-rolled with fixed decimal formatting so identical inputs give
     byte-identical files.
     """
-    margin = 40.0
-    curves = list(zip(series_list, is_failure))[:max_curves]
+    margin, width, height = 40.0, 640, 360
+    curves = list(zip(series_list, is_failure))[:20]
     if not curves:
         raise ValueError("need at least one score series")
     t_max = max(max(s.timesteps) for s, _ in curves) or 1

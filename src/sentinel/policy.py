@@ -50,9 +50,8 @@ class NoiseSchedule:
         return len(self.alpha_bar)
 
     @classmethod
-    def default_linear(cls, n_steps: int = 100, start: float = 0.9999,
-                       end: float = 0.02) -> "NoiseSchedule":
-        return cls(tuple(np.linspace(start, end, n_steps)))
+    def default_linear(cls, n_steps: int = 100) -> "NoiseSchedule":
+        return cls(tuple(np.linspace(0.9999, 0.02, n_steps)))
 
 
 class PolicyOracle(abc.ABC):

@@ -55,10 +55,6 @@ class TransportError(MonitorError):
         self.transient = transient
 
 
-class TransportTimeout(MonitorError):
-    """The request exceeded the per-request timeout."""
-
-
 @dataclass(frozen=True)
 class MonitorPrompt:
     template_id: str
@@ -103,9 +99,9 @@ def subsample_frames(frame_refs: Sequence, nu: int) -> list:
     return picked
 
 
-def cap_frames(frame_refs: Sequence, cap: int = MAX_FRAMES_PER_REQUEST) -> list:
-    """Uniformly downsample to at most `cap` frames, keeping first and last."""
-    n = len(frame_refs)
+def cap_frames(frame_refs: Sequence) -> list:
+    """Uniformly downsample to at most MAX_FRAMES_PER_REQUEST frames, keeping first and last."""
+    n, cap = len(frame_refs), MAX_FRAMES_PER_REQUEST
     if n <= cap:
         return list(frame_refs)
     # Evenly spaced fractional positions rounded to unique indices.
@@ -242,9 +238,10 @@ class HttpTransport(MonitorTransport):
         return {"type": "image_url", "image_url": {"url": f"data:image/png;base64,{data}"}}
 
     def _send(self, text, frames):
+        import http.client
         import os
-
-        import requests
+        import urllib.error
+        import urllib.request
 
         api_key = os.environ.get(self.API_KEY_ENV)
         if not api_key:
@@ -253,20 +250,27 @@ class HttpTransport(MonitorTransport):
         content.extend(self._encode_frame(ref) for ref in frames)
         payload = {"model": self.model, "messages": [{"role": "user", "content": content}]}
         try:
-            reply = requests.post(
-                self.url, json=payload, timeout=self.timeout_seconds,
-                headers={"Authorization": f"Bearer {api_key}"})
-        except requests.Timeout as exc:
-            raise TransportTimeout(f"monitor request timed out after {self.timeout_seconds}s") from exc
-        except requests.ConnectionError as exc:
-            raise TransportError(f"connection failed: {exc}", transient=True) from exc
-        if reply.status_code >= 500:
-            raise TransportError(f"server error {reply.status_code}", transient=True)
-        if reply.status_code >= 400:
-            raise TransportError(f"request rejected ({reply.status_code}): {reply.text[:200]}",
-                                 transient=False)
+            request = urllib.request.Request(
+                self.url, data=json.dumps(payload).encode("utf-8"), method="POST",
+                headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"})
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout_seconds) as reply:
+                    body = reply.read()
+            except urllib.error.HTTPError as exc:  # a status outside 2xx that urllib did not follow
+                with exc:
+                    detail = exc.read().decode("utf-8", "replace")[:200]
+                if exc.code >= 500:
+                    raise TransportError(f"server error {exc.code}", transient=True) from exc
+                raise TransportError(f"request rejected ({exc.code}): {detail}", transient=False) from exc
+        except (ValueError, http.client.InvalidURL) as exc:
+            raise TransportError(f"cannot send to {self.url!r}: {exc}", transient=False) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            reason = getattr(exc, "reason", exc)  # a URLError wraps the socket's fault
+            if isinstance(reason, TimeoutError):
+                raise TransportError(f"monitor request timed out after {self.timeout_seconds}s") from exc
+            raise TransportError(f"connection failed: {reason}", transient=True) from exc
         try:
-            content = reply.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed endpoint reply: {exc}", transient=False) from exc
         if not isinstance(content, str):
@@ -286,15 +290,11 @@ def query_monitor(p: MonitorPrompt, transport: MonitorTransport) -> str:
     frames = list(cap_frames(p.auxiliary_frames or ())) + list(cap_frames(p.frames))
     try:
         raw = transport.request(text, frames)
-    except TransportTimeout as exc:
-        raise MonitorUnavailableError(str(exc)) from exc
     except TransportError as exc:
         if not exc.transient:
             raise MonitorUnavailableError(str(exc)) from exc
         try:
             raw = transport.request(text, frames)
-        except TransportTimeout as retry_exc:
-            raise MonitorUnavailableError(str(retry_exc)) from retry_exc
         except TransportError as retry_exc:
             raise MonitorUnavailableError(f"retry failed: {retry_exc}") from retry_exc
     return parse_response(raw)

@@ -1,5 +1,9 @@
 import base64
 import json
+import os
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
 import numpy as np
@@ -7,6 +11,9 @@ import pytest
 
 from sentinel import baselines
 from sentinel.rollout import InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog
+from sentinel.vlm import HttpTransport
+
+OK_REPLY = "[start of output]\nOverall assessment: ok\n[end of output]"
 
 
 def make_header(**overrides):
@@ -137,3 +144,76 @@ def oracle_settings(monkeypatch):
         if depths is not None:
             monkeypatch.setattr(baselines, "DEPTHS", depths)
     return set_settings
+
+
+class LoopbackEndpoint(ThreadingHTTPServer):
+    """A chat endpoint on loopback. Each POST is recorded, then answered by the next
+    queued reply; the last reply answers every later request."""
+
+    daemon_threads = False  # so that server_close() joins every handler thread
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _EndpointHandler)
+        self.lock = threading.Lock()
+        self.seen = []
+        self.replies = [chat_reply(OK_REPLY)]
+        self.errors = []
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}/v1/chat"
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.seen.append((self.command, self.headers, json.loads(body)))
+            replies = self.server.replies
+            reply = replies.pop(0) if len(replies) > 1 else replies[0]
+        reply(self)
+
+    def log_message(self, format, *args):
+        pass
+
+
+def status_reply(code, body=b"", headers=()):
+    """A reply of status `code` with `body` and `headers`."""
+    def reply(handler):
+        handler.send_response(code)
+        for name, value in headers:
+            handler.send_header(name, value)
+        handler.send_header("Content-Length", str(len(body)))
+        handler.end_headers()
+        handler.wfile.write(body)
+    return reply
+
+
+def chat_reply(content):
+    """A 200 chat-completion reply whose message content is `content`."""
+    return status_reply(200, json.dumps({"choices": [{"message": {"content": content}}]}).encode())
+
+
+@pytest.fixture()
+def endpoint(monkeypatch):
+    """A running `LoopbackEndpoint`, the credential set and proxies cleared; shut down,
+    closed and its threads joined when the test ends."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv(HttpTransport.API_KEY_ENV, "test-key")
+    server = LoopbackEndpoint()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert server.errors == []

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ class TestConformalThreshold:
             assert result.gamma in result.terminal_scores
         assert result.m == len(scores)
 
+    @pytest.mark.parametrize("delta, m, rank", [(0.7, 9, 3), (0.45, 99, 55), (0.42, 49, 29)])
+    def test_rank_is_exact_where_float_rounds_up(self, delta, m, rank):
+        """(M + 1)(1 - delta) is a whole number here, which float arithmetic overshoots
+        (10 * (1 - 0.7) is 3.0000000000000004), so its ceil would be one rank too high."""
+        for d in (delta, np.float64(delta)):
+            result = conformal_threshold(list(range(m)), delta=d)
+            assert (result.quantile_index, result.gamma) == (rank, rank - 1)
+
+    @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=4),
+           st.data())
+    def test_rank_matches_exact_decimal_arithmetic(self, m, digits, data):
+        """delta = k / 10**digits, read as the float a user types: the rank is the ceil
+        of (M + 1)(1 - delta) computed on the decimal, never on its binary value."""
+        k = data.draw(st.integers(min_value=1, max_value=10 ** digits - 1))
+        expected = math.ceil((m + 1) * (1 - Fraction(k, 10 ** digits)))
+        assert conformal_threshold([0.0] * m, delta=k / 10 ** digits).quantile_index == expected
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=30, max_size=200))
     def test_marginal_coverage_counting(self, scores):
         """At most a delta fraction of the calibration scores exceed gamma."""
@@ -137,6 +155,14 @@ class TestCalibrationResultJson:
         assert (obj["gamma"], obj["quantile_index"]) == (3.0, 3)
         obj[field] = value
         with pytest.raises(ValueError):
+            CalibrationResult.from_json_obj(obj)
+
+    def test_refuses_a_rank_rounded_up_in_float(self):
+        """A file that stores the float rank ceil(10 * (1 - 0.7)) = 4 at M = 9 is refused."""
+        obj = conformal_threshold([float(s) for s in range(9)], delta=0.7).to_json_obj()
+        assert (obj["gamma"], obj["quantile_index"]) == (2.0, 3)
+        obj.update(gamma=3.0, quantile_index=4)
+        with pytest.raises(ValueError, match="not the conformal threshold"):
             CalibrationResult.from_json_obj(obj)
 
     def test_refuses_a_finite_gamma_past_m(self):

@@ -753,6 +753,24 @@ class TestVlm:
         assert error["type"] == "usage"
         assert flag in error["message"]
 
+    def test_endpoint_url_urllib_refuses_is_monitor_error(self, capsys, tmp_path, monkeypatch):
+        """A URL with no scheme is refused before any connection is made, as a monitor
+        fault: the exit is 1 with "type": "monitor", not the raw exception's name."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SENTINEL_VLM_API_KEY", "test-key")
+        log = make_log()
+        write_log(log, tmp_path / "x.sentinel.jsonl")
+        (tmp_path / "frames").mkdir()
+        for record in log.records:
+            (tmp_path / record.frame_ref).write_bytes(b"png")
+        code = run_cli(["vlm", "--log", "x.sentinel.jsonl", "--transport", "http",
+                        "--url", "notaurl", "--model", "m"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {
+            "type": "monitor", "message": "cannot send to 'notaurl': unknown url type: 'notaurl'"}
+
 
 class TestParserBuiltOnce:
     """`build_parser` builds the command tree on the first `main` call of a process and

@@ -546,9 +546,9 @@ class TestScoreChartSvg:
         assert "threshold" not in svg
 
     def test_curve_cap(self):
-        series = [self._series([0.0, float(i)]) for i in range(30)]
-        svg = score_chart_svg(series, [False] * 30, gamma=1.0, max_curves=5)
-        assert svg.count("<polyline") == 5
+        series = [self._series([0.0, float(i)]) for i in range(25)]
+        svg = score_chart_svg(series, [False] * 25, gamma=1.0)
+        assert svg.count("<polyline") == 20
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

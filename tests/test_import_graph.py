@@ -7,16 +7,24 @@ package imports scipy at module level. `import sentinel.cli` imports every
 module, so a module-level scipy import anywhere fails these tests; a new use
 of scipy, such as `scipy.stats.beta` for the FPR distribution given one
 calibration set, must be imported inside the function that uses it.
-requests is imported by the http transport alone.
+No module imports requests. The http transport imports `urllib.request` and
+`http.client` inside `HttpTransport._send`, so `http` loads on the first HTTP
+request and no other entry point pays for it.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sentinel
+
+from conftest import OK_REPLY
 
 SRC = Path(sentinel.__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,7 +33,7 @@ PRELUDE = """
 import json, sys
 
 def loaded():
-    return sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "requests"})
+    return sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "requests", "http"})
 
 stages = {}
 """
@@ -42,6 +50,7 @@ def _loaded_after_each_stage(body: str, cwd: Path) -> dict:
 
 
 def test_cli_import_synth_and_mock_vlm_load_neither_scipy_nor_requests(tmp_path):
+    """Nor `http`: the mock transport sends nothing."""
     body = f"""
 import sentinel.cli
 stages["import"] = loaded()
@@ -69,3 +78,36 @@ stages["kernel"] = "scipy.spatial.distance" in sys.modules
 """
     assert _loaded_after_each_stage(body, tmp_path) == {
         "min-l2": [], "stac-mmd": ["scipy"], "kernel": True}
+
+
+def test_an_http_request_loads_http_but_not_requests(tmp_path, endpoint):
+    """One real request to a loopback endpoint; building the transport loads nothing."""
+    body = f"""
+from sentinel.vlm import HttpTransport
+transport = HttpTransport({endpoint.url!r}, "model")
+stages["built"] = loaded()
+stages["reply"] = transport.request("prompt", [])
+stages["request"] = loaded()
+"""
+    assert _loaded_after_each_stage(body, tmp_path) == {
+        "built": [], "reply": OK_REPLY, "request": ["http"]}
+    assert len(endpoint.seen) == 1
+
+
+def test_third_party_imports_are_exactly_the_declared_dependencies():
+    """Every top-level module that `src/sentinel` imports, at module level or inside a
+    function, outside the standard library and the package itself, is one of
+    pyproject.toml's `dependencies`, and each dependency is imported. Each
+    distribution here installs a module of its own name."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in
+                pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in (SRC / "sentinel").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"sentinel"} == declared == {"numpy", "scipy"}

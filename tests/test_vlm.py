@@ -1,6 +1,10 @@
+import base64
 import itertools
 import json
 import re
+import socket
+import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -9,12 +13,12 @@ from hypothesis import assume, given, strategies as st
 from sentinel.vlm import (DEFAULT_CHECKPOINT_FRACTIONS, MAX_FRAMES_PER_REQUEST,
                           TEMPLATE_IDS, HttpTransport, MockTransport, MonitorPrompt,
                           MonitorUnavailableError, ResponseParseError,
-                          TransportError, TransportTimeout, build_prompt,
+                          TransportError, build_prompt,
                           cap_frames, checkpoint_record_indices, ensemble_vote,
                           parse_response, prompt_from_log, query_monitor,
                           request_key, subsample_frames)
 
-from conftest import make_header, make_log
+from conftest import OK_REPLY, chat_reply, make_header, make_log, status_reply
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,9 +194,6 @@ class _ScriptedFaults(MockTransport):
         return super()._send(text, frames)
 
 
-OK_REPLY = "[start of output]\nOverall assessment: ok\n[end of output]"
-
-
 class TestQueryMonitor:
     def test_happy_path(self):
         transport = MockTransport(default=OK_REPLY)
@@ -211,12 +212,6 @@ class TestQueryMonitor:
         with pytest.raises(MonitorUnavailableError):
             query_monitor(_prompt(), transport)
         assert transport.calls == 2
-
-    def test_timeout_not_retried(self):
-        transport = _ScriptedFaults([TransportTimeout("slow")], default=OK_REPLY)
-        with pytest.raises(MonitorUnavailableError):
-            query_monitor(_prompt(), transport)
-        assert transport.calls == 1
 
     def test_non_transient_error_not_retried(self):
         transport = _ScriptedFaults([TransportError("bad creds", transient=False)],
@@ -256,33 +251,165 @@ class TestQueryMonitor:
         assert len(seen["frames"]) <= MAX_FRAMES_PER_REQUEST
 
 
+def _hang_up(handler):
+    """Close the connection without a reply."""
+
+
+def _reset(handler):
+    """Close the connection with a reset: a zero linger time makes close() send RST."""
+    handler.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    handler.connection.close()
+
+
+def _sleep(seconds):
+    def reply(handler):
+        time.sleep(seconds)  # then close without a reply: the client has given up
+    return reply
+
+
+def _frame_prompt(tmp_path):
+    """A video_qa prompt over two frame files, f0.png and f1.png."""
+    frames = []
+    for i, data in enumerate((b"png-0", b"png-1")):
+        frame = tmp_path / f"f{i}.png"
+        frame.write_bytes(data)
+        frames.append(str(frame))
+    return _prompt(frames=tuple(frames))
+
+
 class TestHttpTransport:
+    """The real HTTP path against a loopback server: each fault maps to a
+    TransportError that `query_monitor` retries once when it is transient."""
+
+    def test_posts_prompt_and_frames_with_bearer_credential(self, endpoint, tmp_path):
+        p = _frame_prompt(tmp_path)
+        transport = HttpTransport(endpoint.url, "vlm-model")
+        assert query_monitor(p, transport) == "ok"
+        assert len(endpoint.seen) == 1
+        command, headers, body = endpoint.seen[0]
+        assert command == "POST"
+        assert headers["Authorization"] == "Bearer test-key"
+        assert headers["Content-Type"] == "application/json"
+        assert body["model"] == "vlm-model"
+        [message] = body["messages"]
+        assert message["role"] == "user"
+        assert message["content"][0] == {"type": "text", "text": build_prompt(p)}
+        assert message["content"][1:] == [
+            {"type": "image_url", "image_url": {
+                "url": "data:image/png;base64," + base64.b64encode(data).decode("ascii")}}
+            for data in (b"png-0", b"png-1")]
+
+    def test_missing_credential_sends_nothing(self, endpoint, tmp_path, monkeypatch):
+        monkeypatch.delenv(HttpTransport.API_KEY_ENV)
+        transport = HttpTransport(endpoint.url, "m")
+        with pytest.raises(MonitorUnavailableError,
+                           match=f"^missing credential: set {HttpTransport.API_KEY_ENV}$"):
+            query_monitor(_frame_prompt(tmp_path), transport)
+        assert endpoint.seen == []
+
+    @pytest.mark.parametrize("code", [500, 503])
+    def test_server_error_is_retried_once(self, endpoint, tmp_path, code):
+        endpoint.replies = [status_reply(code), chat_reply(OK_REPLY)]
+        assert query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m")) == "ok"
+        assert len(endpoint.seen) == 2
+
+    def test_two_server_errors_exhaust(self, endpoint, tmp_path):
+        endpoint.replies = [status_reply(503)]
+        with pytest.raises(MonitorUnavailableError, match="^retry failed: server error 503$"):
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert len(endpoint.seen) == 2
+
+    @pytest.mark.parametrize("reply, reason", [
+        (_hang_up, "Remote end closed connection without response"),
+        (_reset, r"\[Errno \d+\] Connection reset by peer"),
+    ], ids=["dropped", "reset"])
+    def test_connection_fault_is_retried_once(self, endpoint, tmp_path, reply, reason):
+        endpoint.replies = [reply]
+        with pytest.raises(MonitorUnavailableError,
+                           match=f"^retry failed: connection failed: {reason}$"):
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert len(endpoint.seen) == 2
+
+    def test_connection_refused_is_retried_once(self, endpoint, tmp_path):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        transport = HttpTransport(f"http://127.0.0.1:{port}/v1/chat", "m")
+        with pytest.raises(MonitorUnavailableError, match=r"^retry failed: connection failed: "
+                                                          r"\[Errno \d+\] Connection refused$"):
+            query_monitor(_frame_prompt(tmp_path), transport)
+        assert len(transport.latencies) == 2  # no server: the attempts are counted instead
+
+    @pytest.mark.parametrize("code, headers", [
+        (401, ()), (404, ()), (307, (("Location", "/elsewhere"),)),
+    ], ids=["401", "404", "post-307"])
+    def test_other_status_is_rejected_without_retry(self, endpoint, tmp_path, code, headers):
+        """The first 200 characters of the body name the fault; a 307 urllib does not
+        follow for a POST."""
+        endpoint.replies = [status_reply(code, b"no such model " + b"x" * 300, headers)]
+        expected = re.escape(f"request rejected ({code}): " + ("no such model " + "x" * 300)[:200])
+        with pytest.raises(MonitorUnavailableError, match=f"^{expected}$"):
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert len(endpoint.seen) == 1
+
+    def test_timeout_is_not_retried(self, endpoint, tmp_path):
+        endpoint.replies = [_sleep(0.3)]
+        transport = HttpTransport(endpoint.url, "m", timeout_seconds=0.2)
+        with pytest.raises(MonitorUnavailableError, match=r"^monitor request timed out after 0\.2s$"):
+            query_monitor(_frame_prompt(tmp_path), transport)
+        assert len(endpoint.seen) == 1
+
+    def test_timeout_on_the_retry_reads_retry_failed(self, endpoint, tmp_path):
+        endpoint.replies = [status_reply(502), _sleep(0.3)]
+        transport = HttpTransport(endpoint.url, "m", timeout_seconds=0.2)
+        with pytest.raises(MonitorUnavailableError,
+                           match=r"^retry failed: monitor request timed out after 0\.2s$"):
+            query_monitor(_frame_prompt(tmp_path), transport)
+        assert len(endpoint.seen) == 2
+
+    def test_connect_timeout_is_not_retried(self, endpoint, tmp_path):
+        """A listener whose accept queue is full drops the SYN, so the connect itself
+        times out and urllib wraps the TimeoutError in a URLError."""
+        with socket.socket() as listener, socket.socket() as filler:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(0)
+            filler.connect(listener.getsockname())
+            transport = HttpTransport(f"http://127.0.0.1:{listener.getsockname()[1]}/", "m",
+                                      timeout_seconds=0.2)
+            with pytest.raises(MonitorUnavailableError,
+                               match=r"^monitor request timed out after 0\.2s$"):
+                query_monitor(_frame_prompt(tmp_path), transport)
+        assert len(transport.latencies) == 1
+
+    @pytest.mark.parametrize("url, reason", [
+        ("notaurl", "unknown url type: 'notaurl'"),
+        ("http://127.0.0.1:port/v1/chat", "nonnumeric port: 'port'"),
+    ], ids=["no-scheme", "bad-port"])
+    def test_url_urllib_refuses_is_not_retried(self, endpoint, tmp_path, url, reason):
+        transport = HttpTransport(url, "m")
+        with pytest.raises(MonitorUnavailableError,
+                           match=f"^{re.escape(f'cannot send to {url!r}: {reason}')}$"):
+            query_monitor(_frame_prompt(tmp_path), transport)
+        assert len(transport.latencies) == 1
+        assert endpoint.seen == []
+
+    @pytest.mark.parametrize("body", [
+        b"not json", b"{}", b'{"choices": []}', b'{"choices": [{"message": {}}]}',
+    ], ids=["not-json", "no-choices", "empty-choices", "no-content"])
+    def test_malformed_reply_is_unavailable(self, endpoint, tmp_path, body):
+        endpoint.replies = [status_reply(200, body)]
+        with pytest.raises(MonitorUnavailableError, match="^malformed endpoint reply: "):
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert len(endpoint.seen) == 1
+
     @pytest.mark.parametrize("content", [None, 5, ["ok"]], ids=["null", "number", "list"])
-    def test_reply_content_not_a_string_is_unavailable(self, tmp_path, monkeypatch, content):
+    def test_reply_content_not_a_string_is_unavailable(self, endpoint, tmp_path, content):
         """A well-formed reply whose content is no text is refused once, not retried."""
-        import requests
-
-        calls = []
-
-        class Reply:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": content}}]}
-
-        def post(*args, **kwargs):
-            calls.append(kwargs["json"])
-            return Reply()
-
-        monkeypatch.setattr(requests, "post", post)
-        monkeypatch.setenv(HttpTransport.API_KEY_ENV, "test-key")
-        frame = tmp_path / "f0.png"
-        frame.write_bytes(b"png")
-        transport = HttpTransport("http://localhost:1/v1/chat", "model")
+        endpoint.replies = [chat_reply(content)]
         with pytest.raises(MonitorUnavailableError,
                            match=f"^malformed endpoint reply: content is {re.escape(repr(content))}, "):
-            query_monitor(_prompt(frames=(str(frame),)), transport)
-        assert len(calls) == 1
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert len(endpoint.seen) == 1
 
 
 class TestMockTransport:
