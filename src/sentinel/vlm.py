@@ -218,7 +218,7 @@ class MockTransport(MonitorTransport):
             return self.responses[key]
         if self.default is not None:
             return self.default
-        raise TransportError(f"no scripted response for request {key[:12]}...", transient=False)
+        raise TransportError(f"no scripted response for request {key[:12]}...")
 
 
 class HttpTransport(MonitorTransport):
@@ -232,11 +232,6 @@ class HttpTransport(MonitorTransport):
         self.model = model
         self.timeout_seconds = timeout_seconds
 
-    @staticmethod
-    def _encode_frame(ref) -> dict:
-        data = base64.b64encode(Path(ref).read_bytes()).decode("ascii")
-        return {"type": "image_url", "image_url": {"url": f"data:image/png;base64,{data}"}}
-
     def _send(self, text, frames):
         import http.client
         import os
@@ -245,14 +240,19 @@ class HttpTransport(MonitorTransport):
 
         api_key = os.environ.get(self.API_KEY_ENV)
         if not api_key:
-            raise TransportError(f"missing credential: set {self.API_KEY_ENV}", transient=False)
+            raise TransportError(f"missing credential: set {self.API_KEY_ENV}")
         content = [{"type": "text", "text": text}]
-        content.extend(self._encode_frame(ref) for ref in frames)
+        for ref in frames:
+            data = base64.b64encode(Path(ref).read_bytes()).decode("ascii")
+            content.append({"type": "image_url", "image_url": {"url": f"data:image/png;base64,{data}"}})
         payload = {"model": self.model, "messages": [{"role": "user", "content": content}]}
         try:
-            request = urllib.request.Request(
-                self.url, data=json.dumps(payload).encode("utf-8"), method="POST",
-                headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"})
+            request = urllib.request.Request(self.url, data=json.dumps(payload).encode("utf-8"),
+                                             headers={"Content-Type": "application/json"})
+            if request.type not in ("http", "https"):  # urllib would read file: and ftp: URLs
+                raise ValueError(f"unknown url type: {request.type!r}")
+            # unredirected: a followed 301, 302 or 303 must not carry the key to another host
+            request.add_unredirected_header("Authorization", f"Bearer {api_key}")
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_seconds) as reply:
                     body = reply.read()
@@ -261,21 +261,20 @@ class HttpTransport(MonitorTransport):
                     detail = exc.read().decode("utf-8", "replace")[:200]
                 if exc.code >= 500:
                     raise TransportError(f"server error {exc.code}", transient=True) from exc
-                raise TransportError(f"request rejected ({exc.code}): {detail}", transient=False) from exc
-        except (ValueError, http.client.InvalidURL) as exc:
-            raise TransportError(f"cannot send to {self.url!r}: {exc}", transient=False) from exc
-        except (OSError, http.client.HTTPException) as exc:
-            reason = getattr(exc, "reason", exc)  # a URLError wraps the socket's fault
+                raise TransportError(f"request rejected ({exc.code}): {detail}") from exc
+        except (ValueError, OSError, http.client.HTTPException) as exc:  # a URLError wraps its reason
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if isinstance(reason, (ValueError, http.client.InvalidURL, str)):  # a str: nothing sent
+                raise TransportError(f"cannot send to {self.url!r}: {reason}") from exc
             if isinstance(reason, TimeoutError):
                 raise TransportError(f"monitor request timed out after {self.timeout_seconds}s") from exc
             raise TransportError(f"connection failed: {reason}", transient=True) from exc
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed endpoint reply: {exc}", transient=False) from exc
+            raise TransportError(f"malformed endpoint reply: {exc}") from exc
         if not isinstance(content, str):
-            raise TransportError(f"malformed endpoint reply: content is {content!r}, not a string",
-                                 transient=False)
+            raise TransportError(f"malformed endpoint reply: content is {content!r}, not a string")
         return content
 
 

@@ -147,8 +147,8 @@ def oracle_settings(monkeypatch):
 
 
 class LoopbackEndpoint(ThreadingHTTPServer):
-    """A chat endpoint on loopback. Each POST is recorded, then answered by the next
-    queued reply; the last reply answers every later request."""
+    """A chat endpoint on loopback. Each POST or GET is recorded, then answered by the
+    next queued reply; the last reply answers every later request."""
 
     daemon_threads = False  # so that server_close() joins every handler thread
 
@@ -169,12 +169,14 @@ class LoopbackEndpoint(ThreadingHTTPServer):
 
 class _EndpointHandler(BaseHTTPRequestHandler):
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with self.server.lock:
-            self.server.seen.append((self.command, self.headers, json.loads(body)))
+            self.server.seen.append((self.command, self.headers, json.loads(body) if body else None))
             replies = self.server.replies
             reply = replies.pop(0) if len(replies) > 1 else replies[0]
         reply(self)
+
+    do_GET = do_POST  # a followed redirect arrives as a GET without a body
 
     def log_message(self, format, *args):
         pass
@@ -197,14 +199,9 @@ def chat_reply(content):
     return status_reply(200, json.dumps({"choices": [{"message": {"content": content}}]}).encode())
 
 
-@pytest.fixture()
-def endpoint(monkeypatch):
-    """A running `LoopbackEndpoint`, the credential set and proxies cleared; shut down,
-    closed and its threads joined when the test ends."""
-    for name in list(os.environ):
-        if name.lower().endswith("_proxy"):
-            monkeypatch.delenv(name)
-    monkeypatch.setenv(HttpTransport.API_KEY_ENV, "test-key")
+def _serve():
+    """Run a `LoopbackEndpoint` until the generator is closed; then shut it down, close it
+    and join its threads."""
     server = LoopbackEndpoint()
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
                               daemon=True)
@@ -217,3 +214,20 @@ def endpoint(monkeypatch):
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert server.errors == []
+
+
+@pytest.fixture()
+def endpoint(monkeypatch):
+    """A running `LoopbackEndpoint`, the credential set and proxies cleared; shut down,
+    closed and its threads joined when the test ends."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv(HttpTransport.API_KEY_ENV, "test-key")
+    yield from _serve()
+
+
+@pytest.fixture()
+def other_endpoint(endpoint):
+    """A second running `LoopbackEndpoint`, on another port, for a redirect's target."""
+    yield from _serve()

@@ -381,11 +381,31 @@ class TestHttpTransport:
                 query_monitor(_frame_prompt(tmp_path), transport)
         assert len(transport.latencies) == 1
 
+    @pytest.mark.parametrize("code", [301, 302, 303])
+    def test_followed_redirect_drops_the_credential(self, endpoint, other_endpoint, tmp_path,
+                                                    code):
+        """urllib follows these for a POST as a GET to the named host; the key stays behind."""
+        endpoint.replies = [status_reply(code, headers=(("Location", other_endpoint.url),))]
+        assert query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m")) == "ok"
+        [(_, headers, _)] = endpoint.seen
+        assert headers["Authorization"] == "Bearer test-key"
+        [(command, headers, body)] = other_endpoint.seen
+        assert (command, body) == ("GET", None)
+        assert "Authorization" not in headers
+
     @pytest.mark.parametrize("url, reason", [
         ("notaurl", "unknown url type: 'notaurl'"),
         ("http://127.0.0.1:port/v1/chat", "nonnumeric port: 'port'"),
-    ], ids=["no-scheme", "bad-port"])
+        ("http:///v1/chat", "no host given"),
+        ("foo://127.0.0.1/v1/chat", "unknown url type: 'foo'"),
+        ("ftp://127.0.0.1/v1/chat", "unknown url type: 'ftp'"),
+        ("file://{reply}", "unknown url type: 'file'"),
+    ], ids=["no-scheme", "bad-port", "no-host", "unknown-scheme", "ftp-scheme", "file-scheme"])
     def test_url_urllib_refuses_is_not_retried(self, endpoint, tmp_path, url, reason):
+        """Only http and https are sent to: a file: URL naming a well-formed reply is not read."""
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps({"choices": [{"message": {"content": OK_REPLY}}]}))
+        url = url.format(reply=reply)
         transport = HttpTransport(url, "m")
         with pytest.raises(MonitorUnavailableError,
                            match=f"^{re.escape(f'cannot send to {url!r}: {reason}')}$"):
