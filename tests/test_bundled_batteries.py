@@ -4,13 +4,14 @@ their recorded reports.
 `fixtures/bundled_batteries/sha256.json` holds the sha256 of the three
 artifacts (`report.json`, `verdicts.csv`, `scores.svg`) that `sentinel eval
 --config <name>` writes for each bundled battery: the behaviour contract a
-refactor keeps byte for byte. Each battery runs once per session, and the
-stall and drift runs are also checked against their recorded reports.
+refactor keeps byte for byte. Each battery runs once per session, and each
+run is also checked against its recorded report.
 
 `fixtures/bundled_batteries/<name>/` holds the `report.json` and
-`verdicts.csv` that `sentinel eval --config <name>` wrote when scoring still
-went through `scipy.special.logsumexp`. `drift` scores `stac-klf`, so it
-exercises the KDE log-sum-exp. `all-detectors/` holds the same two files for
+`verdicts.csv` that `sentinel eval --config <name>` wrote: stall and drift
+when scoring still went through `scipy.special.logsumexp`, erratic when the
+pooled distances still came from scipy's `cdist`. `drift` scores `stac-klf`,
+so it exercises the KDE log-sum-exp. `all-detectors/` holds the same two files for
 `ALL_DETECTORS` below, recorded while every detector was still scored by its
 own walk over each log; with erratic's sha256 it pins the four
 diffusion-oracle detectors. The rule is the perfbench one: verdicts, metrics
@@ -95,7 +96,7 @@ def test_bundled_battery_artifacts_keep_their_sha256(bundled_run, name):
     assert got == SHA256[name]
 
 
-@pytest.mark.parametrize("name", ["stall", "drift"])
+@pytest.mark.parametrize("name", ["stall", "drift", "erratic"])
 def test_battery_matches_recorded_report(bundled_run, name):
     _assert_matches_recorded(bundled_run(name), FIXTURES / name)
 
