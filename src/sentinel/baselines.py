@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import PooledDistances, _cdist, _min_l2
+from .distances import PooledDistances, _min_l2
 from .policy import PolicyOracle
 from .rollout import InferenceRecord, InvalidLogError, RolloutHeader, RolloutLog, check_next
 from .stac import STAC_DETECTORS, OverlapPair, ScoreSeries, extract_overlap
@@ -227,7 +227,7 @@ def _stac_scores(names: Sequence[str], pair: OverlapPair,
         steps["min-l2"] = _min_l2(pair.prev[executed_index], pair.curr)
     if len(steps) == len(names):
         return steps
-    dists = PooledDistances(pair.prev, pair.curr)
+    dists = PooledDistances(pair.prev, pair.curr, pair.pooled)
     if "stac-mmd" in names:
         steps["stac-mmd"] = dists.mmd_rbf(dists.median_heuristic())
     if "stac-klf" in names or "stac-klr" in names:
@@ -278,8 +278,6 @@ class OnlineScorer:
         self.header = header
         self.ctx = ctx or DetectorContext()
         self._stac = [name for name in self.names if name in STAC_DETECTORS]
-        if set(self._stac) - {"min-l2"}:  # import scipy here, not in a pushed step's budget
-            _cdist()
         self._pairwise = [name for name in self.names if name in PAIRWISE_DETECTORS]
         # The oracle families the roster names: base detector, batched loss, oracle,
         # the loss's per-step parameter, checked here once, and oracle rows per chunk.

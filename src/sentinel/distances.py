@@ -8,10 +8,9 @@ bandwidths follow one fixed rule per overlap pair: b1 is the median
 heuristic and b2 the max-eigenvalue bandwidth, both of the pooled set.
 
 The median-heuristic bandwidth, the MMD and both KDE-KL directions read one
-pooled squared-distance matrix, a scipy `cdist` of [x; y] with itself loaded
-on first use (`_cdist`): the median of its strict upper triangle (`pdist`'s
-values) comes from one in-place partition, and each kernel reads its x-x, y-y
-or x-y block through one division into a fresh contiguous array.
+pooled squared-distance matrix of [x; y], a numpy Gram product: the median of
+its strict upper triangle comes from one in-place partition, and each kernel
+reads its x-x, y-y or x-y block through one division into a fresh array.
 
 `PooledDistances` is the one distance surface: the STAC scoring step builds
 it from an overlap pair cut from checked records, and checks nothing again.
@@ -29,13 +28,8 @@ import math
 import numpy as np
 
 BANDWIDTH_FALLBACK = 1e-8
-
-
-@functools.cache
-def _cdist():
-    """`scipy.spatial.distance.cdist`, imported on the first call, as scipy is slow to load."""
-    from scipy.spatial.distance import cdist
-    return cdist
+GRAM_ROUNDING = 8 * np.finfo(np.float64).eps
+KERNEL_SLACK = 1e-10
 
 
 def _checked(*sets) -> list[np.ndarray]:
@@ -66,39 +60,51 @@ def _check_bandwidth(bandwidth: float) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _strict_upper(n: int) -> np.ndarray:
-    """Read-only boolean mask of the strict upper triangle of an n x n matrix.
-
-    Selecting with it yields row-major order, which is `pdist`'s order.
-    """
+    """Read-only boolean mask of the strict upper triangle of an n x n matrix."""
     mask = np.triu(np.ones((n, n), dtype=bool), 1)
     mask.flags.writeable = False
     return mask
 
 
 class PooledDistances:
-    """Squared Euclidean distances over [x; y], from one `cdist`, which `_cdist` loads once.
+    """Squared Euclidean distances over [x; y], from one Gram product.
 
-    `cdist` gives a pair of points the same float wherever the pair sits, so
-    the x-by-y block is `cdist(x, y)`, the y-by-x block `cdist(y, x)` and the
-    strict upper triangle `pdist` of the pooled set, bit for bit. A kernel
-    divides a block by -s into a fresh contiguous array, which is -d / s
-    exactly, so every later pass and sum runs as on a `cdist` of its own.
+    With c the pooled points less the first of them, so that cancellation is
+    bounded by the set's spread, entry (i, j) is |c_i|^2 + |c_j|^2 - 2 c_i.c_j,
+    rounded by less than `slack` = `GRAM_ROUNDING` * (d + 1) * max |c_i|^2.
+    Entries up to `slack` are set to 0, so the diagonal and identical points
+    are exactly 0 apart on any BLAS, and each entry is within 2 * `slack` of
+    the float64 pairwise difference: 1e-12 of the largest entry while d < 280.
+    A kernel at scale s reads its block over -s, from exact differences where
+    `slack` exceeds `KERNEL_SLACK` * s.
 
     `x` and `y` are (n, d) float64 arrays that are already checked: by
     `_checked`, or as an overlap pair cut from checked records. Nothing here
-    checks them again.
+    checks them again. `pooled` is [x; y] if the caller holds it already.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.pooled = np.concatenate((x, y))
-        self.sq = _cdist()(self.pooled, self.pooled, "sqeuclidean")
+    def __init__(self, x: np.ndarray, y: np.ndarray, pooled: np.ndarray | None = None):
+        self.pooled = np.concatenate((x, y)) if pooled is None else pooled
+        centred = self.pooled - self.pooled[0]
+        sq = centred @ centred.T
+        norms = sq.diagonal().copy()
+        sq *= -2.0
+        sq += norms
+        sq += norms[:, None]
+        self.slack = GRAM_ROUNDING * (x.shape[1] + 1) * norms.max()
+        np.copyto(sq, 0.0, where=sq <= self.slack)
+        self.sq = sq
         self.n = {"x": x.shape[0], "y": y.shape[0]}
         self.dim = x.shape[1]
         self._half = {"x": slice(None, x.shape[0]), "y": slice(x.shape[0], None)}
 
     def _negated_block(self, rows: str, cols: str, scale: float) -> np.ndarray:
         """`rows` by `cols` block (each "x" or "y") over -`scale`, as a fresh contiguous array."""
-        return np.divide(self.sq[self._half[rows], self._half[cols]], -scale)
+        r, c = self._half[rows], self._half[cols]
+        if self.slack <= KERNEL_SLACK * scale:
+            return np.divide(self.sq[r, c], -scale)
+        diff = self.pooled[r, None, :] - self.pooled[None, c, :]
+        return np.divide(np.square(diff).sum(axis=-1), -scale)
 
     def median_heuristic(self) -> float:
         """`np.median` of the strict upper triangle, from one in-place partition:

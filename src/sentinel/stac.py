@@ -28,13 +28,14 @@ STAC_DETECTORS = ("stac-mmd", "stac-klf", "stac-klr", "min-l2")
 class OverlapPair:
     """The two sampled marginals covering environment steps [t+k, t+h-1].
 
-    `prev` holds chunk indices [k, h-1] of every chunk sampled at t, `curr`
-    chunk indices [0, h-k-1] of every chunk sampled at t+k; both are
-    (B, (h-k) * d') float64 arrays over the d' masked dimensions, flattened
-    time-major then action-dimension. They are cut from checked records, so
-    they are finite and non-empty, and nothing checks them again.
+    `pooled` stacks chunk indices [k, h-1] of every chunk sampled at t (its
+    view `prev`) over chunk indices [0, h-k-1] of every chunk sampled at t+k
+    (`curr`): a (B_t + B_t+k, (h-k) * d') float64 array over the d' masked
+    dimensions, flattened time-major then action-dimension. It is cut from
+    checked records, so it is finite and non-empty; nothing checks it again.
     """
 
+    pooled: np.ndarray
     prev: np.ndarray
     curr: np.ndarray
 
@@ -69,11 +70,6 @@ class ScoreSeries:
         return list(zip(self.timesteps, self.step_scores, self.cumulative))
 
 
-def _flatten_overlap(chunks: np.ndarray) -> np.ndarray:
-    # (B, steps, d) -> (B, steps*d), time-major within each row
-    return chunks.reshape(chunks.shape[0], -1)
-
-
 def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
                     header: RolloutHeader) -> OverlapPair:
     """Slice two adjacent records down to their shared h-k overlap steps,
@@ -84,11 +80,10 @@ def extract_overlap(prev: InferenceRecord, curr: InferenceRecord,
     """
     k = header.execution_horizon
     h = header.prediction_horizon
-    # Slicing the steps before masking leaves the mask only the overlap steps to copy.
-    return OverlapPair(
-        prev=_flatten_overlap(prev.chunk_samples[:, k:h, header.mask]),
-        curr=_flatten_overlap(curr.chunk_samples[:, 0:h - k, header.mask]),
-    )
+    # One copy stacks the overlap steps; the mask then copies only those, contiguously.
+    steps = np.concatenate((prev.chunk_samples[:, k:h], curr.chunk_samples[:, 0:h - k]))
+    pooled = steps.compress(header.mask, axis=2).reshape(steps.shape[0], -1)
+    return OverlapPair(pooled, pooled[:prev.batch_size], pooled[prev.batch_size:])
 
 
 def detect_online(series: ScoreSeries, gamma: float) -> Optional[int]:

@@ -241,9 +241,14 @@ class HttpTransport(MonitorTransport):
         api_key = os.environ.get(self.API_KEY_ENV)
         if not api_key:
             raise TransportError(f"missing credential: set {self.API_KEY_ENV}")
+        if not re.fullmatch(r"[!-~]+", api_key):  # a header error would quote the key
+            raise TransportError(f"{self.API_KEY_ENV} is not a valid header value: visible ASCII only")
         content = [{"type": "text", "text": text}]
         for ref in frames:
-            data = base64.b64encode(Path(ref).read_bytes()).decode("ascii")
+            try:
+                data = base64.b64encode(Path(ref).read_bytes()).decode("ascii")
+            except OSError as exc:
+                raise TransportError(f"cannot read frame {ref!r}: {exc.strerror or exc}") from exc
             content.append({"type": "image_url", "image_url": {"url": f"data:image/png;base64,{data}"}})
         payload = {"model": self.model, "messages": [{"role": "user", "content": content}]}
         try:

@@ -486,33 +486,41 @@ class TestOnlineScorer:
                         _stitched_chunks(prev, record), prev.embedding, policy, param, seed)
 
     def test_stac_step_builds_one_distance_matrix_and_one_bandwidth(self, monkeypatch):
-        """One cdist and one KDE bandwidth per step for the whole STAC roster.
-        The bandwidth reads the pooled set the distance matrix was built from,
+        """One pooled distance matrix and one KDE bandwidth per step for the whole STAC
+        roster. The matrix is within rtol 1e-12 of its largest entry from brute-force
+        differences, the bandwidth reads the pooled set the matrix was built from,
         and a step without a KDE-KL detector computes none."""
         _, log = TestStackedReconstruction._scenario_log("mode_resample")
-        calls = {"cdist": 0, "_max_eig_bandwidth": 0}
+        built, bandwidth_sets, max_eig_bandwidth = [], [], distances._max_eig_bandwidth
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        class Counted(distances.PooledDistances):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-        monkeypatch.setattr(distances, "_max_eig_bandwidth",
-                            counting("_max_eig_bandwidth", distances._max_eig_bandwidth))
-        counted_cdist = counting("cdist", distances._cdist())
-        monkeypatch.setattr(distances, "_cdist", lambda: counted_cdist)
+        def max_eig(pooled):
+            bandwidth_sets.append(pooled)
+            return max_eig_bandwidth(pooled)
+
+        monkeypatch.setattr(baselines, "PooledDistances", Counted)
+        monkeypatch.setattr(distances, "_max_eig_bandwidth", max_eig)
         scorer = OnlineScorer(STAC_DETECTORS + ("outvar",), log.header)
         mmd_only = OnlineScorer(("stac-mmd",), log.header)
         scorer.push(log.records[0])
         mmd_only.push(log.records[0])
         for record in log.records[1:]:
-            calls.update(cdist=0, _max_eig_bandwidth=0)
+            built.clear()
+            bandwidth_sets.clear()
             scorer.push(record)
-            assert calls["cdist"] == calls["_max_eig_bandwidth"] == 1
-            calls.update(cdist=0, _max_eig_bandwidth=0)
+            [dists] = built
+            assert len(bandwidth_sets) == 1 and bandwidth_sets[0] is dists.pooled
+            diff = dists.pooled[:, None, :] - dists.pooled[None, :, :]
+            ref = (diff ** 2).sum(axis=-1)
+            assert np.all(np.abs(dists.sq - ref) <= 1e-12 * ref.max())
+            built.clear()
+            bandwidth_sets.clear()
             mmd_only.push(record)
-            assert (calls["cdist"], calls["_max_eig_bandwidth"]) == (1, 0)
+            assert (len(built), len(bandwidth_sets)) == (1, 0)
 
     def test_push_checks_each_record_once(self, monkeypatch):
         """A live record meets the log's rules once, as it is pushed."""

@@ -10,8 +10,11 @@ run is also checked against its recorded report.
 `fixtures/bundled_batteries/<name>/` holds the `report.json` and
 `verdicts.csv` that `sentinel eval --config <name>` wrote: stall and drift
 when scoring still went through `scipy.special.logsumexp`, erratic when the
-pooled distances still came from scipy's `cdist`. `drift` scores `stac-klf`,
-so it exercises the KDE log-sum-exp. `all-detectors/` holds the same two files for
+pooled distances still came from scipy's `cdist`. They are tolerance
+references, not re-recorded when only score bits move: the numpy Gram-product
+distances passed them unedited, and then only the three `report.json` sha256
+values were re-recorded. `drift` scores `stac-klf`, so it exercises the KDE
+log-sum-exp. `all-detectors/` holds the same two files for
 `ALL_DETECTORS` below, recorded while every detector was still scored by its
 own walk over each log; with erratic's sha256 it pins the four
 diffusion-oracle detectors. The rule is the perfbench one: verdicts, metrics

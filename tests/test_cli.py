@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -770,6 +771,22 @@ class TestVlm:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == {
             "type": "monitor", "message": "cannot send to 'notaurl': unknown url type: 'notaurl'"}
+
+    def test_missing_frame_file_is_a_located_monitor_error(self, capsys, tmp_path, monkeypatch):
+        """A log whose frame files were never written, as `synth` leaves it, fails as a
+        monitor fault naming the first frame's path, before any connection is made."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SENTINEL_VLM_API_KEY", "test-key")
+        log = make_log()
+        write_log(log, tmp_path / "x.sentinel.jsonl")
+        code = run_cli(["vlm", "--log", "x.sentinel.jsonl", "--transport", "http",
+                        "--url", "http://127.0.0.1:9/v1/chat", "--model", "m"])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "monitor"
+        assert re.fullmatch(r"cannot read frame '[^']+\.png': No such file or directory",
+                            error["message"])
 
 
 class TestParserBuiltOnce:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from sentinel.distances import (BANDWIDTH_FALLBACK, PooledDistances, _checked,
+from sentinel.distances import (BANDWIDTH_FALLBACK, KERNEL_SLACK, PooledDistances, _checked,
                                 kde_bandwidth_max_eig, kde_log_density, logsumexp_rows,
                                 median_heuristic, min_l2, mmd_rbf)
+
+# The pooled matrix's tolerance against brute-force differences, relative to its largest entry.
+REL_TOL = 1e-12
 
 
 def _sets(rng, n_max=50, d_max=4):
@@ -159,42 +161,58 @@ def test_kde_log_density_matches_brute_force():
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
 
 
+def brute_sq(pooled):
+    """Squared distances between the rows of `pooled`, from float64 pairwise differences."""
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    return (diff ** 2).sum(axis=-1)
+
+
+def _kernel_matrix(pooled, scale):
+    """The matrix a kernel at `scale` reads: the Gram form, or exact differences
+    where the Gram form's rounding could move its exponent by over KERNEL_SLACK."""
+    return pooled.sq if pooled.slack <= KERNEL_SLACK * scale else brute_sq(pooled.pooled)
+
+
 def test_kde_log_density_is_the_scipy_logsumexp_form_exactly():
+    """Fed the same distances, the KDE is scipy's logsumexp form bit for bit."""
     rng = np.random.default_rng(7)
     for _ in range(100):
         x, y = _sets(rng, n_max=40)
         bandwidth = 10.0 ** rng.uniform(-1, 1)
-        sq = cdist(y, x, "sqeuclidean")
+        pooled = PooledDistances(x, y)
+        sq = _kernel_matrix(pooled, 2.0 * bandwidth ** 2)[len(x):, :len(x)]
         log_norm = math.log(len(x)) + 0.5 * x.shape[1] * math.log(2.0 * math.pi * bandwidth ** 2)
         want = logsumexp(-sq / (2.0 * bandwidth ** 2), axis=1) - log_norm
         assert np.array_equal(kde_log_density(x, y, bandwidth), want)
 
 
-def _parent_median_heuristic(x, y):
-    """The median heuristic before the pooled matrix: pdist + np.median."""
-    med = float(np.median(pdist(np.vstack([x, y]), metric="sqeuclidean")))
+def _block_median_heuristic(sq):
+    """`np.median` of the strict upper triangle, with the fallback."""
+    med = float(np.median(sq[np.triu_indices(len(sq), 1)]))
     return med if med > 0.0 else BANDWIDTH_FALLBACK
 
 
-def _parent_mmd_rbf(x, y, bandwidth):
-    """The MMD before the pooled matrix: one cdist per block."""
-    kxx = np.exp(-cdist(x, x, "sqeuclidean") / bandwidth).mean()
-    kyy = np.exp(-cdist(y, y, "sqeuclidean") / bandwidth).mean()
-    kxy = np.exp(-cdist(x, y, "sqeuclidean") / bandwidth).mean()
+def _block_mmd_rbf(sq, n_x, bandwidth):
+    """The MMD from the x-x, y-y and x-y blocks of a pooled matrix, one mean each."""
+    x, y = slice(None, n_x), slice(n_x, None)
+    kxx = np.exp(-sq[x, x] / bandwidth).mean()
+    kyy = np.exp(-sq[y, y] / bandwidth).mean()
+    kxy = np.exp(-sq[x, y] / bandwidth).mean()
     return max(float(kxx + kyy - 2.0 * kxy), 0.0)
 
 
-def _parent_kde_log_density(fit, queries, bandwidth):
-    """The KDE log density before the pooled matrix: cdist(queries, fit)."""
-    sq = cdist(queries, fit, "sqeuclidean")
-    log_norm = (math.log(fit.shape[0])
-                + 0.5 * fit.shape[1] * math.log(2.0 * math.pi * bandwidth ** 2))
-    return logsumexp_rows(-sq / (2.0 * bandwidth ** 2))[:, 0] - log_norm
+def _block_kde_log_density(sq, fit, queries, dim, bandwidth):
+    """The KDE on the `fit` rows at the `queries` rows (slices) of a pooled matrix
+    of `dim`-dimensional points."""
+    n_fit = len(range(*fit.indices(len(sq))))
+    log_norm = math.log(n_fit) + 0.5 * dim * math.log(2.0 * math.pi * bandwidth ** 2)
+    return logsumexp_rows(-sq[queries, fit] / (2.0 * bandwidth ** 2))[:, 0] - log_norm
 
 
-def _parent_kl_forward(prev, curr, bandwidth):
-    log_p = _parent_kde_log_density(curr, curr, bandwidth)
-    log_q = _parent_kde_log_density(prev, curr, bandwidth)
+def _block_kl(sq, p_rows, q_rows, dim, bandwidth):
+    """KL(p || q) from the KDEs on two row ranges of a pooled matrix, at p's rows."""
+    log_p = _block_kde_log_density(sq, p_rows, p_rows, dim, bandwidth)
+    log_q = _block_kde_log_density(sq, q_rows, p_rows, dim, bandwidth)
     return max(float(np.mean(log_p - log_q)), 0.0)
 
 
@@ -205,24 +223,44 @@ def _parent_kde_bandwidth_max_eig(x, y):
     return bw if bw > 0.0 else BANDWIDTH_FALLBACK
 
 
-def _assert_matches_parent(x, y, kde_bandwidth):
-    """Every pooled-matrix estimator == its per-block form, bit for bit."""
+def _assert_matches_reference(x, y, kde_bandwidth):
+    """The pooled matrix against brute-force differences, and each estimator against
+    the per-block arithmetic on the matrix its kernel reads.
+
+    The matrix is within REL_TOL of its largest entry from the brute-force one,
+    never negative, and exactly 0 on its diagonal and between identical points.
+    The median heuristic is within that tolerance of the brute-force median, and
+    exactly `np.median` of the matrix. Every kernel estimator is its per-block
+    form bit for bit, and the max-eigenvalue bandwidth its `np.cov` form.
+    """
     px, py = _checked(x, y)
     pooled = PooledDistances(px, py)
+    n_x, dim, x_rows, y_rows = len(px), px.shape[1], slice(None, len(px)), slice(len(px), None)
+    ref = brute_sq(pooled.pooled)
+    atol = REL_TOL * ref.max()
+    assert pooled.slack <= atol
+    assert np.all(np.abs(pooled.sq - ref) <= atol)
+    assert (pooled.sq >= 0.0).all()
+    identical = (pooled.pooled[:, None, :] == pooled.pooled[None, :, :]).all(axis=-1)
+    assert (pooled.sq[identical] == 0.0).all()
     bandwidth = _parent_kde_bandwidth_max_eig(px, py)
     assert kde_bandwidth_max_eig(x, y) == bandwidth
     assert pooled.kde_bandwidth_max_eig() == bandwidth
     median = median_heuristic(x, y)
-    assert median == _parent_median_heuristic(px, py)
+    assert median == _block_median_heuristic(pooled.sq)
+    ref_median = _block_median_heuristic(ref)
+    assert median == ref_median or abs(median - ref_median) <= atol
     for bandwidth in (median, kde_bandwidth):
-        assert mmd_rbf(x, y, bandwidth) == _parent_mmd_rbf(px, py, bandwidth)
+        assert mmd_rbf(x, y, bandwidth) == _block_mmd_rbf(
+            _kernel_matrix(pooled, bandwidth), n_x, bandwidth)
+    sq = _kernel_matrix(pooled, 2.0 * kde_bandwidth ** 2)
     assert np.array_equal(kde_log_density(x, y, kde_bandwidth),
-                          _parent_kde_log_density(px, py, kde_bandwidth))
-    assert np.array_equal(kde_log_density(y, x, kde_bandwidth),
-                          _parent_kde_log_density(py, px, kde_bandwidth))
-    assert pooled.kl_forward(kde_bandwidth) == _parent_kl_forward(px, py, kde_bandwidth)
+                          _block_kde_log_density(sq, x_rows, y_rows, dim, kde_bandwidth))
+    assert np.array_equal(pooled.kde_log_density("y", "x", kde_bandwidth),
+                          _block_kde_log_density(sq, y_rows, x_rows, dim, kde_bandwidth))
+    assert pooled.kl_forward(kde_bandwidth) == _block_kl(sq, y_rows, x_rows, dim, kde_bandwidth)
     # The reverse direction reads the pooled matrix of (x, y) as it is.
-    assert pooled.kl_reverse(kde_bandwidth) == _parent_kl_forward(py, px, kde_bandwidth)
+    assert pooled.kl_reverse(kde_bandwidth) == _block_kl(sq, x_rows, y_rows, dim, kde_bandwidth)
 
 
 @st.composite
@@ -253,7 +291,32 @@ def _set_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_set_pairs())
 def test_pooled_matrix_is_the_per_block_arithmetic_exactly(pair):
-    _assert_matches_parent(*pair)
+    _assert_matches_reference(*pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_set_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_pooled_matrix_far_from_the_origin_matches_brute_force(pair, seed):
+    """Moved off the origin by 1e3 times its spread, in a random direction, a set
+    keeps every property: the Gram product is taken about a point of the set."""
+    x, y, bandwidth = pair
+    x, y = _checked(x, y)
+    points = np.vstack([x, y])
+    spread = float(np.max(np.abs(points - points.mean(axis=0)))) or 1.0
+    direction = np.random.default_rng(seed).standard_normal(points.shape[1])
+    offset = 1e3 * spread * direction / np.linalg.norm(direction)
+    _assert_matches_reference(x + offset, y + offset, bandwidth)
+
+
+def test_narrow_kernel_on_far_clusters_reads_exact_differences():
+    """Two points 1 apart, 129280 from a third: the Gram form's rounding, relative to the
+    largest norm, exceeds what an exponent at bandwidth 1 may lose, so the kernel
+    reads exact differences, and the MMD is the brute-force one in either order."""
+    x, y = np.array([[129280.26565689524]]), np.array([[0.0], [1.0]])
+    assert PooledDistances(y, x).slack > KERNEL_SLACK * 1.0
+    want = brute_mmd(x, y, 1.0)
+    assert mmd_rbf(x, y, 1.0) == pytest.approx(want, abs=1e-12)
+    assert mmd_rbf(y, x, 1.0) == pytest.approx(want, abs=1e-12)
 
 
 # 300 pairs whose lower middle `partition(150)` (numpy 2.4) leaves off index 149.
@@ -273,7 +336,7 @@ _POOL_25 = np.random.default_rng(106).standard_normal((25, 1))
     ([0.5, -1.0, 2.0], [1.5, 0.0]),  # 1-D input
 ])
 def test_pooled_matrix_edge_cases_match_per_block_arithmetic(x, y):
-    _assert_matches_parent(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+    _assert_matches_reference(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
                            0.7)
 
 
@@ -342,10 +405,12 @@ def test_kl_single_samples_closed_form(m, beta):
 
 
 def test_kl_reverse_is_swapped_forward():
+    """The pooled matrices of (x, y) and (y, x) differ in their rounding alone."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((10, 2))
     y = rng.standard_normal((12, 2)) + 0.5
-    assert PooledDistances(x, y).kl_reverse(0.9) == PooledDistances(y, x).kl_forward(0.9)
+    assert PooledDistances(x, y).kl_reverse(0.9) == pytest.approx(
+        PooledDistances(y, x).kl_forward(0.9), rel=REL_TOL)
 
 
 def test_separation_monotonicity_fixed_bandwidth():

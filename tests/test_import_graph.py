@@ -1,15 +1,12 @@
 """Which third-party modules each entry point loads, each run in a fresh interpreter.
 
-scipy is imported only where STAC's pooled distances need it: building an
-`OnlineScorer` whose roster names `stac-mmd`, `stac-klf` or `stac-klr` loads
-`scipy.spatial.distance` (through `distances._cdist`), and no module of the
-package imports scipy at module level. `import sentinel.cli` imports every
-module, so a module-level scipy import anywhere fails these tests; a new use
-of scipy, such as `scipy.stats.beta` for the FPR distribution given one
-calibration set, must be imported inside the function that uses it.
-No module imports requests. The http transport imports `urllib.request` and
-`http.client` inside `HttpTransport._send`, so `http` loads on the first HTTP
-request and no other entry point pays for it.
+numpy is the one runtime dependency. No `sentinel` command loads scipy: STAC's
+pooled distances come from a numpy Gram product, and scipy is a test-only
+reference. `import sentinel.cli` imports every module, so a scipy import
+anywhere on a command's path fails these tests. No module imports requests.
+The http transport imports `urllib.request` and `http.client` inside
+`HttpTransport._send`, so `http` loads on the first HTTP request and no other
+entry point pays for it.
 """
 
 import ast
@@ -63,21 +60,24 @@ stages["vlm"] = loaded()
     assert _loaded_after_each_stage(body, tmp_path) == {"import": [], "synth": [], "vlm": []}
 
 
-def test_scipy_loads_when_a_pooled_distance_scorer_is_built(tmp_path):
+def test_no_sentinel_command_loads_scipy(tmp_path):
+    """synth, stac-mmd calibrate and detect (the pooled distances), and a bundled eval;
+    each command exits 0."""
     body = """
-from sentinel.baselines import OnlineScorer
-from sentinel.rollout import RolloutHeader
-header = RolloutHeader(action_dim=2, prediction_horizon=4, execution_horizon=2,
-                       episode_limit=16, step_duration=0.5, action_mask=(True, True),
-                       task_description="reach", task_time_limit=8.0)
-OnlineScorer(("min-l2", "outvar"), header)
-stages["min-l2"] = loaded()
-OnlineScorer(("stac-mmd",), header)
-stages["stac-mmd"] = loaded()
-stages["kernel"] = "scipy.spatial.distance" in sys.modules
+import sentinel.cli
+commands = {
+    "synth": ["synth", "--scenario", "nominal", "--n", "3", "--out", "logs"],
+    "calibrate": ["calibrate", "--detector", "stac-mmd", "--logs", "logs/*.sentinel.jsonl",
+                  "--delta", "0.5", "--out", "cal.json"],
+    "detect": ["detect", "--detector", "stac-mmd", "--calibration", "cal.json",
+               "--log", "logs/nominal_0000.sentinel.jsonl", "--emit-series", "series.csv"],
+    "eval": ["eval", "--config", "stall", "--out", "stall"],
+}
+for name, argv in commands.items():
+    stages[name] = [sentinel.cli.main(argv)] + loaded()
 """
     assert _loaded_after_each_stage(body, tmp_path) == {
-        "min-l2": [], "stac-mmd": ["scipy"], "kernel": True}
+        "synth": [0], "calibrate": [0], "detect": [0], "eval": [0]}
 
 
 def test_an_http_request_loads_http_but_not_requests(tmp_path, endpoint):
@@ -110,4 +110,4 @@ def test_third_party_imports_are_exactly_the_declared_dependencies():
                 imported |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert imported - set(sys.stdlib_module_names) - {"sentinel"} == declared == {"numpy", "scipy"}
+    assert imported - set(sys.stdlib_module_names) - {"sentinel"} == declared == {"numpy"}

@@ -45,6 +45,26 @@ def test_overlap_respects_mask(rng):
         pair.curr[0], [v for v in chunks[0, :2].ravel() if v % 14 not in (6, 13)])
 
 
+@pytest.mark.parametrize("mask", [None, (True, False, True), (False, True, False)],
+                         ids=["unmasked", "outer-dims", "middle-dim"])
+@pytest.mark.parametrize("batches", [(5, 5), (4, 7)])
+def test_pooled_overlap_is_the_two_masked_sides_stacked(rng, mask, batches):
+    """The one-copy pooled set equals each side cut with the boolean mask,
+    flattened and then stacked, value for value; prev and curr are views of it."""
+    header = make_header(action_dim=3, action_mask=mask or (True,) * 3)
+    prev = make_record(0, rng.standard_normal((batches[0], 4, 3)))
+    curr = make_record(2, rng.standard_normal((batches[1], 4, 3)))
+    pair = extract_overlap(prev, curr, header)
+    k, h = header.execution_horizon, header.prediction_horizon
+    sides = (prev.chunk_samples[:, k:h, header.mask], curr.chunk_samples[:, 0:h - k, header.mask])
+    expected = np.concatenate([side.reshape(side.shape[0], -1) for side in sides])
+    assert pair.pooled.flags.c_contiguous
+    assert np.array_equal(pair.pooled, expected)
+    assert pair.prev.base is pair.curr.base is pair.pooled.base
+    assert np.array_equal(pair.prev, expected[:batches[0]])
+    assert np.array_equal(pair.curr, expected[batches[0]:])
+
+
 def test_overlap_requires_adjacent_records(rng):
     """A non-adjacent record is refused where it enters the scorer, before
     any overlap is cut."""

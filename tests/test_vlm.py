@@ -307,6 +307,27 @@ class TestHttpTransport:
             query_monitor(_frame_prompt(tmp_path), transport)
         assert endpoint.seen == []
 
+    @pytest.mark.parametrize("key", ["sk-secret\n", " sk-secret", "sk\tsecret", "sk-secret\x1b",
+                                     "sk-s\u00e9cret"],
+                             ids=["trailing-newline", "leading-space", "tab", "control", "non-ascii"])
+    def test_credential_that_is_no_header_value_sends_nothing(self, endpoint, tmp_path,
+                                                             monkeypatch, key):
+        """The message names the variable and never quotes the key."""
+        monkeypatch.setenv(HttpTransport.API_KEY_ENV, key)
+        with pytest.raises(MonitorUnavailableError) as excinfo:
+            query_monitor(_frame_prompt(tmp_path), HttpTransport(endpoint.url, "m"))
+        assert str(excinfo.value) == (f"{HttpTransport.API_KEY_ENV} is not a valid header value: "
+                                      "visible ASCII only")
+        assert endpoint.seen == []
+
+    def test_unreadable_frame_names_its_path_and_sends_nothing(self, endpoint, tmp_path):
+        missing = str(tmp_path / "never-written.png")
+        with pytest.raises(MonitorUnavailableError,
+                           match=f"^cannot read frame {re.escape(repr(missing))}: "
+                                 "No such file or directory$"):
+            query_monitor(_prompt(frames=(missing,)), HttpTransport(endpoint.url, "m"))
+        assert endpoint.seen == []
+
     @pytest.mark.parametrize("code", [500, 503])
     def test_server_error_is_retried_once(self, endpoint, tmp_path, code):
         endpoint.replies = [status_reply(code), chat_reply(OK_REPLY)]
