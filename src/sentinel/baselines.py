@@ -1,14 +1,14 @@
 """Per-timestep baseline score functions and the shared detector registry.
 
 Every detector, temporal-consistency variants included, reduces to a
-nonnegative per-inference-step score, summed into a cumulative series by
-`OnlineScorer` and thresholded by the same conformal machinery. This module
-holds the non-consistency scores (embedding distance, diffusion-style
-losses, output variance), the name registry the CLI and harness select
-from, `OnlineScorer`, which scores every requested detector one inference
-record at a time, and `score_logs`, the one loop that walks a battery of
-logs through it in lockstep, with `score_detectors` / `score_log` as its
-one-log cases.
+nonnegative per-inference-step score whose running sum (`OnlineScorer`'s,
+or the one a `ScoreSeries` derives from the step scores) is thresholded by
+the same conformal machinery. This module holds the non-consistency scores
+(embedding distance, diffusion-style losses, output variance), the name
+registry the CLI and harness select from, `OnlineScorer`, which scores
+every requested detector one inference record at a time, and `score_logs`,
+the one loop that walks a battery of logs through it in lockstep, with
+`score_log` as its one-log, one-detector case.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class EmbeddingStats:
         inv = np.asarray(self.covariance_inverse, dtype=np.float64)
         if inv.shape != (mean.shape[0], mean.shape[0]):
             raise ValueError(f"covariance_inverse shape {inv.shape} does not match mean")
+        if not (np.isfinite(mean).all() and np.isfinite(inv).all()):
+            raise ValueError("mean and covariance_inverse must be finite")
         if not np.allclose(inv, inv.T, atol=1e-8 * max(1.0, float(np.abs(inv).max()))):
             raise ValueError("covariance_inverse must be symmetric")
         try:
@@ -305,7 +307,8 @@ class OnlineScorer:
         """Score the next inference record: {name: (step score, cumulative)}."""
         prev = self._prev
         check_next(self.header, record if prev is None else self._first, prev, record)
-        return _push_lockstep({0: (self, record)})[0]
+        steps = _push_lockstep({0: (self, record)})[0]
+        return {name: (steps[name], self._cumulative[name]) for name in self.names}
 
     def _score_own(self, record: InferenceRecord) -> tuple[dict, list]:
         """Score the detectors that read this log alone on `record`, which the log's
@@ -333,19 +336,18 @@ class OnlineScorer:
             steps["outvar"] = output_variance_score(record, header)
         return steps, members
 
-    def _advance(self, record: InferenceRecord, steps: dict) -> dict[str, tuple[float, float]]:
-        """Add a scored step to the running sums and move on past `record`."""
-        out = {}
+    def _advance(self, record: InferenceRecord, steps: dict) -> dict[str, float]:
+        """Make the step scores Python floats, in place, add them to the running
+        sums and move on past `record`. Returns the step scores."""
         cumulative = self._cumulative
         for name in self.names:
-            value = float(steps[name])
-            running = cumulative[name] = cumulative[name] + value
-            out[name] = (value, running)
+            steps[name] = value = float(steps[name])
+            cumulative[name] += value
         if self._prev is None:
             self._first = record
         self._prev = record
         self._j += 1
-        return out
+        return steps
 
 
 def _push_lockstep(pushes: dict) -> dict:
@@ -354,7 +356,7 @@ def _push_lockstep(pushes: dict) -> dict:
     Each log scores its own detectors, then each oracle family scores the
     members of every log per chunk-set shape, in calls of as many whole sets
     as ORACLE_ROWS holds (B rows per draw or depth; a larger set goes alone),
-    which changes no bit. Returns {index: what `push` returns}. A ValueError
+    which changes no bit. Returns {index: {name: step score}}. A ValueError
     about one log's record carries its index as `log_index`, and one from an
     oracle call the index of the call's first log; no scorer moves on unless
     every log's step scores.
@@ -408,20 +410,18 @@ def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
         except ValueError as exc:
             exc.log_index = index
             raise
-    pushed = [[] for _ in logs]  # per log, what each push returned
+    scored = [[] for _ in logs]  # per log, the step scores of each record
     for j in range(max([log.n_records for log in logs], default=0)):
         live = {index: (scorers[index], log.records[j])
                 for index, log in enumerate(logs) if j < log.n_records}
-        for index, out in _push_lockstep(live).items():
-            pushed[index].append(out)
+        for index, steps in _push_lockstep(live).items():
+            scored[index].append(steps)
     battery = []
     for index, (log, scorer) in enumerate(zip(logs, scorers)):
         series = {}
         for name in scorer.names:
             try:
-                series[name] = ScoreSeries(
-                    timesteps=log.timesteps(), step_scores=[s[name][0] for s in pushed[index]],
-                    cumulative=[s[name][1] for s in pushed[index]])
+                series[name] = ScoreSeries(log.timesteps(), [s[name] for s in scored[index]])
             except ValueError as exc:
                 error = ValueError(f"{name}: {exc}")
                 error.log_index = index
@@ -430,13 +430,7 @@ def score_logs(names: Sequence[str], logs: Sequence[RolloutLog],
     return battery
 
 
-def score_detectors(names: Sequence[str], log: RolloutLog, ctx: Optional[DetectorContext] = None,
-                    oracle: Optional[PolicyOracle] = None) -> dict[str, ScoreSeries]:
-    """Score one rollout with several registry detectors: `score_logs` for one log."""
-    return score_logs(names, [log], [ctx], oracle)[0]
-
-
 def score_log(name: str, log: RolloutLog, ctx: Optional[DetectorContext] = None,
               oracle: Optional[PolicyOracle] = None) -> ScoreSeries:
-    """Score one rollout with one registry detector: `score_detectors` for one name."""
-    return score_detectors((name,), log, ctx, oracle)[name]
+    """Score one rollout with one registry detector: `score_logs` for one log and one name."""
+    return score_logs((name,), [log], [ctx], oracle)[0][name]

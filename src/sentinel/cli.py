@@ -26,7 +26,7 @@ from .calibration import (DEFAULT_DELTA, CalibrationResult, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .evaluation import (BenchmarkConfig, detector_source, run_benchmark,
                          verdict_from_series)
-from .policy import ScenarioConfig, default_goal_label, generate_rollout
+from .policy import ScenarioConfig, generate_rollout
 from .rollout import LOG_SUFFIX, _scalar, read_log, write_log
 from .vlm import (TEMPLATE_IDS, VARIANT_TEMPLATES, HttpTransport, MockTransport,
                   MonitorError, checkpoint_record_indices, monitor_log)
@@ -129,7 +129,7 @@ def cmd_synth(args) -> int:
     rows = []
     for i in range(args.n):
         seed = args.seed * 1_000_000 + i
-        log = generate_rollout(policy, scenario, label_rule=default_goal_label, seed=seed)
+        log = generate_rollout(policy, scenario, seed=seed)
         name = f"{args.scenario}_{i:04d}{LOG_SUFFIX}"
         write_log(log, out_dir / name)
         rows.append((name, seed, log.label.outcome))

@@ -23,7 +23,7 @@ from .baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats, embeddi
 from .calibration import (DEFAULT_DELTA, conformal_threshold,
                           leave_trajectory_out_stats, pooled_stats)
 from .policy import BEHAVIORS, ScenarioConfig, generate_rollout
-from .rollout import RolloutLog, _check_scalar_fields, _json_fields
+from .rollout import RolloutLabel, RolloutLog, _check_scalar_fields, _json_fields
 from .stac import STAC_DETECTORS, ScoreSeries, detect_online
 from .vlm import MockTransport, checkpoint_budget, monitor_log
 
@@ -59,20 +59,12 @@ class Verdict:
         return obj
 
 
-def ok_verdict(source: str) -> Verdict:
-    return Verdict(decision="ok", source=source)
-
-
-def failure_verdict(source: str, timestep: int, step_duration: float) -> Verdict:
-    return Verdict(decision="failure", source=source, detection_timestep=int(timestep),
-                   detection_seconds=float(timestep) * float(step_duration))
-
-
 def verdict_at(source: str, timestep: Optional[int], step_duration: float) -> Verdict:
     """A failure at `timestep`, or ok when there is none."""
     if timestep is None:
-        return ok_verdict(source)
-    return failure_verdict(source, timestep, step_duration)
+        return Verdict(decision="ok", source=source)
+    return Verdict(decision="failure", source=source, detection_timestep=int(timestep),
+                   detection_seconds=float(timestep) * float(step_duration))
 
 
 def verdict_from_series(series: ScoreSeries, gamma: float, source: str,
@@ -89,68 +81,17 @@ def combine(*verdicts: Verdict) -> Verdict:
     """
     failures = [v for v in verdicts if v.decision == "failure"]
     if not failures:
-        return ok_verdict("sentinel")
+        return Verdict(decision="ok", source="sentinel")
     first = min(failures, key=lambda v: v.detection_timestep)
     return Verdict(decision="failure", source="sentinel",
                    detection_timestep=first.detection_timestep,
                    detection_seconds=first.detection_seconds)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    mean_detection_seconds: Optional[float] = None
-
-    @property
-    def tpr(self) -> Optional[float]:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) > 0 else None
-
-    @property
-    def tnr(self) -> Optional[float]:
-        return self.tn / (self.tn + self.fp) if (self.tn + self.fp) > 0 else None
-
-    @property
-    def fpr(self) -> Optional[float]:
-        # Computed from counts, not as 1 - tnr, so the ratio is exact.
-        return self.fp / (self.tn + self.fp) if (self.tn + self.fp) > 0 else None
-
-    @property
-    def accuracy(self) -> float:
-        total = self.tp + self.tn + self.fp + self.fn
-        return (self.tp + self.tn) / total
-
-    @property
-    def balanced_accuracy(self) -> Optional[float]:
-        tpr, tnr = self.tpr, self.tnr
-        if tpr is None or tnr is None:
-            return None
-        return (tpr + tnr) / 2.0
-
-    def to_json_obj(self) -> dict:
-        obj = {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-               "accuracy": self.accuracy}
-        for key in ("tpr", "tnr", "fpr", "balanced_accuracy"):
-            value = getattr(self, key)
-            if value is not None:
-                obj[key] = value
-        if self.mean_detection_seconds is not None:
-            obj["mean_detection_seconds"] = self.mean_detection_seconds
-        return obj
-
-
-def _is_failure_label(label) -> bool:
-    if isinstance(label, str):
-        if label not in ("success", "failure"):
-            raise ValueError(f"invalid label {label!r}")
-        return label == "failure"
-    return bool(label.is_failure)
-
-
-def compute_metrics(verdicts: Sequence[Verdict], labels: Sequence) -> MetricsReport:
-    """Confusion counts and rates; detection time averaged over true positives."""
+def compute_metrics(verdicts: Sequence[Verdict], labels: Sequence[RolloutLabel]) -> dict:
+    """The report's metrics: confusion counts, accuracy, each rate whose
+    denominator is nonzero, and the detection time averaged over true
+    positives when there is one."""
     if len(verdicts) != len(labels):
         raise ValueError(f"{len(verdicts)} verdicts vs {len(labels)} labels")
     if not verdicts:
@@ -158,7 +99,7 @@ def compute_metrics(verdicts: Sequence[Verdict], labels: Sequence) -> MetricsRep
     tp = tn = fp = fn = 0
     detection_times = []
     for verdict, label in zip(verdicts, labels):
-        failed = _is_failure_label(label)
+        failed = label.is_failure
         flagged = verdict.decision == "failure"
         if failed and flagged:
             tp += 1
@@ -169,8 +110,19 @@ def compute_metrics(verdicts: Sequence[Verdict], labels: Sequence) -> MetricsRep
             fp += 1
         else:
             tn += 1
-    mean_detection = sum(detection_times) / len(detection_times) if detection_times else None
-    return MetricsReport(tp=tp, tn=tn, fp=fp, fn=fn, mean_detection_seconds=mean_detection)
+    metrics = {"tp": tp, "tn": tn, "fp": fp, "fn": fn,
+               "accuracy": (tp + tn) / (tp + tn + fp + fn)}
+    if tp + fn > 0:
+        metrics["tpr"] = tp / (tp + fn)
+    if tn + fp > 0:
+        metrics["tnr"] = tn / (tn + fp)
+        # Computed from counts, not as 1 - tnr, so the ratio is exact.
+        metrics["fpr"] = fp / (tn + fp)
+    if tp + fn > 0 and tn + fp > 0:
+        metrics["balanced_accuracy"] = (metrics["tpr"] + metrics["tnr"]) / 2.0
+    if detection_times:
+        metrics["mean_detection_seconds"] = sum(detection_times) / len(detection_times)
+    return metrics
 
 
 @dataclass
@@ -352,13 +304,11 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> dict:
     verdicts["sentinel"] = [combine(*members) for members in zip(*union_members)]
 
     labels = [log.label for log in test_logs]
-    metrics = {name: compute_metrics(v, labels) for name, v in verdicts.items()}
-
     report = {
         "config": config.to_json_obj(),
         "n_calibration_used": len(cal_logs),
         "calibration": {name: calibrations[name].to_json_obj() for name in config.detectors},
-        "metrics": {name: m.to_json_obj() for name, m in metrics.items()},
+        "metrics": {name: compute_metrics(v, labels) for name, v in verdicts.items()},
         "seeds": {"calibration": cal_seeds,
                   "test": [seed for _, seed in test_plan]},
         "test_behaviors": [behavior for behavior, _ in test_plan],

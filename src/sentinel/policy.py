@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -411,7 +411,7 @@ def default_goal_label(states: Sequence[np.ndarray], config: ScenarioConfig) -> 
 
 
 def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
-                     label_rule: Callable = default_goal_label, seed: int = 0) -> RolloutLog:
+                     seed: int = 0) -> RolloutLog:
     """Run one closed-loop episode on the integrator environment.
 
     At each inference step the policy samples a chunk batch; the executed
@@ -445,4 +445,4 @@ def generate_rollout(policy: SyntheticGmmPolicy, params: ScenarioConfig,
         path = np.cumsum(np.concatenate([state[None], executed]), axis=0)
         states.extend(path[1:])
         state = path[-1]
-    return RolloutLog(header=header, records=records, label=label_rule(states, params))
+    return RolloutLog(header=header, records=records, label=default_goal_label(states, params))

@@ -397,8 +397,15 @@ def read_log(source) -> RolloutLog:
     Every fault raises LogParseError with the 1-based number of its line, a
     record that may not follow the one before it (`check_next`) included.
     """
-    with open(source, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().split("\n")
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # named at the line that holds the first bad byte
+        raise LogParseError(f"byte {data[exc.start]:#04x} is not valid UTF-8",
+                            len(data[:exc.start + 1].splitlines())) from None
+    # Universal newlines, as a text-mode read gives them.
+    raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     if not raw_lines:

@@ -10,7 +10,7 @@ makes a single calibrated threshold sufficient for online detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,25 +42,27 @@ class OverlapPair:
 
 @dataclass
 class ScoreSeries:
-    """Per-inference-step scores and their running sum, aligned to timesteps."""
+    """Per-inference-step scores aligned to timesteps, and their running sum.
+
+    `cumulative` is derived from the step scores by the left-to-right float
+    sum `OnlineScorer` keeps, so the two agree bit for bit. Every step must be
+    finite and >= 0, which is what makes the sum nondecreasing.
+    """
 
     timesteps: list[int]
     step_scores: list[float]
-    cumulative: list[float]
+    cumulative: list[float] = field(init=False)
 
     def __post_init__(self):
-        n = len(self.timesteps)
-        if not (len(self.step_scores) == len(self.cumulative) == n):
+        if len(self.step_scores) != len(self.timesteps):
             raise ValueError("series fields must have equal lengths")
+        self.cumulative = []
         running = 0.0
-        for j, (step, cum) in enumerate(zip(self.step_scores, self.cumulative)):
+        for j, step in enumerate(self.step_scores):
             if not (math.isfinite(step) and step >= 0):
                 raise ValueError(f"step score at index {j} must be finite and >= 0, got {step}")
             running += step
-            if abs(cum - running) > 1e-12 * max(1.0, abs(running)):
-                raise ValueError(f"cumulative[{j}] inconsistent with step scores")
-        if any(b < a for a, b in zip(self.cumulative, self.cumulative[1:])):
-            raise ValueError("cumulative scores must be nondecreasing")
+            self.cumulative.append(running)
 
     @property
     def terminal(self) -> float:

@@ -21,15 +21,16 @@ from sentinel.baselines import (DETECTOR_NAMES, DetectorContext, EmbeddingStats,
                                 score_log)
 from sentinel.calibration import conformal_threshold
 from sentinel.distances import PooledDistances, kde_log_density, min_l2, mmd_rbf
-from sentinel.evaluation import (BenchmarkConfig, compute_metrics,
-                                 failure_verdict, ok_verdict, run_benchmark)
+from sentinel.evaluation import (BenchmarkConfig, compute_metrics, run_benchmark,
+                                 verdict_at)
 from sentinel.policy import (GmmMode, ScenarioConfig, SyntheticGmmPolicy,
                              generate_rollout)
 from sentinel.stac import detect_online
 from sentinel.vlm import (TEMPLATE_IDS, MonitorPrompt, ResponseParseError, build_prompt,
                           ensemble_vote, parse_response)
 
-from conftest import empirical_fpr, make_log, make_record, mode_plan
+from conftest import (empirical_fpr, failure_label, make_log, make_record, mode_plan,
+                      success_label)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -326,16 +327,16 @@ _METRIC_CASES = [
 
 def test_c11_metrics_identities():
     for decisions, labels, tp, tn, fp, fn in _METRIC_CASES:
-        verdicts = [failure_verdict("stac", 4, 0.5) if d == "failure"
-                    else ok_verdict("stac") for d in decisions]
+        verdicts = [verdict_at("stac", 4 if d == "failure" else None, 0.5) for d in decisions]
+        labels = [failure_label() if label == "failure" else success_label() for label in labels]
         report = compute_metrics(verdicts, labels)
-        assert (report.tp, report.tn, report.fp, report.fn) == (tp, tn, fp, fn)
-        assert report.tpr == (tp / (tp + fn) if tp + fn else None)
-        assert report.tnr == (tn / (tn + fp) if tn + fp else None)
-        assert report.fpr == (fp / (fp + tn) if fp + tn else None)
-        if report.tpr is not None and report.tnr is not None:
-            assert report.balanced_accuracy == (report.tpr + report.tnr) / 2.0
+        assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (tp, tn, fp, fn)
+        assert report.get("tpr") == (tp / (tp + fn) if tp + fn else None)
+        assert report.get("tnr") == (tn / (tn + fp) if tn + fp else None)
+        assert report.get("fpr") == (fp / (fp + tn) if fp + tn else None)
+        if "tpr" in report and "tnr" in report:
+            assert report["balanced_accuracy"] == (report["tpr"] + report["tnr"]) / 2.0
         else:
-            assert report.balanced_accuracy is None
+            assert report.get("balanced_accuracy") is None
     _verdict_line("c11 metrics-identities", True,
                   f"{len(_METRIC_CASES)} hand-counted confusion tables match exactly")

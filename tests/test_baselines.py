@@ -9,7 +9,7 @@ import pytest
 from sentinel import baselines, distances, evaluation, rollout
 from sentinel.baselines import (DETECTOR_NAMES, ORACLE_DETECTORS, PAIRWISE_DETECTORS,
                                 DetectorContext, EmbeddingStats, OnlineScorer, mahalanobis_score,
-                                output_variance_score, score_detectors, score_log, score_logs,
+                                output_variance_score, score_log, score_logs,
                                 _ddpm_loss, _reconstruction, _reverse_stacked, _step_seed,
                                 _stitched_chunks)
 from sentinel.evaluation import BenchmarkConfig, run_benchmark
@@ -236,7 +236,7 @@ class TestStackedReconstruction:
         policy, log = self._scenario_log(behavior)
         oracle_settings(depths=depths)
         ctx = DetectorContext(seed=6)
-        scored = score_detectors(("recon", "recon-temporal"), log, ctx, policy)
+        scored = score_logs(("recon", "recon-temporal"), [log], [ctx], policy)[0]
         alone = {name: score_log(name, log, ctx, policy) for name in scored}
         for j, record in enumerate(log.records):
             seed = _step_seed(6, j)
@@ -302,7 +302,7 @@ class TestStackedDdpm:
         policy, log = TestStackedReconstruction._scenario_log(behavior)
         oracle_settings(draws=n_noise_draws)
         ctx = DetectorContext(seed=5)
-        scored = score_detectors(("ddpm", "ddpm-temporal"), log, ctx, policy)
+        scored = score_logs(("ddpm", "ddpm-temporal"), [log], [ctx], policy)[0]
         alone = {name: score_log(name, log, ctx, policy) for name in scored}
         for j, record in enumerate(log.records):
             seed = _step_seed(5, j)
@@ -378,7 +378,7 @@ class TestOnlineScorer:
         ctx = self._ctx()
         scorer = OnlineScorer(DETECTOR_NAMES, log.header, ctx, policy)
         pushed = [scorer.push(record) for record in log.records]
-        together = score_detectors(DETECTOR_NAMES, log, ctx, policy)
+        together = score_logs(DETECTOR_NAMES, [log], [ctx], policy)[0]
         assert list(together) == list(DETECTOR_NAMES)
         for name in DETECTOR_NAMES:
             alone = score_log(name, log, ctx, policy)
@@ -554,7 +554,7 @@ class TestOnlineScorer:
     def test_context_is_checked_at_construction(self, needing, oracle_steps, overrides, match):
         """A context or an oracle that a named detector cannot use is refused
         when the scorer is built, before any record is pushed, and by
-        score_detectors with the same message: no oracle, or one whose
+        score_logs with the same message: no oracle, or one whose
         schedule is too short for the deepest of DEPTHS. A roster that names
         none of the detectors needing it builds and scores."""
         _, log = TestStackedReconstruction._scenario_log("consistent")
@@ -565,9 +565,9 @@ class TestOnlineScorer:
             with pytest.raises(ValueError, match=match):
                 OnlineScorer(("outvar", name), log.header, ctx, oracle)
             with pytest.raises(ValueError, match=match):
-                score_detectors(("outvar", name), log, ctx, oracle)
+                score_logs(("outvar", name), [log], [ctx], oracle)[0]
         rest = tuple(name for name in DETECTOR_NAMES if name not in needing)
-        assert list(score_detectors(rest, log, ctx, oracle)) == list(rest)
+        assert list(score_logs(rest, [log], [ctx], oracle)[0]) == list(rest)
 
     def test_refusals_match_score_log(self, rng):
         header = make_header()
@@ -575,7 +575,7 @@ class TestOnlineScorer:
             OnlineScorer(("outvar", "mmd"), header)
         one = make_log(header=header, n_records=1, rng=rng)
         with pytest.raises(InvalidLogError, match="min-l2 scoring needs at least 2"):
-            score_detectors(("outvar", "min-l2", "stac-mmd"), one)
+            score_logs(("outvar", "min-l2", "stac-mmd"), [one], [None])[0]
 
 
 class TestScoreLogs:
@@ -612,7 +612,7 @@ class TestScoreLogs:
                            for j in range(max(log.n_records for log in logs))]
         assert oracle.calls == sum(shapes_per_step) * (1 + max(self.DEPTHS) + 1)
         for log, ctx, series in zip(logs, ctxs, battery):
-            alone = score_detectors(DETECTOR_NAMES, log, ctx, oracle)
+            alone = score_logs(DETECTOR_NAMES, [log], [ctx], oracle)[0]
             assert list(series) == list(DETECTOR_NAMES)
             for name in DETECTOR_NAMES:
                 assert series[name] == alone[name], name

@@ -22,14 +22,23 @@ and conformal ranks exact; gammas and terminal scores within rel 1e-12.
 Re-record with `sentinel eval --config <name> --out <fixture dir>` (and
 delete the `scores.svg` it also writes), and the sha256 values with it, only
 for an intended change.
+
+The tolerance rule is also checked off this CPU's AVX-512 kernels: stall and
+drift run again in child processes with numpy's AVX-512 dispatch switched off,
+as on a host without AVX-512. Their sha256 values may then differ; their
+verdicts, metrics and scores within the rule may not.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sentinel
 from sentinel.baselines import DETECTOR_NAMES
 from sentinel.cli import _bundled_config
 from sentinel.evaluation import BenchmarkConfig, run_benchmark
@@ -102,6 +111,31 @@ def test_bundled_battery_artifacts_keep_their_sha256(bundled_run, name):
 @pytest.mark.parametrize("name", ["stall", "drift", "erratic"])
 def test_battery_matches_recorded_report(bundled_run, name):
     _assert_matches_recorded(bundled_run(name), FIXTURES / name)
+
+
+def _avx512_targets() -> str:
+    """numpy's AVX-512 dispatch targets that this CPU runs, space-separated:
+    what `NPY_DISABLE_CPU_FEATURES` switches off to run as an AVX2 host does.
+    Empty on a CPU without them, which then runs its default dispatch."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(target for target in umath.__cpu_dispatch__
+                    if (target.startswith("AVX512") or target == "X86_V4")
+                    and umath.__cpu_features__.get(target))
+
+
+@pytest.mark.parametrize("name", ["stall", "drift"])
+def test_battery_matches_recorded_report_without_avx512(tmp_path, name):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_avx512_targets())
+    src = str(Path(sentinel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sentinel.cli", "eval", "--config", name,
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _assert_matches_recorded(tmp_path, FIXTURES / name)
 
 
 def test_all_detectors_match_recorded_report(tmp_path):

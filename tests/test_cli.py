@@ -957,6 +957,30 @@ class TestErrorContract:
         assert str(cal) in error["message"]
         assert f"malformed calibration file: ValueError: {message}" in error["message"]
 
+    @pytest.mark.parametrize("stats", [
+        {"mean": [float("nan"), 0.2], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mean": [float("inf"), 0.2], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mean": [0.1, 0.2], "covariance": [[float("nan"), 0.0], [0.0, 1.0]]},
+    ], ids=["mean-nan", "mean-infinity", "covariance-nan"])
+    def test_non_finite_embedding_stats_are_a_config_error(self, capsys, tmp_path,
+                                                           synth_nominal, monkeypatch, stats):
+        """Python's json reads NaN and Infinity; the stats refuse them before
+        any log is scored, so detect prints one config error and no warning."""
+        logs_dir, config = synth_nominal
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"detector": "mahalanobis", "embedding_stats": stats, "result":
+                                   conformal_threshold([0.1, 0.2, 0.3], delta=0.4).to_json_obj()}))
+        monkeypatch.setattr(cli, "score_log", None)  # scoring would raise TypeError
+        code = run_cli(["detect", "--detector", "mahalanobis", "--calibration", cal,
+                        "--log", sorted(logs_dir.glob("*.jsonl"))[0], "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "config"
+        assert error["message"] == (f"{cal}: malformed calibration file: ValueError: "
+                                    "mean and covariance_inverse must be finite")
+
     @pytest.mark.parametrize("command, text", [
         ("eval", "{bad"),
         ("synth", "{bad"),

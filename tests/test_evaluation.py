@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from sentinel import distances, evaluation, vlm
-from sentinel.evaluation import (BenchmarkConfig, MetricsReport,
-                                 ScriptedMonitor, Verdict, combine,
-                                 compute_metrics, detector_source,
-                                 failure_verdict, ok_verdict, run_benchmark,
-                                 score_chart_svg, verdict_from_series)
-from sentinel.policy import ScenarioConfig, default_goal_label, generate_rollout
+from sentinel.evaluation import (BenchmarkConfig, ScriptedMonitor, Verdict,
+                                 combine, compute_metrics, detector_source,
+                                 run_benchmark, score_chart_svg, verdict_at,
+                                 verdict_from_series)
+from sentinel.policy import ScenarioConfig, generate_rollout
 from sentinel.stac import ScoreSeries
 from sentinel.vlm import monitor_log
 
-from conftest import make_header, make_log
+from conftest import failure_label, make_header, make_log, success_label
+
+
+def _labels(outcomes):
+    return [failure_label() if outcome == "failure" else success_label()
+            for outcome in outcomes]
 
 
 def _small_benchmark_config(**overrides):
@@ -45,20 +49,19 @@ class TestVerdict:
             Verdict(decision="failure", source="stac", detection_timestep=4)
 
     def test_constructors(self):
-        ok = ok_verdict("stac")
+        ok = verdict_at("stac", None, 0.25)
         assert ok.decision == "ok"
-        fail = failure_verdict("vlm", 8, 0.25)
+        fail = verdict_at("vlm", 8, 0.25)
         assert fail.detection_seconds == 2.0
 
     def test_json_omits_absent_fields(self):
-        assert ok_verdict("stac").to_json_obj() == {"decision": "ok", "source": "stac"}
-        obj = failure_verdict("stac", 4, 0.5).to_json_obj()
+        assert verdict_at("stac", None, 0.5).to_json_obj() == {"decision": "ok", "source": "stac"}
+        obj = verdict_at("stac", 4, 0.5).to_json_obj()
         assert obj["detection_timestep"] == 4
         assert obj["detection_seconds"] == 2.0
 
     def test_from_series(self):
-        series = ScoreSeries(timesteps=(0, 2, 4), step_scores=(0.0, 1.0, 3.0),
-                             cumulative=(0.0, 1.0, 4.0))
+        series = ScoreSeries(timesteps=(0, 2, 4), step_scores=(0.0, 1.0, 3.0))
         fired = verdict_from_series(series, 0.5, "stac", 0.25)
         assert fired.decision == "failure"
         assert fired.detection_timestep == 2
@@ -78,30 +81,30 @@ class TestDetectorSource:
 
 class TestCombine:
     def test_both_ok(self):
-        verdict = combine(ok_verdict("stac"), ok_verdict("vlm"))
+        verdict = combine(verdict_at("stac", None, 0.5), verdict_at("vlm", None, 0.5))
         assert verdict.decision == "ok"
         assert verdict.source == "sentinel"
 
     def test_either_failure_flags(self):
-        a = combine(failure_verdict("stac", 8, 0.5), ok_verdict("vlm"))
+        a = combine(verdict_at("stac", 8, 0.5), verdict_at("vlm", None, 0.5))
         assert a.decision == "failure"
-        b = combine(ok_verdict("stac"), failure_verdict("vlm", 16, 0.5))
+        b = combine(verdict_at("stac", None, 0.5), verdict_at("vlm", 16, 0.5))
         assert b.decision == "failure"
 
     def test_earliest_detection_wins(self):
-        verdict = combine(failure_verdict("stac", 12, 0.5),
-                          failure_verdict("vlm", 8, 0.5))
+        verdict = combine(verdict_at("stac", 12, 0.5),
+                          verdict_at("vlm", 8, 0.5))
         assert verdict.detection_timestep == 8
         assert verdict.detection_seconds == 4.0
 
     def test_missing_monitor_degrades(self):
-        verdict = combine(failure_verdict("stac", 6, 0.5))
+        verdict = combine(verdict_at("stac", 6, 0.5))
         assert verdict.decision == "failure"
         assert verdict.source == "sentinel"
 
     def test_accepts_iterables(self):
-        stream = [ok_verdict("stac"), failure_verdict("stac", 10, 0.5)]
-        verdict = combine(*stream, ok_verdict("vlm"))
+        stream = [verdict_at("stac", None, 0.5), verdict_at("stac", 10, 0.5)]
+        verdict = combine(*stream, verdict_at("vlm", None, 0.5))
         assert verdict.detection_timestep == 10
 
 
@@ -125,67 +128,67 @@ class TestMetrics:
 
     @pytest.mark.parametrize("decisions,labels,tp,tn,fp,fn", CASES)
     def test_confusion_counts(self, decisions, labels, tp, tn, fp, fn):
-        verdicts = [failure_verdict("stac", 4, 0.5) if d == "failure"
-                    else ok_verdict("stac") for d in decisions]
-        report = compute_metrics(verdicts, labels)
-        assert (report.tp, report.tn, report.fp, report.fn) == (tp, tn, fp, fn)
+        verdicts = [verdict_at("stac", 4 if d == "failure" else None, 0.5) for d in decisions]
+        report = compute_metrics(verdicts, _labels(labels))
+        assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (tp, tn, fp, fn)
         total = tp + tn + fp + fn
-        assert report.accuracy == (tp + tn) / total
+        assert report["accuracy"] == (tp + tn) / total
         if tp + fn > 0:
-            assert report.tpr == tp / (tp + fn)
+            assert report["tpr"] == tp / (tp + fn)
         else:
-            assert report.tpr is None
+            assert report.get("tpr") is None
         if tn + fp > 0:
-            assert report.fpr == pytest.approx(fp / (tn + fp))
+            assert report["fpr"] == pytest.approx(fp / (tn + fp))
         else:
-            assert report.fpr is None
+            assert report.get("fpr") is None
 
     def test_mean_detection_over_true_positives_only(self):
-        verdicts = [failure_verdict("stac", 4, 0.5),   # tp at 2.0s
-                    failure_verdict("stac", 12, 0.5),  # fp, excluded
-                    failure_verdict("stac", 8, 0.5),   # tp at 4.0s
-                    ok_verdict("stac")]
-        labels = ["failure", "success", "failure", "success"]
+        verdicts = [verdict_at("stac", 4, 0.5),   # tp at 2.0s
+                    verdict_at("stac", 12, 0.5),  # fp, excluded
+                    verdict_at("stac", 8, 0.5),   # tp at 4.0s
+                    verdict_at("stac", None, 0.5)]
+        labels = _labels(["failure", "success", "failure", "success"])
         report = compute_metrics(verdicts, labels)
-        assert report.mean_detection_seconds == pytest.approx(3.0)
+        assert report["mean_detection_seconds"] == pytest.approx(3.0)
 
     def test_no_true_positive_no_mean_time(self):
-        report = compute_metrics([ok_verdict("stac")], ["failure"])
-        assert report.mean_detection_seconds is None
+        report = compute_metrics([verdict_at("stac", None, 0.5)], _labels(["failure"]))
+        assert report.get("mean_detection_seconds") is None
 
     def test_balanced_accuracy(self):
-        report = MetricsReport(tp=3, tn=1, fp=1, fn=1)
-        assert report.balanced_accuracy == pytest.approx((0.75 + 0.5) / 2)
-        assert MetricsReport(tp=1, tn=0, fp=0, fn=0).balanced_accuracy is None
+        decisions = ["failure"] * 3 + [None] + ["failure", None]  # tp=3 fn=1, fp=1 tn=1
+        labels = _labels(["failure"] * 4 + ["success"] * 2)
+        report = compute_metrics([verdict_at("stac", 4 if d else None, 0.5) for d in decisions],
+                                 labels)
+        assert (report["tp"], report["tn"], report["fp"], report["fn"]) == (3, 1, 1, 1)
+        assert report["balanced_accuracy"] == pytest.approx((0.75 + 0.5) / 2)
+        one_tp = compute_metrics([verdict_at("stac", 4, 0.5)], _labels(["failure"]))
+        assert one_tp.get("balanced_accuracy") is None
 
     def test_json_omits_undefined_rates(self):
-        obj = MetricsReport(tp=1, tn=0, fp=0, fn=0).to_json_obj()
+        obj = compute_metrics([verdict_at("stac", 4, 0.5)], _labels(["failure"]))
         assert "tnr" not in obj and "fpr" not in obj and "balanced_accuracy" not in obj
         assert obj["tpr"] == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics([ok_verdict("stac")], [])
-
-    def test_rejects_unknown_string_label(self):
-        with pytest.raises(ValueError):
-            compute_metrics([ok_verdict("stac")], ["maybe"])
+            compute_metrics([verdict_at("stac", None, 0.5)], [])
 
     def test_union_never_misses_what_a_member_catches(self):
         """Counting identity: the sentinel union's TP set contains each
         member's TP set, and its FP count is at most the sum of both."""
         rng = np.random.default_rng(0)
-        labels = ["failure" if rng.random() < 0.5 else "success" for _ in range(200)]
-        stac = [failure_verdict("stac", 4, 0.5) if rng.random() < 0.4
-                else ok_verdict("stac") for _ in range(200)]
-        vlm = [failure_verdict("vlm", 8, 0.5) if rng.random() < 0.3
-               else ok_verdict("vlm") for _ in range(200)]
+        labels = _labels(["failure" if rng.random() < 0.5 else "success" for _ in range(200)])
+        stac = [verdict_at("stac", 4, 0.5) if rng.random() < 0.4
+                else verdict_at("stac", None, 0.5) for _ in range(200)]
+        vlm = [verdict_at("vlm", 8, 0.5) if rng.random() < 0.3
+               else verdict_at("vlm", None, 0.5) for _ in range(200)]
         union = [combine(s, v) for s, v in zip(stac, vlm)]
         m_stac = compute_metrics(stac, labels)
         m_vlm = compute_metrics(vlm, labels)
         m_union = compute_metrics(union, labels)
-        assert m_union.tp >= max(m_stac.tp, m_vlm.tp)
-        assert m_union.fp <= m_stac.fp + m_vlm.fp
+        assert m_union["tp"] >= max(m_stac["tp"], m_vlm["tp"])
+        assert m_union["fp"] <= m_stac["fp"] + m_vlm["fp"]
 
 
 class TestScriptedMonitor:
@@ -244,7 +247,7 @@ class TestScriptedMonitor:
         for seed in range(8):
             _, hit = monitor_log(log, monitor.transport(log, np.random.default_rng(seed)),
                                  fractions=(0.5,))
-            expected = ok_verdict("vlm") if hit is None else failure_verdict(
+            expected = verdict_at("vlm", None, 0.5) if hit is None else verdict_at(
                 "vlm", hit, header.step_duration)
             assert monitor.verdict(log, np.random.default_rng(seed)) == expected
             hits.add(hit)
@@ -460,16 +463,15 @@ def _old_rule_vlm_verdicts(config, report):
     verdicts = []
     plan = zip(report["test_behaviors"], report["seeds"]["test"])
     for i, (behavior, seed) in enumerate(plan):
-        log = generate_rollout(scenario.build_policy(behavior, seed), scenario,
-                               label_rule=default_goal_label, seed=seed)
+        log = generate_rollout(scenario.build_policy(behavior, seed), scenario, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 7, i)))
         rate = monitor.true_positive_rate if log.label.is_failure else monitor.false_positive_rate
         if rng.random() < rate:
             checkpoint = [r.timestep for r in log.records
                           if r.timestep * scenario.step_duration <= budget][-1]
-            verdicts.append(failure_verdict("vlm", checkpoint, scenario.step_duration))
+            verdicts.append(verdict_at("vlm", checkpoint, scenario.step_duration))
         else:
-            verdicts.append(ok_verdict("vlm"))
+            verdicts.append(verdict_at("vlm", None, 0.5))
     return verdicts
 
 
@@ -529,8 +531,7 @@ class TestScoreChartSvg:
     def _series(self, values):
         timesteps = tuple(2 * i for i in range(len(values)))
         steps = [values[0]] + [b - a for a, b in zip(values, values[1:])]
-        return ScoreSeries(timesteps=timesteps, step_scores=tuple(steps),
-                           cumulative=tuple(values))
+        return ScoreSeries(timesteps=timesteps, step_scores=tuple(steps))
 
     def test_deterministic(self):
         series = [self._series([0.0, 1.0, 3.0]), self._series([0.0, 0.5, 0.7])]

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from sentinel.cli import SCENARIO_BEHAVIORS, main
-from sentinel.policy import BEHAVIORS, ScenarioConfig, default_goal_label, generate_rollout
+from sentinel.policy import BEHAVIORS, ScenarioConfig, generate_rollout
 from sentinel.rollout import write_log
 
 SCENARIOS = {
@@ -47,8 +47,7 @@ PINS = {
 
 
 def log_bytes(params: ScenarioConfig, behavior: str, seed: int, path) -> bytes:
-    log = generate_rollout(params.build_policy(behavior, seed), params,
-                           label_rule=default_goal_label, seed=seed)
+    log = generate_rollout(params.build_policy(behavior, seed), params, seed=seed)
     write_log(log, path)
     return path.read_bytes()
 

@@ -174,7 +174,7 @@ def test_every_dataclass_field_is_read_by_a_program():
     assert unread == [], f"dataclass fields no program reads, only writes: {unread}"
 
 
-SCORING_ENTRY_POINTS = ("OnlineScorer", "score_logs", "score_detectors", "score_log")
+SCORING_ENTRY_POINTS = ("OnlineScorer", "score_logs", "score_log")
 
 
 def _readme_call_forms():

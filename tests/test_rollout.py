@@ -178,6 +178,26 @@ def test_byte_order_mark_is_refused_as_json_loads_refuses_it(tmp_path):
                               "line 1 column 1 (char 0)")
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_undecodable_byte_is_refused_at_its_line(tmp_path, newline):
+    """A byte that is not UTF-8 is named with its line, whichever line ending
+    the file uses; the same file without it reads as the written log."""
+    log = make_log(label=failure_label())
+    path = tmp_path / "log.sentinel.jsonl"
+    write_log(log, path)
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(newline.join(lines))
+    read = read_log(path)
+    assert read.label == log.label and len(read.records) == len(log.records)
+    assert all(records_equal(a, b) for a, b in zip(read.records, log.records))
+    lines[1] = lines[1][:8] + b"\xff\xfe" + lines[1][8:]
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(LogParseError) as err:
+        read_log(path)
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: byte 0xff is not valid UTF-8"
+
+
 def test_shared_codecs_match_the_per_call_ones(tmp_path):
     """Each written line is what `json.dumps` with the same arguments gives, and a
     line that is no JSON gets the message `json.loads` gives."""

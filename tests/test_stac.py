@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_detectors, score_log
+from sentinel.baselines import PAIRWISE_DETECTORS, OnlineScorer, score_log, score_logs
 from sentinel.distances import (PooledDistances, kde_bandwidth_max_eig, median_heuristic, min_l2,
                                 mmd_rbf)
 from sentinel.policy import ScenarioConfig, generate_rollout
@@ -90,22 +90,19 @@ def test_flattening_is_time_major():
 
 class TestScoreSeries:
     def test_validates_consistency(self):
-        ScoreSeries(timesteps=(0, 2), step_scores=(0.0, 1.5), cumulative=(0.0, 1.5))
+        assert ScoreSeries(timesteps=(0, 2), step_scores=(0.0, 1.5)).cumulative == [0.0, 1.5]
         with pytest.raises(ValueError):
-            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, 1.5), cumulative=(0.0, 2.0))
-        with pytest.raises(ValueError):
-            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, -1.0), cumulative=(0.0, -1.0))
+            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, -1.0))
 
     @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
     def test_rejects_step_that_is_not_finite_and_nonnegative(self, bad):
         with pytest.raises(ValueError, match="index 1 must be finite and >= 0"):
-            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, bad), cumulative=(0.0, bad))
+            ScoreSeries(timesteps=(0, 2), step_scores=(0.0, bad))
         with pytest.raises(ValueError, match="index 0 must be finite and >= 0"):
-            ScoreSeries(timesteps=(0, 4), step_scores=(bad, 1.0), cumulative=(bad, bad))
+            ScoreSeries(timesteps=(0, 4), step_scores=(bad, 1.0))
 
     def test_terminal(self):
-        s = ScoreSeries(timesteps=(0, 2, 4), step_scores=(0.0, 1.0, 0.5),
-                        cumulative=(0.0, 1.0, 1.5))
+        s = ScoreSeries(timesteps=(0, 2, 4), step_scores=(0.0, 1.0, 0.5))
         assert s.terminal == 1.5
 
 
@@ -182,8 +179,7 @@ class TestDetectOnline:
     def _series(self, cumulative):
         steps = [cumulative[0]] + [b - a for a, b in zip(cumulative, cumulative[1:])]
         timesteps = tuple(2 * i for i in range(len(cumulative)))
-        return ScoreSeries(timesteps=timesteps, step_scores=tuple(steps),
-                           cumulative=tuple(cumulative))
+        return ScoreSeries(timesteps=timesteps, step_scores=tuple(steps))
 
     def test_fires_at_first_crossing(self):
         series = self._series([0.0, 0.4, 1.1, 5.0])
@@ -224,7 +220,7 @@ def test_bandwidth_rule_reaches_every_step(rng):
     median-heuristic MMD bandwidth and the max-eigenvalue KDE bandwidth of
     that same pair."""
     log = make_log(n_records=5, batch_size=6, rng=rng)
-    series = score_detectors(("stac-mmd", "stac-klf", "stac-klr"), log)
+    series = score_logs(("stac-mmd", "stac-klf", "stac-klr"), [log], [None])[0]
     expected = {"stac-mmd": [0.0], "stac-klf": [0.0], "stac-klr": [0.0]}
     for prev, curr in zip(log.records, log.records[1:]):
         pair = extract_overlap(prev, curr, log.header)
@@ -245,7 +241,7 @@ def test_every_step_equals_the_public_functions_on_overlaps_cut_by_hand(behavior
     config = ScenarioConfig(episode_limit=24, action_mask=mask)
     log = generate_rollout(config.build_policy(behavior, seed=7), config, seed=7)
     names = STAC_DETECTORS + ("outvar",)
-    series = score_detectors(names, log)
+    series = score_logs(names, [log], [None])[0]
     h, k = config.prediction_horizon, config.execution_horizon
     keep = np.array(mask)
     expected = {name: [0.0] for name in STAC_DETECTORS}

@@ -14,7 +14,7 @@ for an intended change.
 import json
 from pathlib import Path
 
-from sentinel.baselines import score_detectors
+from sentinel.baselines import score_logs
 from sentinel.policy import ScenarioConfig, generate_rollout
 from sentinel.stac import STAC_DETECTORS
 
@@ -32,7 +32,7 @@ def series_reprs() -> dict:
         out[behavior] = {
             name: {"step": [repr(v) for v in series.step_scores],
                    "cumulative": [repr(v) for v in series.cumulative]}
-            for name, series in score_detectors(STAC_DETECTORS, log).items()}
+            for name, series in score_logs(STAC_DETECTORS, [log], [None])[0].items()}
     return out
 
 
