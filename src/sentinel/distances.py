@@ -189,22 +189,20 @@ def mmd_rbf(x, y, bandwidth: float) -> float:
     return PooledDistances(*_checked(x, y)).mmd_rbf(bandwidth)
 
 
-def logsumexp_rows(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    """log(sum(exp(a))) of a 2-D float64 array along `axis`, kept as a length-1 axis.
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) of each row of a 2-D float64 array, as an (n, 1) column.
 
-    The default reduces each row to an (n, 1) column; `axis=0` reduces each
-    column to a (1, n) row, which is the cheap reduction when the columns
-    are few and long. Repeats the arithmetic of `scipy.special.logsumexp(a,
-    axis=axis, keepdims=True)`, so results are bit-identical: the maxima are
-    taken out of the sum and counted, and the rest is shifted by the maximum
-    before exponentiating. scipy's array-API dispatch costs several times
-    this arithmetic on the small arrays scored here.
+    Repeats the arithmetic of `scipy.special.logsumexp(a, axis=1,
+    keepdims=True)`, so results are bit-identical: the maxima are taken out of
+    the sum and counted, and the rest is shifted by the maximum before
+    exponentiating. scipy's array-API dispatch costs several times this
+    arithmetic on the small arrays scored here.
     """
-    top = a.max(axis=axis, keepdims=True)
+    top = a.max(axis=1, keepdims=True)
     is_top = a == top
-    count = is_top.sum(axis=axis, keepdims=True, dtype=np.float64)
+    count = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows of -inf or nan, as in scipy
-        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
         rest /= count  # count is 0 only where the maximum is nan, and so is rest
         out = np.log1p(rest) + np.log(count) + top
     # A row of -inf sums to exp(-inf) = 0, whose log scipy returns as -inf.

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import logsumexp_rows
 from .rollout import (InferenceRecord, RolloutHeader, RolloutLabel, RolloutLog,
                       _check_scalar_fields, _json_fields, _scalar)
 
@@ -64,13 +63,14 @@ class PolicyOracle(abc.ABC):
         """Predict the noise inside chunks re-noised to schedule step i.
 
         `noised_chunk` has shape (G, B, h, action_dim): G groups of B chunks
-        each, and each chunk's prediction must not depend on the other rows;
-        the array must not be written into. `states` is a (G, sd) stack of G
-        states, one per group: chunk noised_chunk[g, b] is conditioned on
-        states[g]. `i` is one integer step for every group, or a (G,) integer
-        array of one step per group. Returns an array of the same shape, which
-        callers never write into, so it may be read-only or kept by the
-        oracle. A policy's modes and schedule are fixed once it is built, so
+        each, and must not be written into. A chunk's predicted value must not
+        depend on the other rows, and its bits only on its own group's B rows,
+        so a group gets the same bits in any stack of whole groups. `states`
+        is a (G, sd) stack of G states, one per group: chunk noised_chunk[g, b]
+        is conditioned on states[g]. `i` is one integer step for every group,
+        or a (G,) integer array of one step per group. Returns an array of the
+        same shape, which callers never write into, so it may be read-only or
+        kept by the oracle. A policy's modes and schedule are fixed once it is built, so
         an implementation may compute what depends only on them, or on the
         step and the state, once and reuse it.
         """
@@ -180,18 +180,18 @@ class SyntheticGmmPolicy(PolicyOracle):
         if self.behavior == "mode_resample":  # a new preference at every inference step
             self.preferred_mode = int(_draw(self._rng, self._base_cdf))
         assignments = _draw(self._rng, self._sharpened_cdfs[self.preferred_mode], batch_size)
-        means = self._mode_means(state[None])[:, 0]  # (M, h, d)
+        means = self._mode_means(state[None])[0]  # (M, h, d)
         chunks = means[assignments] + noise * self._stddevs[assignments][:, None, None]
         return chunks, assignments
 
     def _mode_means(self, states: np.ndarray) -> np.ndarray:
-        """(M, G, h, d) mean chunk of each mode from each of a (G, d) stack of states,
+        """(G, M, h, d) mean chunk of each mode from each of a (G, d) stack of states,
         an open-loop plan of exponential approach: gain * (1 - gain) ** j * (attractor -
         state) at step j. Following it k steps and re-planning gives its tail, which is
         what keeps nominal rollouts temporally consistent under re-planning."""
         if states.ndim != 2 or states.shape[1] != self.action_dim:
             raise ValueError(f"states must be a (G, {self.action_dim}) stack, got shape {states.shape}")
-        return self._decays[:, None] * (self._attractors[:, None] - states[:, None, :])
+        return self._decays * (self._attractors - states[:, None, None, :])
 
     def eps(self, noised_chunk, states, i) -> np.ndarray:
         return gmm_exact_eps(self, noised_chunk, states, i)
@@ -218,24 +218,22 @@ def _check_policy_args(modes, action_dim: int, behavior: str, dominance: float, 
         raise ValueError("drift_step dimension != action_dim")
 
 
-def _gmm_step_constants(policy: SyntheticGmmPolicy) -> tuple:
-    """What `gmm_exact_eps` needs at each schedule step and no state changes:
-    the log mode weights (M,); sqrt(abar) and sqrt(1 - abar) stacked as a
-    (2, N, 1, 1) array; and the per-mode marginal variance s2, the Gaussian
-    normalizer and the posterior shrink factor stacked mode-major as a
-    (3, M, N, 1) array. One `take` per stack gathers a call's steps."""
+def _gmm_step_constants(policy: SyntheticGmmPolicy) -> np.ndarray:
+    """What `gmm_exact_eps` needs at each schedule step and no state changes,
+    per mode, stacked as a (4, N, M, 1) array that one `take` along axis 1
+    gathers for a call's steps: the log mode weight less the Gaussian
+    normalizer, 1 / (2 s2) for the per-mode marginal variance s2,
+    sqrt(1 - abar) / s2, and sqrt(abar) in every mode's column."""
     alpha_bar = policy.schedule.alpha_bar
     abar = np.array(alpha_bar)[:, None]  # (N, 1)
     sig2 = np.array([m.stddev ** 2 for m in policy.modes])  # (M,)
     v = policy.horizon * policy.action_dim
-    sqrt_abar = np.array([math.sqrt(a) for a in alpha_bar])
     s2 = abar * sig2 + (1.0 - abar)  # marginal variance per dim, per mode
     log_norm = 0.5 * v * np.log(2.0 * math.pi * s2)
-    shrink = sqrt_abar[:, None] * sig2 / s2
-    sqrt_one_minus_abar = np.array([math.sqrt(1.0 - a) for a in alpha_bar])
-    return (np.log(policy.base_weights),
-            np.stack([sqrt_abar, sqrt_one_minus_abar])[:, :, None, None],
-            np.stack([s2.T, log_norm.T, shrink.T])[..., None])
+    sqrt_abar = np.array([math.sqrt(a) for a in alpha_bar])[:, None]
+    sqrt_one_minus_abar = np.array([math.sqrt(1.0 - a) for a in alpha_bar])[:, None]
+    return np.stack([np.log(policy.base_weights) - log_norm, 0.5 / s2,
+                     sqrt_one_minus_abar / s2, np.broadcast_to(sqrt_abar, s2.shape)])[..., None]
 
 
 def _denoise_steps(i, n_steps: int, n_groups: int) -> np.ndarray:
@@ -255,49 +253,51 @@ def _denoise_steps(i, n_steps: int, n_groups: int) -> np.ndarray:
 def gmm_exact_eps(policy: SyntheticGmmPolicy, noised_chunk, states, i) -> np.ndarray:
     """Bayes-optimal noise prediction for the nominal mixture.
 
-    Re-noising a GMM draw to schedule step i yields another GMM (means
-    scaled by sqrt(abar), per-dimension variances abar*sigma^2 + 1 - abar),
-    so the posterior mean over the clean chunk is a responsibility-weighted
-    blend of per-mode linear estimates, and the predicted noise follows as
-    eps_hat = (x - sqrt(abar) * E[a0 | x]) / sqrt(1 - abar).
+    Re-noising a GMM draw to schedule step i yields another GMM (means scaled
+    by sqrt(abar), per-dimension variances s2_m = abar*sigma_m^2 + 1 - abar),
+    so eps_hat = (x - sqrt(abar) * E[a0 | x]) / sqrt(1 - abar) is the
+    responsibility-weighted blend of each mode's
+    sqrt(1 - abar) / s2_m * (x - sqrt(abar) * mu_m).
 
     The arguments are those of `PolicyOracle.eps`. Each group gathers its
-    step's constants and runs the scalar arithmetic of a call of its own.
-    The squared distances and responsibilities are laid out mode-major,
-    (M, n), and reduced over the leading mode axis. Below 8 modes numpy sums
-    that axis in the order it sums a row of the (n, M) layout, so both give
-    the same bits; from 8 modes on it sums a row pairwise, and the two differ
-    in the last bits. The per-mode posterior means are built in the buffer of
-    the differences, and the prediction in the blend's: nothing is written
-    into `noised_chunk`.
+    step's constants and holds its modes on a leading axis, centred on its
+    first mode's scaled mean as `PooledDistances` centres on its first point:
+    with y = x - sqrt(abar) * mu_0 and delta_m = sqrt(abar) * (mu_m - mu_0), a
+    row's squared distance to mode m is |y|^2 - 2 y.delta_m + |delta_m|^2, and
+    its prediction is sum_m r_m w_m (y - delta_m) for responsibilities r_m and
+    w_m = sqrt(1 - abar) / s2_m. The y.delta_m and the blend of the delta_m
+    are one stacked matmul each, (G, M, V) @ (G, V, R) and (G, R, M) @
+    (G, M, V), whose bits depend on the strides, so the input is read in C
+    order; nothing is written into `noised_chunk`.
     """
-    log_weights, step_scalars, step_modes = policy._oracle_constants
     h, d = policy.horizon, policy.action_dim
     x = np.asarray(noised_chunk, dtype=np.float64)
     if x.shape[-2:] != (h, d):
         raise ValueError(f"noised chunk must end in shape ({h}, {d}), got {x.shape}")
-    mu = policy._mode_means(np.asarray(states, dtype=np.float64))  # (M, G, h, d)
-    n_modes, n_groups = mu.shape[:2]
+    mu = policy._mode_means(np.asarray(states, dtype=np.float64))  # (G, M, h, d)
+    n_groups, n_modes = mu.shape[:2]
     if x.ndim < 3 or x.shape[0] != n_groups:
         raise ValueError(f"{n_groups} states need noised chunks of shape "
                          f"({n_groups}, ..., {h}, {d}), got {x.shape}")
     steps = _denoise_steps(i, policy.schedule.n_steps, n_groups)
     lead, v = x.shape[:-2], h * d
-    groups = x.reshape(n_groups, -1, v)  # (G, n/G, V)
-    mu = mu.reshape(n_modes, n_groups, 1, v)
-    sqrt_abar, sqrt_one_minus_abar = step_scalars.take(steps, axis=1)  # (G, 1, 1)
-    s2, log_norm, shrink = step_modes.take(steps, axis=2)  # (M, G, 1)
-    diff = groups - sqrt_abar * mu  # (M, G, n/G, V)
-    sq = np.einsum("mgrv,mgrv->mgr", diff, diff)
-    post_mean_per_mode = np.add(mu, np.multiply(shrink[..., None], diff, out=diff), out=diff)
-    log_resp = (log_weights[:, None, None] - 0.5 * sq / s2 - log_norm).reshape(n_modes, -1)
-    log_resp -= logsumexp_rows(log_resp, axis=0)
-    resp = np.exp(log_resp)  # (M, n)
-    post_mean = np.einsum("mn,mnv->nv", resp, post_mean_per_mode.reshape(n_modes, -1, v))
-    post_mean = post_mean.reshape(groups.shape)
-    post_mean *= sqrt_abar
-    eps_hat = np.subtract(groups, post_mean, out=post_mean)
-    eps_hat /= sqrt_one_minus_abar
+    groups = np.ascontiguousarray(x).reshape(n_groups, -1, v)  # (G, R, V)
+    mu = mu.reshape(n_groups, n_modes, v)
+    log_prior, half_precision, weight, sqrt_abar = policy._oracle_constants.take(steps, axis=1)
+    sqrt_abar = sqrt_abar[:, :1]  # (G, 1, 1); the rest are (G, M, 1)
+    y = groups - sqrt_abar * mu[:, :1]
+    delta = sqrt_abar * (mu - mu[:, :1])
+    sq = delta @ y.swapaxes(1, 2)  # (G, M, R)
+    sq *= -2.0
+    sq += np.einsum("grv,grv->gr", y, y)[:, None]
+    sq += np.einsum("gmv,gmv->gm", delta, delta)[..., None]
+    logit = np.subtract(log_prior, np.multiply(sq, half_precision, out=sq), out=sq)
+    logit -= logit.max(axis=1, keepdims=True)
+    resp = np.exp(logit, out=logit)
+    resp /= resp.sum(axis=1, keepdims=True)
+    resp *= weight  # r_m w_m
+    eps_hat = np.multiply(y, resp.sum(axis=1)[..., None], out=y)
+    eps_hat -= resp.swapaxes(1, 2) @ delta
     return eps_hat.reshape(*lead, h, d)
 
 

@@ -341,14 +341,11 @@ def test_pooled_matrix_edge_cases_match_per_block_arithmetic(x, y):
 
 
 @st.composite
-def _lse_rows(draw, non_finite=False):
-    """Float64 rows of 1-8 columns, some with exact ties at the row max: finite,
-    or with `non_finite` also holding inf, -inf and nan."""
+def _lse_rows(draw):
+    """Finite float64 rows of 1-8 columns, some with exact ties at the row max."""
     n_cols = draw(st.integers(1, 8))
     element = st.one_of(st.floats(-50, 50),
                         st.floats(allow_nan=False, allow_infinity=False))
-    if non_finite:
-        element = st.one_of(element, st.sampled_from([np.inf, -np.inf, np.nan]))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         row = draw(st.lists(element, min_size=n_cols, max_size=n_cols))
@@ -363,18 +360,6 @@ def _lse_rows(draw, non_finite=False):
 def test_logsumexp_rows_is_scipy_logsumexp_exactly(a):
     with np.errstate(over="ignore"):  # a - max overflows to -inf on wide rows, in both
         assert np.array_equal(logsumexp_rows(a), logsumexp(a, axis=1, keepdims=True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_lse_rows(non_finite=True))
-def test_logsumexp_rows_along_axis_0_is_scipy_logsumexp_exactly(a):
-    """The mode-major form: each column reduced, non-finite columns included."""
-    columns = np.ascontiguousarray(a.T)
-    with np.errstate(all="ignore"):
-        want = logsumexp(columns, axis=0, keepdims=True)
-        got = logsumexp_rows(columns, axis=0)
-    assert got.shape == (1, columns.shape[1])
-    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_logsumexp_rows_non_finite_rows_match_scipy():

@@ -59,18 +59,18 @@ class TestModeMeans:
 
     @pytest.mark.parametrize("n_states", [1, 3, 3000])
     def test_mode_means_of_a_stack_are_each_row_bit_for_bit(self, n_states):
-        """A (G, d) stack of states gives (M, G, h, d) plans, each the bits of the
+        """A (G, d) stack of states gives (G, M, h, d) plans, each the bits of the
         reference formula for its mode and state, and of a stack of one."""
         policy = _three_mode_policy()
         h = policy.horizon
         states = np.random.default_rng(3).standard_normal((n_states, 2)) * 10.0
         plans = policy._mode_means(states)
-        assert plans.shape == (3, n_states, h, 2)
+        assert plans.shape == (n_states, 3, h, 2)
         for m, mode in enumerate(policy.modes):
             want = np.stack([mode_plan(mode, state, h) for state in states])
-            assert same_bits(plans[m], want)
+            assert same_bits(plans[:, m], want)
         for g in range(min(n_states, 3)):
-            assert same_bits(policy._mode_means(states[g:g + 1])[:, 0], plans[:, g])
+            assert same_bits(policy._mode_means(states[g:g + 1])[0], plans[g])
 
     def test_plan_is_replanning_consistent(self):
         """Executing k steps of the plan then re-planning reproduces the tail."""
@@ -303,7 +303,40 @@ class TestExactNoiseOracle:
 
 def _reference_gmm_eps(policy, noised_chunk, state, i):
     """The oracle with nothing kept between calls: one state, and the mode
-    means, variances and normalizers rebuilt from the policy on every call."""
+    means, variances and normalizers rebuilt from the policy on every call,
+    in the oracle's arithmetic: the modes on the leading axis, centred on the
+    first mode's scaled mean, and one matmul each for the products and the blend."""
+    abar = policy.schedule.alpha_bar[i]
+    sqrt_abar = math.sqrt(abar)
+    h, d = policy.horizon, policy.action_dim
+    x = np.asarray(noised_chunk, dtype=np.float64)
+    lead = x.shape[:-2]
+    flat = np.ascontiguousarray(x).reshape(-1, h * d)
+    state = np.asarray(state, dtype=np.float64).ravel()
+    mu = np.stack([mode_plan(m, state, h).ravel() for m in policy.modes])  # (M, V)
+    sig2 = np.array([m.stddev ** 2 for m in policy.modes])
+    s2 = abar * sig2 + (1.0 - abar)
+    v = flat.shape[1]
+    log_prior = np.log(policy.base_weights) - 0.5 * v * np.log(2.0 * math.pi * s2)
+    y = flat - sqrt_abar * mu[0]
+    delta = sqrt_abar * (mu - mu[0])
+    sq = delta @ y.T  # (M, n)
+    sq *= -2.0
+    sq += np.einsum("nv,nv->n", y, y)
+    sq += np.einsum("mv,mv->m", delta, delta)[:, None]
+    logit = log_prior[:, None] - sq * (0.5 / s2)[:, None]
+    logit -= logit.max(axis=0)
+    resp = np.exp(logit)
+    resp /= resp.sum(axis=0)
+    resp *= (math.sqrt(1.0 - abar) / s2)[:, None]
+    eps_hat = y * resp.sum(axis=0)[:, None] - resp.T @ delta
+    return eps_hat.reshape(*lead, h, d)
+
+
+def _per_mode_gmm_eps(policy, noised_chunk, state, i):
+    """The oracle as first written, for one state: each row's difference to each
+    mode's scaled mean, and the blend of the per-mode posterior means. Its float64
+    error grows with the modes' distance from the origin, unlike the centred form's."""
     abar = policy.schedule.alpha_bar[i]
     sqrt_abar = math.sqrt(abar)
     h, d = policy.horizon, policy.action_dim
@@ -423,8 +456,10 @@ class TestOracleAgainstReference:
 
     @pytest.mark.parametrize("n_modes", [8, 12])
     def test_eight_modes_or_more_agree_within_tolerance(self, n_modes):
-        """From 8 modes numpy sums a row pairwise but a leading axis in order,
-        so the mode-major sums may leave the reference's last bits."""
+        """Many modes: numpy sums a row of 8 or more pairwise, but the oracle and
+        the reference both sum over a leading mode axis, in order. The test asks
+        for agreement within tolerance only, which leaves room for a BLAS that
+        rounds a stacked matmul otherwise than a 2-D one."""
         rng = np.random.default_rng(16)
         modes = [GmmMode(weight=1.0 / n_modes, stddev=0.2 + 0.1 * m,
                          attractor=rng.standard_normal(2)) for m in range(n_modes)]
@@ -485,6 +520,51 @@ class TestOracleAgainstReference:
             gmm_exact_eps(policy, np.zeros((3, 5, 4, 2)), np.zeros((2, 2)), 3)
         with pytest.raises(ValueError, match="2 states"):
             gmm_exact_eps(policy, np.zeros((4, 2)), np.zeros((2, 2)), 3)
+
+
+def _own_draws(attractors, steps, rng):
+    """The default scenario's policy on `attractors`, its 32 chunks from the
+    origin, and those chunks re-noised to each of `steps`, one group per step."""
+    policy = ScenarioConfig(attractors=attractors).build_policy()
+    chunks = policy.sample_with_modes(np.zeros(2), 32)[0]
+    abar = np.asarray(policy.schedule.alpha_bar)[steps][:, None, None, None]
+    noise = rng.standard_normal((len(steps),) + chunks.shape)
+    return policy, np.sqrt(abar) * chunks + np.sqrt(1.0 - abar) * noise, np.zeros((len(steps), 2))
+
+
+def _random_draws(n_modes, steps, rng):
+    """A policy of n_modes random modes, and random chunks and states, one group per step."""
+    modes = [GmmMode(weight=1.0 / n_modes, stddev=0.2 + 0.1 * m,
+                     attractor=rng.standard_normal(2)) for m in range(n_modes)]
+    policy = SyntheticGmmPolicy(modes, horizon=4, action_dim=2)
+    x = rng.standard_normal((len(steps), 64, 4, 2)) * 2.0
+    return policy, x, rng.standard_normal((len(steps), 2))
+
+
+class TestOracleAgainstPerModeArithmetic:
+    """The oracle against the per-mode arithmetic it replaced, within a bound
+    on max|eps| at each step: the two round differently, and the per-mode form
+    loses more bits as the modes move away from the origin."""
+
+    STEPS = np.array([0, 1, 5, 25, 50, 99])
+    CASES = {  # how to draw the inputs, from what, and the bound as a fraction of max|eps|
+        "scenario": (_own_draws, ((2.5, 1.5), (2.5, -1.5)), 1e-13),
+        "far_attractors": (_own_draws, ((1000.0, 1.5), (1000.0, -1.5)), 1e-11),
+        "3_modes": (_random_draws, 3, 1e-10),
+        "8_modes": (_random_draws, 8, 1e-10),
+        "12_modes": (_random_draws, 12, 1e-10),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_agrees_with_the_per_mode_arithmetic(self, case):
+        """At attractors (1000, +-1.5) a form that does not centre on the first
+        mode's mean misses its bound at step 1."""
+        draws, arg, bound = self.CASES[case]
+        policy, x, states = draws(arg, self.STEPS, np.random.default_rng(17))
+        got = gmm_exact_eps(policy, x, states, self.STEPS)
+        for g, i in enumerate(self.STEPS):
+            want = _per_mode_gmm_eps(policy, x[g], states[g], i)
+            np.testing.assert_allclose(got[g], want, rtol=0.0, atol=bound * np.abs(want).max())
 
 
 class TestOracleInputSafety:
